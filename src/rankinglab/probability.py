@@ -25,6 +25,7 @@ link by link on enumerated instances:
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -32,8 +33,8 @@ from itertools import permutations
 from typing import AbstractSet, Dict, Optional, Tuple
 
 from .engine import BipartiteInstance
-from .graph import is_matching, max_card_matching, neighbors, partner, vertices
-from .rng import stream
+from .graph import is_matching, max_card_matching, partner, vertices
+from .rng import _GOLDEN, _MASK, _mix
 
 DEFAULT_CAP = 8
 
@@ -82,56 +83,84 @@ def _check_t(t: int, n: int) -> None:
 
 @lru_cache(maxsize=256)
 def _adjacency(inst: BipartiteInstance):
-    """Offline vertices in name order plus integer adjacency per arrival."""
+    """Offline vertices in name order plus the arrival bitmask of each.
+
+    Bit j of ``reach[x]`` is set when offline id x is adjacent to the j-th
+    arrival.  Built in one pass over the edges.
+    """
     offline = tuple(sorted(inst.ranking.members))
     oid = {v: k for k, v in enumerate(offline)}
-    adj = tuple(
-        tuple(sorted(oid[w] for w in neighbors(inst.graph, u))) for u in inst.arrival
-    )
-    return offline, oid, adj
-
-
-def _greedy_ranks(adj, rank_of, n: int) -> Tuple[int, ...]:
-    """Partner rank per arrival (-1 when unmatched) for one ranking.
-
-    Integer mirror of the step fold: each arrival takes its free neighbor of
-    least rank.  Tests pin this against the literal fold.
-    """
-    free = bytearray(b"\x01" * n)
-    out = []
-    for nbrs in adj:
-        best = -1
-        best_rank = n
-        for x in nbrs:
-            if free[x] and rank_of[x] < best_rank:
-                best_rank = rank_of[x]
-                best = x
-        if best >= 0:
-            free[best] = 0
-            out.append(best_rank)
+    pos = {u: j for j, u in enumerate(inst.arrival)}
+    reach = [0] * len(offline)
+    for e in inst.graph:
+        a, b = e
+        if a in oid:
+            reach[oid[a]] |= 1 << pos[b]
         else:
-            out.append(-1)
-    return tuple(out)
+            reach[oid[b]] |= 1 << pos[a]
+    return offline, tuple(reach)
 
 
-@lru_cache(maxsize=64)
+#: most rows the ensemble cache holds over all its tables (two at n = 8)
+ENSEMBLE_ROW_BUDGET = 2 * math.factorial(8)
+
+_tables: "OrderedDict[BipartiteInstance, tuple]" = OrderedDict()
+_rows = 0  # rows held in _tables, kept as a running count
+
+
 def _ensemble(inst: BipartiteInstance):
     """Matcher outcomes for every ranking of the offline party.
 
     Maps each permutation of offline ids to a pair (set of matched ranks,
     partner rank per arrival).  Everything exact downstream is a linear scan
     over this table.
+
+    Each row comes from the party-swapped greedy: offline vertices, in
+    ranking order, take their earliest-arriving free neighbor.  Because
+    ``is_ranking_matching`` is symmetric in the two orders and has exactly
+    one solution, this is the matching of the arrival-driven ``step`` fold.
+
+    Tables are cached, least recently used first out, while their rows
+    together stay within ``ENSEMBLE_ROW_BUDGET``; the newest table is always
+    kept.
     """
-    offline, oid, adj = _adjacency(inst)
+    global _rows
+    hit = _tables.get(inst)
+    if hit is not None:
+        _tables.move_to_end(inst)
+        return hit
+    offline, reach = _adjacency(inst)
     n = len(offline)
+    everyone = (1 << len(inst.arrival)) - 1
+    unmatched = (-1,) * len(inst.arrival)
     runs: Dict[tuple, tuple] = {}
     for perm in permutations(range(n)):
-        rank_of = [0] * n
+        free = everyone
+        prs = list(unmatched)
+        matched = []
         for r, x in enumerate(perm):
-            rank_of[x] = r
-        prs = _greedy_ranks(adj, rank_of, n)
-        runs[perm] = (frozenset(r for r in prs if r >= 0), prs)
-    return offline, oid, runs
+            a = reach[x] & free
+            if a:
+                low = a & -a
+                free ^= low
+                prs[low.bit_length() - 1] = r
+                matched.append(r)
+        runs[perm] = (frozenset(matched), tuple(prs))
+    table = (offline, runs)
+    _tables[inst] = table
+    _rows += len(runs)
+    while _rows > ENSEMBLE_ROW_BUDGET and len(_tables) > 1:
+        _rows -= len(_tables.popitem(last=False)[1][1])
+    return table
+
+
+def _ensemble_cache_clear() -> None:
+    global _rows
+    _tables.clear()
+    _rows = 0
+
+
+_ensemble.cache_clear = _ensemble_cache_clear
 
 
 def _move_id(perm: tuple, x: int, i: int) -> tuple:
@@ -149,7 +178,7 @@ def _fingerprint(inst: BipartiteInstance) -> str:
 def exact_expected_size(inst: BipartiteInstance, cap: int = DEFAULT_CAP) -> ExactReport:
     """Expected matching size over a uniformly random ranking, exactly."""
     _check_cap(inst, cap)
-    _, _, runs = _ensemble(inst)
+    _, runs = _ensemble(inst)
     total = sum(len(matched) for matched, _ in runs.values())
     return ExactReport(
         instance_id=_fingerprint(inst),
@@ -164,7 +193,7 @@ def rank_matched_prob(inst: BipartiteInstance, t: int, cap: int = DEFAULT_CAP) -
     """Probability that the vertex at rank t ends up matched."""
     _check_cap(inst, cap)
     _check_t(t, len(inst.ranking))
-    _, _, runs = _ensemble(inst)
+    _, runs = _ensemble(inst)
     hits = sum(1 for matched, _ in runs.values() if t - 1 in matched)
     return Fraction(hits, len(runs))
 
@@ -182,7 +211,7 @@ def rank_matched_prob_moved(
     _check_cap(inst, cap)
     n = len(inst.ranking)
     _check_t(t, n)
-    _, _, runs = _ensemble(inst)
+    _, runs = _ensemble(inst)
     i = t - 1
     hits = 0
     for perm in runs:
@@ -223,7 +252,7 @@ def matched_before_prob(
     n = len(inst.ranking)
     _check_t(t, n)
     mset = _validated_perfect(inst, m_star)
-    offline, _, runs = _ensemble(inst)
+    offline, runs = _ensemble(inst)
     upos = _designated_positions(inst, mset, offline)
     hits = 0
     for _, prs in runs.values():
@@ -239,7 +268,7 @@ def expected_matched_before_count(
     """Expected number of arrivals matched to rank t or better."""
     _check_cap(inst, cap)
     _check_t(t, len(inst.ranking))
-    _, _, runs = _ensemble(inst)
+    _, runs = _ensemble(inst)
     total = sum(
         sum(1 for r in prs if 0 <= r <= t - 1) for _, prs in runs.values()
     )
@@ -404,25 +433,46 @@ def check_theorem6(inst: BipartiteInstance, cap: int = DEFAULT_CAP) -> RatioVerd
 def mc_expected_size(inst: BipartiteInstance, samples: int, seed: int) -> McEstimate:
     """Monte Carlo estimate of the expected matching size.
 
-    Sample i shuffles the offline party with the i-th stream derived from
-    the seed (Fisher-Yates), so the estimate is bit-identical for identical
-    (instance, samples, seed) regardless of batching.  The reported stddev
-    is the sample standard deviation of the per-run size, zero when only
-    one sample was requested.
+    Sample i ranks the offline party (in name order) by a Fisher-Yates
+    shuffle drawn from ``stream(seed, i)``, so the estimate is bit-identical
+    for identical (instance, samples, seed) regardless of batching.  The
+    loop below inlines SplitMix64 and consumes each stream exactly as
+    ``stream(seed, i).shuffled(range(n))`` does, rejections included;
+    ``SplitMix64`` remains the reference it is tested against.  The
+    matching size comes from the party-swapped greedy of ``_ensemble``.
+
+    The reported stddev is the sample standard deviation of the per-run
+    size, zero when only one sample was requested.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
-    offline, _, adj = _adjacency(inst)
-    n = len(offline)
-    base = list(range(n))
+    _, reach = _adjacency(inst)
+    n = len(reach)
+    everyone = (1 << len(inst.arrival)) - 1
+    # (position, bound, rejection limit) per Fisher-Yates step, as in below()
+    steps = [(j, j + 1, (1 << 64) - (1 << 64) % (j + 1)) for j in range(n - 1, 0, -1)]
     total = 0
     total_sq = 0
     for i in range(samples):
-        perm = stream(seed, i).shuffled(base)
-        rank_of = [0] * n
-        for r, x in enumerate(perm):
-            rank_of[x] = r
-        size = sum(1 for r in _greedy_ranks(adj, rank_of, n) if r >= 0)
+        s = _mix((seed + (i + 1) * _GOLDEN) & _MASK)
+        perm = list(range(n))
+        for j, bound, limit in steps:
+            while True:
+                s = (s + _GOLDEN) & _MASK
+                z = ((s ^ (s >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+                z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+                z ^= z >> 31
+                if z < limit:
+                    break
+            r = z % bound
+            perm[j], perm[r] = perm[r], perm[j]
+        free = everyone
+        size = 0
+        for x in perm:
+            a = reach[x] & free
+            if a:
+                free ^= a & -a
+                size += 1
         total += size
         total_sq += size * size
     mean = total / samples

@@ -12,6 +12,11 @@ Streams are splittable.  ``stream(seed, i)`` returns an independent generator
 for sample index ``i``, seeded from the i-th raw output of the parent
 sequence.  Sample i therefore sees the same randomness no matter how the
 samples are batched, ordered, or sharded across workers.
+
+``probability.mc_expected_size`` inlines the generator in its sampling loop:
+it consumes each ``stream(seed, i)`` exactly as ``SplitMix64.shuffled`` does,
+rejections included.  ``SplitMix64`` remains the reference, and the tests
+hold the inlined loop equal to it.
 """
 
 from __future__ import annotations

@@ -15,8 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rankinglab import (
+    BipartiteInstance,
     CapExceeded,
     ChainLink,
+    McEstimate,
+    Permutation,
     check_lemma3,
     check_theorem4,
     check_theorem6,
@@ -30,12 +33,53 @@ from rankinglab import (
     lemma3_chain,
     matched_before_prob,
     mc_expected_size,
+    online_match,
+    partner,
     perfect_matching_of,
     rank_matched_prob,
     rank_matched_prob_moved,
+    stream,
 )
+from rankinglab import probability
+from rankinglab.rng import _GOLDEN, _MASK, _mix
 
 from .conftest import instances, make_instance
+
+SEEDS = (0, 1, -1, -(2**70) + 3, 2**63, 2**64 + 5)
+
+
+def literal_mc(inst, samples: int, seed: int) -> McEstimate:
+    """The estimate from its definition: SplitMix64 shuffles and the step fold.
+
+    Sample i ranks the offline vertices, in name order, as permuted by
+    ``stream(seed, i).shuffled``, and takes the size of ``online_match``.
+    """
+    offline = sorted(inst.ranking.members)
+    sizes = []
+    for i in range(samples):
+        order = stream(seed, i).shuffled(range(len(offline)))
+        ranking = Permutation([offline[x] for x in order])
+        sizes.append(len(online_match(BipartiteInstance(inst.graph, ranking, inst.arrival))))
+    total, total_sq = sum(sizes), sum(k * k for k in sizes)
+    sd = 0.0
+    if samples > 1:
+        sd = math.sqrt(Fraction(samples * total_sq - total * total, samples * (samples - 1)))
+    return McEstimate(mean=total / samples, stddev=sd, samples=samples, seed=seed)
+
+
+def _unxorshift(y: int, k: int) -> int:
+    """The x with x ^ (x >> k) == y, for 64-bit x."""
+    x = y
+    for _ in range(64 // k + 1):
+        x = y ^ (x >> k)
+    return x
+
+
+def unmix(z: int) -> int:
+    """Inverse of SplitMix64's output mix: undo each xorshift and multiply."""
+    z = _unxorshift(z, 31)
+    z = _unxorshift(z * pow(0x94D049BB133111EB, -1, 1 << 64) & _MASK, 27)
+    return _unxorshift(z * pow(0xBF58476D1CE4E5B9, -1, 1 << 64) & _MASK, 30)
 
 
 @pytest.fixture
@@ -251,6 +295,43 @@ class TestRatioVerdicts:
         assert (a.n, a.expected, a.ratio, a.holds) == (b.n, b.expected, b.ratio, b.holds)
 
 
+class TestEnsemble:
+    @settings(max_examples=30, deadline=None)
+    @given(instances(max_side=5))
+    def test_rows_equal_step_fold(self, inst):
+        offline, runs = probability._ensemble(inst)
+        assert len(runs) == math.factorial(len(offline))
+        for perm, (matched, prs) in runs.items():
+            ranking = Permutation([offline[x] for x in perm])
+            m = online_match(BipartiteInstance(inst.graph, ranking, inst.arrival))
+            mates = [partner(m, u) for u in inst.arrival]
+            assert prs == tuple(-1 if v is None else ranking.index(v) for v in mates)
+            assert matched == frozenset(ranking.index(v) for v in mates if v is not None)
+
+    def test_cache_bounded_by_rows(self, small, monkeypatch):
+        a = make_instance("v1 v2 v3", "u1", [("u1", "v1")])
+        b = make_instance("v1 v2 v3", "u1", [("u1", "v2")])
+        probability._ensemble.cache_clear()
+        monkeypatch.setattr(probability, "ENSEMBLE_ROW_BUDGET", 8)
+        first = probability._ensemble(a)
+        assert probability._ensemble(a) is first
+        probability._ensemble(small)  # 6 + 2 rows fit the budget
+        assert probability._ensemble(a) is first
+        probability._ensemble(b)  # 14 rows: the oldest go until b fits
+        assert probability._rows == 6
+        assert probability._ensemble(a) is not first
+        probability._ensemble.cache_clear()
+        assert probability._rows == 0
+
+    def test_cache_keeps_newest_table_over_budget(self, monkeypatch):
+        a = make_instance("v1 v2 v3", "u1", [("u1", "v1")])
+        probability._ensemble.cache_clear()
+        monkeypatch.setattr(probability, "ENSEMBLE_ROW_BUDGET", 1)
+        first = probability._ensemble(a)
+        assert probability._ensemble(a) is first
+        probability._ensemble.cache_clear()
+
+
 class TestMonteCarlo:
     def test_bit_identical_for_same_seed(self, small):
         a = mc_expected_size(small, 500, 7)
@@ -286,3 +367,49 @@ class TestMonteCarlo:
     def test_fields(self, small):
         est = mc_expected_size(small, 10, 5)
         assert est.samples == 10 and est.seed == 5
+
+    def test_pinned_values(self, example6):
+        # a seeded estimate is fixed for all time, so these must never drift
+        assert mc_expected_size(example6, 2000, 7) == McEstimate(
+            mean=4.5955, stddev=0.49091776309791696, samples=2000, seed=7
+        )
+        inst, _ = gen_perfect(20, 0.15, 5)
+        assert mc_expected_size(inst, 1000, 2023) == McEstimate(
+            mean=17.463, stddev=0.9641372104428708, samples=1000, seed=2023
+        )
+
+
+class TestMonteCarloEqualsLiteral:
+    @settings(max_examples=40, deadline=None)
+    @given(instances(max_side=6), st.sampled_from(SEEDS), st.integers(1, 30))
+    def test_hypothesis_instances(self, inst, seed, samples):
+        assert mc_expected_size(inst, samples, seed) == literal_mc(inst, samples, seed)
+
+    @pytest.mark.parametrize("n", range(13))
+    def test_planted_instances(self, n):
+        inst, _ = gen_perfect(n, 0.25, 100 + n)
+        for seed in SEEDS:
+            assert mc_expected_size(inst, 30, seed) == literal_mc(inst, 30, seed)
+
+    def test_unmix_inverts_mix(self):
+        for z in (0, 1, 12345, _GOLDEN, _MASK, 2**63):
+            assert _mix(unmix(z)) == z and unmix(_mix(z)) == z
+
+    def test_rejected_draw(self):
+        # a seed whose sample 0 first draws 2^64 - 1, which below(3) rejects
+        state = (unmix(_MASK) - _GOLDEN) & _MASK
+        seed = (unmix(state) - _GOLDEN) & _MASK
+        assert _MASK >= (1 << 64) - (1 << 64) % 3
+        g = stream(seed, 0)
+        g.shuffled(range(3))
+        draws = stream(seed, 0)
+        first, *_, fourth = [draws.next_u64() for _ in range(4)]
+        assert first == _MASK
+        assert g.next_u64() == fourth  # two Fisher-Yates steps took three draws
+        # every graph on 3 + 3 vertices: some size tells any two rankings apart
+        pairs = [(f"u{a}", f"v{b}") for a in (1, 2, 3) for b in (1, 2, 3)]
+        for mask in range(1 << len(pairs)):
+            chosen = [p for k, p in enumerate(pairs) if mask >> k & 1]
+            inst = make_instance("v1 v2 v3", "u1 u2 u3", chosen)
+            assert mc_expected_size(inst, 1, seed) == literal_mc(inst, 1, seed)
+        assert mc_expected_size(inst, 50, seed) == literal_mc(inst, 50, seed)
