@@ -27,6 +27,7 @@ from .engine import BipartiteInstance, Permutation, online_match
 from .fileformat import (
     InstanceFormatError,
     fingerprint,
+    oriented_edge,
     parse_instance,
     serialize_instance,
 )
@@ -40,28 +41,26 @@ from .probability import (
     competitive_bound_exact,
     mc_expected_size,
 )
-from .reporting import CSV_HEADER, fmt_cell, row_line
+from .reporting import CSV_HEADER, exact_row, fmt_cell, row_line
 from .suites import SUITES
 
 
 def _default_seed() -> int:
-    return int(os.environ.get("RANKINGLAB_SEED", "271828"))
+    raw = os.environ.get("RANKINGLAB_SEED", "271828")
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"RANKINGLAB_SEED must be an integer, got {raw!r}") from None
 
 
 def _load(path: str):
     return parse_instance(Path(path).read_text(encoding="utf-8"))
 
 
-def _oriented(inst, e):
-    (u,) = e & inst.arrival.members
-    (v,) = e & inst.ranking.members
-    return u, v
-
-
 def cmd_run(args) -> int:
     inst = _load(args.file)
     m = online_match(inst)
-    pairs = [_oriented(inst, e) for e in m]
+    pairs = [oriented_edge(inst, e) for e in m]
     for u, v in sorted(pairs, key=lambda uv: inst.arrival.index(uv[0])):
         print(f"matched {u} {v}")
     print(f"size {len(m)}")
@@ -74,21 +73,7 @@ def cmd_exact(args) -> int:
     verdict = check_theorem6(inst, args.cap)
     ms = (time.perf_counter() - t0) * 1000.0
     print(CSV_HEADER)
-    print(
-        row_line(
-            {
-                "instance_id": fingerprint(inst),
-                "n": verdict.n,
-                "mode": "exact",
-                "expected_size": verdict.expected,
-                "ratio": verdict.ratio,
-                "bound": verdict.bound,
-                "verdict": "pass" if verdict.holds else "fail",
-                "seed": "",
-                "runtime_ms": ms,
-            }
-        )
-    )
+    print(row_line(exact_row(fingerprint(inst), verdict, ms)))
     return 0 if verdict.holds else 1
 
 
@@ -173,7 +158,7 @@ def cmd_gen(args) -> int:
         text = serialize_instance(inst)
     elif args.kind == "perfect":
         inst, planted = gen_perfect(args.n, args.extra, args.seed)
-        pairs = sorted(_oriented(inst, e) for e in planted)
+        pairs = sorted(oriented_edge(inst, e) for e in planted)
         lines = ["# planted perfect matching:"]
         lines += [f"# pair {u} {v}" for u, v in pairs]
         text = "\n".join(lines) + "\n" + serialize_instance(inst)
@@ -273,13 +258,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
+        return args.func(args)
     except SystemExit as e:
         return int(e.code or 0)
-    try:
-        return args.func(args)
     except (
         InstanceFormatError,
         CapExceeded,

@@ -112,12 +112,18 @@ def serialize_instance(inst: BipartiteInstance) -> str:
     ]
     oriented = []
     for e in inst.graph:
-        (u,) = e & inst.arrival.members
-        (v,) = e & inst.ranking.members
+        u, v = oriented_edge(inst, e)
         oriented.append((inst.arrival.index(u), inst.ranking.index(v), u, v))
     for _, _, u, v in sorted(oriented):
         lines.append(f"edge {u} {v}")
     return "\n".join(lines) + "\n"
+
+
+def oriented_edge(inst: BipartiteInstance, e) -> Tuple[str, str]:
+    """The edge e as (online endpoint, offline endpoint)."""
+    (u,) = e & inst.arrival.members
+    (v,) = e & inst.ranking.members
+    return u, v
 
 
 def fingerprint(inst: BipartiteInstance) -> str:

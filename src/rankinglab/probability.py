@@ -366,16 +366,9 @@ def check_lemma3(inst: BipartiteInstance, cap: int = DEFAULT_CAP) -> Dict[int, b
 
     For each t: the probability of the rank-t vertex being unmatched is at
     most the average of the first t rank probabilities.  Requires the
-    instance to admit a perfect matching.
+    instance to admit a perfect matching.  A view of ``lemma3_chain``.
     """
-    _check_cap(inst, cap)
-    if perfect_matching_of(inst) is None:
-        raise ValueError("instance has no perfect matching covering both parties")
-    n = len(inst.ranking)
-    xs = [rank_matched_prob(inst, t, cap) for t in range(1, n + 1)]
-    return {
-        t: n * (1 - xs[t - 1]) <= sum(xs[:t], Fraction(0)) for t in range(1, n + 1)
-    }
+    return {link.t: link.inequality for link in lemma3_chain(inst, cap=cap)}
 
 
 def competitive_bound_exact(n: int) -> Fraction:

@@ -37,3 +37,18 @@ def fmt_cell(x: object) -> str:
 
 def row_line(row: Mapping[str, object]) -> str:
     return ",".join(fmt_cell(row.get(c)) for c in CSV_COLUMNS)
+
+
+def exact_row(instance_id: str, verdict, runtime_ms: float) -> dict:
+    """The row of one exact ratio verdict (a ``probability.RatioVerdict``)."""
+    return {
+        "instance_id": instance_id,
+        "n": verdict.n,
+        "mode": "exact",
+        "expected_size": verdict.expected,
+        "ratio": verdict.ratio,
+        "bound": verdict.bound,
+        "verdict": "pass" if verdict.holds else "fail",
+        "seed": "",
+        "runtime_ms": runtime_ms,
+    }

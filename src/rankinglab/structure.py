@@ -2,9 +2,11 @@
 
 The central object is the cascade: when a vertex is deleted, the computed
 matching does not change arbitrarily but along a single alternating path.
-``zig`` and ``zag`` construct that path from the shift relation, and the
-``removal_diff_*`` / ``check_*`` functions turn the structural claims into
-executable verdicts that the suites exercise on random instances.
+``zig`` and ``zag`` construct that path with one loop over the matching's
+mate map; ``shifts_to``, the literal definition of the shift relation, is
+the oracle that loop is tested against.  The ``removal_diff_*`` / ``check_*``
+functions turn the structural claims into executable verdicts that the
+suites exercise on random instances.
 
 A ``ZigZagContext`` bundles a graph, a matching over it, and the two orders.
 The party roles inside a context are positional: ``ranking`` names the side
@@ -15,8 +17,8 @@ code path for it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import AbstractSet, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import AbstractSet, Dict, List, Optional, Tuple
 
 from .engine import BipartiteInstance, Permutation, online_match
 from .graph import (
@@ -27,6 +29,7 @@ from .graph import (
     remove_vertices,
     symmetric_difference,
 )
+from .probability import _validated_perfect
 
 
 class DichotomyViolation(RuntimeError):
@@ -43,6 +46,8 @@ class ZigZagContext:
     matching: frozenset
     arrival: Permutation
     ranking: Permutation
+    #: vertex -> its partner in ``matching``, derived once from it
+    mate: Dict[Vertex, Vertex] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "graph", frozenset(frozenset(e) for e in self.graph))
@@ -51,6 +56,10 @@ class ZigZagContext:
             raise ValueError("context matching is not a matching")
         if not self.matching <= self.graph:
             raise ValueError("context matching must be a subset of the graph")
+        mate = {}
+        for a, b in self.matching:
+            mate[a], mate[b] = b, a
+        object.__setattr__(self, "mate", mate)
 
     def swapped(self) -> "ZigZagContext":
         return ZigZagContext(self.graph, self.matching, self.ranking, self.arrival)
@@ -67,7 +76,7 @@ def shifts_to(
     matching, and every ranked vertex strictly between current and candidate
     is either not a neighbor of u or held by an arrival earlier than u.
     """
-    r, a, m = ctx.ranking, ctx.arrival, ctx.matching
+    r, a = ctx.ranking, ctx.arrival
     if u not in a or candidate not in r or current not in r:
         return False
     lo, hi = r.index(current), r.index(candidate)
@@ -77,7 +86,7 @@ def shifts_to(
         return False
 
     def held_earlier(v: Vertex) -> bool:
-        w = partner(m, v)
+        w = ctx.mate.get(v)
         return w is not None and w in a and a.index(w) < a.index(u)
 
     if held_earlier(candidate):
@@ -93,32 +102,50 @@ def shift_targets(ctx: ZigZagContext, u: Vertex, current: Vertex) -> List[Vertex
     return [v for v in ctx.ranking if shifts_to(ctx, u, current, v)]
 
 
+def _cascade(ctx: ZigZagContext, x: Vertex, zig_step: bool) -> Tuple[Vertex, ...]:
+    """The cascade path from x, alternating zig steps and zag steps.
+
+    A zig step goes from a vertex to its mate.  A zag step goes from
+    arrival-side u, matched to ranking-side v, to the first neighbor of u
+    after v in the ranking that no arrival earlier than u holds: by
+    definition the unique w with ``shifts_to(ctx, u, v, w)``.  The path ends
+    at the first step with nowhere to go.
+    """
+    r, a, g, mate = ctx.ranking, ctx.arrival, ctx.graph, ctx.mate
+    path = [x]
+    while True:
+        v = mate.get(x)
+        nxt = v if zig_step else None
+        if not zig_step and x in a and v in r:
+            t = a.index(x)
+            for w in r.order[r.index(v) + 1 :]:
+                h = mate.get(w)
+                if frozenset((x, w)) in g and (h not in a or a.index(h) >= t):
+                    nxt = w
+                    break
+        if nxt is None:
+            return tuple(path)
+        path.append(nxt)
+        x, zig_step = nxt, not zig_step
+
+
 def zig(ctx: ZigZagContext, v: Vertex) -> Tuple[Vertex, ...]:
     """Cascade path starting at ranking-side vertex v.
 
     [v] when v is unmatched, otherwise v followed by the zag from its
-    partner.  Ranks strictly increase along the recursion, so it terminates
-    on any context.
+    partner.  Ranks strictly increase along the loop, so it takes at most
+    |ranking| steps on any context.
     """
-    u = partner(ctx.matching, v)
-    if u is None:
-        return (v,)
-    return (v,) + zag(ctx, u)
+    return _cascade(ctx, v, zig_step=True)
 
 
 def zag(ctx: ZigZagContext, u: Vertex) -> Tuple[Vertex, ...]:
     """Cascade path starting at arrival-side vertex u.
 
     [u] when u is unmatched or has nowhere to shift, otherwise u followed by
-    the zig from its shift target.
+    the zig from its shift target.  Ends within |ranking| steps, as zig.
     """
-    v = partner(ctx.matching, u)
-    if v is None:
-        return (u,)
-    for cand in ctx.ranking:
-        if shifts_to(ctx, u, v, cand):
-            return (u,) + zig(ctx, cand)
-    return (u,)
+    return _cascade(ctx, u, zig_step=False)
 
 
 @dataclass(frozen=True)
@@ -219,7 +246,7 @@ def check_removal_stability(
         raise ValueError("removed vertices must all lie in one party")
 
     def partner_rank(x: Vertex) -> Optional[int]:
-        w = partner(ctx.matching, x)
+        w = ctx.mate.get(x)
         return None if w is None else ctx.ranking.index(w)
 
     if probe in ctx.ranking:
@@ -233,12 +260,8 @@ def check_removal_stability(
 
     for x in sorted(xs):
         r = partner_rank(x)
-        if r is None:
-            continue
-        if cutoff is None:
-            # unmatched arrival-side probe: nothing to rank against
-            continue
-        if r >= cutoff:
+        # an unmatched arrival-side probe (cutoff None) has nothing to rank against
+        if r is not None and cutoff is not None and r >= cutoff:
             raise GuardViolation(
                 f"removed vertex {x!r} is matched at rank {r}, "
                 f"not strictly before the probe cutoff {cutoff}"
@@ -270,15 +293,6 @@ class RankMoveVerdict:
     holds_original_rank: Optional[bool]
 
 
-def _require_perfect(inst: BipartiteInstance, m_star: frozenset) -> None:
-    mset = frozenset(frozenset(e) for e in m_star)
-    if not is_matching(mset) or not mset <= inst.graph:
-        raise ValueError("m_star must be a matching inside the instance graph")
-    covered = frozenset(v for e in mset for v in e)
-    if covered != inst.offline | inst.online:
-        raise ValueError("m_star must cover both parties entirely")
-
-
 def check_rank_move(
     inst: BipartiteInstance, m_star: AbstractSet, v: Vertex, i: int
 ) -> RankMoveVerdict:
@@ -292,8 +306,7 @@ def check_rank_move(
     """
     if v not in inst.ranking:
         raise KeyError(f"{v!r} is not a ranking-side vertex")
-    mset = frozenset(frozenset(e) for e in m_star)
-    _require_perfect(inst, mset)
+    mset = _validated_perfect(inst, m_star)
     m = online_match(inst)
     if partner(m, v) is not None:
         return RankMoveVerdict(True, None, None, None)

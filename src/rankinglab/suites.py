@@ -32,6 +32,7 @@ from .probability import (
     lemma3_chain,
     perfect_matching_of,
 )
+from .reporting import exact_row
 from .rng import SplitMix64, stream
 from .structure import (
     DichotomyViolation,
@@ -447,19 +448,7 @@ def _suite_ratio(
         verdict = checker(one)
         ms = (time.perf_counter() - t0) * 1000.0
         cases += 1
-        rows.append(
-            {
-                "instance_id": fingerprint(one),
-                "n": verdict.n,
-                "mode": "exact",
-                "expected_size": verdict.expected,
-                "ratio": verdict.ratio,
-                "bound": verdict.bound,
-                "verdict": "pass" if verdict.holds else "fail",
-                "seed": "",
-                "runtime_ms": ms,
-            }
-        )
+        rows.append(exact_row(fingerprint(one), verdict, ms))
         if not verdict.holds:
             failures.append(
                 CaseFailure("expected ratio fell below the bound", serialize_instance(one))

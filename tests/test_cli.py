@@ -100,6 +100,13 @@ class TestMc:
         cells = capsys.readouterr().out.splitlines()[1].split(",")
         assert cells[7] == "424242"
 
+    def test_env_seed_not_an_integer(self, capsys, monkeypatch):
+        monkeypatch.setenv("RANKINGLAB_SEED", "abc")
+        assert main(["bound", "--n", "3"]) == 2
+        cap = capsys.readouterr()
+        assert cap.out == ""
+        assert cap.err == "error: RANKINGLAB_SEED must be an integer, got 'abc'\n"
+
     def test_empty_graph_row(self, tmp_path, capsys):
         p = tmp_path / "empty.obm"
         p.write_text("offline v1\nonline u1\n")
@@ -138,6 +145,19 @@ class TestCheck:
         for line in lines[1:]:
             cells = line.split(",")
             assert cells[2] == "exact" and cells[6] == "pass"
+
+    def test_ratio_suite_row_equals_exact_row(self, tmp_path, capsys):
+        out_csv = tmp_path / "rows.csv"
+        assert main(["check", EXAMPLE, "--suite", "theorem6", "--out", str(out_csv)]) == 0
+        assert main(["exact", EXAMPLE]) == 0
+        exact_lines = capsys.readouterr().out.splitlines()[-2:]
+        suite_lines = out_csv.read_text().splitlines()
+        assert suite_lines[0] == exact_lines[0] == CSV_HEADER
+        assert len(suite_lines) == 2
+        suite_row, exact_row = suite_lines[1].split(","), exact_lines[1].split(",")
+        runtime = CSV_HEADER.split(",").index("runtime_ms")
+        del suite_row[runtime], exact_row[runtime]
+        assert suite_row == exact_row
 
     def test_out_rejected_for_non_ratio_suite(self, tmp_path, capsys):
         rc = main(

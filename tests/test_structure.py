@@ -138,13 +138,20 @@ class TestZigZag:
     @settings(max_examples=60)
     @given(instances())
     def test_zig_zag_terminate_everywhere(self, inst):
-        ctx = natural_ctx(inst)
-        for v in inst.ranking:
-            p = zig(ctx, v)
-            assert p[0] == v and len(set(p)) == len(p)
-        for u in inst.arrival:
-            p = zag(ctx, u)
-            assert p[0] == u and len(set(p)) == len(p)
+        for ctx in (natural_ctx(inst), natural_ctx(inst).swapped()):
+            for v in ctx.ranking:
+                p = zig(ctx, v)
+                assert p[0] == v and len(set(p)) == len(p)
+                mate = partner(ctx.matching, v)
+                if mate is not None:
+                    assert p == (v,) + zag(ctx, mate)
+            for u in ctx.arrival:
+                p = zag(ctx, u)
+                assert p[0] == u and len(set(p)) == len(p)
+                mate = partner(ctx.matching, u)
+                if mate is not None:
+                    # the step after u is its unique shift target, or the path ends
+                    assert list(p[1:2]) == shift_targets(ctx, u, mate)
 
 
 class TestRemovalDichotomy:
@@ -173,6 +180,19 @@ class TestRemovalDichotomy:
     def test_worked_example_offline_removal(self, example6):
         d = removal_diff_offline(example6, "v1")
         assert d.path == ("v1", "u1", "v3", "u4")
+
+    def test_deep_staircase_cascade(self):
+        # u_i holds v_i; deleting v1 shifts every u_i to v_{i+1} and leaves u600
+        # unmatched: a 1200-vertex path, deeper than the default recursion limit
+        n = 600
+        inst = make_instance(
+            " ".join(f"v{i}" for i in range(1, n + 1)),
+            " ".join(f"u{i}" for i in range(1, n + 1)),
+            [(f"u{i}", f"v{j}") for i in range(1, n + 1) for j in (i, i + 1) if j <= n],
+        )
+        d = removal_diff_offline(inst, "v1")
+        assert d.path == tuple(x for i in range(1, n + 1) for x in (f"v{i}", f"u{i}"))
+        assert len(d.baseline) == n and len(d.reduced) == n - 1
 
     def test_removing_unmatched_vertex_changes_nothing(self, example6):
         d = removal_diff_offline(example6, "v6")
