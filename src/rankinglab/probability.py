@@ -3,12 +3,18 @@
 The ranking is treated as uniformly random over the offline party while the
 graph and the arrival order stay fixed.  At desk scale (party size up to a
 configurable cap, default 8) every quantity is computed exactly, as a
-``fractions.Fraction``, by enumerating all rankings once per instance and
-reading every statistic off that table.  Beyond the cap, ``mc_expected_size``
-gives a seeded, bit-reproducible Monte Carlo estimate.
+``fractions.Fraction``.  The expected size comes from a rank-order dynamic
+program: a uniformly random ranking is a uniformly random order in which
+offline vertices take their earliest-arriving free neighbor, so it sums
+matched counts over processing orders, layer by layer over states (offline
+vertices still to come, free arrivals).  The per-rank quantities are read
+off one table of the matcher's outcome under every ranking, which also
+serves as the dynamic program's test oracle.  Beyond the cap,
+``mc_expected_size`` gives a seeded, bit-reproducible Monte Carlo estimate.
 
-The per-rank quantities connect into a chain that the check functions verify
-link by link on enumerated instances:
+The per-rank quantities connect into a chain that ``lemma3_chain`` builds
+in one pass over that table and the check functions verify link by link on
+enumerated instances:
 
 * ``rank_matched_prob(t)``, the probability that the vertex at rank t ends
   up matched;
@@ -25,11 +31,11 @@ link by link on enumerated instances:
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
+from itertools import combinations, permutations
 from typing import AbstractSet, Dict, Optional, Tuple
 
 from .engine import BipartiteInstance
@@ -101,8 +107,9 @@ def _adjacency(inst: BipartiteInstance):
     return offline, tuple(reach)
 
 
-#: most rows the ensemble cache holds over all its tables (two at n = 8)
-ENSEMBLE_ROW_BUDGET = 2 * math.factorial(8)
+#: most rows the ensemble cache holds over all its tables (one at n = 8);
+#: the per-t functions re-read the newest table, and nothing else re-reads
+ENSEMBLE_ROW_BUDGET = math.factorial(8)
 
 _tables: "OrderedDict[BipartiteInstance, tuple]" = OrderedDict()
 _rows = 0  # rows held in _tables, kept as a running count
@@ -112,8 +119,9 @@ def _ensemble(inst: BipartiteInstance):
     """Matcher outcomes for every ranking of the offline party.
 
     Maps each permutation of offline ids to a pair (set of matched ranks,
-    partner rank per arrival).  Everything exact downstream is a linear scan
-    over this table.
+    partner rank per arrival).  Every per-rank quantity is a linear scan
+    over this table; ``exact_expected_size`` does without it, and tests hold
+    it equal to the table's sum.
 
     Each row comes from the party-swapped greedy: offline vertices, in
     ranking order, take their earliest-arriving free neighbor.  Because
@@ -176,16 +184,48 @@ def _fingerprint(inst: BipartiteInstance) -> str:
 
 
 def exact_expected_size(inst: BipartiteInstance, cap: int = DEFAULT_CAP) -> ExactReport:
-    """Expected matching size over a uniformly random ranking, exactly."""
+    """Expected matching size over a uniformly random ranking, exactly.
+
+    The party-swapped greedy of ``_ensemble`` makes a ranking an order in
+    which offline vertices take their earliest-arriving free neighbor.  A
+    forward pass over depth d = 0..n-1 counts, for each state (bitmask of
+    offline ids still to come, bitmask of free arrivals), the orders of the
+    first d ids that reach it; a match at depth d is completed by
+    (n - d - 1)! orders of the rest.  The total is the sum of matched counts
+    over all n! rankings, as in the ``_ensemble`` table, without the table.
+    """
     _check_cap(inst, cap)
-    _, runs = _ensemble(inst)
-    total = sum(len(matched) for matched, _ in runs.values())
+    _, reach = _adjacency(inst)
+    n = len(reach)
+    full = (1 << n) - 1
+    # a state is one int: bit x (x < n) for an offline id still to come,
+    # bit n + j for a free arrival j
+    layer = {full | ((1 << len(inst.arrival)) - 1) << n: 1}
+    total = 0
+    for d in range(n):
+        completions = math.factorial(n - d - 1)
+        nxt: Dict[int, int] = {}
+        for state, ways in layer.items():
+            free = state >> n
+            todo = state & full
+            while todo:
+                bit = todo & -todo
+                todo ^= bit
+                a = reach[bit.bit_length() - 1] & free
+                if a:
+                    after = state ^ bit ^ (a & -a) << n
+                    total += ways * completions
+                else:
+                    after = state ^ bit
+                nxt[after] = nxt.get(after, 0) + ways
+        layer = nxt
+    orders = math.factorial(n)
     return ExactReport(
         instance_id=_fingerprint(inst),
         quantity="expected_matching_size",
         params=(),
-        value=Fraction(total, len(runs)),
-        sample_space=len(runs),
+        value=Fraction(total, orders),
+        sample_space=orders,
     )
 
 
@@ -289,6 +329,14 @@ def perfect_matching_of(inst: BipartiteInstance) -> Optional[frozenset]:
     return None
 
 
+def _require_perfect_matching(inst: BipartiteInstance) -> frozenset:
+    """``perfect_matching_of(inst)``, or ValueError when there is none."""
+    m_star = perfect_matching_of(inst)
+    if m_star is None:
+        raise ValueError("instance has no perfect matching covering both parties")
+    return m_star
+
+
 @dataclass(frozen=True)
 class ChainLink:
     """All exactly computed quantities for one rank t, with their relations."""
@@ -337,25 +385,71 @@ def lemma3_chain(
     m_star: Optional[AbstractSet] = None,
     cap: int = DEFAULT_CAP,
 ) -> list:
-    """The full per-rank chain of equalities and inequalities, one link per t."""
+    """The full per-rank chain of equalities and inequalities, one link per t.
+
+    One pass over the ``_ensemble`` table builds every link, each quantity
+    on its own route: the rank probability from the matched-rank sets, the
+    mean count from all partner ranks, the designated-partner probability
+    from the arrival positions of m_star's partners, the prefix sum as a
+    running sum of rank hits, and the moved probability from the moved
+    ranking's row for each of the n * n! (ranking, vertex) pairs.  The
+    public per-t functions compute the same quantities one t at a time and
+    are its test oracle.
+    """
     _check_cap(inst, cap)
     if m_star is None:
-        m_star = perfect_matching_of(inst)
-        if m_star is None:
-            raise ValueError("instance has no perfect matching covering both parties")
+        m_star = _require_perfect_matching(inst)
     n = len(inst.ranking)
-    xs = [rank_matched_prob(inst, t, cap) for t in range(1, n + 1)]
+    if n == 0:
+        return []
+    mate = {}
+    for a, b in map(tuple, _validated_perfect(inst, m_star)):
+        mate[a], mate[b] = b, a
+    offline, runs = _ensemble(inst)
+    pos = {u: j for j, u in enumerate(inst.arrival)}
+    upos = [pos[mate[v]] for v in offline]
+    rank_hits = [0] * n  # rows in which rank r is matched
+    count_hits = [0] * n  # (row, arrival) pairs matched to rank r
+    before_hits = [0] * n  # (row, vertex) pairs whose partner is matched to rank r
+    # (ranking, vertex) pairs are keyed by the ranking minus the vertex,
+    # which fixes the vertex too; the key's mask has bit i set when the row
+    # that puts the vertex back at rank i matches rank i
+    moved_pairs: Counter = Counter()
+    moved_masks: Dict[tuple, int] = {}
+    for perm, (matched, prs) in runs.items():
+        for r in matched:
+            rank_hits[r] += 1
+        for r in prs:
+            if r >= 0:
+                count_hits[r] += 1
+        for j in upos:
+            r = prs[j]
+            if r >= 0:
+                before_hits[r] += 1
+        rests = list(combinations(perm, n - 1))[::-1]  # rests[i] leaves out rank i
+        moved_pairs.update(rests)
+        for i in matched:
+            moved_masks[rests[i]] = moved_masks.get(rests[i], 0) | 1 << i
+    moved_tally: Counter = Counter()
+    for rest, k in moved_pairs.items():
+        moved_tally[moved_masks.get(rest, 0)] += k
+    size = len(runs)
     links = []
-    for t in range(1, n + 1):
+    prefix = count = before = 0
+    for i in range(n):
+        prefix += rank_hits[i]
+        count += count_hits[i]
+        before += before_hits[i]
+        moved_hits = sum(k for mask, k in moved_tally.items() if mask >> i & 1)
         links.append(
             ChainLink(
-                t=t,
+                t=i + 1,
                 n=n,
-                rank_prob=xs[t - 1],
-                moved_prob=rank_matched_prob_moved(inst, t, cap),
-                before_prob=matched_before_prob(inst, m_star, t, cap),
-                mean_before_count=expected_matched_before_count(inst, t, cap).value,
-                prefix_sum=sum(xs[:t], Fraction(0)),
+                rank_prob=Fraction(rank_hits[i], size),
+                moved_prob=Fraction(moved_hits, size * n),
+                before_prob=Fraction(before, size * n),
+                mean_before_count=Fraction(count, size),
+                prefix_sum=Fraction(prefix, size),
             )
         )
     return links
@@ -400,8 +494,7 @@ class RatioVerdict:
 def check_theorem4(inst: BipartiteInstance, cap: int = DEFAULT_CAP) -> RatioVerdict:
     """Expected size versus the bound, n taken as the (perfect) party size."""
     _check_cap(inst, cap)
-    if perfect_matching_of(inst) is None:
-        raise ValueError("instance has no perfect matching covering both parties")
+    _require_perfect_matching(inst)
     n = len(inst.ranking)
     expected = exact_expected_size(inst, cap).value
     if n == 0:

@@ -27,10 +27,10 @@ from .graph import (
     vertices,
 )
 from .probability import (
+    _require_perfect_matching,
     check_theorem4,
     check_theorem6,
     lemma3_chain,
-    perfect_matching_of,
 )
 from .reporting import exact_row
 from .rng import SplitMix64, stream
@@ -157,10 +157,7 @@ def suite_lemma3(
                 return
 
     if inst is not None:
-        m_star = perfect_matching_of(inst)
-        if m_star is None:
-            raise ValueError("instance has no perfect matching covering both parties")
-        run_one(inst, m_star)
+        run_one(inst, _require_perfect_matching(inst))
     else:
         for _ in range(count):
             n = g.below(min(max_side, 6)) + 1
@@ -297,26 +294,23 @@ def _suite_removal(
 ) -> SuiteResult:
     g = _master(seed)
     failures: List[CaseFailure] = []
-    cases = 0
+
+    def side(one: BipartiteInstance) -> tuple:
+        return one.arrival.order if online_side else one.ranking.order
+
     if inst is not None:
-        side = inst.arrival.order if online_side else inst.ranking.order
-        for x in side:
-            cases += 1
-            try:
-                _diff_case(inst, x, online_side, failures)
-            except DichotomyViolation as e:
-                failures.append(CaseFailure(str(e), serialize_instance(inst)))
+        todo = [(inst, x) for x in side(inst)]
     else:
-        for _ in range(count):
+        todo = []
+        for _ in range(count):  # per case: instance first, then the vertex
             one = _rand_instance(g, max_side)
-            side = one.arrival.order if online_side else one.ranking.order
-            x = g.choice(side)
-            cases += 1
-            try:
-                _diff_case(one, x, online_side, failures)
-            except DichotomyViolation as e:
-                failures.append(CaseFailure(str(e), serialize_instance(one)))
-    return SuiteResult(name, cases, failures)
+            todo.append((one, g.choice(side(one))))
+    for one, x in todo:
+        try:
+            _diff_case(one, x, online_side, failures)
+        except DichotomyViolation as e:
+            failures.append(CaseFailure(str(e), serialize_instance(one)))
+    return SuiteResult(name, len(todo), failures)
 
 
 def suite_lemma7(
@@ -404,10 +398,7 @@ def suite_rank_move(
                     )
 
     if inst is not None:
-        m_star = perfect_matching_of(inst)
-        if m_star is None:
-            raise ValueError("instance has no perfect matching covering both parties")
-        run_one(inst, m_star)
+        run_one(inst, _require_perfect_matching(inst))
     else:
         for _ in range(count):
             n = g.below(min(max_side, 5)) + 1

@@ -29,6 +29,7 @@ from rankinglab import (
     exact_expected_size,
     expected_matched_before_count,
     fingerprint,
+    gen_gamma_family,
     gen_perfect,
     lemma3_chain,
     matched_before_prob,
@@ -39,11 +40,13 @@ from rankinglab import (
     rank_matched_prob,
     rank_matched_prob_moved,
     stream,
+    vertices,
 )
 from rankinglab import probability
+from rankinglab.cli import main
 from rankinglab.rng import _GOLDEN, _MASK, _mix
 
-from .conftest import instances, make_instance
+from .conftest import DATA, instances, make_instance
 
 SEEDS = (0, 1, -1, -(2**70) + 3, 2**63, 2**64 + 5)
 
@@ -65,6 +68,48 @@ def literal_mc(inst, samples: int, seed: int) -> McEstimate:
     if samples > 1:
         sd = math.sqrt(Fraction(samples * total_sq - total * total, samples * (samples - 1)))
     return McEstimate(mean=total / samples, stddev=sd, samples=samples, seed=seed)
+
+
+def table_expected_size(inst):
+    """The expected size read off the n!-ranking table: (value, sample space)."""
+    _, runs = probability._ensemble(inst)
+    total = sum(len(matched) for matched, _ in runs.values())
+    return Fraction(total, math.factorial(len(inst.ranking))), len(runs)
+
+
+def chain_from_per_t(inst, m_star):
+    """The chain built link by link from the four public per-t functions."""
+    n = len(inst.ranking)
+    xs = [rank_matched_prob(inst, t) for t in range(1, n + 1)]
+    return [
+        ChainLink(
+            t=t,
+            n=n,
+            rank_prob=xs[t - 1],
+            moved_prob=rank_matched_prob_moved(inst, t),
+            before_prob=matched_before_prob(inst, m_star, t),
+            mean_before_count=expected_matched_before_count(inst, t).value,
+            prefix_sum=sum(xs[:t], Fraction(0)),
+        )
+        for t in range(1, n + 1)
+    ]
+
+
+def example6_reduced(example6):
+    """The worked example without u6 and v6, which is perfectly matchable."""
+    return BipartiteInstance(
+        frozenset(e for e in example6.graph if not (e & {"u6", "v6"})),
+        Permutation(["v1", "v2", "v3", "v4", "v5"]),
+        Permutation(["u1", "u2", "u3", "u4", "u5"]),
+    )
+
+
+@st.composite
+def planted(draw, max_n: int = 6):
+    """An instance with a planted perfect matching, and that matching."""
+    n = draw(st.integers(1, max_n))
+    extra = draw(st.floats(0.0, 0.6))
+    return gen_perfect(n, extra, draw(st.integers(0, 2**32)))
 
 
 def _unxorshift(y: int, k: int) -> int:
@@ -129,6 +174,41 @@ class TestExactExpectedSize:
         n = len(inst.ranking)
         rep = exact_expected_size(inst)
         assert math.factorial(n) % rep.value.denominator == 0
+
+
+class TestExpectedSizeEqualsTable:
+    @settings(max_examples=60, deadline=None)
+    @given(instances(max_side=5))
+    def test_hypothesis_instances(self, inst):
+        rep = exact_expected_size(inst)
+        assert (rep.value, rep.sample_space) == table_expected_size(inst)
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_planted_instances(self, n):
+        inst, _ = gen_perfect(n, 0.3, 40 + n)
+        rep = exact_expected_size(inst)
+        assert (rep.value, rep.sample_space) == table_expected_size(inst)
+
+    def test_gamma_family(self):
+        cases = 0
+        for g, arrivals in gen_gamma_family(1):
+            offline = sorted(v for v in vertices(g) if v.startswith("o"))
+            for arr in arrivals:
+                inst = BipartiteInstance(g, Permutation(offline), arr)
+                rep = exact_expected_size(inst)
+                assert (rep.value, rep.sample_space) == table_expected_size(inst)
+                cases += 1
+        assert cases > 0
+
+    def test_exact_path_builds_no_table(self, example6, monkeypatch, capsys):
+        def no_table(inst):
+            raise AssertionError("the n!-ranking table was built")
+
+        monkeypatch.setattr(probability, "_ensemble", no_table)
+        assert exact_expected_size(example6).sample_space == math.factorial(6)
+        assert check_theorem6(example6).holds
+        assert main(["exact", str(DATA / "example6.obm")]) == 0
+        assert capsys.readouterr().out.count("\n") == 2
 
 
 class TestRankProbabilities:
@@ -216,6 +296,54 @@ class TestChain:
         )
         assert perfect_matching_of(inst) is not None
         assert all(l.holds for l in lemma3_chain(inst))
+
+
+class TestChainEqualsPerT:
+    @settings(max_examples=25, deadline=None)
+    @given(planted(max_n=6))
+    def test_planted_instances(self, case):
+        inst, m_star = case
+        assert lemma3_chain(inst, m_star) == chain_from_per_t(inst, m_star)
+
+    def test_worked_example_reduced(self, example6):
+        inst = example6_reduced(example6)
+        assert lemma3_chain(inst) == chain_from_per_t(inst, perfect_matching_of(inst))
+
+    def test_routes_stay_apart(self, monkeypatch):
+        # one row claims an arrival unmatched that its matched set counts:
+        # the prefix sum reads matched sets and the mean count partner
+        # ranks, so they part; the designated partners are every arrival
+        # once, so the designated-partner route still agrees with the count
+        inst, m_star = gen_perfect(4, 0.3, 11)
+        offline, runs = probability._ensemble(inst)
+        runs = dict(runs)
+        perm = next(p for p, (matched, _) in runs.items() if matched)
+        matched, prs = runs[perm]
+        j = next(j for j, r in enumerate(prs) if r >= 0)
+        runs[perm] = (matched, prs[:j] + (-1,) + prs[j + 1 :])
+        monkeypatch.setattr(probability, "_ensemble", lambda _: (offline, runs))
+        links = lemma3_chain(inst, m_star)
+        assert not all(l.count_equal and l.prefix_equal for l in links)
+        assert not all(l.prefix_equal for l in links)
+        assert all(l.count_equal for l in links)
+
+    def test_same_errors(self, small):
+        no_perfect = make_instance("v1 v2", "u1", [("u1", "v1")])
+        with pytest.raises(ValueError, match="no perfect matching covering both"):
+            lemma3_chain(no_perfect)
+        bad = frozenset({edge("u1", "v1")})
+        with pytest.raises(ValueError, match="cover both parties") as chained:
+            lemma3_chain(small, bad)
+        with pytest.raises(ValueError) as per_t:
+            chain_from_per_t(small, bad)
+        assert str(chained.value) == str(per_t.value)
+        outside = frozenset({edge("u1", "v2"), edge("u2", "v2")})
+        with pytest.raises(ValueError, match="inside the instance graph"):
+            lemma3_chain(small, outside)
+        # no rank to check, so an explicit m_star is never looked at
+        empty = make_instance("", "", [])
+        assert lemma3_chain(empty, bad) == [] == chain_from_per_t(empty, bad)
+        assert lemma3_chain(empty) == []
 
 
 class TestPerfectMatchingOf:
