@@ -12,7 +12,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 a checked property failed, 2 usage or input error.
 The default seed comes from the RANKINGLAB_SEED environment variable when
-set, otherwise 271828.
+set, otherwise 271828; it is read and validated on every ``main`` call,
+while the parser is built once per process.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import argparse
 import os
 import sys
 import time
+from functools import cache
 from pathlib import Path
 
 from .engine import BipartiteInstance, Permutation, online_match
@@ -202,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("mc", help="Monte Carlo expected size as a CSV row")
     sp.add_argument("file")
     sp.add_argument("--samples", type=int, required=True)
-    sp.add_argument("--seed", type=int, default=_default_seed())
+    sp.add_argument("--seed", type=int)
     sp.set_defaults(func=cmd_mc)
 
     sp = sub.add_parser("check", help="run a property suite")
@@ -214,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sp.add_argument("--suite", required=True, choices=sorted(SUITES))
     sp.add_argument("--count", type=int, default=1000)
-    sp.add_argument("--seed", type=int, default=_default_seed())
+    sp.add_argument("--seed", type=int)
     sp.add_argument("--max-side", type=int, default=8)
     sp.add_argument("--out", help="write CSV rows here (ratio suites only)")
     sp.set_defaults(func=cmd_check)
@@ -238,14 +240,14 @@ def build_parser() -> argparse.ArgumentParser:
     gp.add_argument("--offline", type=int, required=True)
     gp.add_argument("--online", type=int, required=True)
     gp.add_argument("--edge-prob", type=float, required=True)
-    gp.add_argument("--seed", type=int, default=_default_seed())
+    gp.add_argument("--seed", type=int)
     gp.add_argument("--out")
     gp.set_defaults(func=cmd_gen)
 
     gp = gsub.add_parser("perfect", help="planted perfect matching plus extras")
     gp.add_argument("--n", type=int, required=True)
     gp.add_argument("--extra", type=float, default=0.3, help="extra edge probability")
-    gp.add_argument("--seed", type=int, default=_default_seed())
+    gp.add_argument("--seed", type=int)
     gp.add_argument("--out")
     gp.set_defaults(func=cmd_gen)
 
@@ -257,9 +259,16 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+#: the parser every ``main`` call shares, built on first use
+_parser = cache(build_parser)
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        seed = _default_seed()
+        args = _parser().parse_args(argv)
+        if hasattr(args, "seed") and args.seed is None:  # no --seed given
+            args.seed = seed
         return args.func(args)
     except SystemExit as e:
         return int(e.code or 0)

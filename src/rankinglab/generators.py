@@ -14,7 +14,7 @@ from typing import Iterator, List, Tuple
 
 from .engine import BipartiteInstance, Permutation
 from .graph import edge, vertices
-from .probability import exact_expected_size
+from .probability import _expected_size
 from .rng import stream
 
 
@@ -132,7 +132,7 @@ def gamma_min_ratio(n: int) -> Fraction:
         )
         for arr in arrivals:
             inst = BipartiteInstance(g, Permutation(offline), arr)
-            ratio = exact_expected_size(inst).value / n
+            ratio = _expected_size(inst) / n
             if best is None or ratio < best:
                 best = ratio
     assert best is not None  # the family is never empty

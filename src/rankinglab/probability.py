@@ -39,7 +39,8 @@ from itertools import combinations, permutations
 from typing import AbstractSet, Dict, Optional, Tuple
 
 from .engine import BipartiteInstance
-from .graph import is_matching, max_card_matching, partner, vertices
+from .fileformat import fingerprint
+from .graph import is_matching, max_card_matching, vertices
 from .rng import _GOLDEN, _MASK, _mix
 
 DEFAULT_CAP = 8
@@ -177,14 +178,20 @@ def _move_id(perm: tuple, x: int, i: int) -> tuple:
     return tuple(rest)
 
 
-def _fingerprint(inst: BipartiteInstance) -> str:
-    from .fileformat import fingerprint
-
-    return fingerprint(inst)
-
-
 def exact_expected_size(inst: BipartiteInstance, cap: int = DEFAULT_CAP) -> ExactReport:
-    """Expected matching size over a uniformly random ranking, exactly.
+    """Expected matching size over a uniformly random ranking, exactly."""
+    value = _expected_size(inst, cap)
+    return ExactReport(
+        instance_id=fingerprint(inst),
+        quantity="expected_matching_size",
+        params=(),
+        value=value,
+        sample_space=math.factorial(len(inst.ranking)),
+    )
+
+
+def _expected_size(inst: BipartiteInstance, cap: int = DEFAULT_CAP) -> Fraction:
+    """The value of ``exact_expected_size``, with no report and no fingerprint.
 
     The party-swapped greedy of ``_ensemble`` makes a ranking an order in
     which offline vertices take their earliest-arriving free neighbor.  A
@@ -219,14 +226,7 @@ def exact_expected_size(inst: BipartiteInstance, cap: int = DEFAULT_CAP) -> Exac
                     after = state ^ bit
                 nxt[after] = nxt.get(after, 0) + ways
         layer = nxt
-    orders = math.factorial(n)
-    return ExactReport(
-        instance_id=_fingerprint(inst),
-        quantity="expected_matching_size",
-        params=(),
-        value=Fraction(total, orders),
-        sample_space=orders,
-    )
+    return Fraction(total, math.factorial(n))
 
 
 def rank_matched_prob(inst: BipartiteInstance, t: int, cap: int = DEFAULT_CAP) -> Fraction:
@@ -262,12 +262,12 @@ def rank_matched_prob_moved(
 
 
 def _designated_positions(inst: BipartiteInstance, m_star: frozenset, offline) -> list:
-    """Arrival position of each offline vertex's partner under m_star."""
-    out = []
-    for v in offline:
-        u = partner(m_star, v)
-        out.append(inst.arrival.index(u))
-    return out
+    """Arrival position of each offline vertex's partner under perfect m_star."""
+    pos = {u: j for j, u in enumerate(inst.arrival)}
+    at = {}
+    for a, b in map(tuple, m_star):
+        at[a], at[b] = pos.get(b), pos.get(a)
+    return [at[v] for v in offline]
 
 
 def _validated_perfect(inst: BipartiteInstance, m_star: AbstractSet) -> frozenset:
@@ -313,7 +313,7 @@ def expected_matched_before_count(
         sum(1 for r in prs if 0 <= r <= t - 1) for _, prs in runs.values()
     )
     return ExactReport(
-        instance_id=_fingerprint(inst),
+        instance_id=fingerprint(inst),
         quantity="expected_count_matched_within_rank",
         params=(("t", t),),
         value=Fraction(total, len(runs)),
@@ -402,12 +402,9 @@ def lemma3_chain(
     n = len(inst.ranking)
     if n == 0:
         return []
-    mate = {}
-    for a, b in map(tuple, _validated_perfect(inst, m_star)):
-        mate[a], mate[b] = b, a
+    mset = _validated_perfect(inst, m_star)
     offline, runs = _ensemble(inst)
-    pos = {u: j for j, u in enumerate(inst.arrival)}
-    upos = [pos[mate[v]] for v in offline]
+    upos = _designated_positions(inst, mset, offline)
     rank_hits = [0] * n  # rows in which rank r is matched
     count_hits = [0] * n  # (row, arrival) pairs matched to rank r
     before_hits = [0] * n  # (row, vertex) pairs whose partner is matched to rank r
@@ -496,7 +493,7 @@ def check_theorem4(inst: BipartiteInstance, cap: int = DEFAULT_CAP) -> RatioVerd
     _check_cap(inst, cap)
     _require_perfect_matching(inst)
     n = len(inst.ranking)
-    expected = exact_expected_size(inst, cap).value
+    expected = _expected_size(inst, cap)
     if n == 0:
         return RatioVerdict(0, expected, None, None, True, True)
     ratio = expected / n
@@ -508,7 +505,7 @@ def check_theorem6(inst: BipartiteInstance, cap: int = DEFAULT_CAP) -> RatioVerd
     """Expected size versus the bound, n taken as the maximum matching size."""
     _check_cap(inst, cap)
     n = len(max_card_matching(inst.graph))
-    expected = exact_expected_size(inst, cap).value
+    expected = _expected_size(inst, cap)
     if n == 0:
         return RatioVerdict(0, expected, None, None, True, True)
     ratio = expected / n

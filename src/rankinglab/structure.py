@@ -161,12 +161,18 @@ class RemovalDiff:
         return self.path is None
 
 
-def _removal_diff(inst: BipartiteInstance, x: Vertex, ctx: ZigZagContext) -> RemovalDiff:
-    m = ctx.matching
+def _context(inst: BipartiteInstance, offline_ranked: bool, matching, graph=None):
+    """A context over ``inst`` whose ranking side is offline iff ``offline_ranked``."""
+    orders = (inst.arrival, inst.ranking) if offline_ranked else (inst.ranking, inst.arrival)
+    return ZigZagContext(inst.graph if graph is None else graph, matching, *orders)
+
+
+def _removal_diff(inst: BipartiteInstance, x: Vertex, offline: bool) -> RemovalDiff:
+    m = online_match(inst)
     m2 = online_match(inst.without_vertices({x}))
     if m == m2:
         return RemovalDiff(m, m2, None)
-    p = zig(ctx, x)
+    p = zig(_context(inst, offline, m), x)
     diff = symmetric_difference(m, m2)
     if frozenset(path_edges(p)) != diff:
         raise DichotomyViolation(
@@ -186,18 +192,14 @@ def removal_diff_online(inst: BipartiteInstance, u: Vertex) -> RemovalDiff:
     """
     if u not in inst.arrival:
         raise KeyError(f"{u!r} is not an arrival-side vertex")
-    m = online_match(inst)
-    ctx = ZigZagContext(inst.graph, m, arrival=inst.ranking, ranking=inst.arrival)
-    return _removal_diff(inst, u, ctx)
+    return _removal_diff(inst, u, offline=False)
 
 
 def removal_diff_offline(inst: BipartiteInstance, v: Vertex) -> RemovalDiff:
     """Difference report for deleting the ranking-side vertex v."""
     if v not in inst.ranking:
         raise KeyError(f"{v!r} is not a ranking-side vertex")
-    m = online_match(inst)
-    ctx = ZigZagContext(inst.graph, m, arrival=inst.arrival, ranking=inst.ranking)
-    return _removal_diff(inst, v, ctx)
+    return _removal_diff(inst, v, offline=True)
 
 
 def check_zig_zag_symmetry(inst: BipartiteInstance, x: Vertex) -> bool:
@@ -214,14 +216,37 @@ def check_zig_zag_symmetry(inst: BipartiteInstance, x: Vertex) -> bool:
     if mate is None:
         raise ValueError(f"removed vertex {x!r} must be matched")
     m2 = online_match(inst.without_vertices({x}))
-    reduced_graph = remove_vertices(inst.graph, {x})
-    if x in inst.arrival.members:
-        zig_ctx = ZigZagContext(reduced_graph, m2, inst.arrival, inst.ranking)
-        zag_ctx = ZigZagContext(inst.graph, m, arrival=inst.ranking, ranking=inst.arrival)
+    online = x in inst.arrival.members
+    zig_ctx = _context(inst, online, m2, remove_vertices(inst.graph, {x}))
+    return zig(zig_ctx, mate) == zag(_context(inst, not online, m), mate)
+
+
+def _stability_guard(inst: BipartiteInstance, offline_removed: bool, probe: Vertex):
+    """Context, cascade runner and guard test for deletions from one party.
+
+    The removed party plays the arrival side.  ``breach(x)`` says how x
+    breaks the guard of ``check_removal_stability``, and is empty when x
+    keeps it (always, when an arrival-side probe is unmatched).
+    """
+    ctx = _context(inst, not offline_removed, online_match(inst))
+    rank = {v: i for i, v in enumerate(ctx.ranking)}
+    if probe in rank:
+        cutoff, runner = rank[probe], zig
+    elif probe in ctx.arrival:
+        cutoff, runner = rank.get(ctx.mate.get(probe)), zag
     else:
-        zig_ctx = ZigZagContext(reduced_graph, m2, arrival=inst.ranking, ranking=inst.arrival)
-        zag_ctx = ZigZagContext(inst.graph, m, inst.arrival, inst.ranking)
-    return zig(zig_ctx, mate) == zag(zag_ctx, mate)
+        raise KeyError(f"{probe!r} is not a vertex of the instance")
+
+    def breach(x: Vertex) -> str:
+        r = rank.get(ctx.mate.get(x))
+        if r is None or cutoff is None or r < cutoff:
+            return ""
+        return (
+            f"removed vertex {x!r} is matched at rank {r}, "
+            f"not strictly before the probe cutoff {cutoff}"
+        )
+
+    return ctx, runner, breach
 
 
 def check_removal_stability(
@@ -237,41 +262,15 @@ def check_removal_stability(
     in the reduced context equals the path in the full one.
     """
     xs = frozenset(removed)
-    m = online_match(inst)
-    if xs <= inst.arrival.members:
-        ctx = ZigZagContext(inst.graph, m, inst.arrival, inst.ranking)
-    elif xs <= inst.ranking.members:
-        ctx = ZigZagContext(inst.graph, m, arrival=inst.ranking, ranking=inst.arrival)
-    else:
+    offline_removed = not xs <= inst.arrival.members
+    if offline_removed and not xs <= inst.ranking.members:
         raise ValueError("removed vertices must all lie in one party")
-
-    def partner_rank(x: Vertex) -> Optional[int]:
-        w = ctx.mate.get(x)
-        return None if w is None else ctx.ranking.index(w)
-
-    if probe in ctx.ranking:
-        cutoff: Optional[int] = ctx.ranking.index(probe)
-        runner = zig
-    elif probe in ctx.arrival:
-        cutoff = partner_rank(probe)
-        runner = zag
-    else:
-        raise KeyError(f"{probe!r} is not a vertex of the instance")
-
+    ctx, runner, breach = _stability_guard(inst, offline_removed, probe)
     for x in sorted(xs):
-        r = partner_rank(x)
-        # an unmatched arrival-side probe (cutoff None) has nothing to rank against
-        if r is not None and cutoff is not None and r >= cutoff:
-            raise GuardViolation(
-                f"removed vertex {x!r} is matched at rank {r}, "
-                f"not strictly before the probe cutoff {cutoff}"
-            )
-    reduced = ZigZagContext(
-        remove_vertices(ctx.graph, xs),
-        frozenset(e for e in ctx.matching if not (e & xs)),
-        ctx.arrival,
-        ctx.ranking,
-    )
+        if breach(x):
+            raise GuardViolation(breach(x))
+    kept = frozenset(e for e in ctx.matching if not (e & xs))
+    reduced = _context(inst, not offline_removed, kept, remove_vertices(inst.graph, xs))
     return runner(reduced, probe) == runner(ctx, probe)
 
 

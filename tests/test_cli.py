@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from rankinglab import parse_instance
+from rankinglab import cli, fileformat, parse_instance, probability
 from rankinglab.cli import main
 from rankinglab.reporting import CSV_HEADER
 
@@ -71,6 +71,21 @@ class TestExact:
         assert main(["exact", EXAMPLE, "--cap", "3"]) == 2
         assert "exceeds the enumeration cap" in capsys.readouterr().err
 
+    def test_fingerprints_the_instance_once(self, monkeypatch, capsys):
+        real = fileformat.fingerprint
+        calls = []
+
+        def counting(inst):
+            calls.append(inst)
+            return real(inst)
+
+        for module in (fileformat, probability, cli):
+            if hasattr(module, "fingerprint"):
+                monkeypatch.setattr(module, "fingerprint", counting)
+        assert main(["exact", EXAMPLE]) == 0
+        assert len(calls) == 1
+        assert capsys.readouterr().out.splitlines()[1].startswith(real(calls[0]) + ",")
+
 
 class TestMc:
     def test_row_shape(self, tmp_path, capsys):
@@ -106,6 +121,14 @@ class TestMc:
         cap = capsys.readouterr()
         assert cap.out == ""
         assert cap.err == "error: RANKINGLAB_SEED must be an integer, got 'abc'\n"
+
+    def test_env_seed_read_on_every_call(self, tmp_path, capsys, monkeypatch):
+        path = write_small(tmp_path)
+        for seed in ("11", "22"):
+            monkeypatch.setenv("RANKINGLAB_SEED", seed)
+            assert main(["mc", path, "--samples", "20"]) == 0
+            cells = capsys.readouterr().out.splitlines()[1].split(",")
+            assert cells[7] == seed
 
     def test_empty_graph_row(self, tmp_path, capsys):
         p = tmp_path / "empty.obm"

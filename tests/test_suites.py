@@ -2,13 +2,19 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from rankinglab import (
     CaseFailure,
+    GuardViolation,
+    RankMoveVerdict,
     SUITES,
     SuiteResult,
+    online_match,
     parse_instance,
+    serialize_instance,
     suite_lemma3,
     suite_lemma5,
     suite_lemma6,
@@ -21,7 +27,10 @@ from rankinglab import (
     suite_theorem6,
 )
 
-from .conftest import make_instance
+from rankinglab import structure, suites
+from rankinglab.cli import main
+
+from .conftest import DATA, make_instance
 
 PERFECT_TEXT = (
     "offline v1 v2\nonline u1 u2\nedge u1 v1\nedge u1 v2\nedge u2 v1\n"
@@ -142,3 +151,166 @@ class TestFileMode:
         assert suite_theorem6(5, 0, inst=example6).cases == 1
         with pytest.raises(ValueError):
             suite_theorem4(1, 0, inst=example6)
+
+
+def _replays(result, suite, **kwargs):
+    """Every instance-bound failure is a canonical file that reproduces it."""
+    for f in result.failures:
+        if f.instance_text:
+            one = parse_instance(f.instance_text)
+            assert serialize_instance(one) == f.instance_text
+            again = suite(1, 0, inst=one, **kwargs).failures
+            assert f.description in [g.description for g in again]
+
+
+class TestFailurePath:
+    """Faults injected into the checked code must surface as suite failures."""
+
+    @pytest.fixture
+    def start_only_walk(self, monkeypatch):
+        monkeypatch.setattr(structure, "zig", lambda ctx, v: (v,))
+
+    def test_removal_suites_report_a_start_only_walk(self, example6, start_only_walk):
+        inst, text = example6, serialize_instance(example6)
+        m = online_match(inst)
+        for suite, side in ((suite_lemma7, inst.arrival), (suite_lemma8, inst.ranking)):
+            moved = [x for x in side if online_match(inst.without_vertices({x})) != m]
+            result = suite(1, 0, inst=inst)
+            assert result.cases == 6
+            assert len(result.failures) == len(moved) > 0
+            for x, f in zip(moved, result.failures):
+                assert f.description.startswith(f"deleting {x!r} changed the matching")
+                assert f.description.endswith(f"not by the cascade path [{x!r}]")
+                assert f.instance_text == text
+
+    @pytest.mark.parametrize("suite", [suite_lemma7, suite_lemma8, suite_lemma9])
+    def test_removal_suites_random_mode(self, suite, start_only_walk):
+        result = suite(20, 5, max_side=4)
+        assert result.cases == 20 and result.failures
+        assert all("not by the cascade path" in f.description for f in result.failures)
+        if suite is not suite_lemma9:  # lemma9 samples its probes, so may miss one
+            _replays(result, suite)
+
+    def test_lemma9_reports_a_dichotomy_violation(self, example6, start_only_walk):
+        result = suite_lemma9(30, 4, inst=example6)
+        assert result.cases == 30 and result.failures
+        for f in result.failures:
+            assert "not by the cascade path" in f.description
+            assert f.instance_text == serialize_instance(example6)
+
+    def test_lemma9_violation_exits_one_from_the_cli(self, start_only_walk, capsys):
+        path = str(DATA / "example6.obm")
+        argv = ["check", path, "--suite", "lemma9", "--count", "5", "--seed", "1"]
+        assert main(argv) == 1
+        out = capsys.readouterr().out
+        assert "FAIL: deleting" in out and "--- failing instance ---" in out
+
+    def test_lemma6_reports_a_start_only_walk(self, example6, start_only_walk):
+        result = suite_lemma6(1, 0, inst=example6)
+        assert result.cases == 10 and result.failures
+        for f in result.failures:
+            assert f.description.startswith("zig and zag disagree after deleting ")
+            assert f.instance_text == serialize_instance(example6)
+        assert suite_lemma6(15, 2, max_side=5).failures
+
+    def test_ranking_matching_reports_a_rejected_output(self, example6, monkeypatch):
+        monkeypatch.setattr(suites, "is_ranking_matching", lambda *args: False)
+        result = suite_ranking_matching(1, 0, inst=example6)
+        assert [(f.description, f.instance_text) for f in result.failures] == [
+            (
+                "output fails the declarative characterization",
+                serialize_instance(example6),
+            )
+        ]
+        result = suite_ranking_matching(5, 3, max_side=3)
+        assert result.cases == len(result.failures) == 5
+        _replays(result, suite_ranking_matching)
+
+    def test_lemma3_reports_the_first_broken_link(self, monkeypatch):
+        real = suites.lemma3_chain
+
+        def broken(one, m_star):  # every link from t = 2 on misses its prefix sum
+            return [
+                replace(link, prefix_sum=link.prefix_sum + (link.t > 1))
+                for link in real(one, m_star)
+            ]
+
+        monkeypatch.setattr(suites, "lemma3_chain", broken)
+        inst = parse_instance(PERFECT_TEXT)
+        result = suite_lemma3(1, 0, inst=inst)
+        assert [(f.description, f.instance_text) for f in result.failures] == [
+            ("chain link broken at t=2", serialize_instance(inst))
+        ]
+        result = suite_lemma3(10, 1, max_side=4)
+        assert all(f.description == "chain link broken at t=2" for f in result.failures)
+        _replays(result, suite_lemma3)
+
+    def test_lemma5_reports_changes_and_breaches(self, example6, monkeypatch):
+        monkeypatch.setattr(suites, "check_removal_stability", lambda *args: False)
+        result = suite_lemma5(4, 8, inst=example6)
+        assert len(result.failures) == 4
+        for f in result.failures:
+            assert f.description.startswith("cascade from ")
+            assert f.instance_text == serialize_instance(example6)
+
+        def breach(one, xs, probe):
+            raise GuardViolation("planted")
+
+        monkeypatch.setattr(suites, "check_removal_stability", breach)
+        result = suite_lemma5(3, 1, max_side=4)
+        assert [f.description for f in result.failures] == [
+            "sampler produced a guard breach: planted"
+        ] * 3
+
+    @pytest.mark.parametrize(
+        "suite, checker",
+        [(suite_theorem4, "check_theorem4"), (suite_theorem6, "check_theorem6")],
+    )
+    def test_ratio_suites_report_a_failed_verdict(self, suite, checker, monkeypatch):
+        real = getattr(suites, checker)
+        monkeypatch.setattr(suites, checker, lambda one: replace(real(one), holds=False))
+        inst = parse_instance(PERFECT_TEXT)
+        result = suite(3, 0, inst=inst)
+        assert [(f.description, f.instance_text) for f in result.failures] == [
+            ("expected ratio fell below the bound", serialize_instance(inst))
+        ]
+        assert [row["verdict"] for row in result.notes["rows"]] == ["fail"]
+        result = suite(4, 2, max_side=4)
+        assert result.cases == len(result.failures) == len(result.notes["rows"]) == 4
+        _replays(result, suite)
+
+    def test_rank_move_reports_readings_that_split(self, monkeypatch):
+        calls = []
+
+        def alternating(one, m_star, v, i):
+            calls.append(v)
+            odd = len(calls) % 2 == 1
+            return RankMoveVerdict(False, True, odd, not odd)
+
+        monkeypatch.setattr(suites, "check_rank_move", alternating)
+        inst = make_instance(
+            "v1 v2 v3 v4", "u1 u2 u3 u4",
+            [("u1", "v1"), ("u1", "v3"), ("u2", "v2"), ("u3", "v4"), ("u4", "v1")],
+        )
+        result = suite_rank_move(1, 0, inst=inst)
+        assert [(f.description, f.instance_text) for f in result.failures] == [
+            ("neither rank reading held on all 4 pairs (moved 2, original 2)", "")
+        ]
+        calls.clear()
+        result = suite_rank_move(10, 0)
+        pairs = result.notes["pairs"]
+        assert pairs == len(calls) >= 2
+        assert result.failures[-1].instance_text == ""
+        assert result.failures[-1].description.startswith(
+            f"neither rank reading held on all {pairs} pairs"
+        )
+
+    def test_rank_move_reports_an_unseated_partner(self, monkeypatch):
+        unseated = RankMoveVerdict(False, False, None, None)
+        monkeypatch.setattr(suites, "check_rank_move", lambda *args: unseated)
+        result = suite_rank_move(6, 4)
+        *per_pair, last = result.failures
+        assert len(per_pair) == result.notes["pairs"] > 0
+        assert all("unmatched after move to" in f.description for f in per_pair)
+        assert last.instance_text == "" and "(moved 0, original 0)" in last.description
+        _replays(result, suite_rank_move)
