@@ -34,7 +34,7 @@ from .fileformat import (
     serialize_instance,
 )
 from .generators import gamma_min_ratio, gen_gamma_family, gen_perfect, gen_random
-from .graph import max_card_matching
+from .graph import bipartite_max_matching
 from .probability import (
     CapExceeded,
     LIMIT_RATIO,
@@ -83,7 +83,7 @@ def cmd_mc(args) -> int:
     inst = _load(args.file)
     t0 = time.perf_counter()
     est = mc_expected_size(inst, args.samples, args.seed)
-    n = len(max_card_matching(inst.graph))
+    n = len(bipartite_max_matching(inst.graph))
     ms = (time.perf_counter() - t0) * 1000.0
     ratio = est.mean / n if n else None
     bound = competitive_bound(n) if n else None

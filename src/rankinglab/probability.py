@@ -40,7 +40,7 @@ from typing import AbstractSet, Dict, Optional, Tuple
 
 from .engine import BipartiteInstance
 from .fileformat import fingerprint
-from .graph import is_matching, max_card_matching, vertices
+from .graph import bipartite_max_matching, is_matching, vertices
 from .rng import _GOLDEN, _MASK, _mix
 
 DEFAULT_CAP = 8
@@ -323,7 +323,7 @@ def expected_matched_before_count(
 
 def perfect_matching_of(inst: BipartiteInstance) -> Optional[frozenset]:
     """A perfect matching covering both parties, or None if there is none."""
-    mm = max_card_matching(inst.graph)
+    mm = bipartite_max_matching(inst.graph)
     if vertices(mm) == inst.offline | inst.online:
         return mm
     return None
@@ -504,7 +504,7 @@ def check_theorem4(inst: BipartiteInstance, cap: int = DEFAULT_CAP) -> RatioVerd
 def check_theorem6(inst: BipartiteInstance, cap: int = DEFAULT_CAP) -> RatioVerdict:
     """Expected size versus the bound, n taken as the maximum matching size."""
     _check_cap(inst, cap)
-    n = len(max_card_matching(inst.graph))
+    n = len(bipartite_max_matching(inst.graph))
     expected = _expected_size(inst, cap)
     if n == 0:
         return RatioVerdict(0, expected, None, None, True, True)

@@ -305,9 +305,14 @@ def check_rank_move(
     """
     if v not in inst.ranking:
         raise KeyError(f"{v!r} is not a ranking-side vertex")
-    mset = _validated_perfect(inst, m_star)
-    m = online_match(inst)
-    if partner(m, v) is not None:
+    return _rank_move(inst, _validated_perfect(inst, m_star), online_match(inst), v, i)
+
+
+def _rank_move(
+    inst: BipartiteInstance, mset: frozenset, baseline: frozenset, v: Vertex, i: int
+) -> RankMoveVerdict:
+    """``check_rank_move`` given the validated ``mset`` and ``online_match(inst)``."""
+    if partner(baseline, v) is not None:
         return RankMoveVerdict(True, None, None, None)
     u = partner(mset, v)
     moved = inst.ranking.move_to(v, i)

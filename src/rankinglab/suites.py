@@ -35,8 +35,8 @@ from .rng import SplitMix64, stream
 from .structure import (
     DichotomyViolation,
     GuardViolation,
+    _rank_move,
     _stability_guard,
-    check_rank_move,
     check_removal_stability,
     check_zig_zag_symmetry,
     removal_diff_offline,
@@ -322,12 +322,13 @@ def suite_rank_move(
 
     def check(one: BipartiteInstance, m_star: frozenset) -> List[str]:
         problems = []
-        covered = vertices(online_match(one))
+        baseline = online_match(one)
+        covered = vertices(baseline)
         for v in one.ranking:
             if v in covered:
                 continue
             for i in range(len(one.ranking)):
-                verdict = check_rank_move(one, m_star, v, i)
+                verdict = _rank_move(one, m_star, baseline, v, i)
                 notes["pairs"] += 1
                 if not verdict.partner_matched:
                     problems.append(

@@ -6,7 +6,15 @@ from fractions import Fraction
 
 import pytest
 
-from rankinglab import cli, fileformat, parse_instance, probability
+from rankinglab import (
+    bipartite_max_matching,
+    cli,
+    fileformat,
+    gen_random,
+    parse_instance,
+    probability,
+    serialize_instance,
+)
 from rankinglab.cli import main
 from rankinglab.reporting import CSV_HEADER
 
@@ -129,6 +137,16 @@ class TestMc:
             assert main(["mc", path, "--samples", "20"]) == 0
             cells = capsys.readouterr().out.splitlines()[1].split(",")
             assert cells[7] == seed
+
+    def test_sparse_150_by_150(self, tmp_path, capsys):
+        # the exhaustive matcher ran for minutes on graphs like this one
+        inst = gen_random(150, 150, 0.1, 3)
+        p = tmp_path / "sparse.obm"
+        p.write_text(serialize_instance(inst))
+        assert main(["mc", str(p), "--samples", "50", "--seed", "1"]) == 0
+        cells = capsys.readouterr().out.splitlines()[1].split(",")
+        assert cells[1] == str(len(bipartite_max_matching(inst.graph)))
+        assert int(cells[1]) > 0
 
     def test_empty_graph_row(self, tmp_path, capsys):
         p = tmp_path / "empty.obm"

@@ -3,7 +3,8 @@
 The brute-force oracle here is ``all_matchings``: a matching is maximum iff
 no matching in the full enumeration is larger, so augmenting-path search and
 ``max_card_matching`` are checked against that, including on graphs with odd
-cycles.
+cycles.  ``max_card_matching`` is in turn the oracle of the polynomial
+``bipartite_max_matching``, which must return the very same matching.
 """
 
 from __future__ import annotations
@@ -16,8 +17,11 @@ from hypothesis import strategies as st
 
 from rankinglab import (
     all_matchings,
+    bipartite_max_matching,
     edge,
     find_augmenting_path,
+    gen_gamma_family,
+    gen_perfect,
     is_alternating_path,
     is_augmenting_path,
     is_bipartite,
@@ -32,6 +36,8 @@ from rankinglab import (
     symmetric_difference,
     vertices,
 )
+
+from .conftest import instances
 
 
 @st.composite
@@ -257,3 +263,63 @@ def test_all_matchings_k22():
     assert len(ms) == 7  # empty, four singles, two perfect
     assert len(set(ms)) == 7
     assert all(is_matching(m) and m <= k22 for m in ms)
+
+
+@st.composite
+def bipartite_graphs(draw, max_side: int = 13) -> FrozenSet:
+    """Bipartite graphs whose sides reach past ten, so that u10 sorts before u2."""
+    left = [f"u{k}" for k in range(1, draw(st.integers(1, max_side)) + 1)]
+    right = [f"v{k}" for k in range(1, draw(st.integers(1, max_side)) + 1)]
+    p = draw(st.floats(0.0, 0.5))
+    keep = draw(st.randoms(use_true_random=False))
+    return frozenset(edge(a, b) for a in left for b in right if keep.random() < p)
+
+
+class TestBipartiteMaxMatching:
+    """Kuhn's name-ordered pass against the exhaustive oracle, edge for edge."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(bipartite_graphs())
+    def test_equals_oracle_on_drawn_graphs(self, g):
+        assert bipartite_max_matching(g) == max_card_matching(g)
+
+    @settings(max_examples=60)
+    @given(instances(max_side=6))
+    def test_equals_oracle_on_instances(self, inst):
+        assert bipartite_max_matching(inst.graph) == max_card_matching(inst.graph)
+
+    def test_equals_oracle_on_the_gamma_family(self):
+        graphs = [g for g, _ in gen_gamma_family(2)]
+        assert graphs
+        for g in graphs:
+            assert bipartite_max_matching(g) == max_card_matching(g)
+
+    def test_equals_oracle_on_planted_instances(self):
+        for n in range(15):
+            for s in range(3):
+                g = gen_perfect(n, 0.3, s)[0].graph
+                assert bipartite_max_matching(g) == max_card_matching(g)
+
+    def test_small_cases(self):
+        assert bipartite_max_matching(frozenset()) == frozenset()
+        assert bipartite_max_matching(PATH4) == g_of(("a", "b"), ("c", "d"))
+        with pytest.raises(ValueError):
+            bipartite_max_matching(TRIANGLE)
+        five_cycle = g_of(("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("e", "a"))
+        with pytest.raises(ValueError):
+            bipartite_max_matching(five_cycle)
+
+    def test_sparse_random_150(self):
+        for s in range(3):
+            m = bipartite_max_matching(gen_perfect(150, 0.1, s)[0].graph)
+            assert is_matching(m) and len(m) == 150
+
+    def test_staircase_600(self):
+        # the staircase of test_structure's deep cascade (u_i sees v_i and
+        # v_{i+1}), at the default recursion limit
+        n = 600
+        g = frozenset(
+            edge(f"u{i}", f"v{j}") for i in range(1, n + 1) for j in (i, i + 1) if j <= n
+        )
+        m = bipartite_max_matching(g)
+        assert is_matching(m) and m <= g and len(m) == n

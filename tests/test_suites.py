@@ -12,8 +12,11 @@ from rankinglab import (
     RankMoveVerdict,
     SUITES,
     SuiteResult,
+    check_rank_move,
+    gen_perfect,
     online_match,
     parse_instance,
+    perfect_matching_of,
     serialize_instance,
     suite_lemma3,
     suite_lemma5,
@@ -25,6 +28,7 @@ from rankinglab import (
     suite_ranking_matching,
     suite_theorem4,
     suite_theorem6,
+    vertices,
 )
 
 from rankinglab import structure, suites
@@ -144,6 +148,42 @@ class TestFileMode:
         assert result.notes["original_rank_holds"] == 4
         with pytest.raises(ValueError):
             suite_rank_move(1, 0, inst=make_instance("v1 v2", "u1", [("u1", "v1")]))
+
+    def test_rank_move_takes_one_baseline_per_case(self, monkeypatch):
+        calls = []
+
+        def counting(inst):
+            calls.append(inst)
+            return online_match(inst)
+
+        monkeypatch.setattr(suites, "online_match", counting)
+        monkeypatch.setattr(structure, "online_match", counting)
+        inst = make_instance(
+            "v1 v2 v3 v4", "u1 u2 u3 u4",
+            [("u1", "v1"), ("u1", "v3"), ("u2", "v2"), ("u3", "v4"), ("u4", "v1")],
+        )
+        suite_rank_move(1, 0, inst=inst)
+        assert len(calls) == 1 + 1 * 4  # one baseline, one rerun per pair
+        for seed in range(6):
+            calls.clear()
+            result = suite_rank_move(25, seed)
+            assert len(calls) == result.cases + result.notes["pairs"]
+
+    def test_rank_move_tallies_equal_the_public_check(self):
+        for s in range(8):
+            inst = gen_perfect(5, 0.4, s)[0]
+            m_star = perfect_matching_of(inst)
+            tally = {"pairs": 0, "moved_rank_holds": 0, "original_rank_holds": 0}
+            covered = vertices(online_match(inst))
+            for v in inst.ranking:
+                if v in covered:
+                    continue
+                for i in range(len(inst.ranking)):
+                    verdict = check_rank_move(inst, m_star, v, i)
+                    tally["pairs"] += 1
+                    tally["moved_rank_holds"] += bool(verdict.holds_moved_rank)
+                    tally["original_rank_holds"] += bool(verdict.holds_original_rank)
+            assert suite_rank_move(1, 0, inst=inst).notes == tally
 
     def test_ratio_suites_on_files(self, example6):
         inst = parse_instance(PERFECT_TEXT)
@@ -282,12 +322,12 @@ class TestFailurePath:
     def test_rank_move_reports_readings_that_split(self, monkeypatch):
         calls = []
 
-        def alternating(one, m_star, v, i):
+        def alternating(one, m_star, baseline, v, i):
             calls.append(v)
             odd = len(calls) % 2 == 1
             return RankMoveVerdict(False, True, odd, not odd)
 
-        monkeypatch.setattr(suites, "check_rank_move", alternating)
+        monkeypatch.setattr(suites, "_rank_move", alternating)
         inst = make_instance(
             "v1 v2 v3 v4", "u1 u2 u3 u4",
             [("u1", "v1"), ("u1", "v3"), ("u2", "v2"), ("u3", "v4"), ("u4", "v1")],
@@ -307,7 +347,7 @@ class TestFailurePath:
 
     def test_rank_move_reports_an_unseated_partner(self, monkeypatch):
         unseated = RankMoveVerdict(False, False, None, None)
-        monkeypatch.setattr(suites, "check_rank_move", lambda *args: unseated)
+        monkeypatch.setattr(suites, "_rank_move", lambda *args: unseated)
         result = suite_rank_move(6, 4)
         *per_pair, last = result.failures
         assert len(per_pair) == result.notes["pairs"] > 0
