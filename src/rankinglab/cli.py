@@ -25,7 +25,7 @@ import time
 from functools import cache
 from pathlib import Path
 
-from .engine import BipartiteInstance, Permutation, online_match
+from .engine import BipartiteInstance, rank_match
 from .fileformat import (
     InstanceFormatError,
     fingerprint,
@@ -33,7 +33,13 @@ from .fileformat import (
     parse_instance,
     serialize_instance,
 )
-from .generators import gamma_min_ratio, gen_gamma_family, gen_perfect, gen_random
+from .generators import (
+    _gamma_ranking,
+    gamma_min_ratio,
+    gen_gamma_family,
+    gen_perfect,
+    gen_random,
+)
 from .graph import bipartite_max_matching
 from .probability import (
     CapExceeded,
@@ -61,7 +67,7 @@ def _load(path: str):
 
 def cmd_run(args) -> int:
     inst = _load(args.file)
-    m = online_match(inst)
+    m = rank_match(inst)
     pairs = [oriented_edge(inst, e) for e in m]
     for u, v in sorted(pairs, key=lambda uv: inst.arrival.index(uv[0])):
         print(f"matched {u} {v}")
@@ -169,9 +175,7 @@ def cmd_gen(args) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         count = 0
         for idx, (g, arrivals) in enumerate(gen_gamma_family(args.n)):
-            offline = sorted({v for e in g for v in e if v.startswith("o")},
-                             key=lambda s: int(s[1:]))
-            inst = BipartiteInstance(g, Permutation(offline), arrivals[0])
+            inst = BipartiteInstance(g, _gamma_ranking(g), arrivals[0])
             (out_dir / f"g{idx:04d}.obm").write_text(
                 serialize_instance(inst), encoding="utf-8"
             )

@@ -9,13 +9,18 @@ its best-ranked still-free neighbor, or left unmatched forever.
 over the arrival order.  ``is_ranking_matching`` is the declarative one: a
 predicate on (graph, matching, orders) that the fold's output satisfies and,
 on any given instance, exactly one matching satisfies.  Having both lets the
-tests drive each against the other.
+tests drive each against the other; both stay literal oracles.
+
+Every other caller runs ``rank_match``: ``_greedy``, the party-swapped greedy
+(offline vertices in ranking order take their earliest-arriving free
+neighbor), on the arrival bitmasks of ``_index``.  The predicate is symmetric
+in the two orders and has exactly one solution, so this is the fold's matching.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, List, Sequence, Tuple
 
 from .graph import (
     Edge,
@@ -31,7 +36,7 @@ from .graph import (
 class Permutation:
     """An ordered sequence of distinct vertices with O(1) rank lookup."""
 
-    __slots__ = ("_order", "_pos")
+    __slots__ = ("_order", "_pos", "_members")
 
     def __init__(self, order: Iterable[Vertex]):
         self._order = tuple(order)
@@ -40,6 +45,7 @@ class Permutation:
             if v in self._pos:
                 raise ValueError(f"duplicate member {v!r}")
             self._pos[v] = i
+        self._members = frozenset(self._pos)
 
     @property
     def order(self) -> tuple:
@@ -47,7 +53,7 @@ class Permutation:
 
     @property
     def members(self) -> frozenset:
-        return frozenset(self._pos)
+        return self._members
 
     def index(self, v: Vertex) -> int:
         """The 0-based position of v; raises KeyError for non-members."""
@@ -125,8 +131,9 @@ class BipartiteInstance:
 
     def without_vertices(self, xs) -> "BipartiteInstance":
         """Same orders, graph restricted away from the vertices xs."""
+        xs = frozenset(xs)
         return BipartiteInstance(
-            frozenset(e for e in self.graph if not (e & frozenset(xs))),
+            frozenset(e for e in self.graph if not (e & xs)),
             self.ranking,
             self.arrival,
         )
@@ -153,6 +160,53 @@ def online_match(inst: BipartiteInstance) -> frozenset:
     for u in inst.arrival:
         m = step(inst.graph, u, inst.ranking.order, m)
     return m
+
+
+def _index(inst: BipartiteInstance) -> Tuple[tuple, tuple]:
+    """Offline vertices in name order plus the arrival bitmask of each.
+
+    Bit j of ``reach[x]`` is set when offline id x is adjacent to the j-th
+    arrival.  Built in one pass over the edges.
+    """
+    offline = tuple(sorted(inst.ranking.members))
+    oid = {v: k for k, v in enumerate(offline)}
+    pos = {u: j for j, u in enumerate(inst.arrival)}
+    reach = [0] * len(offline)
+    for a, b in inst.graph:
+        if a in oid:
+            reach[oid[a]] |= 1 << pos[b]
+        else:
+            reach[oid[b]] |= 1 << pos[a]
+    return offline, tuple(reach)
+
+
+def _greedy(reach: Sequence[int], order: Iterable[int], arrivals: int) -> List[int]:
+    """The party-swapped greedy on an index: the partner position of each arrival.
+
+    Offline ids take, in ``order``, their earliest-arriving free neighbor.
+    Entry j is the position in ``order`` of the j-th arrival's partner, or
+    -1 when that arrival stays unmatched.
+    """
+    free = (1 << arrivals) - 1
+    prs = [-1] * arrivals
+    for r, x in enumerate(order):
+        a = reach[x] & free
+        if a:
+            low = a & -a
+            free ^= low
+            prs[low.bit_length() - 1] = r
+    return prs
+
+
+def rank_match(inst: BipartiteInstance) -> frozenset:
+    """The matching of ``online_match``, computed by ``_greedy`` on ``_index``."""
+    offline, reach = _index(inst)
+    oid = {v: k for k, v in enumerate(offline)}
+    ranked = inst.ranking.order
+    prs = _greedy(reach, [oid[v] for v in ranked], len(inst.arrival))
+    return frozenset(
+        frozenset((u, ranked[r])) for u, r in zip(inst.arrival, prs) if r >= 0
+    )
 
 
 def _first_choice_clause(

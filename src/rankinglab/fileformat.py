@@ -121,9 +121,8 @@ def serialize_instance(inst: BipartiteInstance) -> str:
 
 def oriented_edge(inst: BipartiteInstance, e) -> Tuple[str, str]:
     """The edge e as (online endpoint, offline endpoint)."""
-    (u,) = e & inst.arrival.members
-    (v,) = e & inst.ranking.members
-    return u, v
+    a, b = e
+    return (a, b) if a in inst.arrival else (b, a)
 
 
 def fingerprint(inst: BipartiteInstance) -> str:

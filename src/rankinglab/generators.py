@@ -117,6 +117,12 @@ def gen_gamma_family(n: int) -> Iterator[Tuple[frozenset, Tuple[Permutation, ...
         yield g, arrivals
 
 
+def _gamma_ranking(g: frozenset) -> Permutation:
+    """The offline vertices o* of a hard-family graph, by integer suffix."""
+    offline = (v for v in vertices(g) if v.startswith("o"))
+    return Permutation(sorted(offline, key=lambda s: int(s[1:])))
+
+
 def gamma_min_ratio(n: int) -> Fraction:
     """The worst expected-size ratio over the hard family at size n.
 
@@ -126,12 +132,9 @@ def gamma_min_ratio(n: int) -> Fraction:
     """
     best: Fraction | None = None
     for g, arrivals in gen_gamma_family(n):
-        vs = vertices(g)
-        offline = sorted(
-            (v for v in vs if v.startswith("o")), key=lambda s: int(s[1:])
-        )
+        ranking = _gamma_ranking(g)
         for arr in arrivals:
-            inst = BipartiteInstance(g, Permutation(offline), arr)
+            inst = BipartiteInstance(g, ranking, arr)
             ratio = _expected_size(inst) / n
             if best is None or ratio < best:
                 best = ratio

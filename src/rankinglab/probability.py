@@ -31,14 +31,14 @@ enumerated instances:
 from __future__ import annotations
 
 import math
-from collections import Counter, OrderedDict
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
 from typing import AbstractSet, Dict, Optional, Tuple
 
-from .engine import BipartiteInstance
+from .engine import BipartiteInstance, _greedy, _index
 from .fileformat import fingerprint
 from .graph import bipartite_max_matching, is_matching, vertices
 from .rng import _GOLDEN, _MASK, _mix
@@ -88,88 +88,26 @@ def _check_t(t: int, n: int) -> None:
         raise ValueError(f"rank t={t} out of range 1..{n}")
 
 
-@lru_cache(maxsize=256)
-def _adjacency(inst: BipartiteInstance):
-    """Offline vertices in name order plus the arrival bitmask of each.
-
-    Bit j of ``reach[x]`` is set when offline id x is adjacent to the j-th
-    arrival.  Built in one pass over the edges.
-    """
-    offline = tuple(sorted(inst.ranking.members))
-    oid = {v: k for k, v in enumerate(offline)}
-    pos = {u: j for j, u in enumerate(inst.arrival)}
-    reach = [0] * len(offline)
-    for e in inst.graph:
-        a, b = e
-        if a in oid:
-            reach[oid[a]] |= 1 << pos[b]
-        else:
-            reach[oid[b]] |= 1 << pos[a]
-    return offline, tuple(reach)
-
-
-#: most rows the ensemble cache holds over all its tables (one at n = 8);
-#: the per-t functions re-read the newest table, and nothing else re-reads
-ENSEMBLE_ROW_BUDGET = math.factorial(8)
-
-_tables: "OrderedDict[BipartiteInstance, tuple]" = OrderedDict()
-_rows = 0  # rows held in _tables, kept as a running count
-
-
+@lru_cache(maxsize=1)
 def _ensemble(inst: BipartiteInstance):
     """Matcher outcomes for every ranking of the offline party.
 
-    Maps each permutation of offline ids to a pair (set of matched ranks,
-    partner rank per arrival).  Every per-rank quantity is a linear scan
-    over this table; ``exact_expected_size`` does without it, and tests hold
-    it equal to the table's sum.
+    Maps each permutation of offline ids (``engine._index`` order) to a pair
+    (set of matched ranks, partner rank per arrival), each row one
+    ``engine._greedy`` run.  Every per-rank quantity is a linear scan over
+    this table; ``exact_expected_size`` does without it, and tests hold it
+    equal to the table's sum.
 
-    Each row comes from the party-swapped greedy: offline vertices, in
-    ranking order, take their earliest-arriving free neighbor.  Because
-    ``is_ranking_matching`` is symmetric in the two orders and has exactly
-    one solution, this is the matching of the arrival-driven ``step`` fold.
-
-    Tables are cached, least recently used first out, while their rows
-    together stay within ``ENSEMBLE_ROW_BUDGET``; the newest table is always
-    kept.
+    Only the newest table is kept: the per-t functions re-read it for each
+    t, and nothing re-reads an older one.
     """
-    global _rows
-    hit = _tables.get(inst)
-    if hit is not None:
-        _tables.move_to_end(inst)
-        return hit
-    offline, reach = _adjacency(inst)
-    n = len(offline)
-    everyone = (1 << len(inst.arrival)) - 1
-    unmatched = (-1,) * len(inst.arrival)
+    offline, reach = _index(inst)
+    arrivals = len(inst.arrival)
     runs: Dict[tuple, tuple] = {}
-    for perm in permutations(range(n)):
-        free = everyone
-        prs = list(unmatched)
-        matched = []
-        for r, x in enumerate(perm):
-            a = reach[x] & free
-            if a:
-                low = a & -a
-                free ^= low
-                prs[low.bit_length() - 1] = r
-                matched.append(r)
-        runs[perm] = (frozenset(matched), tuple(prs))
-    table = (offline, runs)
-    _tables[inst] = table
-    _rows += len(runs)
-    while _rows > ENSEMBLE_ROW_BUDGET and len(_tables) > 1:
-        _rows -= len(_tables.popitem(last=False)[1][1])
-    return table
-
-
-def _ensemble_cache_clear() -> None:
-    global _rows
-    _tables.clear()
-    _rows = 0
-
-
-_ensemble.cache_clear = _ensemble_cache_clear
+    for perm in permutations(range(len(offline))):
+        prs = tuple(_greedy(reach, perm, arrivals))
+        runs[perm] = (frozenset(r for r in prs if r >= 0), prs)
+    return offline, runs
 
 
 def _move_id(perm: tuple, x: int, i: int) -> tuple:
@@ -193,7 +131,7 @@ def exact_expected_size(inst: BipartiteInstance, cap: int = DEFAULT_CAP) -> Exac
 def _expected_size(inst: BipartiteInstance, cap: int = DEFAULT_CAP) -> Fraction:
     """The value of ``exact_expected_size``, with no report and no fingerprint.
 
-    The party-swapped greedy of ``_ensemble`` makes a ranking an order in
+    The party-swapped greedy of ``engine._greedy`` makes a ranking an order in
     which offline vertices take their earliest-arriving free neighbor.  A
     forward pass over depth d = 0..n-1 counts, for each state (bitmask of
     offline ids still to come, bitmask of free arrivals), the orders of the
@@ -202,7 +140,7 @@ def _expected_size(inst: BipartiteInstance, cap: int = DEFAULT_CAP) -> Fraction:
     over all n! rankings, as in the ``_ensemble`` table, without the table.
     """
     _check_cap(inst, cap)
-    _, reach = _adjacency(inst)
+    _, reach = _index(inst)
     n = len(reach)
     full = (1 << n) - 1
     # a state is one int: bit x (x < n) for an offline id still to come,
@@ -488,29 +426,27 @@ class RatioVerdict:
     vacuous: bool
 
 
-def check_theorem4(inst: BipartiteInstance, cap: int = DEFAULT_CAP) -> RatioVerdict:
-    """Expected size versus the bound, n taken as the (perfect) party size."""
-    _check_cap(inst, cap)
-    _require_perfect_matching(inst)
-    n = len(inst.ranking)
+def _ratio_verdict(inst: BipartiteInstance, n: int, cap: int) -> RatioVerdict:
+    """The exact expected size against the bound at size n (vacuous at 0)."""
     expected = _expected_size(inst, cap)
     if n == 0:
         return RatioVerdict(0, expected, None, None, True, True)
     ratio = expected / n
     bound = competitive_bound_exact(n)
     return RatioVerdict(n, expected, ratio, bound, ratio >= bound, False)
+
+
+def check_theorem4(inst: BipartiteInstance, cap: int = DEFAULT_CAP) -> RatioVerdict:
+    """Expected size versus the bound, n taken as the (perfect) party size."""
+    _check_cap(inst, cap)
+    _require_perfect_matching(inst)
+    return _ratio_verdict(inst, len(inst.ranking), cap)
 
 
 def check_theorem6(inst: BipartiteInstance, cap: int = DEFAULT_CAP) -> RatioVerdict:
     """Expected size versus the bound, n taken as the maximum matching size."""
     _check_cap(inst, cap)
-    n = len(bipartite_max_matching(inst.graph))
-    expected = _expected_size(inst, cap)
-    if n == 0:
-        return RatioVerdict(0, expected, None, None, True, True)
-    ratio = expected / n
-    bound = competitive_bound_exact(n)
-    return RatioVerdict(n, expected, ratio, bound, ratio >= bound, False)
+    return _ratio_verdict(inst, len(bipartite_max_matching(inst.graph)), cap)
 
 
 def mc_expected_size(inst: BipartiteInstance, samples: int, seed: int) -> McEstimate:
@@ -522,14 +458,15 @@ def mc_expected_size(inst: BipartiteInstance, samples: int, seed: int) -> McEsti
     loop below inlines SplitMix64 and consumes each stream exactly as
     ``stream(seed, i).shuffled(range(n))`` does, rejections included;
     ``SplitMix64`` remains the reference it is tested against.  The
-    matching size comes from the party-swapped greedy of ``_ensemble``.
+    matching size comes from the party-swapped greedy of ``engine._greedy``,
+    inlined here with no partner list, over the index of ``engine._index``.
 
     The reported stddev is the sample standard deviation of the per-run
     size, zero when only one sample was requested.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
-    _, reach = _adjacency(inst)
+    _, reach = _index(inst)
     n = len(reach)
     everyone = (1 << len(inst.arrival)) - 1
     # (position, bound, rejection limit) per Fisher-Yates step, as in below()

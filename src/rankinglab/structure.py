@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import AbstractSet, Dict, List, Optional, Tuple
 
-from .engine import BipartiteInstance, Permutation, online_match
+from .engine import BipartiteInstance, Permutation, rank_match
 from .graph import (
     Vertex,
     is_matching,
@@ -168,8 +168,8 @@ def _context(inst: BipartiteInstance, offline_ranked: bool, matching, graph=None
 
 
 def _removal_diff(inst: BipartiteInstance, x: Vertex, offline: bool) -> RemovalDiff:
-    m = online_match(inst)
-    m2 = online_match(inst.without_vertices({x}))
+    m = rank_match(inst)
+    m2 = rank_match(inst.without_vertices({x}))
     if m == m2:
         return RemovalDiff(m, m2, None)
     p = zig(_context(inst, offline, m), x)
@@ -211,11 +211,11 @@ def check_zig_zag_symmetry(inst: BipartiteInstance, x: Vertex) -> bool:
     """
     if x not in inst.arrival.members | inst.ranking.members:
         raise KeyError(f"{x!r} is not a vertex of the instance")
-    m = online_match(inst)
+    m = rank_match(inst)
     mate = partner(m, x)
     if mate is None:
         raise ValueError(f"removed vertex {x!r} must be matched")
-    m2 = online_match(inst.without_vertices({x}))
+    m2 = rank_match(inst.without_vertices({x}))
     online = x in inst.arrival.members
     zig_ctx = _context(inst, online, m2, remove_vertices(inst.graph, {x}))
     return zig(zig_ctx, mate) == zag(_context(inst, not online, m), mate)
@@ -228,7 +228,7 @@ def _stability_guard(inst: BipartiteInstance, offline_removed: bool, probe: Vert
     breaks the guard of ``check_removal_stability``, and is empty when x
     keeps it (always, when an arrival-side probe is unmatched).
     """
-    ctx = _context(inst, not offline_removed, online_match(inst))
+    ctx = _context(inst, not offline_removed, rank_match(inst))
     rank = {v: i for i, v in enumerate(ctx.ranking)}
     if probe in rank:
         cutoff, runner = rank[probe], zig
@@ -305,18 +305,18 @@ def check_rank_move(
     """
     if v not in inst.ranking:
         raise KeyError(f"{v!r} is not a ranking-side vertex")
-    return _rank_move(inst, _validated_perfect(inst, m_star), online_match(inst), v, i)
+    return _rank_move(inst, _validated_perfect(inst, m_star), rank_match(inst), v, i)
 
 
 def _rank_move(
     inst: BipartiteInstance, mset: frozenset, baseline: frozenset, v: Vertex, i: int
 ) -> RankMoveVerdict:
-    """``check_rank_move`` given the validated ``mset`` and ``online_match(inst)``."""
+    """``check_rank_move`` given the validated ``mset`` and ``rank_match(inst)``."""
     if partner(baseline, v) is not None:
         return RankMoveVerdict(True, None, None, None)
     u = partner(mset, v)
     moved = inst.ranking.move_to(v, i)
-    m2 = online_match(BipartiteInstance(inst.graph, moved, inst.arrival))
+    m2 = rank_match(BipartiteInstance(inst.graph, moved, inst.arrival))
     w = partner(m2, u)
     if w is None:
         return RankMoveVerdict(False, False, None, None)

@@ -20,7 +20,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, Iterator, List, Optional
 
-from .engine import BipartiteInstance, online_match, is_ranking_matching
+from .engine import BipartiteInstance, is_ranking_matching, rank_match
 from .fileformat import fingerprint, serialize_instance
 from .generators import gen_perfect, gen_random
 from .graph import all_matchings, is_alternating_path, remove_vertices, vertices
@@ -127,7 +127,7 @@ def suite_ranking_matching(
 
     def check(one: BipartiteInstance) -> List[str]:
         gr, arr, rank = one.graph, one.arrival, one.ranking
-        m = online_match(one)
+        m = rank_match(one)
         if not is_ranking_matching(gr, m, arr, rank):
             return ["output fails the declarative characterization"]
         for e in sorted(m, key=sorted):
@@ -207,12 +207,12 @@ def suite_lemma6(
 
     def cases():
         if inst is not None:
-            yield from ((inst, x) for x in sorted(vertices(online_match(inst))))
+            yield from ((inst, x) for x in sorted(vertices(rank_match(inst))))
             return
         for _ in range(count):
             for _ in range(200):  # redraw until the matching is nonempty
                 one = _rand_instance(g, max_side)
-                m = online_match(one)
+                m = rank_match(one)
                 if m:
                     break
             else:
@@ -322,7 +322,7 @@ def suite_rank_move(
 
     def check(one: BipartiteInstance, m_star: frozenset) -> List[str]:
         problems = []
-        baseline = online_match(one)
+        baseline = rank_match(one)
         covered = vertices(baseline)
         for v in one.ranking:
             if v in covered:

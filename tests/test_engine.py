@@ -18,11 +18,15 @@ from rankinglab import (
     Permutation,
     all_matchings,
     edge,
+    gen_gamma_family,
+    gen_random,
     is_maximal_matching,
     is_ranking_matching,
     online_match,
     step,
 )
+from rankinglab.engine import rank_match
+from rankinglab.generators import _gamma_ranking
 
 from .conftest import instances, make_instance
 
@@ -40,6 +44,10 @@ class TestPermutation:
         assert len(p) == 3
         assert p[1] == "a"
         assert "a" in p and "z" not in p
+
+    def test_members_built_once(self):
+        p = Permutation(["b", "a", "c"])
+        assert p.members is p.members
 
     def test_duplicate_rejected(self):
         with pytest.raises(ValueError):
@@ -172,6 +180,36 @@ class TestOnlineMatch:
         for u in inst.arrival:
             m = step(inst.graph, u, inst.ranking.order, m)
         assert online_match(inst) == m
+
+
+class TestRankMatch:
+    """The integer greedy every production caller uses, gated by the fold."""
+
+    @settings(max_examples=200)
+    @given(instances(max_side=7))
+    def test_equals_fold_on_random_instances(self, inst):
+        assert rank_match(inst) == online_match(inst)
+
+    def test_equals_fold_on_gamma_family(self):
+        for g, arrivals in gen_gamma_family(2):
+            for arr in arrivals:
+                inst = BipartiteInstance(g, _gamma_ranking(g), arr)
+                assert rank_match(inst) == online_match(inst)
+
+    def test_equals_fold_on_staircase_600(self):
+        n = 600
+        inst = make_instance(
+            " ".join(f"v{i}" for i in range(1, n + 1)),
+            " ".join(f"u{i}" for i in range(1, n + 1)),
+            [(f"u{i}", f"v{j}") for i in range(1, n + 1) for j in (i, i + 1) if j <= n],
+        )
+        m = rank_match(inst)
+        assert m == online_match(inst) and len(m) == n
+
+    def test_equals_fold_on_random_400(self):
+        for s in range(2):
+            inst = gen_random(400, 400, 0.1, s)
+            assert rank_match(inst) == online_match(inst)
 
 
 class TestRankingMatchingPredicate:

@@ -7,7 +7,9 @@ script) before being committed.
 
 from __future__ import annotations
 
+import gc
 import math
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -436,28 +438,32 @@ class TestEnsemble:
             assert prs == tuple(-1 if v is None else ranking.index(v) for v in mates)
             assert matched == frozenset(ranking.index(v) for v in mates if v is not None)
 
-    def test_cache_bounded_by_rows(self, small, monkeypatch):
-        a = make_instance("v1 v2 v3", "u1", [("u1", "v1")])
-        b = make_instance("v1 v2 v3", "u1", [("u1", "v2")])
+    def test_cache_reuses_newest_table(self, small):
         probability._ensemble.cache_clear()
-        monkeypatch.setattr(probability, "ENSEMBLE_ROW_BUDGET", 8)
+        probability._ensemble(small)
+        first = probability._ensemble(small)
+        assert probability._ensemble(small) is first  # each per-t call re-reads it
+        assert probability._ensemble.cache_info().hits == 2
+        probability._ensemble.cache_clear()
+
+    def test_cache_drops_older_table(self, small):
+        a = make_instance("v1 v2 v3", "u1", [("u1", "v1")])
+        probability._ensemble.cache_clear()
         first = probability._ensemble(a)
-        assert probability._ensemble(a) is first
-        probability._ensemble(small)  # 6 + 2 rows fit the budget
-        assert probability._ensemble(a) is first
-        probability._ensemble(b)  # 14 rows: the oldest go until b fits
-        assert probability._rows == 6
+        probability._ensemble(small)
+        assert probability._ensemble.cache_info().currsize == 1
         assert probability._ensemble(a) is not first
         probability._ensemble.cache_clear()
-        assert probability._rows == 0
 
-    def test_cache_keeps_newest_table_over_budget(self, monkeypatch):
-        a = make_instance("v1 v2 v3", "u1", [("u1", "v1")])
-        probability._ensemble.cache_clear()
-        monkeypatch.setattr(probability, "ENSEMBLE_ROW_BUDGET", 1)
-        first = probability._ensemble(a)
-        assert probability._ensemble(a) is first
-        probability._ensemble.cache_clear()
+    def test_size_routes_keep_no_instance(self):
+        inst = make_instance("v1 v2 v3", "u1 u2", [("u1", "v1"), ("u2", "v3")])
+        mc_expected_size(inst, 20, 1)
+        exact_expected_size(inst)
+        check_theorem6(inst)
+        ref = weakref.ref(inst)
+        del inst
+        gc.collect()
+        assert ref() is None
 
 
 class TestMonteCarlo:

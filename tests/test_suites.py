@@ -33,6 +33,7 @@ from rankinglab import (
 
 from rankinglab import structure, suites
 from rankinglab.cli import main
+from rankinglab.engine import rank_match
 
 from .conftest import DATA, make_instance
 
@@ -154,10 +155,10 @@ class TestFileMode:
 
         def counting(inst):
             calls.append(inst)
-            return online_match(inst)
+            return rank_match(inst)
 
-        monkeypatch.setattr(suites, "online_match", counting)
-        monkeypatch.setattr(structure, "online_match", counting)
+        monkeypatch.setattr(suites, "rank_match", counting)
+        monkeypatch.setattr(structure, "rank_match", counting)
         inst = make_instance(
             "v1 v2 v3 v4", "u1 u2 u3 u4",
             [("u1", "v1"), ("u1", "v3"), ("u2", "v2"), ("u3", "v4"), ("u4", "v1")],
