@@ -20,7 +20,7 @@ in the two orders and has exactly one solution, so this is the fold's matching.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Sequence, Tuple
+from typing import Iterable, Iterator, List, Sequence
 
 from .graph import (
     Edge,
@@ -29,6 +29,7 @@ from .graph import (
     is_matching,
     is_maximal_matching,
     partner,
+    remove_vertices,
     vertices,
 )
 
@@ -131,11 +132,8 @@ class BipartiteInstance:
 
     def without_vertices(self, xs) -> "BipartiteInstance":
         """Same orders, graph restricted away from the vertices xs."""
-        xs = frozenset(xs)
         return BipartiteInstance(
-            frozenset(e for e in self.graph if not (e & xs)),
-            self.ranking,
-            self.arrival,
+            remove_vertices(self.graph, frozenset(xs)), self.ranking, self.arrival
         )
 
 
@@ -162,22 +160,21 @@ def online_match(inst: BipartiteInstance) -> frozenset:
     return m
 
 
-def _index(inst: BipartiteInstance) -> Tuple[tuple, tuple]:
-    """Offline vertices in name order plus the arrival bitmask of each.
+def _index(inst: BipartiteInstance) -> List[int]:
+    """The arrival bitmask of each offline vertex, by ranking position.
 
-    Bit j of ``reach[x]`` is set when offline id x is adjacent to the j-th
-    arrival.  Built in one pass over the edges.
+    Bit j of ``reach[r]`` is set when the offline vertex at rank r is adjacent
+    to the j-th arrival.  Built in one pass over the edges, with the position
+    maps the two orders already hold.
     """
-    offline = tuple(sorted(inst.ranking.members))
-    oid = {v: k for k, v in enumerate(offline)}
-    pos = {u: j for j, u in enumerate(inst.arrival)}
-    reach = [0] * len(offline)
+    rank, pos = inst.ranking._pos, inst.arrival._pos
+    reach = [0] * len(rank)
     for a, b in inst.graph:
-        if a in oid:
-            reach[oid[a]] |= 1 << pos[b]
+        if a in rank:
+            reach[rank[a]] |= 1 << pos[b]
         else:
-            reach[oid[b]] |= 1 << pos[a]
-    return offline, tuple(reach)
+            reach[rank[b]] |= 1 << pos[a]
+    return reach
 
 
 def _greedy(reach: Sequence[int], order: Iterable[int], arrivals: int) -> List[int]:
@@ -199,11 +196,9 @@ def _greedy(reach: Sequence[int], order: Iterable[int], arrivals: int) -> List[i
 
 
 def rank_match(inst: BipartiteInstance) -> frozenset:
-    """The matching of ``online_match``, computed by ``_greedy`` on ``_index``."""
-    offline, reach = _index(inst)
-    oid = {v: k for k, v in enumerate(offline)}
+    """The matching of ``online_match``: ``_greedy`` on ``_index`` in ranking order."""
     ranked = inst.ranking.order
-    prs = _greedy(reach, [oid[v] for v in ranked], len(inst.arrival))
+    prs = _greedy(_index(inst), range(len(ranked)), len(inst.arrival))
     return frozenset(
         frozenset((u, ranked[r])) for u, r in zip(inst.arrival, prs) if r >= 0
     )

@@ -34,7 +34,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations, permutations
 from typing import AbstractSet, Dict, Optional, Tuple
 
@@ -88,26 +87,23 @@ def _check_t(t: int, n: int) -> None:
         raise ValueError(f"rank t={t} out of range 1..{n}")
 
 
-@lru_cache(maxsize=1)
 def _ensemble(inst: BipartiteInstance):
     """Matcher outcomes for every ranking of the offline party.
 
-    Maps each permutation of offline ids (``engine._index`` order) to a pair
-    (set of matched ranks, partner rank per arrival), each row one
-    ``engine._greedy`` run.  Every per-rank quantity is a linear scan over
-    this table; ``exact_expected_size`` does without it, and tests hold it
-    equal to the table's sum.
-
-    Only the newest table is kept: the per-t functions re-read it for each
-    t, and nothing re-reads an older one.
+    Maps each permutation of ranking positions (``engine._index`` numbering;
+    the identity is ``inst.ranking``) to a pair (set of matched ranks,
+    partner rank per arrival), each row one ``engine._greedy`` run; returns
+    ``inst.ranking.order`` with it.  Every per-rank quantity is a linear
+    scan over this table; ``exact_expected_size`` does without it, and tests
+    hold it equal to the table's sum.
     """
-    offline, reach = _index(inst)
+    reach = _index(inst)
     arrivals = len(inst.arrival)
     runs: Dict[tuple, tuple] = {}
-    for perm in permutations(range(len(offline))):
+    for perm in permutations(range(len(reach))):
         prs = tuple(_greedy(reach, perm, arrivals))
         runs[perm] = (frozenset(r for r in prs if r >= 0), prs)
-    return offline, runs
+    return inst.ranking.order, runs
 
 
 def _move_id(perm: tuple, x: int, i: int) -> tuple:
@@ -140,7 +136,7 @@ def _expected_size(inst: BipartiteInstance, cap: int = DEFAULT_CAP) -> Fraction:
     over all n! rankings, as in the ``_ensemble`` table, without the table.
     """
     _check_cap(inst, cap)
-    _, reach = _index(inst)
+    reach = _index(inst)
     n = len(reach)
     full = (1 << n) - 1
     # a state is one int: bit x (x < n) for an offline id still to come,
@@ -199,13 +195,12 @@ def rank_matched_prob_moved(
     return Fraction(hits, len(runs) * n)
 
 
-def _designated_positions(inst: BipartiteInstance, m_star: frozenset, offline) -> list:
-    """Arrival position of each offline vertex's partner under perfect m_star."""
-    pos = {u: j for j, u in enumerate(inst.arrival)}
-    at = {}
+def _designated_positions(inst: BipartiteInstance, m_star: frozenset) -> list:
+    """Arrival position of each offline vertex's m_star partner, by rank."""
+    mate = {}
     for a, b in map(tuple, m_star):
-        at[a], at[b] = pos.get(b), pos.get(a)
-    return [at[v] for v in offline]
+        mate[a], mate[b] = b, a
+    return [inst.arrival.index(mate[v]) for v in inst.ranking]
 
 
 def _validated_perfect(inst: BipartiteInstance, m_star: AbstractSet) -> frozenset:
@@ -230,8 +225,8 @@ def matched_before_prob(
     n = len(inst.ranking)
     _check_t(t, n)
     mset = _validated_perfect(inst, m_star)
-    offline, runs = _ensemble(inst)
-    upos = _designated_positions(inst, mset, offline)
+    _, runs = _ensemble(inst)
+    upos = _designated_positions(inst, mset)
     hits = 0
     for _, prs in runs.values():
         for k in range(n):
@@ -341,8 +336,8 @@ def lemma3_chain(
     if n == 0:
         return []
     mset = _validated_perfect(inst, m_star)
-    offline, runs = _ensemble(inst)
-    upos = _designated_positions(inst, mset, offline)
+    _, runs = _ensemble(inst)
+    upos = _designated_positions(inst, mset)
     rank_hits = [0] * n  # rows in which rank r is matched
     count_hits = [0] * n  # (row, arrival) pairs matched to rank r
     before_hits = [0] * n  # (row, vertex) pairs whose partner is matched to rank r
@@ -452,21 +447,24 @@ def check_theorem6(inst: BipartiteInstance, cap: int = DEFAULT_CAP) -> RatioVerd
 def mc_expected_size(inst: BipartiteInstance, samples: int, seed: int) -> McEstimate:
     """Monte Carlo estimate of the expected matching size.
 
-    Sample i ranks the offline party (in name order) by a Fisher-Yates
-    shuffle drawn from ``stream(seed, i)``, so the estimate is bit-identical
-    for identical (instance, samples, seed) regardless of batching.  The
+    Sample i ranks the offline party by a Fisher-Yates shuffle of its
+    vertices in name order, drawn from ``stream(seed, i)``, so the estimate
+    is bit-identical for identical (instance, samples, seed) regardless of
+    batching, and does not depend on the instance's own ranking.  The
     loop below inlines SplitMix64 and consumes each stream exactly as
     ``stream(seed, i).shuffled(range(n))`` does, rejections included;
     ``SplitMix64`` remains the reference it is tested against.  The
     matching size comes from the party-swapped greedy of ``engine._greedy``,
-    inlined here with no partner list, over the index of ``engine._index``.
+    inlined here with no partner list, over the index of ``engine._index``
+    reordered once from ranking positions to name order.
 
     The reported stddev is the sample standard deviation of the per-run
     size, zero when only one sample was requested.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
-    _, reach = _index(inst)
+    by_rank = _index(inst)
+    reach = [by_rank[inst.ranking.index(v)] for v in sorted(inst.ranking)]
     n = len(reach)
     everyone = (1 << len(inst.arrival)) - 1
     # (position, bound, rejection limit) per Fisher-Yates step, as in below()

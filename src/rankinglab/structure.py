@@ -167,12 +167,12 @@ def _context(inst: BipartiteInstance, offline_ranked: bool, matching, graph=None
     return ZigZagContext(inst.graph if graph is None else graph, matching, *orders)
 
 
-def _removal_diff(inst: BipartiteInstance, x: Vertex, offline: bool) -> RemovalDiff:
+def _removal_diff(inst: BipartiteInstance, x: Vertex) -> RemovalDiff:
     m = rank_match(inst)
     m2 = rank_match(inst.without_vertices({x}))
     if m == m2:
         return RemovalDiff(m, m2, None)
-    p = zig(_context(inst, offline, m), x)
+    p = zig(_context(inst, x in inst.ranking, m), x)
     diff = symmetric_difference(m, m2)
     if frozenset(path_edges(p)) != diff:
         raise DichotomyViolation(
@@ -192,14 +192,14 @@ def removal_diff_online(inst: BipartiteInstance, u: Vertex) -> RemovalDiff:
     """
     if u not in inst.arrival:
         raise KeyError(f"{u!r} is not an arrival-side vertex")
-    return _removal_diff(inst, u, offline=False)
+    return _removal_diff(inst, u)
 
 
 def removal_diff_offline(inst: BipartiteInstance, v: Vertex) -> RemovalDiff:
     """Difference report for deleting the ranking-side vertex v."""
     if v not in inst.ranking:
         raise KeyError(f"{v!r} is not a ranking-side vertex")
-    return _removal_diff(inst, v, offline=True)
+    return _removal_diff(inst, v)
 
 
 def check_zig_zag_symmetry(inst: BipartiteInstance, x: Vertex) -> bool:
@@ -215,9 +215,9 @@ def check_zig_zag_symmetry(inst: BipartiteInstance, x: Vertex) -> bool:
     mate = partner(m, x)
     if mate is None:
         raise ValueError(f"removed vertex {x!r} must be matched")
-    m2 = rank_match(inst.without_vertices({x}))
+    reduced = inst.without_vertices({x})
     online = x in inst.arrival.members
-    zig_ctx = _context(inst, online, m2, remove_vertices(inst.graph, {x}))
+    zig_ctx = _context(inst, online, rank_match(reduced), reduced.graph)
     return zig(zig_ctx, mate) == zag(_context(inst, not online, m), mate)
 
 
@@ -269,7 +269,7 @@ def check_removal_stability(
     for x in sorted(xs):
         if breach(x):
             raise GuardViolation(breach(x))
-    kept = frozenset(e for e in ctx.matching if not (e & xs))
+    kept = remove_vertices(ctx.matching, xs)
     reduced = _context(inst, not offline_removed, kept, remove_vertices(inst.graph, xs))
     return runner(reduced, probe) == runner(ctx, probe)
 

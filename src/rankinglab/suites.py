@@ -231,12 +231,10 @@ def _side(one: BipartiteInstance, online_side: bool) -> tuple:
     return one.arrival.order if online_side else one.ranking.order
 
 
-def _removal_failures(
-    one: BipartiteInstance, x: str, online_side: bool, paths: bool = True
-) -> List[str]:
+def _removal_failures(one: BipartiteInstance, x: str, paths: bool = True) -> List[str]:
     """Deleting x: the size drops by 0 or 1, and (``paths``) along a cascade."""
     try:
-        diff = (removal_diff_online if online_side else removal_diff_offline)(one, x)
+        diff = (removal_diff_online if x in one.arrival else removal_diff_offline)(one, x)
     except DichotomyViolation as e:
         return [str(e)]
     drop = len(diff.baseline) - len(diff.reduced)
@@ -267,11 +265,11 @@ def _suite_removal(
 
     def cases():
         if inst is not None:
-            yield from ((inst, x, online_side) for x in _side(inst, online_side))
+            yield from ((inst, x) for x in _side(inst, online_side))
             return
         for _ in range(count):  # per case: instance first, then the vertex
             one = _rand_instance(g, max_side)
-            yield one, g.choice(_side(one, online_side)), online_side
+            yield one, g.choice(_side(one, online_side))
 
     return _run(name, cases(), _removal_failures)
 
@@ -299,10 +297,10 @@ def suite_lemma9(
     def cases():
         for k in range(count):  # sides alternate, arrival side first
             one = inst if inst is not None else _rand_instance(g, max_side)
-            yield one, g.choice(_side(one, k % 2 == 0)), k % 2 == 0
+            yield one, g.choice(_side(one, k % 2 == 0))
 
-    def check(one: BipartiteInstance, x: str, online_side: bool) -> List[str]:
-        return _removal_failures(one, x, online_side, paths=False)
+    def check(one: BipartiteInstance, x: str) -> List[str]:
+        return _removal_failures(one, x, paths=False)
 
     return _run("lemma9", cases(), check)
 

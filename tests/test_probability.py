@@ -438,28 +438,18 @@ class TestEnsemble:
             assert prs == tuple(-1 if v is None else ranking.index(v) for v in mates)
             assert matched == frozenset(ranking.index(v) for v in mates if v is not None)
 
-    def test_cache_reuses_newest_table(self, small):
-        probability._ensemble.cache_clear()
-        probability._ensemble(small)
-        first = probability._ensemble(small)
-        assert probability._ensemble(small) is first  # each per-t call re-reads it
-        assert probability._ensemble.cache_info().hits == 2
-        probability._ensemble.cache_clear()
-
-    def test_cache_drops_older_table(self, small):
-        a = make_instance("v1 v2 v3", "u1", [("u1", "v1")])
-        probability._ensemble.cache_clear()
-        first = probability._ensemble(a)
-        probability._ensemble(small)
-        assert probability._ensemble.cache_info().currsize == 1
-        assert probability._ensemble(a) is not first
-        probability._ensemble.cache_clear()
-
     def test_size_routes_keep_no_instance(self):
         inst = make_instance("v1 v2 v3", "u1 u2", [("u1", "v1"), ("u2", "v3")])
         mc_expected_size(inst, 20, 1)
         exact_expected_size(inst)
         check_theorem6(inst)
+        ref = weakref.ref(inst)
+        del inst
+        gc.collect()
+        assert ref() is None
+        inst, _ = gen_perfect(4, 0.4, 3)
+        rank_matched_prob(inst, 2)
+        lemma3_chain(inst)
         ref = weakref.ref(inst)
         del inst
         gc.collect()
