@@ -42,6 +42,7 @@ from .generators import (
 )
 from .graph import bipartite_max_matching
 from .probability import (
+    DEFAULT_CAP,
     CapExceeded,
     LIMIT_RATIO,
     check_theorem6,
@@ -118,6 +119,10 @@ def cmd_check(args) -> int:
     if args.random and args.file:
         print("error: give a file or --random, not both", file=sys.stderr)
         return 2
+    for flag, value, low in (("--count", args.count, 0), ("--max-side", args.max_side, 1)):
+        if value < low:
+            print(f"error: {flag} must be at least {low}, got {value}", file=sys.stderr)
+            return 2
     inst = _load(args.file) if args.file else None
     suite = SUITES[args.suite]
     result = suite(args.count, args.seed, inst=inst, max_side=args.max_side)
@@ -202,7 +207,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("exact", help="exact expected size and ratio as a CSV row")
     sp.add_argument("file")
-    sp.add_argument("--cap", type=int, default=8, help="enumeration cap (default 8)")
+    sp.add_argument(
+        "--cap", type=int, default=DEFAULT_CAP, help="enumeration cap (default %(default)s)"
+    )
     sp.set_defaults(func=cmd_exact)
 
     sp = sub.add_parser("mc", help="Monte Carlo expected size as a CSV row")

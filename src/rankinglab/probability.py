@@ -3,17 +3,17 @@
 The ranking is treated as uniformly random over the offline party while the
 graph and the arrival order stay fixed.  At desk scale (party size up to a
 configurable cap, default 8) every quantity is computed exactly, as a
-``fractions.Fraction``.  The expected size comes from a rank-order dynamic
-program: a uniformly random ranking is a uniformly random order in which
-offline vertices take their earliest-arriving free neighbor, so it sums
-matched counts over processing orders, layer by layer over states (offline
-vertices still to come, free arrivals).  The per-rank quantities are read
-off one table of the matcher's outcome under every ranking, which also
-serves as the dynamic program's test oracle.  Beyond the cap,
-``mc_expected_size`` gives a seeded, bit-reproducible Monte Carlo estimate.
+``fractions.Fraction``, by one rank-order dynamic program: a uniformly random
+ranking is a uniformly random order in which offline vertices take their
+earliest-arriving free neighbor, so a pass over states (offline vertices
+still to come, free arrivals) counts the matches at each rank.  The expected
+size and ``lemma3_chain`` read those counts; a table of the matcher's outcome
+under every ranking backs only the public per-t functions, the chain's test
+oracle.  Beyond the cap, ``mc_expected_size`` gives a seeded,
+bit-reproducible Monte Carlo estimate.
 
 The per-rank quantities connect into a chain that ``lemma3_chain`` builds
-in one pass over that table and the check functions verify link by link on
+from that one pass and the check functions verify link by link on
 enumerated instances:
 
 * ``rank_matched_prob(t)``, the probability that the vertex at rank t ends
@@ -31,10 +31,9 @@ enumerated instances:
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import permutations
 from typing import AbstractSet, Dict, Optional, Tuple
 
 from .engine import BipartiteInstance, _greedy, _index
@@ -92,10 +91,10 @@ def _ensemble(inst: BipartiteInstance):
 
     Maps each permutation of ranking positions (``engine._index`` numbering;
     the identity is ``inst.ranking``) to a pair (set of matched ranks,
-    partner rank per arrival), each row one ``engine._greedy`` run; returns
-    ``inst.ranking.order`` with it.  Every per-rank quantity is a linear
-    scan over this table; ``exact_expected_size`` does without it, and tests
-    hold it equal to the table's sum.
+    partner rank per arrival), each row one ``engine._greedy`` run.  Only
+    the public per-t functions read it, as the test oracle of the dynamic
+    program in ``_tally``; the CLI, the suites and ``lemma3_chain`` never
+    build it.
     """
     reach = _index(inst)
     arrivals = len(inst.arrival)
@@ -103,7 +102,7 @@ def _ensemble(inst: BipartiteInstance):
     for perm in permutations(range(len(reach))):
         prs = tuple(_greedy(reach, perm, arrivals))
         runs[perm] = (frozenset(r for r in prs if r >= 0), prs)
-    return inst.ranking.order, runs
+    return runs
 
 
 def _move_id(perm: tuple, x: int, i: int) -> tuple:
@@ -125,26 +124,36 @@ def exact_expected_size(inst: BipartiteInstance, cap: int = DEFAULT_CAP) -> Exac
 
 
 def _expected_size(inst: BipartiteInstance, cap: int = DEFAULT_CAP) -> Fraction:
-    """The value of ``exact_expected_size``, with no report and no fingerprint.
-
-    The party-swapped greedy of ``engine._greedy`` makes a ranking an order in
-    which offline vertices take their earliest-arriving free neighbor.  A
-    forward pass over depth d = 0..n-1 counts, for each state (bitmask of
-    offline ids still to come, bitmask of free arrivals), the orders of the
-    first d ids that reach it; a match at depth d is completed by
-    (n - d - 1)! orders of the rest.  The total is the sum of matched counts
-    over all n! rankings, as in the ``_ensemble`` table, without the table.
-    """
+    """The value of ``exact_expected_size``, with no report and no fingerprint."""
     _check_cap(inst, cap)
+    by_id, _ = _tally(inst)
+    return Fraction(sum(map(sum, by_id)), math.factorial(len(inst.ranking)))
+
+
+def _tally(inst: BipartiteInstance) -> Tuple[list, list]:
+    """Match counts over all n! rankings, by rank: ``(by_id, by_arrival)``.
+
+    ``by_id[d][x]`` counts the rankings that put offline id x (``engine._index``
+    numbering) at rank d and match it; ``by_arrival[d][j]`` counts those that
+    match arrival j to rank d.  The party-swapped greedy of ``engine._greedy``
+    makes a ranking an order in which offline vertices take their
+    earliest-arriving free neighbor.  A forward pass over depth d = 0..n-1
+    counts, for each state (bitmask of offline ids still to come, bitmask of
+    free arrivals), the orders of the first d ids that reach it; a match at
+    depth d is completed by (n - d - 1)! orders of the rest, a factor applied
+    once per layer.  The counts equal those read off the ``_ensemble`` table,
+    without the table.
+    """
     reach = _index(inst)
     n = len(reach)
+    arrivals = len(inst.arrival)
     full = (1 << n) - 1
     # a state is one int: bit x (x < n) for an offline id still to come,
     # bit n + j for a free arrival j
-    layer = {full | ((1 << len(inst.arrival)) - 1) << n: 1}
-    total = 0
+    layer = {full | ((1 << arrivals) - 1) << n: 1}
+    by_id, by_arrival = [], []
     for d in range(n):
-        completions = math.factorial(n - d - 1)
+        ids, arrived = [0] * n, [0] * arrivals
         nxt: Dict[int, int] = {}
         for state, ways in layer.items():
             free = state >> n
@@ -152,22 +161,28 @@ def _expected_size(inst: BipartiteInstance, cap: int = DEFAULT_CAP) -> Fraction:
             while todo:
                 bit = todo & -todo
                 todo ^= bit
-                a = reach[bit.bit_length() - 1] & free
+                x = bit.bit_length() - 1
+                a = reach[x] & free
                 if a:
-                    after = state ^ bit ^ (a & -a) << n
-                    total += ways * completions
+                    a &= -a
+                    after = state ^ bit ^ a << n
+                    ids[x] += ways
+                    arrived[a.bit_length() - 1] += ways
                 else:
                     after = state ^ bit
                 nxt[after] = nxt.get(after, 0) + ways
         layer = nxt
-    return Fraction(total, math.factorial(n))
+        completions = math.factorial(n - d - 1)
+        by_id.append([k * completions for k in ids])
+        by_arrival.append([k * completions for k in arrived])
+    return by_id, by_arrival
 
 
 def rank_matched_prob(inst: BipartiteInstance, t: int, cap: int = DEFAULT_CAP) -> Fraction:
     """Probability that the vertex at rank t ends up matched."""
     _check_cap(inst, cap)
     _check_t(t, len(inst.ranking))
-    _, runs = _ensemble(inst)
+    runs = _ensemble(inst)
     hits = sum(1 for matched, _ in runs.values() if t - 1 in matched)
     return Fraction(hits, len(runs))
 
@@ -185,7 +200,7 @@ def rank_matched_prob_moved(
     _check_cap(inst, cap)
     n = len(inst.ranking)
     _check_t(t, n)
-    _, runs = _ensemble(inst)
+    runs = _ensemble(inst)
     i = t - 1
     hits = 0
     for perm in runs:
@@ -225,7 +240,7 @@ def matched_before_prob(
     n = len(inst.ranking)
     _check_t(t, n)
     mset = _validated_perfect(inst, m_star)
-    _, runs = _ensemble(inst)
+    runs = _ensemble(inst)
     upos = _designated_positions(inst, mset)
     hits = 0
     for _, prs in runs.values():
@@ -241,7 +256,7 @@ def expected_matched_before_count(
     """Expected number of arrivals matched to rank t or better."""
     _check_cap(inst, cap)
     _check_t(t, len(inst.ranking))
-    _, runs = _ensemble(inst)
+    runs = _ensemble(inst)
     total = sum(
         sum(1 for r in prs if 0 <= r <= t - 1) for _, prs in runs.values()
     )
@@ -320,14 +335,14 @@ def lemma3_chain(
 ) -> list:
     """The full per-rank chain of equalities and inequalities, one link per t.
 
-    One pass over the ``_ensemble`` table builds every link, each quantity
-    on its own route: the rank probability from the matched-rank sets, the
-    mean count from all partner ranks, the designated-partner probability
-    from the arrival positions of m_star's partners, the prefix sum as a
-    running sum of rank hits, and the moved probability from the moved
-    ranking's row for each of the n * n! (ranking, vertex) pairs.  The
-    public per-t functions compute the same quantities one t at a time and
-    are its test oracle.
+    Every link reads the one ``_tally`` pass, each quantity on its own
+    route: the rank probability and its running prefix sum from the match
+    counts by offline id, the moved probability as the mean over vertices x
+    of P[x matched | x at rank t], the mean count from the match counts by
+    arrival, and the designated-partner probability from those counts at the
+    arrival positions of m_star's partners.  The public per-t functions
+    compute the same quantities one t at a time from the ``_ensemble`` table
+    and are its test oracle.
     """
     _check_cap(inst, cap)
     if m_star is None:
@@ -336,47 +351,22 @@ def lemma3_chain(
     if n == 0:
         return []
     mset = _validated_perfect(inst, m_star)
-    _, runs = _ensemble(inst)
+    by_id, by_arrival = _tally(inst)
     upos = _designated_positions(inst, mset)
-    rank_hits = [0] * n  # rows in which rank r is matched
-    count_hits = [0] * n  # (row, arrival) pairs matched to rank r
-    before_hits = [0] * n  # (row, vertex) pairs whose partner is matched to rank r
-    # (ranking, vertex) pairs are keyed by the ranking minus the vertex,
-    # which fixes the vertex too; the key's mask has bit i set when the row
-    # that puts the vertex back at rank i matches rank i
-    moved_pairs: Counter = Counter()
-    moved_masks: Dict[tuple, int] = {}
-    for perm, (matched, prs) in runs.items():
-        for r in matched:
-            rank_hits[r] += 1
-        for r in prs:
-            if r >= 0:
-                count_hits[r] += 1
-        for j in upos:
-            r = prs[j]
-            if r >= 0:
-                before_hits[r] += 1
-        rests = list(combinations(perm, n - 1))[::-1]  # rests[i] leaves out rank i
-        moved_pairs.update(rests)
-        for i in matched:
-            moved_masks[rests[i]] = moved_masks.get(rests[i], 0) | 1 << i
-    moved_tally: Counter = Counter()
-    for rest, k in moved_pairs.items():
-        moved_tally[moved_masks.get(rest, 0)] += k
-    size = len(runs)
+    size = math.factorial(n)
     links = []
     prefix = count = before = 0
     for i in range(n):
-        prefix += rank_hits[i]
-        count += count_hits[i]
-        before += before_hits[i]
-        moved_hits = sum(k for mask, k in moved_tally.items() if mask >> i & 1)
+        hits = sum(by_id[i])
+        prefix += hits
+        count += sum(by_arrival[i])
+        before += sum(by_arrival[i][j] for j in upos)
         links.append(
             ChainLink(
                 t=i + 1,
                 n=n,
-                rank_prob=Fraction(rank_hits[i], size),
-                moved_prob=Fraction(moved_hits, size * n),
+                rank_prob=Fraction(hits, size),
+                moved_prob=sum(Fraction(k, size // n) for k in by_id[i]) / n,
                 before_prob=Fraction(before, size * n),
                 mean_before_count=Fraction(count, size),
                 prefix_sum=Fraction(prefix, size),

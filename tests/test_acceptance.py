@@ -1,5 +1,8 @@
 """Acceptance gate: eleven criteria, one test (and one verdict line) each.
 
+Criterion 3's chain and theorem 4 are also gated exactly on planted
+instances of 10 and 12 a side, beyond the reach of an n!-ranking table.
+
 Run with ``pytest tests/test_acceptance.py -v`` to get the per-criterion
 pass/fail lines; add ``-s`` for the numeric detail each test prints.
 Sample counts and tolerances are stated inline; everything random is seeded
@@ -111,6 +114,17 @@ def test_criterion_03_probability_chain_exact(perfect_pool):
             assert link.inequality, f"chain inequality fails at t={link.t}"
             links_checked += 1
     print(f"criterion 3: {links_checked} chain links hold exactly")
+
+
+@pytest.mark.parametrize("n, seed", [(10, 0), (10, 1), (12, 2)])
+def test_exact_chain_and_bound_beyond_the_table(n, seed):
+    # sizes no n!-ranking table reaches (479M rankings at n=12), cap raised to n
+    inst, planted = gen_perfect(n, 0.4, seed)
+    links = lemma3_chain(inst, planted, cap=n)
+    assert [link.t for link in links] == list(range(1, n + 1))
+    assert all(link.holds for link in links)
+    assert check_theorem4(inst, cap=n).holds
+    print(f"n={n}: {n} chain links and theorem 4 hold exactly")
 
 
 def _removal_trial(d, x, m):

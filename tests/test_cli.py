@@ -224,6 +224,16 @@ class TestCheck:
         assert rc == 2
         assert "not both" in capsys.readouterr().err
 
+    def test_negative_count_rejected(self, capsys):
+        assert main(["check", "--suite", "lemma9", "--count", "-5"]) == 2
+        cap = capsys.readouterr()
+        assert "cases" not in cap.out
+        assert "error: --count must be at least 0, got -5" in cap.err
+
+    def test_max_side_below_one_rejected(self, capsys):
+        assert main(["check", "--suite", "lemma9", "--count", "1", "--max-side", "0"]) == 2
+        assert "error: --max-side must be at least 1, got 0" in capsys.readouterr().err
+
 
 class TestBound:
     def test_exact_values(self, capsys):

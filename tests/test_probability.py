@@ -47,6 +47,7 @@ from rankinglab import (
 from rankinglab import probability
 from rankinglab.cli import main
 from rankinglab.rng import _GOLDEN, _MASK, _mix
+from rankinglab.suites import suite_lemma3
 
 from .conftest import DATA, instances, make_instance
 
@@ -74,7 +75,7 @@ def literal_mc(inst, samples: int, seed: int) -> McEstimate:
 
 def table_expected_size(inst):
     """The expected size read off the n!-ranking table: (value, sample space)."""
-    _, runs = probability._ensemble(inst)
+    runs = probability._ensemble(inst)
     total = sum(len(matched) for matched, _ in runs.values())
     return Fraction(total, math.factorial(len(inst.ranking))), len(runs)
 
@@ -202,7 +203,7 @@ class TestExpectedSizeEqualsTable:
                 cases += 1
         assert cases > 0
 
-    def test_exact_path_builds_no_table(self, example6, monkeypatch, capsys):
+    def test_exact_path_builds_no_table(self, example6, monkeypatch, capsys, tmp_path):
         def no_table(inst):
             raise AssertionError("the n!-ranking table was built")
 
@@ -211,6 +212,15 @@ class TestExpectedSizeEqualsTable:
         assert check_theorem6(example6).holds
         assert main(["exact", str(DATA / "example6.obm")]) == 0
         assert capsys.readouterr().out.count("\n") == 2
+        reduced = example6_reduced(example6)
+        assert all(l.holds for l in lemma3_chain(reduced))
+        assert all(check_lemma3(reduced).values())
+        result = suite_lemma3(1, 0, inst=reduced)
+        assert (result.cases, result.failures) == (1, [])
+        planted6 = tmp_path / "planted6.obm"
+        assert main(["gen", "perfect", "--n", "6", "--seed", "1", "--out", str(planted6)]) == 0
+        assert main(["check", str(planted6), "--suite", "lemma3"]) == 0
+        assert "lemma3: 1 cases, 0 failures" in capsys.readouterr().out
 
 
 class TestRankProbabilities:
@@ -311,19 +321,28 @@ class TestChainEqualsPerT:
         inst = example6_reduced(example6)
         assert lemma3_chain(inst) == chain_from_per_t(inst, perfect_matching_of(inst))
 
+    def test_planted_n7(self):
+        # the largest size the exact benchmark's lemma3 ops reach
+        inst, m_star = gen_perfect(7, 0.3, 7)
+        assert lemma3_chain(inst, m_star) == chain_from_per_t(inst, m_star)
+
     def test_routes_stay_apart(self, monkeypatch):
-        # one row claims an arrival unmatched that its matched set counts:
-        # the prefix sum reads matched sets and the mean count partner
-        # ranks, so they part; the designated partners are every arrival
+        # one tally drops an arrival's match that the counts by offline id
+        # keep: the prefix sum reads the latter and the mean count the
+        # former, so they part; the designated partners are every arrival
         # once, so the designated-partner route still agrees with the count
         inst, m_star = gen_perfect(4, 0.3, 11)
-        offline, runs = probability._ensemble(inst)
-        runs = dict(runs)
-        perm = next(p for p, (matched, _) in runs.items() if matched)
-        matched, prs = runs[perm]
-        j = next(j for j, r in enumerate(prs) if r >= 0)
-        runs[perm] = (matched, prs[:j] + (-1,) + prs[j + 1 :])
-        monkeypatch.setattr(probability, "_ensemble", lambda _: (offline, runs))
+        real = probability._tally
+
+        def dropped(one):
+            by_id, by_arrival = real(one)
+            d, j = next(
+                (d, j) for d, row in enumerate(by_arrival) for j, k in enumerate(row) if k
+            )
+            by_arrival[d][j] -= 1
+            return by_id, by_arrival
+
+        monkeypatch.setattr(probability, "_tally", dropped)
         links = lemma3_chain(inst, m_star)
         assert not all(l.count_equal and l.prefix_equal for l in links)
         assert not all(l.prefix_equal for l in links)
@@ -429,7 +448,8 @@ class TestEnsemble:
     @settings(max_examples=30, deadline=None)
     @given(instances(max_side=5))
     def test_rows_equal_step_fold(self, inst):
-        offline, runs = probability._ensemble(inst)
+        runs = probability._ensemble(inst)
+        offline = inst.ranking.order
         assert len(runs) == math.factorial(len(offline))
         for perm, (matched, prs) in runs.items():
             ranking = Permutation([offline[x] for x in perm])
