@@ -13,13 +13,15 @@ tests drive each against the other; both stay literal oracles.
 
 Every other caller runs ``rank_match``: ``_greedy``, the party-swapped greedy
 (offline vertices in ranking order take their earliest-arriving free
-neighbor), on the arrival bitmasks of ``_index``.  The predicate is symmetric
-in the two orders and has exactly one solution, so this is the fold's matching.
+neighbor), on the arrival bitmasks ``BipartiteInstance.reach`` that each
+instance derives once, in the loop that validates its edges.  The predicate
+is symmetric in the two orders and has exactly one solution, so this is the
+fold's matching.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, List, Sequence
 
 from .graph import (
@@ -101,26 +103,36 @@ class BipartiteInstance:
 
     ``ranking`` orders the offline party (best-preferred first) and
     ``arrival`` orders the online party.  Every edge must join the two
-    parties; a declared vertex without edges is fine.
+    parties; a declared vertex without edges is fine.  The loop that checks
+    this also builds ``reach``, the integer index every matcher reads: bit j
+    of ``reach[r]`` is set when the offline vertex at rank r is adjacent to
+    the j-th arrival.
     """
 
     graph: frozenset
     ranking: Permutation
     arrival: Permutation
+    reach: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "graph", frozenset(frozenset(e) for e in self.graph))
-        off, on = self.ranking.members, self.arrival.members
-        overlap = off & on
+        rank, pos = self.ranking._pos, self.arrival._pos
+        overlap = self.ranking.members & self.arrival.members
         if overlap:
             raise ValueError(f"vertices declared in both parties: {sorted(overlap)}")
+        reach = [0] * len(rank)
         for e in self.graph:
             if len(e) != 2:
                 raise ValueError(f"not a two-vertex edge: {sorted(e)}")
-            a, b = sorted(e)
-            across = (a in off and b in on) or (a in on and b in off)
-            if not across:
+            a, b = e
+            if a in pos:
+                a, b = b, a
+            if a in rank and b in pos:
+                reach[rank[a]] |= 1 << pos[b]
+            else:
+                a, b = sorted(e)
                 raise ValueError(f"edge {a} -- {b} does not join the two parties")
+        object.__setattr__(self, "reach", tuple(reach))
 
     @property
     def offline(self) -> frozenset:
@@ -160,23 +172,6 @@ def online_match(inst: BipartiteInstance) -> frozenset:
     return m
 
 
-def _index(inst: BipartiteInstance) -> List[int]:
-    """The arrival bitmask of each offline vertex, by ranking position.
-
-    Bit j of ``reach[r]`` is set when the offline vertex at rank r is adjacent
-    to the j-th arrival.  Built in one pass over the edges, with the position
-    maps the two orders already hold.
-    """
-    rank, pos = inst.ranking._pos, inst.arrival._pos
-    reach = [0] * len(rank)
-    for a, b in inst.graph:
-        if a in rank:
-            reach[rank[a]] |= 1 << pos[b]
-        else:
-            reach[rank[b]] |= 1 << pos[a]
-    return reach
-
-
 def _greedy(reach: Sequence[int], order: Iterable[int], arrivals: int) -> List[int]:
     """The party-swapped greedy on an index: the partner position of each arrival.
 
@@ -196,9 +191,9 @@ def _greedy(reach: Sequence[int], order: Iterable[int], arrivals: int) -> List[i
 
 
 def rank_match(inst: BipartiteInstance) -> frozenset:
-    """The matching of ``online_match``: ``_greedy`` on ``_index`` in ranking order."""
+    """The matching of ``online_match``: ``_greedy`` on ``inst.reach`` in rank order."""
     ranked = inst.ranking.order
-    prs = _greedy(_index(inst), range(len(ranked)), len(inst.arrival))
+    prs = _greedy(inst.reach, range(len(ranked)), len(inst.arrival))
     return frozenset(
         frozenset((u, ranked[r])) for u, r in zip(inst.arrival, prs) if r >= 0
     )

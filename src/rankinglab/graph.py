@@ -283,24 +283,18 @@ def bipartite_max_matching(g: AbstractSet) -> frozenset:
 
 
 def make_perfect_matching(g: AbstractSet, m: AbstractSet) -> frozenset:
-    """Shrink g until the matching m covers every remaining vertex.
+    """The subgraph of g left after deleting every vertex m does not cover.
 
-    Repeatedly deletes the least-named vertex that still has an edge but is
-    not covered by m.  The result contains all of m, and m is perfect with
-    respect to it.
+    Deleting a vertex outside m takes no edge of m with it, so the result
+    contains all of m, and m is perfect with respect to it.
     """
     mset = frozenset(m)
     if not is_matching(mset):
         raise ValueError("m must be a matching")
-    if not mset <= frozenset(g):
-        raise ValueError("m must be a subset of g")
     gg = frozenset(g)
-    covered = vertices(mset)
-    while True:
-        uncovered = sorted(vertices(gg) - covered)
-        if not uncovered:
-            return gg
-        gg = remove_vertices(gg, {uncovered[0]})
+    if not mset <= gg:
+        raise ValueError("m must be a subset of g")
+    return remove_vertices(gg, vertices(gg) - vertices(mset))
 
 
 def all_matchings(g: AbstractSet) -> Iterator[frozenset]:

@@ -36,7 +36,7 @@ from fractions import Fraction
 from itertools import permutations
 from typing import AbstractSet, Dict, Optional, Tuple
 
-from .engine import BipartiteInstance, _greedy, _index
+from .engine import BipartiteInstance, _greedy
 from .fileformat import fingerprint
 from .graph import bipartite_max_matching, is_matching, vertices
 from .rng import _GOLDEN, _MASK, _mix
@@ -89,14 +89,14 @@ def _check_t(t: int, n: int) -> None:
 def _ensemble(inst: BipartiteInstance):
     """Matcher outcomes for every ranking of the offline party.
 
-    Maps each permutation of ranking positions (``engine._index`` numbering;
+    Maps each permutation of ranking positions (``inst.reach`` numbering;
     the identity is ``inst.ranking``) to a pair (set of matched ranks,
     partner rank per arrival), each row one ``engine._greedy`` run.  Only
     the public per-t functions read it, as the test oracle of the dynamic
     program in ``_tally``; the CLI, the suites and ``lemma3_chain`` never
     build it.
     """
-    reach = _index(inst)
+    reach = inst.reach
     arrivals = len(inst.arrival)
     runs: Dict[tuple, tuple] = {}
     for perm in permutations(range(len(reach))):
@@ -133,7 +133,7 @@ def _expected_size(inst: BipartiteInstance, cap: int = DEFAULT_CAP) -> Fraction:
 def _tally(inst: BipartiteInstance) -> Tuple[list, list]:
     """Match counts over all n! rankings, by rank: ``(by_id, by_arrival)``.
 
-    ``by_id[d][x]`` counts the rankings that put offline id x (``engine._index``
+    ``by_id[d][x]`` counts the rankings that put offline id x (``inst.reach``
     numbering) at rank d and match it; ``by_arrival[d][j]`` counts those that
     match arrival j to rank d.  The party-swapped greedy of ``engine._greedy``
     makes a ranking an order in which offline vertices take their
@@ -144,7 +144,7 @@ def _tally(inst: BipartiteInstance) -> Tuple[list, list]:
     once per layer.  The counts equal those read off the ``_ensemble`` table,
     without the table.
     """
-    reach = _index(inst)
+    reach = inst.reach
     n = len(reach)
     arrivals = len(inst.arrival)
     full = (1 << n) - 1
@@ -445,7 +445,7 @@ def mc_expected_size(inst: BipartiteInstance, samples: int, seed: int) -> McEsti
     ``stream(seed, i).shuffled(range(n))`` does, rejections included;
     ``SplitMix64`` remains the reference it is tested against.  The
     matching size comes from the party-swapped greedy of ``engine._greedy``,
-    inlined here with no partner list, over the index of ``engine._index``
+    inlined here with no partner list, over the instance's ``reach`` index
     reordered once from ranking positions to name order.
 
     The reported stddev is the sample standard deviation of the per-run
@@ -453,8 +453,7 @@ def mc_expected_size(inst: BipartiteInstance, samples: int, seed: int) -> McEsti
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
-    by_rank = _index(inst)
-    reach = [by_rank[inst.ranking.index(v)] for v in sorted(inst.ranking)]
+    reach = [inst.reach[inst.ranking.index(v)] for v in sorted(inst.ranking)]
     n = len(reach)
     everyone = (1 << len(inst.arrival)) - 1
     # (position, bound, rejection limit) per Fisher-Yates step, as in below()

@@ -229,7 +229,7 @@ def _stability_guard(inst: BipartiteInstance, offline_removed: bool, probe: Vert
     keeps it (always, when an arrival-side probe is unmatched).
     """
     ctx = _context(inst, not offline_removed, rank_match(inst))
-    rank = {v: i for i, v in enumerate(ctx.ranking)}
+    rank = ctx.ranking._pos
     if probe in rank:
         cutoff, runner = rank[probe], zig
     elif probe in ctx.arrival:

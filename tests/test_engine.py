@@ -7,6 +7,7 @@ before being committed here.
 
 from __future__ import annotations
 
+import re
 from itertools import permutations
 
 import pytest
@@ -33,6 +34,14 @@ from .conftest import instances, make_instance
 
 def pairs_of(m):
     return sorted(tuple(sorted(e)) for e in m)
+
+
+def reach_by_definition(inst):
+    """Bit j of entry r is set exactly when arrival j and rank r share an edge."""
+    return tuple(
+        sum(1 << j for j, u in enumerate(inst.arrival) if edge(u, v) in inst.graph)
+        for v in inst.ranking
+    )
 
 
 class TestPermutation:
@@ -94,20 +103,51 @@ class TestPermutation:
 
 class TestBipartiteInstance:
     def test_parties_must_be_disjoint(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape("both parties: ['b']")):
             make_instance("a b", "b c", [])
 
     def test_edges_must_cross(self):
-        with pytest.raises(ValueError):
+        text = "^edge v1 -- v2 does not join the two parties$"
+        with pytest.raises(ValueError, match=text):
             BipartiteInstance(
-                frozenset({edge("v1", "v2")}),
+                frozenset({edge("v2", "v1")}),
                 Permutation(["v1", "v2"]),
                 Permutation(["u1"]),
             )
 
     def test_edges_must_use_declared_vertices(self):
-        with pytest.raises(ValueError):
+        text = "^edge u1 -- v9 does not join the two parties$"
+        with pytest.raises(ValueError, match=text):
             make_instance("v1", "u1", [("u1", "v9")])
+
+    def test_edges_must_have_two_vertices(self):
+        loop = frozenset({frozenset({"v1"})})
+        with pytest.raises(ValueError, match=re.escape("not a two-vertex edge: ['v1']")):
+            BipartiteInstance(loop, Permutation(["v1"]), Permutation(["u1"]))
+        # the parties are checked before any edge
+        with pytest.raises(ValueError, match="both parties"):
+            BipartiteInstance(loop, Permutation(["v1"]), Permutation(["v1"]))
+
+    @settings(max_examples=100)
+    @given(instances())
+    def test_reach_bit_iff_edge(self, inst):
+        assert inst.reach == reach_by_definition(inst)
+        for x in inst.offline | inst.online:
+            cut = inst.without_vertices({x})
+            assert cut.reach == reach_by_definition(cut)
+        moved = BipartiteInstance(
+            inst.graph, inst.ranking.move_to(inst.ranking[-1], 0), inst.arrival
+        )
+        assert moved.reach == reach_by_definition(moved)
+
+    def test_reach_is_derived_not_compared(self, example6):
+        twin = BipartiteInstance(example6.graph, example6.ranking, example6.arrival)
+        text = repr(twin)
+        object.__setattr__(twin, "reach", ())
+        assert twin == example6 and hash(twin) == hash(example6)
+        assert repr(twin) == text and "reach" not in text
+        with pytest.raises(TypeError):
+            BipartiteInstance(example6.graph, example6.ranking, example6.arrival, ())
 
     def test_isolated_vertices_allowed(self):
         inst = make_instance("v1 v2", "u1", [("u1", "v1")])

@@ -257,6 +257,32 @@ def test_make_perfect_prunes_uncovered_vertices():
     assert make_perfect_matching(crown, g_of(("u1", "v1"))) == g_of(("u1", "v1"))
 
 
+def make_perfect_by_deletion(g, m):
+    """The oracle: delete the least-named uncovered vertex until none is left."""
+    gg = frozenset(g)
+    covered = vertices(m)
+    while True:
+        uncovered = sorted(vertices(gg) - covered)
+        if not uncovered:
+            return gg
+        gg = remove_vertices(gg, {uncovered[0]})
+
+
+@settings(max_examples=150)
+@given(st.data())
+def test_make_perfect_equals_deletion_loop(data):
+    g = data.draw(instances(max_side=4)).graph
+    m = data.draw(st.sampled_from(list(all_matchings(g))))
+    assert make_perfect_matching(g, m) == make_perfect_by_deletion(g, m)
+
+
+def test_make_perfect_rejects_bad_matchings():
+    with pytest.raises(ValueError, match="^m must be a matching$"):
+        make_perfect_matching(PATH4, g_of(("a", "b"), ("b", "c")))
+    with pytest.raises(ValueError, match="^m must be a subset of g$"):
+        make_perfect_matching(PATH4, g_of(("a", "d")))
+
+
 def test_all_matchings_k22():
     k22 = g_of(("u1", "v1"), ("u1", "v2"), ("u2", "v1"), ("u2", "v2"))
     ms = list(all_matchings(k22))

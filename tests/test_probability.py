@@ -46,6 +46,7 @@ from rankinglab import (
 )
 from rankinglab import probability
 from rankinglab.cli import main
+from rankinglab.engine import rank_match
 from rankinglab.rng import _GOLDEN, _MASK, _mix
 from rankinglab.suites import suite_lemma3
 
@@ -474,6 +475,24 @@ class TestEnsemble:
         del inst
         gc.collect()
         assert ref() is None
+
+    def test_matchers_read_the_index_not_the_graph(self):
+        class Unwalkable(frozenset):
+            def __iter__(self):
+                raise AssertionError("the instance graph was walked")
+
+        inst, planted = gen_perfect(6, 0.4, 3)
+        before = (
+            rank_match(inst),
+            probability._expected_size(inst),
+            lemma3_chain(inst, planted),
+            mc_expected_size(inst, 50, 1),
+        )
+        object.__setattr__(inst, "graph", Unwalkable(inst.graph))
+        assert rank_match(inst) == before[0]
+        assert probability._expected_size(inst) == before[1]
+        assert lemma3_chain(inst, planted) == before[2]
+        assert mc_expected_size(inst, 50, 1) == before[3]
 
 
 class TestMonteCarlo:
