@@ -176,16 +176,15 @@ def cmd_gen(args) -> int:
         lines += [f"# pair {u} {v}" for u, v in pairs]
         text = "\n".join(lines) + "\n" + serialize_instance(inst)
     else:
+        family = list(gen_gamma_family(args.n))  # a rejected n leaves no directory
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        count = 0
-        for idx, (g, arrivals) in enumerate(gen_gamma_family(args.n)):
+        for idx, (g, arrivals) in enumerate(family):
             inst = BipartiteInstance(g, _gamma_ranking(g), arrivals[0])
             (out_dir / f"g{idx:04d}.obm").write_text(
                 serialize_instance(inst), encoding="utf-8"
             )
-            count += 1
-        print(f"wrote {count} instances to {out_dir}")
+        print(f"wrote {len(family)} instances to {out_dir}")
         return 0
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")

@@ -9,11 +9,11 @@ which uses its own o/i grid naming.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import permutations
 from typing import Iterator, List, Tuple
 
 from .engine import BipartiteInstance, Permutation
-from .graph import edge, vertices
+from .graph import bipartite_max_matching, edge, vertices
 from .probability import _expected_size
 from .rng import stream
 
@@ -67,30 +67,19 @@ def gen_perfect(
     return inst, planted
 
 
-def _has_matching_above(g: frozenset, k: int) -> bool:
-    """Whether g contains k+1 pairwise disjoint edges."""
-    es = sorted(g, key=sorted)
-    for combo in combinations(es, k + 1):
-        used: set = set()
-        ok = True
-        for e in combo:
-            if e & used:
-                ok = False
-                break
-            used.update(e)
-        if ok:
-            return True
-    return False
-
-
 def gen_gamma_family(n: int) -> Iterator[Tuple[frozenset, Tuple[Permutation, ...]]]:
     """The hard family at size n: graphs on a 2n-by-2n grid of vertex slots.
 
     Offline slots are o0..o(2n-1) and online slots i0..i(2n-1).  Every graph
     contains the base matching {o_k - i_k : k < n} and admits no matching
     larger than n.  Each graph is yielded with all arrival orders over its
-    online vertices that actually have an edge.  Supported for n <= 2; the
-    candidate space grows as 2^(4n^2 - n).
+    online vertices that actually have an edge.
+
+    An edge o_k - i_l with k, l >= n joins two slots the base leaves free, so
+    with the base it is a matching of n + 1 edges: no family graph has one.
+    The candidates are therefore the subsets of the other 3n^2 - n edges, in
+    binary order, each kept when ``bipartite_max_matching`` finds at most n
+    edges.  Supported for n <= 2: n = 3 would already be 2^24 candidates.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -101,13 +90,13 @@ def gen_gamma_family(n: int) -> Iterator[Tuple[frozenset, Tuple[Permutation, ...
     for k in range(2 * n):
         for l in range(2 * n):
             e = frozenset((f"o{k}", f"i{l}"))
-            if e not in base:
+            if e not in base and (k < n or l < n):
                 others.append(e)
     for bits in range(1 << len(others)):
         g = frozenset(base) | frozenset(
             others[j] for j in range(len(others)) if bits >> j & 1
         )
-        if _has_matching_above(g, n):
+        if len(bipartite_max_matching(g)) > n:
             continue
         vs = vertices(g)
         online = sorted(

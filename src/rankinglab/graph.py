@@ -12,8 +12,9 @@ Maximum matchings come from two searches that return the same matching.
 ``max_card_matching`` repeats the exhaustive augmenting-path search of
 ``find_augmenting_path``; it is complete on any graph, odd cycles included,
 and stays as the general-graph oracle.  Bipartite callers (every instance
-graph) use ``bipartite_max_matching``, one name-ordered pass of Kuhn's
-augmenting-path method, which is polynomial.
+graph, and the hard-family filter in ``generators``) use
+``bipartite_max_matching``, one name-ordered pass of Kuhn's augmenting-path
+method, which is polynomial.
 """
 
 from __future__ import annotations

@@ -49,8 +49,8 @@ class SplitMix64:
 
     def below(self, bound: int) -> int:
         """Uniform integer in [0, bound), exact via rejection sampling."""
-        if bound <= 0:
-            raise ValueError("bound must be positive")
+        if not 0 < bound <= 1 << 64:
+            raise ValueError(f"bound must lie in [1, 2**64], got {bound}")
         # largest multiple of bound representable in 64 bits
         limit = (1 << 64) - ((1 << 64) % bound)
         while True:

@@ -13,6 +13,7 @@ from rankinglab import (
     gen_random,
     parse_instance,
     probability,
+    rng,
     serialize_instance,
 )
 from rankinglab.cli import main
@@ -234,6 +235,22 @@ class TestCheck:
         assert main(["check", "--suite", "lemma9", "--count", "1", "--max-side", "0"]) == 2
         assert "error: --max-side must be at least 1, got 0" in capsys.readouterr().err
 
+    def test_max_side_above_two_to_the_64_rejected(self, capsys, monkeypatch):
+        # a draw budget turns the old endless rejection loop into a failure
+        draws = []
+        real = rng.SplitMix64.next_u64
+
+        def budgeted(self):
+            draws.append(None)
+            if len(draws) > 1000:
+                raise RuntimeError("the suite kept drawing")
+            return real(self)
+
+        monkeypatch.setattr(rng.SplitMix64, "next_u64", budgeted)
+        argv = ["check", "--suite", "lemma9", "--count", "1", "--max-side", str(2**64 + 1)]
+        assert main(argv) == 2
+        assert "error: bound must lie in [1, 2**64]" in capsys.readouterr().err
+
 
 class TestBound:
     def test_exact_values(self, capsys):
@@ -314,6 +331,12 @@ class TestGen:
         assert [f.name for f in files] == ["g0000.obm", "g0001.obm", "g0002.obm"]
         for f in files:
             parse_instance(f.read_text())
+
+    @pytest.mark.parametrize("n", ["0", "3"])
+    def test_gamma_rejected_size_leaves_no_directory(self, tmp_path, capsys, n):
+        out_dir = tmp_path / "gx" / "sub"
+        assert main(["gen", "gamma", "--n", n, "--out-dir", str(out_dir)]) == 2
+        assert not (tmp_path / "gx").exists()
 
 
 class TestUsageErrors:

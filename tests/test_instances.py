@@ -3,16 +3,19 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
 
 from rankinglab import (
     InstanceFormatError,
+    Permutation,
     edge,
     fingerprint,
     gamma_min_ratio,
     gen_gamma_family,
+    generators,
     gen_perfect,
     gen_random,
     is_matching,
@@ -187,6 +190,34 @@ class TestGenPerfect:
         assert exact_expected_size(inst).value == Fraction(3, 2)
 
 
+def _gamma_family_oracle(n):
+    """The hard family from its definition, by brute force over edge subsets.
+
+    Every subset of the 4n^2 - n non-base slots, in slot order with slot j as
+    bit j, plus the base; a graph is kept when no n + 1 of its edges form a
+    matching.
+    """
+    base = [edge(f"o{k}", f"i{k}") for k in range(n)]
+    slots = [
+        edge(f"o{k}", f"i{l}")
+        for k in range(2 * n)
+        for l in range(2 * n)
+        if edge(f"o{k}", f"i{l}") not in base
+    ]
+    out = []
+    for bits in range(1 << len(slots)):
+        g = frozenset(base) | frozenset(
+            e for j, e in enumerate(slots) if bits >> j & 1
+        )
+        if any(is_matching(c) for c in combinations(g, n + 1)):
+            continue
+        online = sorted(
+            (v for v in vertices(g) if v.startswith("i")), key=lambda s: int(s[1:])
+        )
+        out.append((g, tuple(Permutation(p) for p in permutations(online))))
+    return out
+
+
 class TestGammaFamily:
     def test_size_one_graphs(self):
         fams = list(gen_gamma_family(1))
@@ -215,6 +246,24 @@ class TestGammaFamily:
     def test_min_ratio_size_two_meets_bound(self):
         q2 = gamma_min_ratio(2)
         assert q2 >= Fraction(5, 9)
+        assert q2 == Fraction(3, 4)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_sequence_equals_definition(self, n):
+        assert list(gen_gamma_family(n)) == _gamma_family_oracle(n)
+
+    @pytest.mark.parametrize("n, calls", [(1, 4), (2, 1024)])
+    def test_matcher_runs_once_per_candidate(self, monkeypatch, n, calls):
+        seen = []
+        real = generators.bipartite_max_matching
+
+        def counting(g):
+            seen.append(g)
+            return real(g)
+
+        monkeypatch.setattr(generators, "bipartite_max_matching", counting)
+        list(gen_gamma_family(n))
+        assert len(seen) == calls == 2 ** (3 * n * n - n)
 
     def test_unsupported_sizes(self):
         with pytest.raises(ValueError):

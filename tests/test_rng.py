@@ -41,6 +41,31 @@ def test_below_stays_in_range(seed: int, bound: int):
         assert 0 <= g.below(bound) < bound
 
 
+class _DrawBudget(SplitMix64):
+    """SplitMix64 that fails instead of looping once it has drawn 1000 outputs."""
+
+    __slots__ = ("draws",)
+
+    def __init__(self, seed: int):
+        super().__init__(seed)
+        self.draws = 0
+
+    def next_u64(self) -> int:
+        self.draws += 1
+        if self.draws > 1000:
+            raise RuntimeError("below() rejected 1000 draws in a row")
+        return super().next_u64()
+
+
+def test_below_accepts_bounds_up_to_two_to_the_64():
+    g = _DrawBudget(3)
+    assert 0 <= g.below(2**64) < 2**64
+    with pytest.raises(ValueError, match="2\\*\\*64"):
+        g.below(2**64 + 1)
+    with pytest.raises(ValueError):
+        g.below(0)
+
+
 @given(st.integers(0, 2**64 - 1))
 def test_uniform_unit_interval(seed: int):
     g = SplitMix64(seed)
