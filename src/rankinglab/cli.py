@@ -19,9 +19,11 @@ while the parser is built once per process.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
+from bisect import bisect_right
 from functools import cache
 from pathlib import Path
 
@@ -95,6 +97,8 @@ def cmd_mc(args) -> int:
     ratio = est.mean / n if n else None
     bound = competitive_bound(n) if n else None
     verdict = "pass" if (ratio is None or ratio >= bound) else "fail"
+    if verdict == "fail" and n * bound - est.mean <= 4 * est.stddev / math.sqrt(est.samples):
+        verdict = "inconclusive"  # within 4 standard errors: criterion 10's rule
     print(CSV_HEADER)
     print(
         row_line(
@@ -150,8 +154,18 @@ def cmd_check(args) -> int:
     return 0 if result.passed else 1
 
 
+def _digits(n: int) -> int:
+    """Decimal digits of (n+1)^n, the denominator of the exact bound at n."""
+    return int(n * math.log10(n + 1)) + 1
+
+
 def cmd_bound(args) -> int:
     if args.exact:
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+        if limit and args.n > 0 and _digits(args.n) > limit:
+            top = bisect_right(range(1, limit + 1), limit, key=_digits)
+            raise ValueError(f"--exact prints n up to {top}, the interpreter's "
+                             f"limit of {limit} digits per integer")
         print(fmt_cell(competitive_bound_exact(args.n)))
     else:
         print(fmt_cell(competitive_bound(args.n)))

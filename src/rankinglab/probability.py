@@ -31,6 +31,7 @@ enumerated instances:
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
@@ -39,9 +40,12 @@ from typing import AbstractSet, Dict, Optional, Tuple
 from .engine import BipartiteInstance, _greedy
 from .fileformat import fingerprint
 from .graph import bipartite_max_matching, is_matching, vertices
-from .rng import _GOLDEN, _MASK, _mix
+from .rng import _GOLDEN, _MASK, stream
 
 DEFAULT_CAP = 8
+
+#: the most draws ``mc_expected_size`` holds at once; it sets the batch size
+_DRAWS = 1 << 14
 
 #: the large-n limit of the guaranteed ratio, 1 - 1/e
 LIMIT_RATIO = 1.0 - math.exp(-1.0)
@@ -434,6 +438,43 @@ def check_theorem6(inst: BipartiteInstance, cap: int = DEFAULT_CAP) -> RatioVerd
     return _ratio_verdict(inst, len(bipartite_max_matching(inst.graph)), cap)
 
 
+def _mix_lanes(z: int, m: int) -> int:
+    """SplitMix64's output mix on every lane of z; m holds 2^64 - 1 in each."""
+    z = ((z ^ (z >> 30 & m)) * 0xBF58476D1CE4E5B9) & m
+    z = ((z ^ (z >> 27 & m)) * 0x94D049BB133111EB) & m
+    return z ^ (z >> 31 & m)
+
+
+def _shuffle_draws(seed: int, start: int, k: int, n: int):
+    """Yield ``stream(seed, i).shuffled(range(n))`` for i in start..start+k-1.
+
+    The k streams run at once, SIMD within a register: stream start + i
+    sits in the 128-bit lane at bit 128 * i of one int.  A lane holds a
+    64-bit value, a 64 x 64-bit product fits it, and each shift is masked
+    back to 64 bits, so no bit crosses lanes.  A lane whose draw ``below``
+    would reject (draw >= 2^64 - 2^64 % bound, that is, bit 64 of draw +
+    2^64 % bound set) is flagged, and its sample is shuffled by ``stream``.
+    """
+    lane = struct.Struct("<" + "Q8x" * k)
+    ones = int.from_bytes(lane.pack(*[1] * k), "little")
+    m, g, high = ones * _MASK, ones * _GOLDEN, ones << 64
+    seeds = [(seed + (i + 1) * _GOLDEN) & _MASK for i in range(start, start + k)]
+    s = _mix_lanes(int.from_bytes(lane.pack(*seeds), "little"), m)
+    rows, rejected = [], 0
+    for bound in range(n, 1, -1):
+        s = (s + g) & m
+        z = _mix_lanes(s, m)
+        rejected |= (z + (1 << 64) % bound * ones) & high
+        rows.append([x % bound for x in lane.unpack(z.to_bytes(16 * k, "little"))])
+    flags = lane.unpack((rejected >> 64).to_bytes(16 * k, "little"))
+    # each sample's draws for j = n-1..1, then its flag
+    for i, rs in enumerate(zip(*rows, flags), start):
+        perm = list(range(n))
+        for j, r in zip(range(n - 1, 0, -1), rs):
+            perm[j], perm[r] = perm[r], perm[j]
+        yield stream(seed, i).shuffled(range(n)) if rs[-1] else perm
+
+
 def mc_expected_size(inst: BipartiteInstance, samples: int, seed: int) -> McEstimate:
     """Monte Carlo estimate of the expected matching size.
 
@@ -441,12 +482,12 @@ def mc_expected_size(inst: BipartiteInstance, samples: int, seed: int) -> McEsti
     vertices in name order, drawn from ``stream(seed, i)``, so the estimate
     is bit-identical for identical (instance, samples, seed) regardless of
     batching, and does not depend on the instance's own ranking.  The
-    loop below inlines SplitMix64 and consumes each stream exactly as
-    ``stream(seed, i).shuffled(range(n))`` does, rejections included;
-    ``SplitMix64`` remains the reference it is tested against.  The
-    matching size comes from the party-swapped greedy of ``engine._greedy``,
-    inlined here with no partner list, over the instance's ``reach`` index
-    reordered once from ranking positions to name order.
+    shuffles come from ``_shuffle_draws``, in batches that hold at most
+    ``_DRAWS`` draws; each equals ``stream(seed, i).shuffled(range(n))``,
+    rejections included.  The matching size comes from the party-swapped
+    greedy of ``engine._greedy``, inlined here with no partner list, over
+    the instance's ``reach`` index reordered once from ranking positions to
+    name order.
 
     The reported stddev is the sample standard deviation of the per-run
     size, zero when only one sample was requested.
@@ -456,32 +497,19 @@ def mc_expected_size(inst: BipartiteInstance, samples: int, seed: int) -> McEsti
     reach = [inst.reach[inst.ranking.index(v)] for v in sorted(inst.ranking)]
     n = len(reach)
     everyone = (1 << len(inst.arrival)) - 1
-    # (position, bound, rejection limit) per Fisher-Yates step, as in below()
-    steps = [(j, j + 1, (1 << 64) - (1 << 64) % (j + 1)) for j in range(n - 1, 0, -1)]
-    total = 0
-    total_sq = 0
-    for i in range(samples):
-        s = _mix((seed + (i + 1) * _GOLDEN) & _MASK)
-        perm = list(range(n))
-        for j, bound, limit in steps:
-            while True:
-                s = (s + _GOLDEN) & _MASK
-                z = ((s ^ (s >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-                z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-                z ^= z >> 31
-                if z < limit:
-                    break
-            r = z % bound
-            perm[j], perm[r] = perm[r], perm[j]
-        free = everyone
-        size = 0
-        for x in perm:
-            a = reach[x] & free
-            if a:
-                free ^= a & -a
-                size += 1
-        total += size
-        total_sq += size * size
+    lanes = max(1, _DRAWS // max(n, 1))
+    total = total_sq = 0
+    for start in range(0, samples, lanes):
+        for perm in _shuffle_draws(seed, start, min(lanes, samples - start), n):
+            free = everyone
+            size = 0
+            for x in perm:
+                a = reach[x] & free
+                if a:
+                    free ^= a & -a
+                    size += 1
+            total += size
+            total_sq += size * size
     mean = total / samples
     if samples > 1:
         var = Fraction(samples * total_sq - total * total, samples * (samples - 1))

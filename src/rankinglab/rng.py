@@ -13,10 +13,11 @@ for sample index ``i``, seeded from the i-th raw output of the parent
 sequence.  Sample i therefore sees the same randomness no matter how the
 samples are batched, ordered, or sharded across workers.
 
-``probability.mc_expected_size`` inlines the generator in its sampling loop:
-it consumes each ``stream(seed, i)`` exactly as ``SplitMix64.shuffled`` does,
-rejections included.  ``SplitMix64`` remains the reference, and the tests
-hold the inlined loop equal to it.
+``probability.mc_expected_size`` runs the generator on lanes: one Python int
+holds the states of a batch of streams, one per 128-bit lane, and each step
+advances them all.  Its shuffles equal ``stream(seed, i).shuffled``.
+``SplitMix64`` is the reference they are tested against, and it shuffles
+each sample with a draw that the rejection step of ``below`` refuses.
 """
 
 from __future__ import annotations

@@ -158,6 +158,33 @@ class TestMc:
         assert cells[4] == "" and cells[5] == ""
         assert cells[6] == "pass"
 
+    def write_triangle(self, tmp_path):
+        """The upper-triangular 8 x 8 instance: u_i sees v_j for every j >= i."""
+        lines = ["offline " + " ".join(f"v{i}" for i in range(1, 9))]
+        lines.append("online " + " ".join(f"u{i}" for i in range(1, 9)))
+        lines += [f"edge u{i} v{j}" for i in range(1, 9) for j in range(i, 9)]
+        p = tmp_path / "tri8.obm"
+        p.write_text("\n".join(lines) + "\n")
+        return str(p)
+
+    def test_noise_below_the_bound_is_inconclusive(self, tmp_path, capsys):
+        # the exact ratio is 0.665151 >= bound 0.610256; two samples read 0.5625
+        path = self.write_triangle(tmp_path)
+        assert main(["mc", path, "--samples", "2", "--seed", "61"]) == 0
+        cells = capsys.readouterr().out.splitlines()[1].split(",")
+        assert cells[4:7] == ["0.5625", "0.610255656871", "inconclusive"]
+
+    def test_far_below_the_bound_fails(self, tmp_path, capsys):
+        # one sample has no spread, so a size of 4 < 8 * 0.610256 is a failure
+        path = self.write_triangle(tmp_path)
+        assert main(["mc", path, "--samples", "1", "--seed", "32"]) == 0
+        cells = capsys.readouterr().out.splitlines()[1].split(",")
+        assert cells[3:7] == ["4", "0.5", "0.610255656871", "fail"]
+
+    def test_worked_example_passes(self, capsys):
+        assert main(["mc", EXAMPLE, "--samples", "2000", "--seed", "7"]) == 0
+        assert capsys.readouterr().out.splitlines()[1].split(",")[6] == "pass"
+
 
 class TestCheck:
     def test_random_suite_passes(self, capsys):
@@ -272,6 +299,25 @@ class TestBound:
 
     def test_bad_n(self, capsys):
         assert main(["bound", "--n", "0"]) == 2
+
+    def test_exact_at_the_print_limit(self, capsys):
+        assert main(["bound", "--n", "1370", "--exact"]) == 0
+        p, q = capsys.readouterr().out.strip().split("/")
+        assert Fraction(int(p), int(q)) == probability.competitive_bound_exact(1370)
+
+    @pytest.mark.parametrize("n", [1371, 1_000_000])
+    def test_exact_beyond_the_print_limit(self, n, capsys, monkeypatch):
+        def not_computed(n):
+            raise AssertionError("the bound was computed before the size check")
+
+        monkeypatch.setattr(cli, "competitive_bound_exact", not_computed)
+        assert main(["bound", "--n", str(n), "--exact"]) == 2
+        cap = capsys.readouterr()
+        assert cap.out == ""
+        assert cap.err == (
+            "error: --exact prints n up to 1370, the interpreter's limit of 4300 "
+            "digits per integer\n"
+        )
 
 
 class TestGamma:

@@ -33,6 +33,7 @@ from rankinglab import (
     fingerprint,
     gen_gamma_family,
     gen_perfect,
+    gen_random,
     lemma3_chain,
     matched_before_prob,
     mc_expected_size,
@@ -46,7 +47,7 @@ from rankinglab import (
 )
 from rankinglab import probability
 from rankinglab.cli import main
-from rankinglab.engine import rank_match
+from rankinglab.engine import _greedy, rank_match
 from rankinglab.rng import _GOLDEN, _MASK, _mix
 from rankinglab.suites import suite_lemma3
 
@@ -67,6 +68,27 @@ def literal_mc(inst, samples: int, seed: int) -> McEstimate:
         order = stream(seed, i).shuffled(range(len(offline)))
         ranking = Permutation([offline[x] for x in order])
         sizes.append(len(online_match(BipartiteInstance(inst.graph, ranking, inst.arrival))))
+    return estimate(sizes, seed)
+
+
+def greedy_mc(inst, samples: int, seed: int) -> McEstimate:
+    """The estimate from ``stream(seed, i).shuffled`` and ``engine._greedy``.
+
+    The same shuffles as ``literal_mc``, sized by the integer greedy (held
+    equal to the step fold in the engine tests), so it runs at sizes where
+    the fold is too slow.
+    """
+    reach = [inst.reach[inst.ranking.index(v)] for v in sorted(inst.ranking)]
+    sizes = []
+    for i in range(samples):
+        order = stream(seed, i).shuffled(range(len(reach)))
+        sizes.append(sum(r >= 0 for r in _greedy(reach, order, len(inst.arrival))))
+    return estimate(sizes, seed)
+
+
+def estimate(sizes, seed: int) -> McEstimate:
+    """The ``McEstimate`` of per-sample sizes: mean and sample stddev."""
+    samples = len(sizes)
     total, total_sq = sum(sizes), sum(k * k for k in sizes)
     sd = 0.0
     if samples > 1:
@@ -129,6 +151,12 @@ def unmix(z: int) -> int:
     z = _unxorshift(z, 31)
     z = _unxorshift(z * pow(0x94D049BB133111EB, -1, 1 << 64) & _MASK, 27)
     return _unxorshift(z * pow(0xBF58476D1CE4E5B9, -1, 1 << 64) & _MASK, 30)
+
+
+def rejecting_seed(i: int) -> int:
+    """A seed whose sample i first draws 2^64 - 1, which below(3) rejects."""
+    state = (unmix(_MASK) - _GOLDEN) & _MASK
+    return (unmix(state) - (i + 1) * _GOLDEN) & _MASK
 
 
 @pytest.fixture
@@ -576,3 +604,39 @@ class TestMonteCarloEqualsLiteral:
             inst = make_instance("v1 v2 v3", "u1 u2 u3", chosen)
             assert mc_expected_size(inst, 1, seed) == literal_mc(inst, 1, seed)
         assert mc_expected_size(inst, 50, seed) == literal_mc(inst, 50, seed)
+
+    @pytest.mark.parametrize("batch, lane", [(0, 1), (1, -1), (1, 0), (1, 500)])
+    def test_rejection_in_any_lane_and_batch(self, batch, lane, monkeypatch):
+        i = batch * (probability._DRAWS // 3) + lane
+        seed = rejecting_seed(i)
+        assert stream(seed, i).next_u64() == _MASK
+        calls = []
+
+        def counted(s, index):
+            calls.append(index)
+            return stream(s, index)
+
+        monkeypatch.setattr(probability, "stream", counted)
+        inst = make_instance(
+            "v1 v2 v3", "u1 u2 u3", [("u1", "v1"), ("u1", "v2"), ("u2", "v1"), ("u3", "v3")]
+        )
+        assert mc_expected_size(inst, i + 2, seed) == literal_mc(inst, i + 2, seed)
+        assert calls == [i]
+
+    def test_batch_edges(self):
+        lanes = probability._DRAWS // 5
+        inst, _ = gen_perfect(5, 0.4, 3)
+        for samples in (lanes - 1, lanes, lanes + 1, 2 * lanes + 1):
+            assert mc_expected_size(inst, samples, 17) == literal_mc(inst, samples, 17)
+
+    def test_scale_sizes(self):
+        n = 100
+        stair = make_instance(
+            " ".join(f"v{i}" for i in range(1, n + 1)),
+            " ".join(f"u{i}" for i in range(1, n + 1)),
+            [(f"u{i}", f"v{j}") for i in range(1, n + 1) for j in (i, i + 1) if j <= n],
+        )
+        for seed in SEEDS:
+            inst = gen_random(400, 400, 0.05, seed)
+            assert mc_expected_size(inst, 3, seed) == greedy_mc(inst, 3, seed)
+            assert mc_expected_size(stair, 5, seed) == greedy_mc(stair, 5, seed)
