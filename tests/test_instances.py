@@ -2,16 +2,20 @@
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rankinglab import (
+    BipartiteInstance,
     InstanceFormatError,
     Permutation,
     edge,
+    fileformat,
     fingerprint,
     gamma_min_ratio,
     gen_gamma_family,
@@ -26,7 +30,7 @@ from rankinglab import (
     vertices,
 )
 
-from .conftest import instances, make_instance
+from .conftest import DATA, instances, make_instance
 
 
 class TestParse:
@@ -134,6 +138,261 @@ class TestRoundTrip:
         assert fingerprint(other) != fingerprint(example6)
         assert len(fingerprint(other)) == 12
         assert all(c in "0123456789abcdef" for c in fingerprint(other))
+
+
+# Reference parser and serializer, written for clarity: every token paired with
+# its column up front, every content line kept in a list, and edges sorted by
+# (arrival index, ranking index).  The tests below hold the one-pass parser and
+# the reach-walking serializer to them, error text and bytes included.
+_TOKEN = re.compile(r"\S+")
+
+
+def _content_lines(text):
+    for ln, raw in enumerate(text.splitlines(), start=1):
+        content = raw.split("#", 1)[0]
+        toks = [(m.start() + 1, m.group()) for m in _TOKEN.finditer(content)]
+        if toks:
+            yield ln, toks
+
+
+def oracle_parse(text):
+    lines = list(_content_lines(text))
+    if not lines:
+        raise InstanceFormatError("missing 'offline' declaration", 1)
+    seen = {}
+
+    def read_party(idx, keyword):
+        if idx >= len(lines):
+            raise InstanceFormatError(
+                f"missing '{keyword}' declaration", lines[-1][0] + 1
+            )
+        ln, toks = lines[idx]
+        col0, head = toks[0]
+        if head != keyword:
+            raise InstanceFormatError(f"expected '{keyword}', got {head!r}", ln, col0)
+        members = []
+        for col, tok in toks[1:]:
+            if tok in seen:
+                party, pln, pcol = seen[tok]
+                raise InstanceFormatError(
+                    f"duplicate vertex {tok!r} (already declared in the "
+                    f"{party} party at line {pln}, column {pcol})",
+                    ln,
+                    col,
+                )
+            seen[tok] = (keyword, ln, col)
+            members.append(tok)
+        return members
+
+    offline = read_party(0, "offline")
+    online = read_party(1, "online")
+    online_set = set(online)
+    offline_set = set(offline)
+    edges = set()
+    for ln, toks in lines[2:]:
+        col0, head = toks[0]
+        if head != "edge":
+            raise InstanceFormatError(f"expected 'edge', got {head!r}", ln, col0)
+        if len(toks) != 3:
+            raise InstanceFormatError(
+                f"'edge' takes exactly two endpoints, got {len(toks) - 1}", ln, col0
+            )
+        (ucol, u), (vcol, v) = toks[1], toks[2]
+        if u not in online_set:
+            raise InstanceFormatError(
+                f"unknown online vertex {u!r} (edges name the online endpoint "
+                "first)",
+                ln,
+                ucol,
+            )
+        if v not in offline_set:
+            raise InstanceFormatError(f"unknown offline vertex {v!r}", ln, vcol)
+        edges.add(frozenset((u, v)))
+    return BipartiteInstance(frozenset(edges), Permutation(offline), Permutation(online))
+
+
+def oracle_serialize(inst):
+    lines = [
+        " ".join(["offline", *inst.ranking.order]).rstrip(),
+        " ".join(["online", *inst.arrival.order]).rstrip(),
+    ]
+    oriented = []
+    for e in inst.graph:
+        u, v = fileformat.oriented_edge(inst, e)
+        oriented.append((inst.arrival.index(u), inst.ranking.index(v), u, v))
+    for _, _, u, v in sorted(oriented):
+        lines.append(f"edge {u} {v}")
+    return "\n".join(lines) + "\n"
+
+
+def outcome(parse, text):
+    """What parsing text gives: the instance and its index, or the error."""
+    try:
+        inst = parse(text)
+    except Exception as err:  # the comparison covers every exception type
+        where = getattr(err, "line", None), getattr(err, "column", None)
+        return type(err), str(err), where
+    return inst, inst.reach
+
+
+# Characters str.isspace accepts: within a line, and also line boundaries for
+# str.splitlines.
+_SPACES = " \t\x1f\xa0\u3000"
+_BREAKS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+_NAMES = ("v1", "v2", "v3", "u1", "u2", "u3", "w")
+
+
+@st.composite
+def instance_texts(draw):
+    """Instance files, well formed or broken in one or more ways, in odd layouts."""
+    offline = draw(st.lists(st.sampled_from(_NAMES[:3]), min_size=1, unique=True))
+    online = draw(st.lists(st.sampled_from(_NAMES[3:6]), min_size=1, unique=True))
+    pairs = [(u, v) for u in online for v in offline]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=6)) if pairs else []
+    lines = [["offline", *offline], ["online", *online]]
+    lines += [["edge", u, v] for u, v in edges]
+    for _ in range(draw(st.integers(0, 2))):
+        k = draw(st.integers(0, len(lines) - 1))
+        toks = lines[k]
+        fault = draw(
+            st.sampled_from(
+                ["duplicate", "unknown", "swap", "drop-token", "add-token",
+                 "drop-line", "swap-parties", "keyword", "break"]
+            )
+        )
+        if fault == "duplicate":
+            at = draw(st.integers(1, max(1, len(toks))))
+            toks.insert(at, draw(st.sampled_from(_NAMES)))
+        elif fault == "unknown" and toks:
+            toks.append(draw(st.sampled_from(_NAMES)))
+            del toks[draw(st.integers(1, len(toks) - 1))]
+        elif fault == "swap":
+            toks[1:] = toks[:0:-1]
+        elif fault == "drop-token" and toks:
+            del toks[draw(st.integers(0, len(toks) - 1))]
+        elif fault == "add-token":
+            toks.append(draw(st.sampled_from(_NAMES)))
+        elif fault == "drop-line":
+            del lines[k]
+        elif fault == "swap-parties":
+            lines[:2] = lines[1::-1]
+        elif fault == "keyword" and toks:
+            toks[0] = draw(st.sampled_from(["offline", "online", "edge", "Edge"]))
+        elif fault == "break":
+            toks.insert(draw(st.integers(0, len(toks))), draw(st.sampled_from(_BREAKS)))
+        if not lines:
+            break
+    blank = st.text(_SPACES, max_size=2)
+    out = []
+    for toks in lines:
+        if draw(st.booleans()):
+            out.append(draw(blank) + draw(st.sampled_from(["", "# note", "#"])))
+        parts = [draw(blank)]
+        for tok in toks:
+            parts += [tok, draw(st.text(_SPACES, min_size=1, max_size=2))]
+        parts.append(draw(st.sampled_from(["", "# c", "#edge u1 v1", "\t#x y"])))
+        out.append("".join(parts))
+    ends = [draw(st.sampled_from(["\n", "\r\n", "\r", *_BREAKS])) for _ in out]
+    text = "".join(line + end for line, end in zip(out, ends))
+    return text if draw(st.booleans()) else text.rstrip("\r\n")
+
+
+class TestOnePassParse:
+    @settings(max_examples=400, deadline=None)
+    @given(instance_texts())
+    def test_same_instance_or_error(self, text):
+        assert outcome(parse_instance, text) == outcome(oracle_parse, text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "",
+            "\r\n\x85# c\n",
+            "offline\x1cv1\nonline u1\n",
+            "offline v1\x1fv2\u3000v3\nonline\xa0u1\nedge u1\tv2 #x\r\n",
+            "offline v1\nonline u1\u2028edge u1 v1",
+            "offline v1 v2\nonline u1 v2\n",
+            "offline v1\nonline u1 u2 u1\n",
+            "offline v1\nonline u1\nedge\n",
+            "offline v1\nonline u1\nedge u1\nedge u1 v1 v1\n",
+            "offline v1\nonline u1\nedge u1 v1 v1 v1\n",
+            "offline v1\nonline u1\nedge v1 u1\nedge\x0bu1 v1\n",
+        ],
+    )
+    def test_fixed_texts(self, text):
+        assert outcome(parse_instance, text) == outcome(oracle_parse, text)
+
+    def test_no_column_scan_on_well_formed_input(self, monkeypatch):
+        texts = [
+            (DATA / "example6.obm").read_text(),
+            serialize_instance(gen_random(400, 400, 0.1, 1)),
+            "# c\n\noffline v1 v2  # r\r\nonline\tu1\n\nedge u1 v2\r",
+        ]
+        expected = [parse_instance(t) for t in texts]
+
+        class NoScan:
+            def finditer(self, _):
+                raise AssertionError("column scan on well-formed input")
+
+        monkeypatch.setattr(fileformat, "_TOKEN", NoScan())
+        for text, inst in zip(texts, expected):
+            assert parse_instance(text) == inst
+
+    def test_online_repeat_of_offline_vertex_names_its_declaration(self):
+        text = "# parties\n\n  offline a  bb c\nonline x\tbb\n"
+        with pytest.raises(InstanceFormatError) as err:
+            parse_instance(text)
+        assert (err.value.line, err.value.column) == (4, 10)
+        assert str(err.value) == (
+            "line 4, column 10: duplicate vertex 'bb' (already declared in the "
+            "offline party at line 3, column 14)"
+        )
+
+    def test_bad_last_edge_of_a_long_file(self):
+        offline = [f"v{k}" for k in range(50)]
+        online = [f"u{k}" for k in range(40)]
+        body = [f"edge {u} {v}" for u in online for v in offline]
+        assert len(body) == 2000
+        body[-1] = "edge u39 u39"
+        text = "\n".join(["# big", "offline " + " ".join(offline),
+                          "online " + " ".join(online), *body]) + "\n"
+        with pytest.raises(InstanceFormatError) as err:
+            parse_instance(text)
+        assert (err.value.line, err.value.column) == (2003, 10)
+        assert "unknown offline vertex 'u39'" in str(err.value)
+
+
+@st.composite
+def named_instances(draw):
+    """Instances with arbitrary names, so sort order and rank order disagree."""
+    offline, online = (
+        draw(st.lists(st.text(a, min_size=1, max_size=3), unique=True, max_size=6))
+        for a in ("abcz", "pqry")
+    )
+    pairs = [(u, v) for u in online for v in offline]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    graph = frozenset(edge(u, v) for u, v in chosen)
+    return BipartiteInstance(graph, Permutation(offline), Permutation(online))
+
+
+class TestSerializeOracle:
+    @settings(max_examples=150)
+    @given(st.one_of(instances(), named_instances()))
+    def test_same_bytes(self, inst):
+        assert serialize_instance(inst) == oracle_serialize(inst)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_same_bytes_at_scale(self, seed):
+        inst = gen_random(400, 400, 0.1, seed)
+        assert serialize_instance(inst) == oracle_serialize(inst)
+
+    def test_isolated_vertices_and_empty_parties(self):
+        for inst in [
+            make_instance("v2 v1 v3", "u3 u1 u2", [("u1", "v3"), ("u1", "v2")]),
+            make_instance("", "", []),
+            make_instance("v1", "", []),
+        ]:
+            assert serialize_instance(inst) == oracle_serialize(inst)
 
 
 class TestGenRandom:
