@@ -55,6 +55,9 @@ from .probability import (
 from .reporting import CSV_HEADER, exact_row, fmt_cell, row_line
 from .suites import SUITES
 
+#: the largest ``check --max-side``; ranking-matching's worst 64 x 64 draw took 1.3 s
+MAX_SIDE = 64
+
 
 def _default_seed() -> int:
     raw = os.environ.get("RANKINGLAB_SEED", "271828")
@@ -127,6 +130,10 @@ def cmd_check(args) -> int:
         if value < low:
             print(f"error: {flag} must be at least {low}, got {value}", file=sys.stderr)
             return 2
+    if MAX_SIDE < args.max_side <= 1 << 64:  # the draws refuse larger bounds themselves
+        msg = f"--max-side must be at most {MAX_SIDE}, got {args.max_side}"
+        print(f"error: {msg}", file=sys.stderr)
+        return 2
     inst = _load(args.file) if args.file else None
     suite = SUITES[args.suite]
     result = suite(args.count, args.seed, inst=inst, max_side=args.max_side)

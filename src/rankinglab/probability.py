@@ -445,8 +445,8 @@ def _mix_lanes(z: int, m: int) -> int:
     return z ^ (z >> 31 & m)
 
 
-def _shuffle_draws(seed: int, start: int, k: int, n: int):
-    """Yield ``stream(seed, i).shuffled(range(n))`` for i in start..start+k-1.
+def _shuffle_draws(seed: int, start: int, k: int, items):
+    """Yield ``stream(seed, i).shuffled(items)`` for i in start..start+k-1.
 
     The k streams run at once, SIMD within a register: stream start + i
     sits in the 128-bit lane at bit 128 * i of one int.  A lane holds a
@@ -454,7 +454,9 @@ def _shuffle_draws(seed: int, start: int, k: int, n: int):
     back to 64 bits, so no bit crosses lanes.  A lane whose draw ``below``
     would reject (draw >= 2^64 - 2^64 % bound, that is, bit 64 of draw +
     2^64 % bound set) is flagged, and its sample is shuffled by ``stream``.
+    ``mc_expected_size`` shuffles the offline ids' ``reach`` cells as items.
     """
+    n = len(items)
     lane = struct.Struct("<" + "Q8x" * k)
     ones = int.from_bytes(lane.pack(*[1] * k), "little")
     m, g, high = ones * _MASK, ones * _GOLDEN, ones << 64
@@ -469,10 +471,10 @@ def _shuffle_draws(seed: int, start: int, k: int, n: int):
     flags = lane.unpack((rejected >> 64).to_bytes(16 * k, "little"))
     # each sample's draws for j = n-1..1, then its flag
     for i, rs in enumerate(zip(*rows, flags), start):
-        perm = list(range(n))
+        perm = list(items)
         for j, r in zip(range(n - 1, 0, -1), rs):
             perm[j], perm[r] = perm[r], perm[j]
-        yield stream(seed, i).shuffled(range(n)) if rs[-1] else perm
+        yield stream(seed, i).shuffled(items) if rs[-1] else perm
 
 
 def mc_expected_size(inst: BipartiteInstance, samples: int, seed: int) -> McEstimate:
@@ -481,34 +483,40 @@ def mc_expected_size(inst: BipartiteInstance, samples: int, seed: int) -> McEsti
     Sample i ranks the offline party by a Fisher-Yates shuffle of its
     vertices in name order, drawn from ``stream(seed, i)``, so the estimate
     is bit-identical for identical (instance, samples, seed) regardless of
-    batching, and does not depend on the instance's own ranking.  The
-    shuffles come from ``_shuffle_draws``, in batches that hold at most
-    ``_DRAWS`` draws; each equals ``stream(seed, i).shuffled(range(n))``,
-    rejections included.  The matching size comes from the party-swapped
-    greedy of ``engine._greedy``, inlined here with no partner list, over
-    the instance's ``reach`` index reordered once from ranking positions to
-    name order.
+    batching, and does not depend on the instance's own ranking.
+
+    The shuffles come from ``_shuffle_draws`` in batches of ``_DRAWS // n``
+    samples for n offline vertices, and the party-swapped greedy of
+    ``engine._greedy`` runs on a whole batch at once, on lanes.  Each offline
+    id's ``reach`` mask is a little-endian cell of ``width = arrivals // 8 + 1``
+    bytes, so its bit ``arrivals`` (``guard``) lies above every arrival bit.
+    Sample i's cells and free arrivals sit at byte ``width * i`` of one int.
+    At each ranking position ``a`` holds every lane's free neighbours and
+    ``a & ~((a | guard) - ones)`` every lane's lowest set bit: the guard keeps
+    each lane above 0, so no borrow crosses lanes.  A lane's size is
+    ``arrivals`` minus its free bits.
 
     The reported stddev is the sample standard deviation of the per-run
     size, zero when only one sample was requested.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
-    reach = [inst.reach[inst.ranking.index(v)] for v in sorted(inst.ranking)]
-    n = len(reach)
-    everyone = (1 << len(inst.arrival)) - 1
-    lanes = max(1, _DRAWS // max(n, 1))
+    arrivals, ranked = len(inst.arrival), sorted(inst.ranking)
+    width = arrivals // 8 + 1
+    cells = [inst.reach[inst.ranking.index(v)].to_bytes(width, "little") for v in ranked]
+    lanes = max(1, _DRAWS // max(len(cells), 1))
     total = total_sq = 0
     for start in range(0, samples, lanes):
-        for perm in _shuffle_draws(seed, start, min(lanes, samples - start), n):
-            free = everyone
-            size = 0
-            for x in perm:
-                a = reach[x] & free
-                if a:
-                    free ^= a & -a
-                    size += 1
-            total += size
+        k = min(lanes, samples - start)
+        ones = int.from_bytes((b"\x01" + bytes(width - 1)) * k, "little")
+        guard, free = ones << arrivals, ones * ((1 << arrivals) - 1)
+        for col in zip(*_shuffle_draws(seed, start, k, cells)):
+            a = int.from_bytes(b"".join(col), "little") & free
+            free ^= a & ~((a | guard) - ones)
+        total += k * arrivals - free.bit_count()
+        left = free.to_bytes(k * width, "little")
+        for i in range(0, k * width, width):
+            size = arrivals - int.from_bytes(left[i : i + width], "little").bit_count()
             total_sq += size * size
     mean = total / samples
     if samples > 1:

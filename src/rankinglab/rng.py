@@ -15,7 +15,8 @@ samples are batched, ordered, or sharded across workers.
 
 ``probability.mc_expected_size`` runs the generator on lanes: one Python int
 holds the states of a batch of streams, one per 128-bit lane, and each step
-advances them all.  Its shuffles equal ``stream(seed, i).shuffled``.
+advances them all.  Its shuffles, of the offline vertices' adjacency cells,
+equal ``stream(seed, i).shuffled``, and its greedy reads them in lanes too.
 ``SplitMix64`` is the reference they are tested against, and it shuffles
 each sample with a draw that the rejection step of ``below`` refuses.
 """

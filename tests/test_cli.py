@@ -278,6 +278,22 @@ class TestCheck:
         assert main(argv) == 2
         assert "error: bound must lie in [1, 2**64]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("side", [cli.MAX_SIDE + 1, 2**64])
+    def test_max_side_above_the_ceiling_rejected(self, side, capsys, monkeypatch):
+        def no_draws(self):
+            raise RuntimeError("the suite drew")
+
+        monkeypatch.setattr(rng.SplitMix64, "next_u64", no_draws)
+        assert main(["check", "--suite", "lemma9", "--count", "1", "--max-side", str(side)]) == 2
+        cap = capsys.readouterr()
+        assert cap.out == ""
+        assert cap.err == f"error: --max-side must be at most {cli.MAX_SIDE}, got {side}\n"
+
+    @pytest.mark.parametrize("argv", [[], ["--max-side", str(cli.MAX_SIDE)]])
+    def test_max_side_default_and_ceiling_run(self, argv, capsys):
+        assert main(["check", "--suite", "lemma9", "--count", "1", "--seed", "1", *argv]) == 0
+        assert "lemma9: 1 cases, 0 failures" in capsys.readouterr().out
+
 
 class TestBound:
     def test_exact_values(self, capsys):

@@ -159,6 +159,19 @@ def rejecting_seed(i: int) -> int:
     return (unmix(state) - (i + 1) * _GOLDEN) & _MASK
 
 
+def lane_instance(arrivals: int, offline: int, seed: int) -> BipartiteInstance:
+    """A random instance with u1 and the last offline vertex isolated.
+
+    Each other (arrival, offline) pair is an edge with probability 0.3, and
+    both orders are shuffled, so the isolated arrival can sit at any bit.
+    """
+    g = stream(seed, 1)
+    on = [f"u{i}" for i in range(1, arrivals + 1)]
+    off = [f"v{i}" for i in range(1, offline + 1)]
+    pairs = [(u, v) for u in on[1:] for v in off[:-1] if g.uniform() < 0.3]
+    return make_instance(" ".join(g.shuffled(off)), " ".join(g.shuffled(on)), pairs)
+
+
 @pytest.fixture
 def small():
     # two rankings only: E = 3/2, x_1 = 1, x_2 = 1/2
@@ -628,6 +641,27 @@ class TestMonteCarloEqualsLiteral:
         inst, _ = gen_perfect(5, 0.4, 3)
         for samples in (lanes - 1, lanes, lanes + 1, 2 * lanes + 1):
             assert mc_expected_size(inst, samples, 17) == literal_mc(inst, samples, 17)
+
+    def test_batch_edges_wide_lanes(self):
+        # 70 arrivals make each lane 9 bytes wide, wider than one 64-bit word
+        inst = gen_random(16, 70, 0.1, 3)
+        lanes = probability._DRAWS // 16
+        for samples in (lanes - 1, lanes, lanes + 1, 2 * lanes + 1):
+            assert mc_expected_size(inst, samples, 17) == greedy_mc(inst, samples, 17)
+
+    @pytest.mark.parametrize("arrivals", [0, 1, 7, 8, 9, 15, 16, 63, 64, 65])
+    def test_lane_width_boundaries(self, arrivals):
+        # lanes are arrivals // 8 + 1 bytes: these counts sit on each side of a byte
+        for offline, seed in ((arrivals + 2, 5), (3, 2**64 + 5)):
+            inst = lane_instance(arrivals, offline, seed)
+            est = mc_expected_size(inst, 40, seed)
+            assert est == greedy_mc(inst, 40, seed) == literal_mc(inst, 40, seed)
+
+    def test_no_offline_vertices(self):
+        for arrivals in (0, 8, 64):
+            inst = make_instance("", " ".join(f"u{i}" for i in range(arrivals)), [])
+            est = mc_expected_size(inst, 3, 1)
+            assert est == literal_mc(inst, 3, 1) == McEstimate(0.0, 0.0, 3, 1)
 
     def test_scale_sizes(self):
         n = 100
