@@ -100,8 +100,9 @@ def cmd_mc(args) -> int:
     ratio = est.mean / n if n else None
     bound = competitive_bound(n) if n else None
     verdict = "pass" if (ratio is None or ratio >= bound) else "fail"
-    if verdict == "fail" and n * bound - est.mean <= 4 * est.stddev / math.sqrt(est.samples):
-        verdict = "inconclusive"  # within 4 standard errors: criterion 10's rule
+    tolerance = 4 * est.stddev / math.sqrt(est.samples)  # criterion 10's 4 standard errors
+    if verdict == "fail" and (not tolerance or n * bound - est.mean <= tolerance):
+        verdict = "inconclusive"  # within the tolerance, or no spread to estimate it from
     print(CSV_HEADER)
     print(
         row_line(

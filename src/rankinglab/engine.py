@@ -66,14 +66,12 @@ class Permutation:
             raise KeyError(f"{v!r} is not a member of this permutation") from None
 
     def move_to(self, v: Vertex, i: int) -> "Permutation":
-        """A new permutation with v at index i, relative order otherwise kept."""
+        """A new permutation with v at index i, the rest in order (``_move_id``)."""
         if v not in self._pos:
             raise KeyError(f"{v!r} is not a member of this permutation")
         if not 0 <= i < len(self._order):
             raise IndexError(f"target index {i} out of range 0..{len(self._order) - 1}")
-        rest = [w for w in self._order if w != v]
-        rest.insert(i, v)
-        return Permutation(rest)
+        return Permutation(_move_id(self._order, v, i))
 
     def __len__(self) -> int:
         return len(self._order)
@@ -188,6 +186,13 @@ def _greedy(reach: Sequence[int], order: Iterable[int], arrivals: int) -> List[i
             free ^= low
             prs[low.bit_length() - 1] = r
     return prs
+
+
+def _move_id(order: Iterable, x, i: int) -> tuple:
+    """``order`` with x moved to index i, the rest kept in order; i is not checked."""
+    rest = [y for y in order if y != x]
+    rest.insert(i, x)
+    return tuple(rest)
 
 
 def rank_match(inst: BipartiteInstance) -> frozenset:

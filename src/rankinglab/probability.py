@@ -37,7 +37,7 @@ from fractions import Fraction
 from itertools import permutations
 from typing import AbstractSet, Dict, Optional, Tuple
 
-from .engine import BipartiteInstance, _greedy
+from .engine import BipartiteInstance, _greedy, _move_id
 from .fileformat import fingerprint
 from .graph import bipartite_max_matching, is_matching, vertices
 from .rng import _GOLDEN, _MASK, stream
@@ -107,12 +107,6 @@ def _ensemble(inst: BipartiteInstance):
         prs = tuple(_greedy(reach, perm, arrivals))
         runs[perm] = (frozenset(r for r in prs if r >= 0), prs)
     return runs
-
-
-def _move_id(perm: tuple, x: int, i: int) -> tuple:
-    rest = [y for y in perm if y != x]
-    rest.insert(i, x)
-    return tuple(rest)
 
 
 def exact_expected_size(inst: BipartiteInstance, cap: int = DEFAULT_CAP) -> ExactReport:
@@ -206,11 +200,7 @@ def rank_matched_prob_moved(
     _check_t(t, n)
     runs = _ensemble(inst)
     i = t - 1
-    hits = 0
-    for perm in runs:
-        for x in range(n):
-            if i in runs[_move_id(perm, x, i)][0]:
-                hits += 1
+    hits = sum(i in runs[_move_id(perm, x, i)][0] for perm in runs for x in range(n))
     return Fraction(hits, len(runs) * n)
 
 

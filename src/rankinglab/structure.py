@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import AbstractSet, Dict, List, Optional, Tuple
 
-from .engine import BipartiteInstance, Permutation, rank_match
+from .engine import BipartiteInstance, Permutation, _greedy, _move_id, rank_match
 from .graph import (
     Vertex,
     is_matching,
@@ -311,16 +311,19 @@ def check_rank_move(
 def _rank_move(
     inst: BipartiteInstance, mset: frozenset, baseline: frozenset, v: Vertex, i: int
 ) -> RankMoveVerdict:
-    """``check_rank_move`` given the validated ``mset`` and ``rank_match(inst)``."""
+    """``check_rank_move`` given the validated ``mset`` and ``rank_match(inst)``.
+
+    Reranks ``inst.reach`` with v's id ``bar`` moved to index i: the designated
+    partner's ``_greedy`` entry p is its mate's moved rank, ``order[p]`` the original.
+    """
     if partner(baseline, v) is not None:
         return RankMoveVerdict(True, None, None, None)
-    u = partner(mset, v)
-    moved = inst.ranking.move_to(v, i)
-    m2 = rank_match(BipartiteInstance(inst.graph, moved, inst.arrival))
-    w = partner(m2, u)
-    if w is None:
+    n, bar = len(inst.ranking), inst.ranking.index(v)
+    if not 0 <= i < n:
+        raise IndexError(f"target index {i} out of range 0..{n - 1}")
+    order = _move_id(range(n), bar, i)
+    j = inst.arrival.index(partner(mset, v))
+    p = _greedy(inst.reach, order, len(inst.arrival))[j]
+    if p < 0:
         return RankMoveVerdict(False, False, None, None)
-    bar = inst.ranking.index(v)
-    return RankMoveVerdict(
-        False, True, moved.index(w) <= bar, inst.ranking.index(w) <= bar
-    )
+    return RankMoveVerdict(False, True, p <= bar, order[p] <= bar)

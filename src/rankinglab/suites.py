@@ -5,7 +5,8 @@ probabilistic property per case, and reports failures together with the
 self-contained instance file text that reproduces them.  Given an explicit
 instance, most suites check it exhaustively where that makes sense (the
 instance once, every matched or removable vertex, every move target) and
-ignore `count`; lemma5 and lemma9 instead draw `count` probes on it.
+ignore `count`; lemma5 and lemma9 instead draw `count` probes on it, none
+when it has no vertex.
 
 A suite is a case source, a lazy generator of cases (the instance first),
 and a check that returns the failure descriptions of one case; ``_run`` is
@@ -179,7 +180,7 @@ def suite_lemma5(
     g = _master(seed)
 
     def cases():
-        for _ in range(count):
+        for _ in range(count if inst is None or inst.offline | inst.online else 0):
             one = inst if inst is not None else _rand_instance(g, max_side)
             from_arrival = g.below(2) == 0
             party = sorted(one.online if from_arrival else one.offline)
@@ -295,9 +296,10 @@ def suite_lemma9(
     g = _master(seed)
 
     def cases():
-        for k in range(count):  # sides alternate, arrival side first
+        # sides alternate, arrival side first; an empty side yields to the other
+        for k in range(count if inst is None or inst.offline | inst.online else 0):
             one = inst if inst is not None else _rand_instance(g, max_side)
-            yield one, g.choice(_side(one, k % 2 == 0))
+            yield one, g.choice(_side(one, k % 2 == 0) or _side(one, k % 2 != 0))
 
     def check(one: BipartiteInstance, x: str) -> List[str]:
         return _removal_failures(one, x, paths=False)

@@ -175,11 +175,31 @@ class TestMc:
         assert cells[4:7] == ["0.5625", "0.610255656871", "inconclusive"]
 
     def test_far_below_the_bound_fails(self, tmp_path, capsys):
-        # one sample has no spread, so a size of 4 < 8 * 0.610256 is a failure
+        # one sample has no spread, so its size of 4 < 8 * 0.610256 has no
+        # error estimate to be judged by: the shortfall is inconclusive
         path = self.write_triangle(tmp_path)
         assert main(["mc", path, "--samples", "1", "--seed", "32"]) == 0
         cells = capsys.readouterr().out.splitlines()[1].split(",")
-        assert cells[3:7] == ["4", "0.5", "0.610255656871", "fail"]
+        assert cells[3:7] == ["4", "0.5", "0.610255656871", "inconclusive"]
+
+    def test_shortfall_beyond_the_spread_fails(self, tmp_path, capsys, monkeypatch):
+        # 8 * 0.610256 - 2 = 2.88 exceeds 4 standard errors, 4 * 0.5 / 10 = 0.2
+        estimate = probability.McEstimate(mean=2.0, stddev=0.5, samples=100, seed=3)
+        monkeypatch.setattr(cli, "mc_expected_size", lambda *args: estimate)
+        path = self.write_triangle(tmp_path)
+        assert main(["mc", path, "--samples", "100", "--seed", "3"]) == 0
+        cells = capsys.readouterr().out.splitlines()[1].split(",")
+        assert cells[3:8] == ["2", "0.25", "0.610255656871", "fail", "3"]
+
+    def test_no_spread_is_never_a_failure(self, tmp_path, capsys):
+        # the exact ratio 0.665151 meets the bound; one sample, or two equal
+        # ones, can read far lower (seeds 32 and 110 among them) with no spread
+        path = self.write_triangle(tmp_path)
+        for samples in ("1", "2"):
+            for seed in range(200):
+                assert main(["mc", path, "--samples", samples, "--seed", str(seed)]) == 0
+                verdict = capsys.readouterr().out.splitlines()[1].split(",")[6]
+                assert verdict in ("pass", "inconclusive")
 
     def test_worked_example_passes(self, capsys):
         assert main(["mc", EXAMPLE, "--samples", "2000", "--seed", "7"]) == 0
@@ -187,6 +207,21 @@ class TestMc:
 
 
 class TestCheck:
+    @pytest.mark.parametrize(
+        "text, cases",
+        [
+            ("offline v1 v2\nonline\n", 3),
+            ("offline\nonline u1 u2\n", 3),
+            ("offline\nonline\n", 0),
+        ],
+    )
+    @pytest.mark.parametrize("suite", ["lemma5", "lemma9"])
+    def test_probe_suites_on_an_empty_party(self, tmp_path, capsys, suite, text, cases):
+        p = tmp_path / "one_sided.obm"
+        p.write_text(text)
+        assert main(["check", str(p), "--suite", suite, "--count", "3", "--seed", "1"]) == 0
+        assert capsys.readouterr().out == f"suite {suite}: {cases} cases, 0 failures\n"
+
     def test_random_suite_passes(self, capsys):
         rc = main(
             ["check", "--suite", "ranking-matching", "--count", "5",

@@ -26,7 +26,7 @@ from rankinglab import (
     online_match,
     step,
 )
-from rankinglab.engine import rank_match
+from rankinglab.engine import _greedy, _move_id, rank_match
 from rankinglab.generators import _gamma_ranking
 
 from .conftest import instances, make_instance
@@ -229,6 +229,21 @@ class TestRankMatch:
     @given(instances(max_side=7))
     def test_equals_fold_on_random_instances(self, inst):
         assert rank_match(inst) == online_match(inst)
+
+    @settings(max_examples=100)
+    @given(instances(max_side=6), st.data())
+    def test_moved_rerun_equals_fold(self, inst, data):
+        # the rank-move rerun: entry p names moved rank p, original rank order[p]
+        n = len(inst.ranking)
+        v = data.draw(st.sampled_from(inst.ranking.order))
+        i = data.draw(st.integers(0, n - 1))
+        moved = inst.ranking.move_to(v, i)
+        order = _move_id(range(n), inst.ranking.index(v), i)
+        assert [inst.ranking[r] for r in order] == list(moved)
+        prs = _greedy(inst.reach, order, len(inst.arrival))
+        assert frozenset(
+            edge(u, moved[p]) for u, p in zip(inst.arrival, prs) if p >= 0
+        ) == online_match(BipartiteInstance(inst.graph, moved, inst.arrival))
 
     def test_equals_fold_on_gamma_family(self):
         for g, arrivals in gen_gamma_family(2):

@@ -1,0 +1,43 @@
+"""The package's public surface: ``__all__`` and the README's library example."""
+
+from __future__ import annotations
+
+import importlib
+import pkgutil
+import re
+from pathlib import Path
+from types import ModuleType
+
+import rankinglab
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _submodules():
+    return [
+        importlib.import_module(f"rankinglab.{info.name}")
+        for info in pkgutil.iter_modules(rankinglab.__path__)
+    ]
+
+
+def test_every_public_name_comes_from_a_submodule():
+    modules = _submodules()
+    assert rankinglab.__all__
+    for name in rankinglab.__all__:
+        value = getattr(rankinglab, name)
+        assert not name.startswith("_") and not isinstance(value, ModuleType), name
+        assert any(name in vars(m) and vars(m)[name] is value for m in modules), name
+
+
+def test_star_import_binds_exactly_all():
+    ns: dict = {}
+    exec("from rankinglab import *", ns)
+    assert set(ns) == set(rankinglab.__all__) | {"__builtins__"}
+    assert len(set(rankinglab.__all__)) == len(rankinglab.__all__)
+
+
+def test_readme_library_example_runs(capsys):
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.M | re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], str(README), "exec"), {"__name__": "readme_example"})
+    assert capsys.readouterr().out

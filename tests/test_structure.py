@@ -13,13 +13,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rankinglab import (
+    BipartiteInstance,
     DichotomyViolation,
     GuardViolation,
+    RankMoveVerdict,
     ZigZagContext,
     check_rank_move,
     check_removal_stability,
     check_zig_zag_symmetry,
     edge,
+    gen_perfect,
     is_alternating_path,
     online_match,
     partner,
@@ -333,3 +336,34 @@ class TestRankMove:
         inst, m_star = four_by_four
         with pytest.raises(KeyError):
             check_rank_move(inst, m_star, "u1", 0)
+
+    def test_target_index_out_of_range(self, four_by_four):
+        inst, m_star = four_by_four
+        for i in (-1, 4):
+            with pytest.raises(IndexError, match=f"target index {i} out of range 0..3"):
+                check_rank_move(inst, m_star, "v3", i)
+        assert check_rank_move(inst, m_star, "v1", 4).skipped  # matched: no move made
+
+    def test_equals_the_object_level_rerun(self):
+        # the oracle moves v in the Permutation and folds ``step`` on a new instance
+        for n in (1, 3, 5, 6):
+            for s in range(25):
+                inst, m_star = gen_perfect(n, 0.35, s)
+                baseline = online_match(inst)
+                for v in inst.ranking:
+                    bar, u = inst.ranking.index(v), partner(m_star, v)
+                    for i in range(n):
+                        verdict = check_rank_move(inst, m_star, v, i)
+                        if partner(baseline, v) is not None:
+                            assert verdict == RankMoveVerdict(True, None, None, None)
+                            continue
+                        moved = inst.ranking.move_to(v, i)
+                        rerun = online_match(BipartiteInstance(inst.graph, moved, inst.arrival))
+                        w = partner(rerun, u)
+                        assert verdict == (
+                            RankMoveVerdict(False, False, None, None)
+                            if w is None
+                            else RankMoveVerdict(
+                                False, True, moved.index(w) <= bar, inst.ranking.index(w) <= bar
+                            )
+                        )

@@ -12,7 +12,9 @@ from rankinglab import (
     RankMoveVerdict,
     SUITES,
     SuiteResult,
+    all_matchings,
     check_rank_move,
+    edge,
     gen_perfect,
     online_match,
     parse_instance,
@@ -164,11 +166,11 @@ class TestFileMode:
             [("u1", "v1"), ("u1", "v3"), ("u2", "v2"), ("u3", "v4"), ("u4", "v1")],
         )
         suite_rank_move(1, 0, inst=inst)
-        assert len(calls) == 1 + 1 * 4  # one baseline, one rerun per pair
+        assert len(calls) == 1  # one baseline; each pair reruns ``_greedy`` alone
         for seed in range(6):
             calls.clear()
             result = suite_rank_move(25, seed)
-            assert len(calls) == result.cases + result.notes["pairs"]
+            assert len(calls) == result.cases
 
     def test_rank_move_tallies_equal_the_public_check(self):
         for s in range(8):
@@ -204,6 +206,12 @@ def _replays(result, suite, **kwargs):
             assert f.description in [g.description for g in again]
 
 
+def _moved(inst, side):
+    """The vertices of ``side`` whose deletion changes the computed matching."""
+    m = online_match(inst)
+    return [x for x in side if online_match(inst.without_vertices({x})) != m]
+
+
 class TestFailurePath:
     """Faults injected into the checked code must surface as suite failures."""
 
@@ -213,9 +221,8 @@ class TestFailurePath:
 
     def test_removal_suites_report_a_start_only_walk(self, example6, start_only_walk):
         inst, text = example6, serialize_instance(example6)
-        m = online_match(inst)
         for suite, side in ((suite_lemma7, inst.arrival), (suite_lemma8, inst.ranking)):
-            moved = [x for x in side if online_match(inst.without_vertices({x})) != m]
+            moved = _moved(inst, side)
             result = suite(1, 0, inst=inst)
             assert result.cases == 6
             assert len(result.failures) == len(moved) > 0
@@ -266,6 +273,126 @@ class TestFailurePath:
         result = suite_ranking_matching(5, 3, max_side=3)
         assert result.cases == len(result.failures) == 5
         _replays(result, suite_ranking_matching)
+
+    def test_ranking_matching_reports_a_broken_pair_removal(self, monkeypatch):
+        monkeypatch.setattr(suites, "remove_vertices", lambda g, xs: g)  # removes nothing
+        inst = parse_instance(PERFECT_TEXT)
+        result = suite_ranking_matching(1, 0, inst=inst)
+        assert [(f.description, f.instance_text) for f in result.failures] == [
+            (
+                "removing the matched pair ['u1', 'v1'] breaks the "
+                "characterization of the remaining matching",
+                PERFECT_TEXT,
+            )
+        ]
+        result = suite_ranking_matching(8, 3, max_side=3)
+        assert result.failures
+        for f in result.failures:
+            m = rank_match(parse_instance(f.instance_text))
+            assert f.description == (
+                f"removing the matched pair {min(map(sorted, m))} breaks the "
+                "characterization of the remaining matching"
+            )
+        _replays(result, suite_ranking_matching)
+
+    def test_ranking_matching_reports_a_role_dependent_verdict(self, monkeypatch):
+        real = suites.is_ranking_matching
+
+        def arrivals_only(g, m, arrival, ranking):  # false whenever the roles swap
+            return real(g, m, arrival, ranking) and all(x[0] == "u" for x in arrival)
+
+        monkeypatch.setattr(suites, "is_ranking_matching", arrivals_only)
+        inst = parse_instance(PERFECT_TEXT)
+        result = suite_ranking_matching(1, 0, inst=inst)
+        assert [(f.description, f.instance_text) for f in result.failures] == [
+            ("party swap changed a verdict", PERFECT_TEXT)
+        ]
+        result = suite_ranking_matching(5, 3, max_side=3)
+        assert result.cases == len(result.failures) == 5
+        assert {f.description for f in result.failures} == {"party swap changed a verdict"}
+        _replays(result, suite_ranking_matching)
+
+    def test_ranking_matching_reports_many_satisfying_matchings(self, monkeypatch):
+        monkeypatch.setattr(suites, "is_ranking_matching", lambda *args: True)
+        inst = parse_instance(PERFECT_TEXT)
+        count = len(list(all_matchings(inst.graph)))
+        result = suite_ranking_matching(1, 0, inst=inst)
+        assert [(f.description, f.instance_text) for f in result.failures] == [
+            (
+                f"{count} matchings satisfy the characterization, expected exactly one",
+                PERFECT_TEXT,
+            )
+        ]
+        assert count == 5  # the empty one, three single edges, {u1 v2, u2 v1}
+        result = suite_ranking_matching(8, 3, max_side=3)
+        assert result.failures
+        for f in result.failures:
+            count = len(list(all_matchings(parse_instance(f.instance_text).graph)))
+            assert f.description == (
+                f"{count} matchings satisfy the characterization, expected exactly one"
+            )
+        _replays(result, suite_ranking_matching)
+
+    def test_ranking_matching_reports_another_satisfying_matching(self, monkeypatch):
+        real = suites.all_matchings  # the same edges as tuples: same verdicts, unequal
+        monkeypatch.setattr(suites, "all_matchings", lambda g: map(tuple, real(g)))
+        inst = parse_instance(PERFECT_TEXT)
+        result = suite_ranking_matching(1, 0, inst=inst)
+        assert [(f.description, f.instance_text) for f in result.failures] == [
+            ("the unique satisfying matching is not the computed one", PERFECT_TEXT)
+        ]
+        result = suite_ranking_matching(5, 3, max_side=3)
+        assert result.cases == len(result.failures) == 5
+        _replays(result, suite_ranking_matching)
+
+    def test_removal_suites_report_a_size_change(self, example6, monkeypatch):
+        real, ghost = suites.removal_diff_online, edge("u0", "v0")
+
+        def growing(one, x):  # the reduced matching gains an edge
+            d = real(one, x)
+            return replace(d, reduced=d.baseline | {ghost})
+
+        monkeypatch.setattr(suites, "removal_diff_online", growing)
+        result = suite_lemma7(1, 0, inst=example6)
+        assert [(f.description, f.instance_text) for f in result.failures] == [
+            (f"deleting {x!r} changed the size by -1", serialize_instance(example6))
+            for x in example6.arrival
+        ]
+        result = suite_lemma7(10, 2, max_side=4)
+        assert result.cases == len(result.failures) == 10
+        _replays(result, suite_lemma7)
+
+    @pytest.mark.parametrize(
+        "module, name, fault, text",
+        [
+            (
+                structure, "zig", lambda real: lambda ctx, v: real(ctx, v)[::-1],
+                "cascade does not start at {x!r}",
+            ),
+            (
+                suites, "is_alternating_path", lambda real: lambda p, m: False,
+                "cascade from {x!r} does not alternate against both matchings",
+            ),
+            (
+                suites, "vertices", lambda real: lambda m: frozenset(),
+                "cascade from {x!r} has an uncovered interior vertex",
+            ),
+        ],
+    )
+    def test_removal_suites_report_a_bad_cascade(
+        self, example6, monkeypatch, module, name, fault, text
+    ):
+        monkeypatch.setattr(module, name, fault(getattr(module, name)))
+        for suite, side in ((suite_lemma7, example6.arrival), (suite_lemma8, example6.ranking)):
+            result = suite(1, 0, inst=example6)
+            moved = _moved(example6, side)
+            assert len(moved) > 0 and result.cases == 6
+            assert [(f.description, f.instance_text) for f in result.failures] == [
+                (text.format(x=x), serialize_instance(example6)) for x in moved
+            ]
+            result = suite(20, 5, max_side=4)
+            assert result.failures
+            _replays(result, suite)
 
     def test_lemma3_reports_the_first_broken_link(self, monkeypatch):
         real = suites.lemma3_chain
@@ -345,6 +472,25 @@ class TestFailurePath:
         assert result.failures[-1].description.startswith(
             f"neither rank reading held on all {pairs} pairs"
         )
+
+    def test_rank_move_reports_a_pair_with_no_reading(self, monkeypatch):
+        neither = RankMoveVerdict(False, True, False, False)
+        monkeypatch.setattr(suites, "_rank_move", lambda *args: neither)
+        inst = make_instance(
+            "v1 v2 v3 v4", "u1 u2 u3 u4",
+            [("u1", "v1"), ("u1", "v3"), ("u2", "v2"), ("u3", "v4"), ("u4", "v1")],
+        )
+        text = serialize_instance(inst)
+        result = suite_rank_move(1, 0, inst=inst)
+        assert [(f.description, f.instance_text) for f in result.failures] == [
+            (f"no rank reading holds for 'v3' moved to {i}", text) for i in range(4)
+        ] + [("neither rank reading held on all 4 pairs (moved 0, original 0)", "")]
+        result = suite_rank_move(6, 4)
+        *per_pair, last = result.failures
+        assert len(per_pair) == result.notes["pairs"] > 0
+        assert all(f.description.startswith("no rank reading holds for ") for f in per_pair)
+        assert last.instance_text == "" and "(moved 0, original 0)" in last.description
+        _replays(result, suite_rank_move)
 
     def test_rank_move_reports_an_unseated_partner(self, monkeypatch):
         unseated = RankMoveVerdict(False, False, None, None)
