@@ -67,10 +67,7 @@ class Permutation:
 
     def move_to(self, v: Vertex, i: int) -> "Permutation":
         """A new permutation with v at index i, the rest in order (``_move_id``)."""
-        if v not in self._pos:
-            raise KeyError(f"{v!r} is not a member of this permutation")
-        if not 0 <= i < len(self._order):
-            raise IndexError(f"target index {i} out of range 0..{len(self._order) - 1}")
+        self.index(v)  # KeyError for a non-member, before any index check
         return Permutation(_move_id(self._order, v, i))
 
     def __len__(self) -> int:
@@ -189,8 +186,10 @@ def _greedy(reach: Sequence[int], order: Iterable[int], arrivals: int) -> List[i
 
 
 def _move_id(order: Iterable, x, i: int) -> tuple:
-    """``order`` with x moved to index i, the rest kept in order; i is not checked."""
+    """``order``, which holds x, with x moved to index i and the rest kept in order."""
     rest = [y for y in order if y != x]
+    if not 0 <= i <= len(rest):
+        raise IndexError(f"target index {i} out of range 0..{len(rest)}")
     rest.insert(i, x)
     return tuple(rest)
 

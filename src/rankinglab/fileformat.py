@@ -10,8 +10,13 @@ arrival order, and every further line one edge, online endpoint first:
     edge u1 v2
 
 Tokens are runs of non-whitespace (``str.isspace``) characters.  A declared
-vertex may have no edges.  Parsing splits each line once and scans a line
-again, for an error's column, only when it fails a check.
+vertex may have no edges.  Parsing splits each line once and checks it in
+this order: the keyword (``offline``, then ``online``, then ``edge``); for
+a party line, that no vertex is declared twice; for an edge line, that it
+names exactly two endpoints, then that the first is a declared online vertex
+and the second a declared offline one.  After the last line it checks that
+both parties were declared.  A line is scanned again, for an error's
+column, only when the error names it.
 ``serialize_instance`` emits the canonical form (edges sorted by arrival
 position, then ranking position); parsing the canonical form and serializing
 again reproduces it byte for byte.
@@ -38,73 +43,55 @@ class InstanceFormatError(ValueError):
         self.column = column
 
 
-def _columns(raw: str) -> List[Tuple[int, str]]:
-    """The (1-based column, token) pairs of a line's content, for error messages."""
-    return [(m.start() + 1, m.group()) for m in _TOKEN.finditer(raw.split("#", 1)[0])]
-
-
-def _party_error(lines: List[Tuple[int, str]]) -> InstanceFormatError:
-    """The error of the last of the party lines read, the first to fail a check."""
-    seen: Dict[str, Tuple[str, int, int]] = {}
-    for (ln, raw), keyword in zip(lines, _PARTIES):
-        (col, head), *members = _columns(raw)
-        if head != keyword:
-            return InstanceFormatError(f"expected '{keyword}', got {head!r}", ln, col)
-        for col, tok in members:
-            if tok in seen:
-                party, pln, pcol = seen[tok]
-                return InstanceFormatError(
-                    f"duplicate vertex {tok!r} (already declared in the "
-                    f"{party} party at line {pln}, column {pcol})",
-                    ln,
-                    col,
-                )
-            seen[tok] = (keyword, ln, col)
-    raise AssertionError("unreachable: every party line passed its checks")
+def _column(raw: str, k: int) -> int:
+    """The 1-based column of token k of a line's content, for error messages."""
+    return [m.start() for m in _TOKEN.finditer(raw.split("#", 1)[0])][k] + 1
 
 
 def parse_instance(text: str) -> BipartiteInstance:
     """Parse an instance file, raising InstanceFormatError with positions."""
-    parties: List[Tuple[int, str]] = []  # (line number, line) of each party line
-    orders: List[List[str]] = []
+    lines = text.splitlines()
+    orders: List[List[str]] = []  # the offline, then the online members
+    seen: Dict[str, Tuple[str, int, int]] = {}  # vertex: (party, line, token index)
+    last = 0  # the line of the last party declaration read
     edges = set()
-    for ln, raw in enumerate(text.splitlines(), start=1):
+    for ln, raw in enumerate(lines, start=1):
         toks = raw.split("#", 1)[0].split()
         if not toks:
             continue
-        if len(orders) < 2:
-            parties.append((ln, raw))
+        keyword = _PARTIES[len(orders)] if len(orders) < 2 else "edge"
+        if toks[0] != keyword:
+            msg = f"expected '{keyword}', got {toks[0]!r}"
+            raise InstanceFormatError(msg, ln, _column(raw, 0))
+        if keyword != "edge":
+            for k, v in enumerate(toks[1:], start=1):
+                if v in seen:
+                    party, pln, pk = seen[v]
+                    raise InstanceFormatError(
+                        f"duplicate vertex {v!r} (already declared in the {party} "
+                        f"party at line {pln}, column {_column(lines[pln - 1], pk)})",
+                        ln,
+                        _column(raw, k),
+                    )
+                seen[v] = (keyword, ln, k)
             orders.append(toks[1:])
             # after the first line both sets are the offline party's
-            offline, online = set(orders[0]), set(orders[-1])
-            keyword = _PARTIES[len(orders) - 1]
-            if toks[0] != keyword or len(offline | online) < sum(map(len, orders)):
-                raise _party_error(parties)
+            offline, online, last = set(orders[0]), set(orders[-1]), ln
             continue
-        if len(toks) == 3 and toks[0] == "edge":
-            if toks[1] in online and toks[2] in offline:
-                edges.add(frozenset(toks[1:]))
-                continue
-        (col, head), *ends = _columns(raw)
-        if head != "edge":
-            raise InstanceFormatError(f"expected 'edge', got {head!r}", ln, col)
-        if len(ends) != 2:
-            raise InstanceFormatError(
-                f"'edge' takes exactly two endpoints, got {len(ends)}", ln, col
-            )
-        (ucol, u), (vcol, v) = ends
+        if len(toks) != 3:
+            msg = f"'edge' takes exactly two endpoints, got {len(toks) - 1}"
+            raise InstanceFormatError(msg, ln, _column(raw, 0))
+        _, u, v = toks
         if u not in online:
-            raise InstanceFormatError(
-                f"unknown online vertex {u!r} (edges name the online endpoint first)",
-                ln,
-                ucol,
-            )
-        raise InstanceFormatError(f"unknown offline vertex {v!r}", ln, vcol)
+            msg = f"unknown online vertex {u!r} (edges name the online endpoint first)"
+            raise InstanceFormatError(msg, ln, _column(raw, 1))
+        if v not in offline:
+            msg = f"unknown offline vertex {v!r}"
+            raise InstanceFormatError(msg, ln, _column(raw, 2))
+        edges.add(frozenset((u, v)))
     if len(orders) < 2:
-        raise InstanceFormatError(
-            f"missing '{_PARTIES[len(orders)]}' declaration",
-            parties[-1][0] + 1 if parties else 1,
-        )
+        msg = f"missing '{_PARTIES[len(orders)]}' declaration"
+        raise InstanceFormatError(msg, last + 1)
     return BipartiteInstance(frozenset(edges), *map(Permutation, orders))
 
 

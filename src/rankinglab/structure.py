@@ -283,13 +283,15 @@ class RankMoveVerdict:
     ``partner_matched`` says whether the designated partner is covered in
     the rerun, and the two ``holds_*`` fields compare its new mate's rank
     (in the moved order and in the original order, respectively) against
-    the moved vertex's original rank.
+    the moved vertex's original rank.  ``partner_position`` is that mate's
+    index in the moved order, when there is one.
     """
 
     skipped: bool
     partner_matched: Optional[bool]
     holds_moved_rank: Optional[bool]
     holds_original_rank: Optional[bool]
+    partner_position: Optional[int] = None
 
 
 def check_rank_move(
@@ -318,12 +320,10 @@ def _rank_move(
     """
     if partner(baseline, v) is not None:
         return RankMoveVerdict(True, None, None, None)
-    n, bar = len(inst.ranking), inst.ranking.index(v)
-    if not 0 <= i < n:
-        raise IndexError(f"target index {i} out of range 0..{n - 1}")
-    order = _move_id(range(n), bar, i)
+    bar = inst.ranking.index(v)
+    order = _move_id(range(len(inst.ranking)), bar, i)
     j = inst.arrival.index(partner(mset, v))
     p = _greedy(inst.reach, order, len(inst.arrival))[j]
     if p < 0:
         return RankMoveVerdict(False, False, None, None)
-    return RankMoveVerdict(False, True, p <= bar, order[p] <= bar)
+    return RankMoveVerdict(False, True, p <= bar, order[p] <= bar, p)

@@ -107,6 +107,14 @@ def _rand_instance(g: SplitMix64, max_side: int) -> BipartiteInstance:
     return gen_random(n_off, n_on, p, g.next_u64())
 
 
+def _probes(
+    count: int, inst: Optional[BipartiteInstance], g: SplitMix64, max_side: int
+) -> Iterator[BipartiteInstance]:
+    """``count`` probe instances: ``inst`` (none if it has no vertex), else fresh draws."""
+    for _ in range(count if inst is None or inst.offline | inst.online else 0):
+        yield inst if inst is not None else _rand_instance(g, max_side)
+
+
 def _rand_planted(g: SplitMix64, max_side: int, cap: int) -> tuple:
     """A planted-perfect instance and its planted matching, at most ``cap`` a side."""
     n = g.below(min(max_side, cap)) + 1
@@ -180,8 +188,7 @@ def suite_lemma5(
     g = _master(seed)
 
     def cases():
-        for _ in range(count if inst is None or inst.offline | inst.online else 0):
-            one = inst if inst is not None else _rand_instance(g, max_side)
+        for one in _probes(count, inst, g, max_side):
             from_arrival = g.below(2) == 0
             party = sorted(one.online if from_arrival else one.offline)
             probe = g.choice(sorted(one.offline | one.online))
@@ -297,8 +304,7 @@ def suite_lemma9(
 
     def cases():
         # sides alternate, arrival side first; an empty side yields to the other
-        for k in range(count if inst is None or inst.offline | inst.online else 0):
-            one = inst if inst is not None else _rand_instance(g, max_side)
+        for k, one in enumerate(_probes(count, inst, g, max_side)):
             yield one, g.choice(_side(one, k % 2 == 0) or _side(one, k % 2 != 0))
 
     def check(one: BipartiteInstance, x: str) -> List[str]:

@@ -361,6 +361,30 @@ class TestOnePassParse:
         assert (err.value.line, err.value.column) == (2003, 10)
         assert "unknown offline vertex 'u39'" in str(err.value)
 
+    def test_column_scans_only_the_lines_an_error_names(self, monkeypatch):
+        scanned = []
+
+        class Spy:
+            def finditer(self, content):
+                scanned.append(content)
+                return _TOKEN.finditer(content)
+
+        monkeypatch.setattr(fileformat, "_TOKEN", Spy())
+        self.test_bad_last_edge_of_a_long_file()
+        assert scanned == ["edge u39 u39"]
+        for text, named in [
+            (
+                "# parties\n\n  offline a  bb c\nonline x\tbb\n",
+                {"  offline a  bb c", "online x\tbb"},
+            ),
+            ("offline v1 v2 v1 # c\nonline u1\n", {"offline v1 v2 v1 "}),
+            ("# c\noffline v1 v2\n\n# online u1\n", set()),
+        ]:
+            scanned.clear()
+            with pytest.raises(InstanceFormatError):
+                parse_instance(text)
+            assert len(scanned) <= 2 and set(scanned) == named
+
 
 @st.composite
 def named_instances(draw):

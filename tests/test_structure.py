@@ -364,6 +364,10 @@ class TestRankMove:
                             RankMoveVerdict(False, False, None, None)
                             if w is None
                             else RankMoveVerdict(
-                                False, True, moved.index(w) <= bar, inst.ranking.index(w) <= bar
+                                False,
+                                True,
+                                moved.index(w) <= bar,
+                                inst.ranking.index(w) <= bar,
+                                moved.index(w),
                             )
                         )
