@@ -6,11 +6,11 @@ configurable cap, default 8) every quantity is computed exactly, as a
 ``fractions.Fraction``, by one rank-order dynamic program: a uniformly random
 ranking is a uniformly random order in which offline vertices take their
 earliest-arriving free neighbor, so a pass over states (offline vertices
-still to come, free arrivals) counts the matches at each rank.  The expected
-size and ``lemma3_chain`` read those counts; a table of the matcher's outcome
-under every ranking backs only the public per-t functions, the chain's test
-oracle.  Beyond the cap, ``mc_expected_size`` gives a seeded,
-bit-reproducible Monte Carlo estimate.
+still to come, free arrivals) counts rankings.  The expected size reads its
+last layer; ``lemma3_chain`` has the same pass count the matches at each
+rank too.  A table of the matcher's outcome under every ranking backs only
+the public per-t functions, the chain's test oracle.  Beyond the cap,
+``mc_expected_size`` gives a seeded, bit-reproducible Monte Carlo estimate.
 
 The per-rank quantities connect into a chain that ``lemma3_chain`` builds
 from that one pass and the check functions verify link by link on
@@ -124,23 +124,27 @@ def exact_expected_size(inst: BipartiteInstance, cap: int = DEFAULT_CAP) -> Exac
 def _expected_size(inst: BipartiteInstance, cap: int = DEFAULT_CAP) -> Fraction:
     """The value of ``exact_expected_size``, with no report and no fingerprint."""
     _check_cap(inst, cap)
-    by_id, _ = _tally(inst)
-    return Fraction(sum(map(sum, by_id)), math.factorial(len(inst.ranking)))
+    arrivals = len(inst.arrival)
+    last, _, _ = _tally(inst)
+    matched = sum(ways * (arrivals - free.bit_count()) for free, ways in last.items())
+    return Fraction(matched, math.factorial(len(inst.ranking)))
 
 
-def _tally(inst: BipartiteInstance) -> Tuple[list, list]:
-    """Match counts over all n! rankings, by rank: ``(by_id, by_arrival)``.
+def _tally(inst: BipartiteInstance, by_rank: bool = False) -> Tuple[dict, list, list]:
+    """Outcomes over all n! rankings: ``(last, by_id, by_arrival)``.
 
-    ``by_id[d][x]`` counts the rankings that put offline id x (``inst.reach``
-    numbering) at rank d and match it; ``by_arrival[d][j]`` counts those that
-    match arrival j to rank d.  The party-swapped greedy of ``engine._greedy``
-    makes a ranking an order in which offline vertices take their
-    earliest-arriving free neighbor.  A forward pass over depth d = 0..n-1
-    counts, for each state (bitmask of offline ids still to come, bitmask of
-    free arrivals), the orders of the first d ids that reach it; a match at
-    depth d is completed by (n - d - 1)! orders of the rest, a factor applied
-    once per layer.  The counts equal those read off the ``_ensemble`` table,
-    without the table.
+    ``last`` maps each final set of free arrivals (a bitmask) to the number
+    of rankings that leave it.  With ``by_rank``, ``by_id[d][x]`` counts the
+    rankings that put offline id x (``inst.reach`` numbering) at rank d and
+    match it, and ``by_arrival[d][j]`` those that match arrival j to rank d;
+    without, both lists are empty.  The party-swapped greedy of
+    ``engine._greedy`` makes a ranking an order in which offline vertices
+    take their earliest-arriving free neighbor.  A forward pass over depth
+    d = 0..n-1 counts, for each state (bitmask of offline ids still to come,
+    bitmask of free arrivals), the orders of the first d ids that reach it;
+    a match at depth d is completed by (n - d - 1)! orders of the rest, a
+    factor applied once per layer.  The counts equal those read off the
+    ``_ensemble`` table, without the table.
     """
     reach = inst.reach
     n = len(reach)
@@ -164,16 +168,19 @@ def _tally(inst: BipartiteInstance) -> Tuple[list, list]:
                 if a:
                     a &= -a
                     after = state ^ bit ^ a << n
-                    ids[x] += ways
-                    arrived[a.bit_length() - 1] += ways
+                    if by_rank:
+                        ids[x] += ways
+                        arrived[a.bit_length() - 1] += ways
                 else:
                     after = state ^ bit
                 nxt[after] = nxt.get(after, 0) + ways
         layer = nxt
-        completions = math.factorial(n - d - 1)
-        by_id.append([k * completions for k in ids])
-        by_arrival.append([k * completions for k in arrived])
-    return by_id, by_arrival
+        if by_rank:
+            completions = math.factorial(n - d - 1)
+            by_id.append([k * completions for k in ids])
+            by_arrival.append([k * completions for k in arrived])
+    # every offline id has come: each state is its free arrivals << n
+    return {state >> n: ways for state, ways in layer.items()}, by_id, by_arrival
 
 
 def rank_matched_prob(inst: BipartiteInstance, t: int, cap: int = DEFAULT_CAP) -> Fraction:
@@ -345,7 +352,7 @@ def lemma3_chain(
     if n == 0:
         return []
     mset = _validated_perfect(inst, m_star)
-    by_id, by_arrival = _tally(inst)
+    _, by_id, by_arrival = _tally(inst, by_rank=True)
     upos = _designated_positions(inst, mset)
     size = math.factorial(n)
     links = []

@@ -2,11 +2,16 @@
 
 The central object is the cascade: when a vertex is deleted, the computed
 matching does not change arbitrarily but along a single alternating path.
-``zig`` and ``zag`` construct that path with one loop over the matching's
-mate map; ``shifts_to``, the literal definition of the shift relation, is
-the oracle that loop is tested against.  The ``removal_diff_*`` / ``check_*``
-functions turn the structural claims into executable verdicts that the
-suites exercise on random instances.
+Every cascade is one walk, ``_walk``, on positions: the partner arrays that
+``engine._greedy`` returns and one adjacency bitmask per arrival-side
+position.  ``_Core`` computes an instance's greedy, both mate arrays and the
+transposed masks once, in both orientations of the parties; a deletion
+zeroes one mask and reruns ``_greedy``.  The ``removal_diff_*`` and
+``check_*`` functions turn the structural claims into executable verdicts
+on that core, and the suites hold one core per instance.  ``zig`` and
+``zag`` run the same walk on a ``ZigZagContext`` translated to positions;
+``shifts_to``, the literal definition of the shift relation, is the oracle
+the walk is tested against.
 
 A ``ZigZagContext`` bundles a graph, a matching over it, and the two orders.
 The party roles inside a context are positional: ``ranking`` names the side
@@ -18,17 +23,11 @@ code path for it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import AbstractSet, Dict, List, Optional, Tuple
+from itertools import permutations
+from typing import AbstractSet, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .engine import BipartiteInstance, Permutation, _greedy, _move_id, rank_match
-from .graph import (
-    Vertex,
-    is_matching,
-    partner,
-    path_edges,
-    remove_vertices,
-    symmetric_difference,
-)
+from .graph import Vertex, is_matching, partner
 from .probability import _validated_perfect
 
 
@@ -102,41 +101,75 @@ def shift_targets(ctx: ZigZagContext, u: Vertex, current: Vertex) -> List[Vertex
     return [v for v in ctx.ranking if shifts_to(ctx, u, current, v)]
 
 
-def _cascade(ctx: ZigZagContext, x: Vertex, zig_step: bool) -> Tuple[Vertex, ...]:
-    """The cascade path from x, alternating zig steps and zag steps.
+def _walk(x: int, zig_step: bool, adj: Sequence[int], mate_r: list, mate_a: list) -> list:
+    """The cascade path from position x, alternating zig steps and zag steps.
 
-    A zig step goes from a vertex to its mate.  A zag step goes from
-    arrival-side u, matched to ranking-side v, to the first neighbor of u
-    after v in the ranking that no arrival earlier than u holds: by
-    definition the unique w with ``shifts_to(ctx, u, v, w)``.  The path ends
-    at the first step with nowhere to go.
+    Bit i of ``adj[j]`` joins arrival-side position j to ranking-side i,
+    and ``mate_r``/``mate_a`` give each ranking-/arrival-side position its
+    mate (-1 for none).  A zig step goes to the mate.  A zag step goes from
+    j, matched to i, to the lowest set bit of ``adj[j]`` above i whose
+    holder is none or arrives no earlier than j: the unique ``shifts_to``
+    target.  Ranks strictly increase, so the path ends within |ranking| zag
+    steps.
     """
-    r, a, g, mate = ctx.ranking, ctx.arrival, ctx.graph, ctx.mate
     path = [x]
     while True:
-        v = mate.get(x)
-        nxt = v if zig_step else None
-        if not zig_step and x in a and v in r:
-            t = a.index(x)
-            for w in r.order[r.index(v) + 1 :]:
-                h = mate.get(w)
-                if frozenset((x, w)) in g and (h not in a or a.index(h) >= t):
-                    nxt = w
+        if zig_step:
+            x = mate_r[x]
+        else:
+            j, i, x = x, mate_a[x], -1
+            bits = adj[j] >> i + 1 << i + 1 if i >= 0 else 0
+            while bits:
+                w = (bits & -bits).bit_length() - 1
+                if not 0 <= mate_r[w] < j:
+                    x = w
                     break
-        if nxt is None:
-            return tuple(path)
-        path.append(nxt)
-        x, zig_step = nxt, not zig_step
+                bits &= bits - 1
+        if x < 0:
+            return path
+        path.append(x)
+        zig_step = not zig_step
+
+
+def _named(path: list, first, second) -> Tuple[Vertex, ...]:
+    """A walk's positions by name: it starts on side ``first``, sides alternate."""
+    return tuple((second if k % 2 else first)[p] for k, p in enumerate(path))
+
+
+def _context_walk(ctx: ZigZagContext, x: Vertex, zig_step: bool) -> Tuple[Vertex, ...]:
+    """``_walk`` from x on ``ctx``: positions are indexes in its two orders.
+
+    A vertex off the side the walk meets it on (x, or a mate across no
+    order) gets a position past that side's end: no mask bit points there
+    and its own mask is empty, so the walk stops there as the shift rule does.
+    """
+    r, a = ctx.ranking, ctx.arrival
+    pos = (dict(r._pos), dict(a._pos))
+
+    def at(side: int, v: Vertex) -> int:
+        return pos[side].setdefault(v, len(pos[side]))
+
+    start = at(not zig_step, x)
+    ranked = {at(0, v): at(1, w) for v, w in ctx.mate.items() if v in r or v == x}
+    arriving = {at(1, v): at(0, w) for v, w in ctx.mate.items() if v in a}
+    adj = [0] * len(pos[1])
+    for e in ctx.graph:
+        for u, v in permutations(e) if len(e) == 2 else ():
+            if u in a and v in r:
+                adj[a._pos[u]] |= 1 << r._pos[v]
+    mate_r = [ranked.get(i, -1) for i in range(len(pos[0]))]
+    path = _walk(start, zig_step, adj, mate_r, [arriving.get(j, -1) for j in range(len(adj))])
+    names = [{p: v for v, p in side.items()} for side in pos]
+    return _named(path, *(names if zig_step else names[::-1]))
 
 
 def zig(ctx: ZigZagContext, v: Vertex) -> Tuple[Vertex, ...]:
     """Cascade path starting at ranking-side vertex v.
 
     [v] when v is unmatched, otherwise v followed by the zag from its
-    partner.  Ranks strictly increase along the loop, so it takes at most
-    |ranking| steps on any context.
+    partner.  Ends within |ranking| steps on any context.
     """
-    return _cascade(ctx, v, zig_step=True)
+    return _context_walk(ctx, v, zig_step=True)
 
 
 def zag(ctx: ZigZagContext, u: Vertex) -> Tuple[Vertex, ...]:
@@ -145,7 +178,7 @@ def zag(ctx: ZigZagContext, u: Vertex) -> Tuple[Vertex, ...]:
     [u] when u is unmatched or has nowhere to shift, otherwise u followed by
     the zig from its shift target.  Ends within |ranking| steps, as zig.
     """
-    return _cascade(ctx, u, zig_step=False)
+    return _context_walk(ctx, u, zig_step=False)
 
 
 @dataclass(frozen=True)
@@ -161,25 +194,85 @@ class RemovalDiff:
         return self.path is None
 
 
-def _context(inst: BipartiteInstance, offline_ranked: bool, matching, graph=None):
-    """A context over ``inst`` whose ranking side is offline iff ``offline_ranked``."""
-    orders = (inst.arrival, inst.ranking) if offline_ranked else (inst.ranking, inst.arrival)
-    return ZigZagContext(inst.graph if graph is None else graph, matching, *orders)
+def _mates(mate: Sequence[int], n: int) -> list:
+    """The inverse of a partner array, over n positions (-1 for none)."""
+    out = [-1] * n
+    for j, i in enumerate(mate):
+        if i >= 0:
+            out[i] = j
+    return out
 
 
-def _removal_diff(inst: BipartiteInstance, x: Vertex) -> RemovalDiff:
-    m = rank_match(inst)
-    m2 = rank_match(inst.without_vertices({x}))
-    if m == m2:
-        return RemovalDiff(m, m2, None)
-    p = zig(_context(inst, x in inst.ranking, m), x)
-    diff = symmetric_difference(m, m2)
-    if frozenset(path_edges(p)) != diff:
+class _Frame(NamedTuple):
+    """A context on positions: the two orders, ``_walk``'s masks and mates."""
+
+    ranking: Permutation
+    arrival: Permutation
+    adj: Sequence[int]
+    mate_r: list
+    mate_a: list
+
+    def without(self, q: int) -> "_Frame":
+        """Arrival-side q deleted: its mask zeroed and ``_greedy`` rerun."""
+        adj = list(self.adj)
+        adj[q] = 0
+        mate_r = _greedy(adj, range(len(adj)), len(self.ranking))
+        return _Frame(self.ranking, self.arrival, adj, mate_r, _mates(mate_r, len(adj)))
+
+    def matching(self) -> frozenset:
+        r, a = self.ranking.order, self.arrival.order
+        return frozenset(frozenset((r[i], a[j])) for i, j in enumerate(self.mate_r) if j >= 0)
+
+
+class _Core:
+    """An instance's greedy on positions, computed once for every check on it.
+
+    ``frames[True]`` ranks the offline party, ``frames[False]`` the arrivals.
+    Their masks are the transpose of ``inst.reach`` and ``inst.reach``; the
+    arrival side taking its lowest free neighbour in order is the online
+    fold in one and the party-swapped greedy in the other, one matching, so
+    ``_greedy``'s partner array and its inverse are the mates of both.
+    """
+
+    def __init__(self, inst: BipartiteInstance):
+        reach, arrivals = inst.reach, len(inst.arrival)
+        prs = _greedy(reach, range(len(reach)), arrivals)
+        ids = _mates(prs, len(reach))
+        cols = [0] * arrivals
+        for x, row in enumerate(reach):
+            while row:
+                cols[(row & -row).bit_length() - 1] |= 1 << x
+                row &= row - 1
+        self.inst = inst
+        self.frames = {
+            True: _Frame(inst.ranking, inst.arrival, cols, ids, prs),
+            False: _Frame(inst.arrival, inst.ranking, reach, prs, ids),
+        }
+        self.matching = self.frames[False].matching()
+
+
+def _removal_diff(core: _Core, x: Vertex) -> RemovalDiff:
+    """Deleting x: the walk from x in the frame that ranks x's party."""
+    offline = x in core.inst.ranking
+    r, a, adj, mate_r, mate_a = core.frames[offline]
+    p = r.index(x)
+    reduced = core.frames[not offline].without(p)
+    if reduced.mate_r == mate_a:
+        return RemovalDiff(core.matching, core.matching, None)
+    path = _named(_walk(p, True, adj, mate_r, mate_a), r, a)
+    diff = {
+        frozenset((a[j], r[i]))
+        for j, pair in enumerate(zip(mate_a, reduced.mate_r))
+        if pair[0] != pair[1]
+        for i in pair
+        if i >= 0
+    }
+    if set(map(frozenset, zip(path, path[1:]))) != diff:
         raise DichotomyViolation(
             f"deleting {x!r} changed the matching by {sorted(map(sorted, diff))}, "
-            f"not by the cascade path {list(p)}"
+            f"not by the cascade path {list(path)}"
         )
-    return RemovalDiff(m, m2, p)
+    return RemovalDiff(core.matching, reduced.matching(), path)
 
 
 def removal_diff_online(inst: BipartiteInstance, u: Vertex) -> RemovalDiff:
@@ -192,14 +285,25 @@ def removal_diff_online(inst: BipartiteInstance, u: Vertex) -> RemovalDiff:
     """
     if u not in inst.arrival:
         raise KeyError(f"{u!r} is not an arrival-side vertex")
-    return _removal_diff(inst, u)
+    return _removal_diff(_Core(inst), u)
 
 
 def removal_diff_offline(inst: BipartiteInstance, v: Vertex) -> RemovalDiff:
     """Difference report for deleting the ranking-side vertex v."""
     if v not in inst.ranking:
         raise KeyError(f"{v!r} is not a ranking-side vertex")
-    return _removal_diff(inst, v)
+    return _removal_diff(_Core(inst), v)
+
+
+def _zig_zag_symmetric(core: _Core, x: Vertex) -> bool:
+    online = x in core.inst.arrival
+    frame = core.frames[online]  # x arrives: the zig's frame
+    q = frame.arrival.index(x)
+    mate = frame.mate_a[q]
+    if mate < 0:
+        raise ValueError(f"removed vertex {x!r} must be matched")
+    zig_path = _walk(mate, True, *frame.without(q)[2:])
+    return zig_path == _walk(mate, False, *core.frames[not online][2:])
 
 
 def check_zig_zag_symmetry(inst: BipartiteInstance, x: Vertex) -> bool:
@@ -211,42 +315,55 @@ def check_zig_zag_symmetry(inst: BipartiteInstance, x: Vertex) -> bool:
     """
     if x not in inst.arrival.members | inst.ranking.members:
         raise KeyError(f"{x!r} is not a vertex of the instance")
-    m = rank_match(inst)
-    mate = partner(m, x)
-    if mate is None:
-        raise ValueError(f"removed vertex {x!r} must be matched")
-    reduced = inst.without_vertices({x})
-    online = x in inst.arrival.members
-    zig_ctx = _context(inst, online, rank_match(reduced), reduced.graph)
-    return zig(zig_ctx, mate) == zag(_context(inst, not online, m), mate)
+    return _zig_zag_symmetric(_Core(inst), x)
 
 
-def _stability_guard(inst: BipartiteInstance, offline_removed: bool, probe: Vertex):
-    """Context, cascade runner and guard test for deletions from one party.
+def _stability_guard(core: _Core, offline_removed: bool, probe: Vertex):
+    """Frame, walk start, walk kind and guard test for deletions from one party.
 
     The removed party plays the arrival side.  ``breach(x)`` says how x
     breaks the guard of ``check_removal_stability``, and is empty when x
     keeps it (always, when an arrival-side probe is unmatched).
     """
-    ctx = _context(inst, not offline_removed, rank_match(inst))
-    rank = ctx.ranking._pos
-    if probe in rank:
-        cutoff, runner = rank[probe], zig
-    elif probe in ctx.arrival:
-        cutoff, runner = rank.get(ctx.mate.get(probe)), zag
+    frame = core.frames[not offline_removed]
+    r, a, mate_a = frame.ranking, frame.arrival, frame.mate_a
+    if probe in r:
+        start = cutoff = r.index(probe)
+    elif probe in a:
+        start = a.index(probe)
+        cutoff = mate_a[start]
     else:
         raise KeyError(f"{probe!r} is not a vertex of the instance")
 
     def breach(x: Vertex) -> str:
-        r = rank.get(ctx.mate.get(x))
-        if r is None or cutoff is None or r < cutoff:
+        i = mate_a[a.index(x)]
+        if not 0 <= cutoff <= i:
             return ""
         return (
-            f"removed vertex {x!r} is matched at rank {r}, "
+            f"removed vertex {x!r} is matched at rank {i}, "
             f"not strictly before the probe cutoff {cutoff}"
         )
 
-    return ctx, runner, breach
+    return frame, start, probe in r, breach
+
+
+def _stable(core: _Core, xs: frozenset, probe: Vertex) -> bool:
+    offline_removed = not xs <= core.inst.arrival.members
+    if offline_removed and not xs <= core.inst.ranking.members:
+        raise ValueError("removed vertices must all lie in one party")
+    frame, start, zig_step, breach = _stability_guard(core, offline_removed, probe)
+    for x in sorted(xs):
+        if breach(x):
+            raise GuardViolation(breach(x))
+    # clear the removed vertices' pairs; the walk meets an arrival-side vertex
+    # only through its pair, so their masks are never read
+    _, a, adj, mate_r, mate_a = frame
+    kept_r, kept_a = list(mate_r), list(mate_a)
+    for q in map(a.index, xs):
+        if mate_a[q] >= 0:
+            kept_r[mate_a[q]] = kept_a[q] = -1
+    kept = _walk(start, zig_step, adj, kept_r, kept_a)
+    return kept == _walk(start, zig_step, adj, mate_r, mate_a)
 
 
 def check_removal_stability(
@@ -259,19 +376,10 @@ def check_removal_stability(
     ranking side) or before the probe's own partner (zag form, probe on the
     arrival side; vacuous when the probe is unmatched).  A guard breach
     raises GuardViolation; under the guard, the verdict is whether the path
-    in the reduced context equals the path in the full one.
+    in the reduced context (the baseline less the removed vertices' pairs,
+    on the graph without them) equals the path in the full one.
     """
-    xs = frozenset(removed)
-    offline_removed = not xs <= inst.arrival.members
-    if offline_removed and not xs <= inst.ranking.members:
-        raise ValueError("removed vertices must all lie in one party")
-    ctx, runner, breach = _stability_guard(inst, offline_removed, probe)
-    for x in sorted(xs):
-        if breach(x):
-            raise GuardViolation(breach(x))
-    kept = remove_vertices(ctx.matching, xs)
-    reduced = _context(inst, not offline_removed, kept, remove_vertices(inst.graph, xs))
-    return runner(reduced, probe) == runner(ctx, probe)
+    return _stable(_Core(inst), frozenset(removed), probe)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Iterator, List, Optional
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .engine import BipartiteInstance, is_ranking_matching, rank_match
 from .fileformat import fingerprint, serialize_instance
@@ -36,12 +36,12 @@ from .rng import SplitMix64, stream
 from .structure import (
     DichotomyViolation,
     GuardViolation,
+    _Core,
     _rank_move,
+    _removal_diff,
     _stability_guard,
-    check_removal_stability,
-    check_zig_zag_symmetry,
-    removal_diff_offline,
-    removal_diff_online,
+    _stable,
+    _zig_zag_symmetric,
 )
 
 
@@ -107,12 +107,18 @@ def _rand_instance(g: SplitMix64, max_side: int) -> BipartiteInstance:
     return gen_random(n_off, n_on, p, g.next_u64())
 
 
+def _with_core(one: BipartiteInstance) -> Tuple[BipartiteInstance, _Core]:
+    return one, _Core(one)
+
+
 def _probes(
     count: int, inst: Optional[BipartiteInstance], g: SplitMix64, max_side: int
-) -> Iterator[BipartiteInstance]:
-    """``count`` probe instances: ``inst`` (none if it has no vertex), else fresh draws."""
+) -> Iterator[Tuple[BipartiteInstance, _Core]]:
+    """``count`` probe instances and their cores: ``inst`` (none if it has no
+    vertex) with one core, else fresh draws."""
+    given = None if inst is None else _with_core(inst)
     for _ in range(count if inst is None or inst.offline | inst.online else 0):
-        yield inst if inst is not None else _rand_instance(g, max_side)
+        yield given or _with_core(_rand_instance(g, max_side))
 
 
 def _rand_planted(g: SplitMix64, max_side: int, cap: int) -> tuple:
@@ -188,17 +194,17 @@ def suite_lemma5(
     g = _master(seed)
 
     def cases():
-        for one in _probes(count, inst, g, max_side):
+        for one, core in _probes(count, inst, g, max_side):
             from_arrival = g.below(2) == 0
             party = sorted(one.online if from_arrival else one.offline)
             probe = g.choice(sorted(one.offline | one.online))
-            _, _, breach = _stability_guard(one, not from_arrival, probe)
+            breach = _stability_guard(core, not from_arrival, probe)[-1]
             xs = frozenset(x for x in party if not breach(x) and g.below(2) == 0)
-            yield one, xs, probe
+            yield one, core, xs, probe
 
-    def check(one: BipartiteInstance, xs: frozenset, probe: str) -> List[str]:
+    def check(one: BipartiteInstance, core: _Core, xs: frozenset, probe: str) -> List[str]:
         try:
-            if check_removal_stability(one, xs, probe):
+            if _stable(core, xs, probe):
                 return []
         except GuardViolation as e:
             return [f"sampler produced a guard breach: {e}"]
@@ -215,34 +221,32 @@ def suite_lemma6(
 
     def cases():
         if inst is not None:
-            yield from ((inst, x) for x in sorted(vertices(rank_match(inst))))
+            core = _Core(inst)
+            yield from ((inst, core, x) for x in sorted(vertices(core.matching)))
             return
         for _ in range(count):
             for _ in range(200):  # redraw until the matching is nonempty
-                one = _rand_instance(g, max_side)
-                m = rank_match(one)
-                if m:
+                one, core = _with_core(_rand_instance(g, max_side))
+                if core.matching:
                     break
             else:
                 raise RuntimeError("failed to draw an instance with a nonempty matching")
-            yield one, g.choice(sorted(vertices(m)))
+            yield one, core, g.choice(sorted(vertices(core.matching)))
 
-    def check(one: BipartiteInstance, x: str) -> List[str]:
-        if check_zig_zag_symmetry(one, x):
+    def check(one: BipartiteInstance, core: _Core, x: str) -> List[str]:
+        if _zig_zag_symmetric(core, x):
             return []
         return [f"zig and zag disagree after deleting {x!r}"]
 
     return _run("lemma6", cases(), check)
 
 
-def _side(one: BipartiteInstance, online_side: bool) -> tuple:
-    return one.arrival.order if online_side else one.ranking.order
-
-
-def _removal_failures(one: BipartiteInstance, x: str, paths: bool = True) -> List[str]:
+def _removal_failures(
+    one: BipartiteInstance, core: _Core, x: str, paths: bool = True
+) -> List[str]:
     """Deleting x: the size drops by 0 or 1, and (``paths``) along a cascade."""
     try:
-        diff = (removal_diff_online if x in one.arrival else removal_diff_offline)(one, x)
+        diff = _removal_diff(core, x)
     except DichotomyViolation as e:
         return [str(e)]
     drop = len(diff.baseline) - len(diff.reduced)
@@ -272,12 +276,14 @@ def _suite_removal(
     g = _master(seed)
 
     def cases():
+        # a frame's ranking side is the party whose deletions it walks
         if inst is not None:
-            yield from ((inst, x) for x in _side(inst, online_side))
+            core = _Core(inst)
+            yield from ((inst, core, x) for x in core.frames[not online_side].ranking)
             return
         for _ in range(count):  # per case: instance first, then the vertex
-            one = _rand_instance(g, max_side)
-            yield one, g.choice(_side(one, online_side))
+            one, core = _with_core(_rand_instance(g, max_side))
+            yield one, core, g.choice(core.frames[not online_side].ranking.order)
 
     return _run(name, cases(), _removal_failures)
 
@@ -304,11 +310,12 @@ def suite_lemma9(
 
     def cases():
         # sides alternate, arrival side first; an empty side yields to the other
-        for k, one in enumerate(_probes(count, inst, g, max_side)):
-            yield one, g.choice(_side(one, k % 2 == 0) or _side(one, k % 2 != 0))
+        for k, (one, core) in enumerate(_probes(count, inst, g, max_side)):
+            first, second = core.frames[k % 2 == 1], core.frames[k % 2 == 0]
+            yield one, core, g.choice(first.ranking.order or second.ranking.order)
 
-    def check(one: BipartiteInstance, x: str) -> List[str]:
-        return _removal_failures(one, x, paths=False)
+    def check(one: BipartiteInstance, core: _Core, x: str) -> List[str]:
+        return _removal_failures(one, core, x, paths=False)
 
     return _run("lemma9", cases(), check)
 

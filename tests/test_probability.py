@@ -223,10 +223,18 @@ class TestExactExpectedSize:
 
 class TestExpectedSizeEqualsTable:
     @settings(max_examples=60, deadline=None)
-    @given(instances(max_side=5))
+    @given(instances(max_side=6))
     def test_hypothesis_instances(self, inst):
         rep = exact_expected_size(inst)
         assert (rep.value, rep.sample_space) == table_expected_size(inst)
+
+    @pytest.mark.parametrize("n", [10, 12])
+    def test_last_layer_equals_the_per_rank_counts(self, n):
+        # beyond the table's reach: the size read from the pass's last layer
+        # equals the chain's final prefix sum, read from its per-rank counts
+        inst, m_star = gen_perfect(n, 0.4, 1)
+        links = lemma3_chain(inst, m_star, cap=n)
+        assert links[-1].prefix_sum == exact_expected_size(inst, cap=n).value
 
     @pytest.mark.parametrize("n", range(9))
     def test_planted_instances(self, n):
@@ -376,13 +384,13 @@ class TestChainEqualsPerT:
         inst, m_star = gen_perfect(4, 0.3, 11)
         real = probability._tally
 
-        def dropped(one):
-            by_id, by_arrival = real(one)
+        def dropped(one, by_rank):
+            last, by_id, by_arrival = real(one, by_rank)
             d, j = next(
                 (d, j) for d, row in enumerate(by_arrival) for j, k in enumerate(row) if k
             )
             by_arrival[d][j] -= 1
-            return by_id, by_arrival
+            return last, by_id, by_arrival
 
         monkeypatch.setattr(probability, "_tally", dropped)
         links = lemma3_chain(inst, m_star)

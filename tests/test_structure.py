@@ -3,10 +3,15 @@
 Golden paths were derived by hand on the six-by-six worked example and the
 small two-by-two instances, then frozen.  Property tests check the shape
 invariants (at most one shift target, single-path dichotomy, size drop of
-at most one) on random instances.
+at most one) on random instances.  The name-level cascade walk, removal
+diff, symmetry and stability checks that the position core replaced are
+kept at the bottom as oracles, compared against the core on every small
+graph, on hypothesis instances and on contexts with other matchings.
 """
 
 from __future__ import annotations
+
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -16,8 +21,11 @@ from rankinglab import (
     BipartiteInstance,
     DichotomyViolation,
     GuardViolation,
+    Permutation,
     RankMoveVerdict,
+    RemovalDiff,
     ZigZagContext,
+    all_matchings,
     check_rank_move,
     check_removal_stability,
     check_zig_zag_symmetry,
@@ -30,6 +38,7 @@ from rankinglab import (
     remove_vertices,
     removal_diff_offline,
     removal_diff_online,
+    serialize_instance,
     shift_targets,
     shifts_to,
     symmetric_difference,
@@ -37,6 +46,9 @@ from rankinglab import (
     zag,
     zig,
 )
+
+from rankinglab import structure
+from rankinglab.engine import rank_match
 
 from .conftest import instances, make_instance
 
@@ -371,3 +383,243 @@ class TestRankMove:
                                 moved.index(w),
                             )
                         )
+
+
+# ---------------------------------------------------------------- name-level oracles
+#
+# The cascade walk and the removal diff as they ran on names, before the
+# position core replaced them: a scan of ``ranking.order`` with frozenset edge
+# lookups, on contexts built from whole matchings and graphs.
+
+
+def cascade_oracle(ctx, x, zig_step):
+    """The cascade path from x on ``ctx``, on names: zig from x, or zag."""
+    r, a, g, mate = ctx.ranking, ctx.arrival, ctx.graph, ctx.mate
+    path = [x]
+    while True:
+        v = mate.get(x)
+        nxt = v if zig_step else None
+        if not zig_step and x in a and v in r:
+            t = a.index(x)
+            for w in r.order[r.index(v) + 1 :]:
+                h = mate.get(w)
+                if frozenset((x, w)) in g and (h not in a or a.index(h) >= t):
+                    nxt = w
+                    break
+        if nxt is None:
+            return tuple(path)
+        path.append(nxt)
+        x, zig_step = nxt, not zig_step
+
+
+def name_context(inst, offline_ranked, matching, graph=None):
+    """A context over ``inst`` whose ranking side is offline iff ``offline_ranked``."""
+    orders = (inst.arrival, inst.ranking) if offline_ranked else (inst.ranking, inst.arrival)
+    return ZigZagContext(inst.graph if graph is None else graph, matching, *orders)
+
+
+def removal_diff_oracle(inst, x, cascade=cascade_oracle):
+    m = rank_match(inst)
+    m2 = rank_match(inst.without_vertices({x}))
+    if m == m2:
+        return RemovalDiff(m, m2, None)
+    p = cascade(name_context(inst, x in inst.ranking, m), x, True)
+    diff = symmetric_difference(m, m2)
+    if frozenset(path_edges(p)) != diff:
+        raise DichotomyViolation(
+            f"deleting {x!r} changed the matching by {sorted(map(sorted, diff))}, "
+            f"not by the cascade path {list(p)}"
+        )
+    return RemovalDiff(m, m2, p)
+
+
+def symmetry_oracle(inst, x):
+    if x not in inst.arrival.members | inst.ranking.members:
+        raise KeyError(f"{x!r} is not a vertex of the instance")
+    m = rank_match(inst)
+    mate = partner(m, x)
+    if mate is None:
+        raise ValueError(f"removed vertex {x!r} must be matched")
+    reduced = inst.without_vertices({x})
+    online = x in inst.arrival.members
+    zig_ctx = name_context(inst, online, rank_match(reduced), reduced.graph)
+    return cascade_oracle(zig_ctx, mate, True) == cascade_oracle(
+        name_context(inst, not online, m), mate, False
+    )
+
+
+def kept_context(inst, xs):
+    """The reduced context of ``check_removal_stability``: the removed party arrives."""
+    offline_removed = not xs <= inst.arrival.members
+    kept = remove_vertices(rank_match(inst), xs)
+    return name_context(inst, not offline_removed, kept, remove_vertices(inst.graph, xs))
+
+
+def stability_oracle(inst, removed, probe):
+    xs = frozenset(removed)
+    offline_removed = not xs <= inst.arrival.members
+    if offline_removed and not xs <= inst.ranking.members:
+        raise ValueError("removed vertices must all lie in one party")
+    ctx = name_context(inst, not offline_removed, rank_match(inst))
+    rank = ctx.ranking._pos
+    if probe in rank:
+        cutoff, zig_step = rank[probe], True
+    elif probe in ctx.arrival:
+        cutoff, zig_step = rank.get(ctx.mate.get(probe)), False
+    else:
+        raise KeyError(f"{probe!r} is not a vertex of the instance")
+    for x in sorted(xs):
+        r = rank.get(ctx.mate.get(x))
+        if r is not None and cutoff is not None and r >= cutoff:
+            raise GuardViolation(
+                f"removed vertex {x!r} is matched at rank {r}, "
+                f"not strictly before the probe cutoff {cutoff}"
+            )
+    reduced = kept_context(inst, xs)
+    return cascade_oracle(reduced, probe, zig_step) == cascade_oracle(ctx, probe, zig_step)
+
+
+def outcome(f, *args):
+    """What a call returns, or the type and text of what it raises."""
+    try:
+        return f(*args)
+    except (DichotomyViolation, GuardViolation, KeyError, ValueError) as e:
+        return type(e), str(e)
+
+
+def every_graph(offline, online):
+    """Every graph between two parties with identity orders."""
+    pairs = [(u, v) for u in online.split() for v in offline.split()]
+    for bits in range(1 << len(pairs)):
+        chosen = [pq for k, pq in enumerate(pairs) if bits >> k & 1]
+        yield make_instance(offline, online, chosen)
+
+
+SMALL_GRAPHS = (("v1 v2 v3", "u1 u2 u3"), ("v1 v2", "u1 u2 u3 u4"), ("v1 v2 v3 v4", "u1 u2"))
+
+
+def removal_mismatches(inst):
+    """The vertices where ``removal_diff_*`` or ``check_zig_zag_symmetry`` and
+    its name-level oracle part."""
+    bad = []
+    for x in inst.arrival:
+        if outcome(removal_diff_online, inst, x) != outcome(removal_diff_oracle, inst, x):
+            bad.append(x)
+    for x in inst.ranking:
+        if outcome(removal_diff_offline, inst, x) != outcome(removal_diff_oracle, inst, x):
+            bad.append(x)
+    for x in [*inst.arrival, *inst.ranking, "zz"]:
+        if outcome(check_zig_zag_symmetry, inst, x) != outcome(symmetry_oracle, inst, x):
+            bad.append((x, "symmetry"))
+    return bad
+
+
+def walk_mismatches(ctx):
+    """(start, step) pairs where ``zig``/``zag`` and the name-level walk part,
+    on ``ctx`` and its swap, from every vertex and one non-member."""
+    bad = []
+    for c in (ctx, ctx.swapped()):
+        for x in [*c.ranking, *c.arrival, "zz"]:
+            if zig(c, x) != cascade_oracle(c, x, True):
+                bad.append((x, "zig"))
+            if zag(c, x) != cascade_oracle(c, x, False):
+                bad.append((x, "zag"))
+    return bad
+
+
+def kept_contexts(inst):
+    """Every reduced context of ``check_removal_stability`` on ``inst``."""
+    for party in (inst.arrival, inst.ranking):
+        for k in range(len(party) + 1):
+            for xs in combinations(party, k):
+                yield kept_context(inst, frozenset(xs))
+
+
+def matching_contexts(inst):
+    """A context per matching of the graph, in both orientations of the orders."""
+    for m in all_matchings(inst.graph):
+        yield ZigZagContext(inst.graph, m, inst.arrival, inst.ranking)
+
+
+def walk_without_holder_clause(x, zig_step, adj, mate_r, mate_a):
+    """``_walk`` with a fault: a zag step takes the next neighbour even when an
+    earlier arrival holds it."""
+    path = [x]
+    while True:
+        if zig_step:
+            x = mate_r[x]
+        else:
+            j, i, x = x, mate_a[x], -1
+            bits = adj[j] >> i + 1 << i + 1 if i >= 0 else 0
+            if bits:
+                x = (bits & -bits).bit_length() - 1
+        if x < 0:
+            return path
+        path.append(x)
+        zig_step = not zig_step
+
+
+class TestCoreEqualsNameLevel:
+    """The position core against the name-level walk and removal diff it replaced."""
+
+    @pytest.mark.parametrize("offline, online", SMALL_GRAPHS)
+    def test_removal_diff_on_every_small_graph(self, offline, online):
+        for inst in every_graph(offline, online):
+            assert removal_mismatches(inst) == [], serialize_instance(inst)
+
+    @settings(max_examples=80, deadline=None)
+    @given(instances())
+    def test_removal_diff_on_random_instances(self, inst):
+        assert removal_mismatches(inst) == []
+
+    def test_same_dichotomy_violation(self, example6, monkeypatch):
+        # both walks stop at their start: every moved vertex raises, with one text
+        monkeypatch.setattr(structure, "_walk", lambda x, *arrays: [x])
+        start_only = lambda ctx, x, zig_step: (x,)  # noqa: E731
+        raised = 0
+        for inst in [example6, *every_graph("v1 v2 v3", "u1 u2 u3")]:
+            for x in [*inst.arrival, *inst.ranking]:
+                side = removal_diff_online if x in inst.arrival else removal_diff_offline
+                got = outcome(side, inst, x)
+                assert got == outcome(removal_diff_oracle, inst, x, start_only)
+                raised += isinstance(got, tuple) and got[0] is DichotomyViolation
+        assert raised > 0
+
+    def test_stability_on_every_three_by_three_graph(self):
+        for inst in every_graph("v1 v2 v3", "u1 u2 u3"):
+            for party in (inst.arrival, inst.ranking):
+                for k in range(len(party) + 1):
+                    for xs in combinations(party, k):
+                        for probe in [*inst.ranking, *inst.arrival, "zz"]:
+                            args = (inst, frozenset(xs), probe)
+                            assert outcome(check_removal_stability, *args) == outcome(
+                                stability_oracle, *args
+                            ), (serialize_instance(inst), xs, probe)
+
+    def test_walks_on_kept_and_all_matchings_of_example6(self, example6):
+        for ctx in [*kept_contexts(example6), *matching_contexts(example6)]:
+            assert walk_mismatches(ctx) == []
+
+    @settings(max_examples=40, deadline=None)
+    @given(instances(max_side=4))
+    def test_walks_on_kept_and_all_matchings(self, inst):
+        for ctx in [*kept_contexts(inst), *matching_contexts(inst)]:
+            assert walk_mismatches(ctx) == []
+
+    def test_walks_on_contexts_off_the_orders(self):
+        # matched pairs inside one order or outside both, and orders that overlap
+        g = frozenset({edge("u1", "v1"), edge("u1", "v2"), edge("v2", "v3"), edge("w", "u2")})
+        m = frozenset({edge("u1", "v1"), edge("v2", "v3"), edge("w", "u2")})
+        for arrival, ranking in (
+            (Permutation(["u1", "u2"]), Permutation(["v1", "v2"])),
+            (Permutation(["u1", "v3"]), Permutation(["v1", "v2", "u1"])),
+            (Permutation(["u2"]), Permutation(["w", "v2"])),
+        ):
+            assert walk_mismatches(ZigZagContext(g, m, arrival, ranking)) == []
+
+    def test_a_walk_without_the_holder_clause_fails(self, example6, monkeypatch):
+        monkeypatch.setattr(structure, "_walk", walk_without_holder_clause)
+        assert any(walk_mismatches(ctx) for ctx in matching_contexts(example6))
+        graphs = list(every_graph("v1 v2 v3", "u1 u2 u3"))
+        assert any(walk_mismatches(ctx) for inst in graphs for ctx in kept_contexts(inst))
+        assert any(removal_mismatches(inst) for inst in graphs)

@@ -217,7 +217,12 @@ class TestFailurePath:
 
     @pytest.fixture
     def start_only_walk(self, monkeypatch):
-        monkeypatch.setattr(structure, "zig", lambda ctx, v: (v,))
+        real = structure._walk  # a walk that opens with a zig step stops at its start
+
+        def start_only(x, zig_step, *arrays):
+            return [x] if zig_step else real(x, zig_step, *arrays)
+
+        monkeypatch.setattr(structure, "_walk", start_only)
 
     def test_removal_suites_report_a_start_only_walk(self, example6, start_only_walk):
         inst, text = example6, serialize_instance(example6)
@@ -346,13 +351,13 @@ class TestFailurePath:
         _replays(result, suite_ranking_matching)
 
     def test_removal_suites_report_a_size_change(self, example6, monkeypatch):
-        real, ghost = suites.removal_diff_online, edge("u0", "v0")
+        real, ghost = suites._removal_diff, edge("u0", "v0")
 
-        def growing(one, x):  # the reduced matching gains an edge
-            d = real(one, x)
+        def growing(core, x):  # the reduced matching gains an edge
+            d = real(core, x)
             return replace(d, reduced=d.baseline | {ghost})
 
-        monkeypatch.setattr(suites, "removal_diff_online", growing)
+        monkeypatch.setattr(suites, "_removal_diff", growing)
         result = suite_lemma7(1, 0, inst=example6)
         assert [(f.description, f.instance_text) for f in result.failures] == [
             (f"deleting {x!r} changed the size by -1", serialize_instance(example6))
@@ -366,7 +371,7 @@ class TestFailurePath:
         "module, name, fault, text",
         [
             (
-                structure, "zig", lambda real: lambda ctx, v: real(ctx, v)[::-1],
+                structure, "_named", lambda real: lambda *args: real(*args)[::-1],
                 "cascade does not start at {x!r}",
             ),
             (
@@ -414,17 +419,17 @@ class TestFailurePath:
         _replays(result, suite_lemma3)
 
     def test_lemma5_reports_changes_and_breaches(self, example6, monkeypatch):
-        monkeypatch.setattr(suites, "check_removal_stability", lambda *args: False)
+        monkeypatch.setattr(suites, "_stable", lambda *args: False)
         result = suite_lemma5(4, 8, inst=example6)
         assert len(result.failures) == 4
         for f in result.failures:
             assert f.description.startswith("cascade from ")
             assert f.instance_text == serialize_instance(example6)
 
-        def breach(one, xs, probe):
+        def breach(core, xs, probe):
             raise GuardViolation("planted")
 
-        monkeypatch.setattr(suites, "check_removal_stability", breach)
+        monkeypatch.setattr(suites, "_stable", breach)
         result = suite_lemma5(3, 1, max_side=4)
         assert [f.description for f in result.failures] == [
             "sampler produced a guard breach: planted"
