@@ -55,8 +55,8 @@ from .probability import (
 from .reporting import CSV_HEADER, exact_row, fmt_cell, row_line
 from .suites import SUITES
 
-#: the largest ``check --max-side``; ranking-matching's worst 64 x 64 draw took 1.3 s
-MAX_SIDE = 64
+#: the largest ``check --max-side``; ranking-matching's worst 80 x 80 draw took 1.3 s
+MAX_SIDE = 80
 
 
 def _default_seed() -> int:

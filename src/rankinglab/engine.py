@@ -9,7 +9,8 @@ its best-ranked still-free neighbor, or left unmatched forever.
 over the arrival order.  ``is_ranking_matching`` is the declarative one: a
 predicate on (graph, matching, orders) that the fold's output satisfies and,
 on any given instance, exactly one matching satisfies.  Having both lets the
-tests drive each against the other; both stay literal oracles.
+tests drive each against the other.  The predicate is a closure over one
+(graph, orders), ``_predicate``, that settles the graph-only conjuncts once.
 
 Every other caller runs ``rank_match``: ``_greedy``, the party-swapped greedy
 (offline vertices in ranking order take their earliest-arriving free
@@ -22,15 +23,14 @@ fold's matching.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, List, Sequence
+from typing import Callable, Iterable, Iterator, List, Sequence
 
 from .graph import (
-    Edge,
     Vertex,
+    _mate_map,
     is_bipartite,
     is_matching,
     is_maximal_matching,
-    partner,
     remove_vertices,
     vertices,
 )
@@ -204,13 +204,13 @@ def rank_match(inst: BipartiteInstance) -> frozenset:
 
 
 def _first_choice_clause(
-    g: frozenset, m: frozenset, chooser: Permutation, chosen: Permutation
+    g: frozenset, m: frozenset, mate: dict, chooser: Permutation, chosen: Permutation
 ) -> bool:
     """No matched chooser skips an earlier-ranked neighbor without cause.
 
     For every matched pair {u, v} with u on the chooser side: any neighbor
-    v2 of u ranked before v must itself be matched to some chooser earlier
-    than u.  Quantifiers are unrolled literally; instances are desk-sized.
+    v2 of u ranked before v must itself be matched (``mate``, m's partner
+    map) to some chooser earlier than u.  Quantifiers are unrolled literally.
     """
     for e in m:
         side = e & chooser.members
@@ -218,15 +218,31 @@ def _first_choice_clause(
             return False
         (u,) = side
         (v,) = e - side
-        for v2 in chosen:
-            if chosen.index(v2) >= chosen.index(v):
-                break
+        for v2 in chosen.order[: chosen.index(v)]:
             if frozenset((u, v2)) not in g:
                 continue
-            u2 = partner(m, v2)
+            u2 = mate.get(v2)
             if u2 is None or u2 not in chooser or chooser.index(u2) >= chooser.index(u):
                 return False
     return True
+
+
+def _predicate(g, arrival: Permutation, ranking: Permutation) -> Callable[..., bool]:
+    """``is_ranking_matching`` on (g, orders) as a test of m, built once for many m."""
+    gset = frozenset(frozenset(e) for e in g)
+    parties = not arrival.members & ranking.members
+    parties = parties and is_bipartite(gset, arrival.members, ranking.members)
+
+    def holds(m) -> bool:
+        mset = frozenset(frozenset(e) for e in m)
+        return (
+            mset <= gset and is_matching(mset) and parties
+            and is_maximal_matching(gset, mset)
+            and _first_choice_clause(gset, mset, (mate := _mate_map(mset)), arrival, ranking)
+            and _first_choice_clause(gset, mset, mate, ranking, arrival)
+        )
+
+    return holds
 
 
 def is_ranking_matching(
@@ -238,18 +254,6 @@ def is_ranking_matching(
     disjoint parties; m is maximal in g; no arriving vertex skipped a free
     better-ranked neighbor; and the same first-choice condition with the
     parties' roles swapped.  The conjunction is symmetric under exchanging
-    the two orders.
+    the two orders.  This is one call of the closure ``_predicate``.
     """
-    gset = frozenset(frozenset(e) for e in g)
-    mset = frozenset(frozenset(e) for e in m)
-    if not (mset <= gset and is_matching(mset)):
-        return False
-    if arrival.members & ranking.members:
-        return False
-    if not is_bipartite(gset, arrival.members, ranking.members):
-        return False
-    if not is_maximal_matching(gset, mset):
-        return False
-    if not _first_choice_clause(gset, mset, arrival, ranking):
-        return False
-    return _first_choice_clause(gset, mset, ranking, arrival)
+    return _predicate(g, arrival, ranking)(m)

@@ -87,6 +87,11 @@ def is_maximal_matching(g: AbstractSet, m: AbstractSet) -> bool:
     return all(e & covered for e in g)
 
 
+def _mate_map(m: Iterable[Edge]) -> Dict[Vertex, Vertex]:
+    """Each vertex the matching m (of two-vertex edges) covers, mapped to its partner."""
+    return {x: y for a, b in m for x, y in ((a, b), (b, a))}
+
+
 def partner(m: Iterable[Edge], v: Vertex) -> Optional[Vertex]:
     """The vertex matched to v in m, or None.  m must be a matching."""
     found = None
@@ -173,11 +178,7 @@ def find_augmenting_path(g: AbstractSet, m: AbstractSet) -> Optional[List[Vertex
     if not mset <= gset:
         raise ValueError("m must be a subset of g")
     adj = {v: sorted(neighbors(gset, v)) for v in vertices(gset)}
-    covered = vertices(mset)
-    mate = {}
-    for e in mset:
-        a, b = sorted(e)
-        mate[a], mate[b] = b, a
+    mate = _mate_map(mset)  # its keys are the vertices m covers
 
     def extend(path: List[Vertex], seen: frozenset) -> Optional[List[Vertex]]:
         # the last path vertex is free or was entered along its matched edge,
@@ -185,7 +186,7 @@ def find_augmenting_path(g: AbstractSet, m: AbstractSet) -> Optional[List[Vertex
         for w in adj[path[-1]]:
             if w in seen:
                 continue
-            if w not in covered:
+            if w not in mate:
                 return path + [w]
             x = mate[w]
             if x in seen:
@@ -195,7 +196,7 @@ def find_augmenting_path(g: AbstractSet, m: AbstractSet) -> Optional[List[Vertex
                 return found
         return None
 
-    for s in sorted(vertices(gset) - covered):
+    for s in sorted(vertices(gset) - mate.keys()):
         found = extend([s], frozenset((s,)))
         if found is not None:
             return found

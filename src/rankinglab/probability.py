@@ -39,7 +39,7 @@ from typing import AbstractSet, Dict, Optional, Tuple
 
 from .engine import BipartiteInstance, _greedy, _move_id
 from .fileformat import fingerprint
-from .graph import bipartite_max_matching, is_matching, vertices
+from .graph import _mate_map, bipartite_max_matching, is_matching, vertices
 from .rng import _GOLDEN, _MASK, stream
 
 DEFAULT_CAP = 8
@@ -213,9 +213,7 @@ def rank_matched_prob_moved(
 
 def _designated_positions(inst: BipartiteInstance, m_star: frozenset) -> list:
     """Arrival position of each offline vertex's m_star partner, by rank."""
-    mate = {}
-    for a, b in map(tuple, m_star):
-        mate[a], mate[b] = b, a
+    mate = _mate_map(m_star)
     return [inst.arrival.index(mate[v]) for v in inst.ranking]
 
 

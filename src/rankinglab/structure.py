@@ -27,7 +27,7 @@ from itertools import permutations
 from typing import AbstractSet, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .engine import BipartiteInstance, Permutation, _greedy, _move_id, rank_match
-from .graph import Vertex, is_matching, partner
+from .graph import Vertex, _mate_map, is_matching, partner
 from .probability import _validated_perfect
 
 
@@ -55,10 +55,7 @@ class ZigZagContext:
             raise ValueError("context matching is not a matching")
         if not self.matching <= self.graph:
             raise ValueError("context matching must be a subset of the graph")
-        mate = {}
-        for a, b in self.matching:
-            mate[a], mate[b] = b, a
-        object.__setattr__(self, "mate", mate)
+        object.__setattr__(self, "mate", _mate_map(self.matching))
 
     def swapped(self) -> "ZigZagContext":
         return ZigZagContext(self.graph, self.matching, self.ranking, self.arrival)

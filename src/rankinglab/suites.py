@@ -21,7 +21,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
-from .engine import BipartiteInstance, is_ranking_matching, rank_match
+from .engine import BipartiteInstance, _predicate, rank_match
 from .fileformat import fingerprint, serialize_instance
 from .generators import gen_perfect, gen_random
 from .graph import all_matchings, is_alternating_path, remove_vertices, vertices
@@ -143,19 +143,19 @@ def suite_ranking_matching(
     def check(one: BipartiteInstance) -> List[str]:
         gr, arr, rank = one.graph, one.arrival, one.ranking
         m = rank_match(one)
-        if not is_ranking_matching(gr, m, arr, rank):
+        if not _predicate(gr, arr, rank)(m):
             return ["output fails the declarative characterization"]
         for e in sorted(m, key=sorted):
-            if not is_ranking_matching(remove_vertices(gr, e), m - {e}, arr, rank):
+            if not _predicate(remove_vertices(gr, e), arr, rank)(m - {e}):
                 return [
                     f"removing the matched pair {sorted(e)} breaks the "
                     "characterization of the remaining matching"
                 ]
         if len(rank) <= 5 and len(arr) <= 5:
             hits = []
+            direct, swapped = _predicate(gr, arr, rank), _predicate(gr, rank, arr)
             for mm in all_matchings(gr):
-                a = is_ranking_matching(gr, mm, arr, rank)
-                b = is_ranking_matching(gr, mm, rank, arr)
+                a, b = direct(mm), swapped(mm)
                 if a != b:
                     return ["party swap changed a verdict"]
                 if a:

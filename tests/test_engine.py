@@ -2,7 +2,9 @@
 
 Frozen expected matchings were derived by stepping through the greedy rule
 by hand and double-checked with an independent brute-force enumeration
-before being committed here.
+before being committed here.  ``ranking_matching_oracle`` is the predicate's
+literal form, every conjunct re-derived per call; the ``_predicate`` closures
+that ``is_ranking_matching`` and the suite use are compared against it.
 """
 
 from __future__ import annotations
@@ -21,12 +23,15 @@ from rankinglab import (
     edge,
     gen_gamma_family,
     gen_random,
+    is_bipartite,
+    is_matching,
     is_maximal_matching,
     is_ranking_matching,
     online_match,
+    partner,
     step,
 )
-from rankinglab.engine import _greedy, _move_id, rank_match
+from rankinglab.engine import _greedy, _move_id, _predicate, rank_match
 from rankinglab.generators import _gamma_ranking
 
 from .conftest import instances, make_instance
@@ -42,6 +47,79 @@ def reach_by_definition(inst):
         sum(1 << j for j, u in enumerate(inst.arrival) if edge(u, v) in inst.graph)
         for v in inst.ranking
     )
+
+
+def first_choice_clause(g, m, chooser, chosen):
+    """No matched chooser skips an earlier-ranked neighbor without cause.
+
+    For every matched pair {u, v} with u on the chooser side: any neighbor
+    v2 of u ranked before v must itself be matched to some chooser earlier
+    than u.  Quantifiers are unrolled literally; v2's partner is a scan of m.
+    """
+    for e in m:
+        side = e & chooser.members
+        if len(side) != 1:
+            return False
+        (u,) = side
+        (v,) = e - side
+        for v2 in chosen:
+            if chosen.index(v2) >= chosen.index(v):
+                break
+            if frozenset((u, v2)) not in g:
+                continue
+            u2 = partner(m, v2)
+            if u2 is None or u2 not in chooser or chooser.index(u2) >= chooser.index(u):
+                return False
+    return True
+
+
+def ranking_matching_oracle(g, m, arrival, ranking):
+    """The five conjuncts of ``is_ranking_matching``, all re-derived per call.
+
+    m is a matching inside g; g is bipartite between the two disjoint
+    parties; m is maximal in g; no arriving vertex skipped a free
+    better-ranked neighbor; and the same with the parties' roles swapped.
+    """
+    gset = frozenset(frozenset(e) for e in g)
+    mset = frozenset(frozenset(e) for e in m)
+    if not (mset <= gset and is_matching(mset)):
+        return False
+    if arrival.members & ranking.members:
+        return False
+    if not is_bipartite(gset, arrival.members, ranking.members):
+        return False
+    if not is_maximal_matching(gset, mset):
+        return False
+    if not first_choice_clause(gset, mset, arrival, ranking):
+        return False
+    return first_choice_clause(gset, mset, ranking, arrival)
+
+
+@st.composite
+def predicate_inputs(draw):
+    """(graph, orders, edge sets, shape) for the predicate.
+
+    Starting from a drawn instance, the graph may gain edges inside a party
+    or to the undeclared vertex ``x``, or one three-vertex edge; an arrival
+    may also be ranked (often isolated, so only the overlap check rejects
+    it).  The edge sets are arbitrary: non-matchings, edges outside g.  The
+    shape gives a set of edges as a frozenset, a tuple or a list of tuples.
+    """
+    inst = draw(instances(max_side=4))
+    arrival, ranking = inst.arrival, inst.ranking
+    names = sorted(inst.offline | inst.online) + ["x"]
+    pairs = [edge(a, b) for i, a in enumerate(names) for b in names[i + 1:]]
+    g = inst.graph
+    if draw(st.integers(0, 2)) == 0:
+        g |= draw(st.frozensets(st.sampled_from(pairs), min_size=1, max_size=2))
+    if draw(st.integers(0, 9)) == 0:
+        trio = draw(st.lists(st.sampled_from(names), min_size=3, max_size=3, unique=True))
+        g |= {frozenset(trio)}
+    if draw(st.integers(0, 4)) == 0:
+        ranking = Permutation([*ranking, draw(st.sampled_from(arrival.order))])
+    edge_sets = draw(st.lists(st.frozensets(st.sampled_from(pairs), max_size=4), max_size=6))
+    shape = draw(st.sampled_from([frozenset, tuple, lambda m: [tuple(e) for e in m]]))
+    return g, arrival, ranking, edge_sets, shape
 
 
 class TestPermutation:
@@ -315,6 +393,28 @@ class TestRankingMatchingPredicate:
         a = is_ranking_matching(inst.graph, m, inst.arrival, inst.ranking)
         b = is_ranking_matching(inst.graph, m, inst.ranking, inst.arrival)
         assert a and b
+
+    @settings(max_examples=300)
+    @given(predicate_inputs())
+    def test_closure_equals_the_oracle(self, case):
+        g, arrival, ranking, edge_sets, shape = case
+        holds = _predicate(g, arrival, ranking)
+        # one closure on every matching of g in turn: nothing may carry over
+        for m in map(shape, [*edge_sets, *all_matchings(g)]):
+            expect = ranking_matching_oracle(g, m, arrival, ranking)
+            assert holds(m) == expect
+            assert is_ranking_matching(g, m, arrival, ranking) == expect
+
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_closure_on_every_matching_of_example6(self, example6, swap):
+        g, orders = example6.graph, (example6.arrival, example6.ranking)
+        arrival, ranking = orders[::-1] if swap else orders
+        holds = _predicate(g, arrival, ranking)
+        verdicts = [(m, holds(m)) for m in all_matchings(g)]
+        assert [m for m, ok in verdicts if ok] == [online_match(example6)]
+        assert verdicts == [
+            (m, ranking_matching_oracle(g, m, arrival, ranking)) for m in all_matchings(g)
+        ]
 
     def test_swap_agrees_on_rejects(self):
         inst = make_instance(

@@ -114,6 +114,21 @@ class TestFileMode:
         result = suite_ranking_matching(100, 0, inst=example6)
         assert result.cases == 1 and result.passed
 
+    def test_ranking_matching_builds_one_predicate_per_graph(self, monkeypatch):
+        real, built = suites._predicate, []
+
+        def counted(g, arrival, ranking):
+            built.append((g, arrival, ranking))
+            return real(g, arrival, ranking)
+
+        monkeypatch.setattr(suites, "_predicate", counted)
+        inst = parse_instance(PERFECT_TEXT)
+        result = suite_ranking_matching(1, 0, inst=inst)
+        assert result.cases == 1 and result.passed
+        # the output, each matched pair's reduced graph, then one closure per
+        # orientation shared by every matching of the uniqueness loop
+        assert len(built) == 1 + len(rank_match(inst)) + 2
+
     def test_lemma6_probes_every_matched_vertex(self, example6):
         result = suite_lemma6(1, 0, inst=example6)
         assert result.cases == 10  # five matched pairs
@@ -267,7 +282,7 @@ class TestFailurePath:
         assert suite_lemma6(15, 2, max_side=5).failures
 
     def test_ranking_matching_reports_a_rejected_output(self, example6, monkeypatch):
-        monkeypatch.setattr(suites, "is_ranking_matching", lambda *args: False)
+        monkeypatch.setattr(suites, "_predicate", lambda *args: lambda m: False)
         result = suite_ranking_matching(1, 0, inst=example6)
         assert [(f.description, f.instance_text) for f in result.failures] == [
             (
@@ -301,12 +316,13 @@ class TestFailurePath:
         _replays(result, suite_ranking_matching)
 
     def test_ranking_matching_reports_a_role_dependent_verdict(self, monkeypatch):
-        real = suites.is_ranking_matching
+        real = suites._predicate
 
-        def arrivals_only(g, m, arrival, ranking):  # false whenever the roles swap
-            return real(g, m, arrival, ranking) and all(x[0] == "u" for x in arrival)
+        def arrivals_only(g, arrival, ranking):  # false whenever the roles swap
+            holds = real(g, arrival, ranking)
+            return lambda m: holds(m) and all(x[0] == "u" for x in arrival)
 
-        monkeypatch.setattr(suites, "is_ranking_matching", arrivals_only)
+        monkeypatch.setattr(suites, "_predicate", arrivals_only)
         inst = parse_instance(PERFECT_TEXT)
         result = suite_ranking_matching(1, 0, inst=inst)
         assert [(f.description, f.instance_text) for f in result.failures] == [
@@ -318,7 +334,7 @@ class TestFailurePath:
         _replays(result, suite_ranking_matching)
 
     def test_ranking_matching_reports_many_satisfying_matchings(self, monkeypatch):
-        monkeypatch.setattr(suites, "is_ranking_matching", lambda *args: True)
+        monkeypatch.setattr(suites, "_predicate", lambda *args: lambda m: True)
         inst = parse_instance(PERFECT_TEXT)
         count = len(list(all_matchings(inst.graph)))
         result = suite_ranking_matching(1, 0, inst=inst)
