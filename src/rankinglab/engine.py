@@ -30,7 +30,6 @@ from .graph import (
     _mate_map,
     is_bipartite,
     is_matching,
-    is_maximal_matching,
     remove_vertices,
     vertices,
 )
@@ -235,10 +234,12 @@ def _predicate(g, arrival: Permutation, ranking: Permutation) -> Callable[..., b
 
     def holds(m) -> bool:
         mset = frozenset(frozenset(e) for e in m)
+        if not (mset <= gset and is_matching(mset) and parties):
+            return False
+        mate = _mate_map(mset)  # conjunct 1 holds: every edge has two ends
         return (
-            mset <= gset and is_matching(mset) and parties
-            and is_maximal_matching(gset, mset)
-            and _first_choice_clause(gset, mset, (mate := _mate_map(mset)), arrival, ranking)
+            all(e & mate.keys() for e in gset)
+            and _first_choice_clause(gset, mset, mate, arrival, ranking)
             and _first_choice_clause(gset, mset, mate, ranking, arrival)
         )
 

@@ -346,10 +346,8 @@ def lemma3_chain(
     _check_cap(inst, cap)
     if m_star is None:
         m_star = _require_perfect_matching(inst)
-    n = len(inst.ranking)
-    if n == 0:
-        return []
     mset = _validated_perfect(inst, m_star)
+    n = len(inst.ranking)
     _, by_id, by_arrival = _tally(inst, by_rank=True)
     upos = _designated_positions(inst, mset)
     size = math.factorial(n)

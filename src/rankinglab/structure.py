@@ -9,9 +9,10 @@ transposed masks once, in both orientations of the parties; a deletion
 zeroes one mask and reruns ``_greedy``.  The ``removal_diff_*`` and
 ``check_*`` functions turn the structural claims into executable verdicts
 on that core, and the suites hold one core per instance.  ``zig`` and
-``zag`` run the same walk on a ``ZigZagContext`` translated to positions;
-``shifts_to``, the literal definition of the shift relation, is the oracle
-the walk is tested against.
+``zag`` are the literal walk on a ``ZigZagContext``: a zig step goes to the
+mate, a zag step to the one entry of ``shift_targets``, which lists what
+``shifts_to``, the literal definition of the shift relation, allows.  The
+tests hold ``_walk`` and the literal walk to the same paths.
 
 A ``ZigZagContext`` bundles a graph, a matching over it, and the two orders.
 The party roles inside a context are positional: ``ranking`` names the side
@@ -23,7 +24,6 @@ code path for it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import permutations
 from typing import AbstractSet, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .engine import BipartiteInstance, Permutation, _greedy, _move_id, rank_match
@@ -133,31 +133,16 @@ def _named(path: list, first, second) -> Tuple[Vertex, ...]:
     return tuple((second if k % 2 else first)[p] for k, p in enumerate(path))
 
 
-def _context_walk(ctx: ZigZagContext, x: Vertex, zig_step: bool) -> Tuple[Vertex, ...]:
-    """``_walk`` from x on ``ctx``: positions are indexes in its two orders.
-
-    A vertex off the side the walk meets it on (x, or a mate across no
-    order) gets a position past that side's end: no mask bit points there
-    and its own mask is empty, so the walk stops there as the shift rule does.
-    """
-    r, a = ctx.ranking, ctx.arrival
-    pos = (dict(r._pos), dict(a._pos))
-
-    def at(side: int, v: Vertex) -> int:
-        return pos[side].setdefault(v, len(pos[side]))
-
-    start = at(not zig_step, x)
-    ranked = {at(0, v): at(1, w) for v, w in ctx.mate.items() if v in r or v == x}
-    arriving = {at(1, v): at(0, w) for v, w in ctx.mate.items() if v in a}
-    adj = [0] * len(pos[1])
-    for e in ctx.graph:
-        for u, v in permutations(e) if len(e) == 2 else ():
-            if u in a and v in r:
-                adj[a._pos[u]] |= 1 << r._pos[v]
-    mate_r = [ranked.get(i, -1) for i in range(len(pos[0]))]
-    path = _walk(start, zig_step, adj, mate_r, [arriving.get(j, -1) for j in range(len(adj))])
-    names = [{p: v for v, p in side.items()} for side in pos]
-    return _named(path, *(names if zig_step else names[::-1]))
+def _name_walk(ctx: ZigZagContext, x: Vertex, zig_step: bool) -> Tuple[Vertex, ...]:
+    """The walk from x: zig steps go to the mate, zag steps to its shift target."""
+    path = [x]
+    while True:
+        mate = ctx.mate.get(x)
+        x = mate if zig_step else next(iter(shift_targets(ctx, x, mate)), None)
+        if x is None:
+            return tuple(path)
+        path.append(x)
+        zig_step = not zig_step
 
 
 def zig(ctx: ZigZagContext, v: Vertex) -> Tuple[Vertex, ...]:
@@ -166,7 +151,7 @@ def zig(ctx: ZigZagContext, v: Vertex) -> Tuple[Vertex, ...]:
     [v] when v is unmatched, otherwise v followed by the zag from its
     partner.  Ends within |ranking| steps on any context.
     """
-    return _context_walk(ctx, v, zig_step=True)
+    return _name_walk(ctx, v, zig_step=True)
 
 
 def zag(ctx: ZigZagContext, u: Vertex) -> Tuple[Vertex, ...]:
@@ -175,7 +160,7 @@ def zag(ctx: ZigZagContext, u: Vertex) -> Tuple[Vertex, ...]:
     [u] when u is unmatched or has nowhere to shift, otherwise u followed by
     the zig from its shift target.  Ends within |ranking| steps, as zig.
     """
-    return _context_walk(ctx, u, zig_step=False)
+    return _name_walk(ctx, u, zig_step=False)
 
 
 @dataclass(frozen=True)

@@ -411,10 +411,20 @@ class TestChainEqualsPerT:
         outside = frozenset({edge("u1", "v2"), edge("u2", "v2")})
         with pytest.raises(ValueError, match="inside the instance graph"):
             lemma3_chain(small, outside)
-        # no rank to check, so an explicit m_star is never looked at
+        # no rank to check: the per-t functions never see m_star, the chain still checks it
         empty = make_instance("", "", [])
-        assert lemma3_chain(empty, bad) == [] == chain_from_per_t(empty, bad)
-        assert lemma3_chain(empty) == []
+        assert chain_from_per_t(empty, bad) == []
+        with pytest.raises(ValueError, match="inside the instance graph"):
+            lemma3_chain(empty, bad)
+        assert lemma3_chain(empty) == [] == lemma3_chain(empty, frozenset())
+
+    def test_m_star_checked_when_nothing_is_ranked(self):
+        # an arrival and no ranked vertex: no perfect matching, explicit or found
+        inst = make_instance("", "u1", [])
+        with pytest.raises(ValueError, match="no perfect matching covering both"):
+            lemma3_chain(inst)
+        with pytest.raises(ValueError, match="cover both parties"):
+            lemma3_chain(inst, frozenset())
 
 
 class TestPerfectMatchingOf:

@@ -559,6 +559,33 @@ def walk_without_holder_clause(x, zig_step, adj, mate_r, mate_a):
         zig_step = not zig_step
 
 
+def shifts_to_without(clause):
+    """``shifts_to`` with one holder clause dropped: with ``"candidate"`` u
+    takes a candidate an earlier arrival holds, with ``"mid"`` every
+    neighbour ranked between blocks the shift, held or not."""
+
+    def faulty(ctx, u, current, candidate):
+        r, a = ctx.ranking, ctx.arrival
+        if u not in a or candidate not in r or current not in r:
+            return False
+        lo, hi = r.index(current), r.index(candidate)
+        if not lo < hi or frozenset((u, candidate)) not in ctx.graph:
+            return False
+
+        def held_earlier(v):
+            w = ctx.mate.get(v)
+            return w is not None and w in a and a.index(w) < a.index(u)
+
+        if clause != "candidate" and held_earlier(candidate):
+            return False
+        return all(
+            frozenset((u, mid)) not in ctx.graph or clause != "mid" and held_earlier(mid)
+            for mid in r.order[lo + 1 : hi]
+        )
+
+    return faulty
+
+
 class TestCoreEqualsNameLevel:
     """The position core against the name-level walk and removal diff it replaced."""
 
@@ -618,8 +645,13 @@ class TestCoreEqualsNameLevel:
             assert walk_mismatches(ZigZagContext(g, m, arrival, ranking)) == []
 
     def test_a_walk_without_the_holder_clause_fails(self, example6, monkeypatch):
-        monkeypatch.setattr(structure, "_walk", walk_without_holder_clause)
-        assert any(walk_mismatches(ctx) for ctx in matching_contexts(example6))
-        graphs = list(every_graph("v1 v2 v3", "u1 u2 u3"))
-        assert any(walk_mismatches(ctx) for inst in graphs for ctx in kept_contexts(inst))
-        assert any(removal_mismatches(inst) for inst in graphs)
+        # the position walk, under the removal diff and the symmetry check
+        with monkeypatch.context() as m:
+            m.setattr(structure, "_walk", walk_without_holder_clause)
+            assert any(removal_mismatches(inst) for inst in every_graph("v1 v2 v3", "u1 u2 u3"))
+        # the shift relation, under zig and zag
+        contexts = [*kept_contexts(example6), *matching_contexts(example6)]
+        for clause in ("candidate", "mid"):
+            with monkeypatch.context() as m:
+                m.setattr(structure, "shifts_to", shifts_to_without(clause))
+                assert any(walk_mismatches(ctx) for ctx in contexts), clause
