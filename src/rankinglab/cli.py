@@ -27,7 +27,7 @@ from bisect import bisect_right
 from functools import cache
 from pathlib import Path
 
-from .engine import BipartiteInstance, rank_match
+from .engine import BipartiteInstance, _greedy
 from .fileformat import (
     InstanceFormatError,
     fingerprint,
@@ -73,11 +73,10 @@ def _load(path: str):
 
 def cmd_run(args) -> int:
     inst = _load(args.file)
-    m = rank_match(inst)
-    pairs = [oriented_edge(inst, e) for e in m]
-    for u, v in sorted(pairs, key=lambda uv: inst.arrival.index(uv[0])):
-        print(f"matched {u} {v}")
-    print(f"size {len(m)}")
+    ranked = inst.ranking.order
+    prs = _greedy(inst.reach, range(len(ranked)), len(inst.arrival))
+    matched = [f"matched {u} {ranked[r]}" for u, r in zip(inst.arrival, prs) if r >= 0]
+    print(*matched, f"size {len(matched)}", sep="\n")
     return 0
 
 

@@ -12,17 +12,19 @@ on any given instance, exactly one matching satisfies.  Having both lets the
 tests drive each against the other.  The predicate is a closure over one
 (graph, orders), ``_predicate``, that settles the graph-only conjuncts once.
 
-Every other caller runs ``rank_match``: ``_greedy``, the party-swapped greedy
-(offline vertices in ranking order take their earliest-arriving free
-neighbor), on the arrival bitmasks ``BipartiteInstance.reach`` that each
-instance derives once, in the loop that validates its edges.  The predicate
-is symmetric in the two orders and has exactly one solution, so this is the
-fold's matching.
+Every other caller runs ``_greedy`` (most through ``rank_match``), the
+party-swapped greedy (offline vertices in ranking order take their
+earliest-arriving free neighbor), on the arrival bitmasks
+``BipartiteInstance.reach`` that each instance derives once, in the loop that
+validates its edges: the constructor's for a graph, ``parse_instance``'s for
+a file.  The predicate is symmetric in the two orders and has exactly one
+solution, so this is the fold's matching.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, List, Sequence
 
 from .graph import (
@@ -91,7 +93,7 @@ class Permutation:
         return f"Permutation({list(self._order)!r})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class BipartiteInstance:
     """A bipartite graph together with the two orders the matcher consumes.
 
@@ -100,22 +102,24 @@ class BipartiteInstance:
     parties; a declared vertex without edges is fine.  The loop that checks
     this also builds ``reach``, the integer index every matcher reads: bit j
     of ``reach[r]`` is set when the offline vertex at rank r is adjacent to
-    the j-th arrival.
+    the j-th arrival.  ``parse_instance`` checks and indexes a file's edges
+    itself (``_indexed``); ``graph`` is then read off ``reach`` when first
+    read.  Equality, hashing and ``repr`` go by (graph, ranking, arrival).
     """
 
-    graph: frozenset
+    graph: frozenset  # the cached_property below
     ranking: Permutation
     arrival: Permutation
-    reach: tuple = field(init=False, repr=False, compare=False)
+    reach: tuple = field(compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "graph", frozenset(frozenset(e) for e in self.graph))
-        rank, pos = self.ranking._pos, self.arrival._pos
-        overlap = self.ranking.members & self.arrival.members
+    def __init__(self, graph: Iterable, ranking: Permutation, arrival: Permutation):
+        graph = frozenset(frozenset(e) for e in graph)
+        rank, pos = ranking._pos, arrival._pos
+        overlap = ranking.members & arrival.members
         if overlap:
             raise ValueError(f"vertices declared in both parties: {sorted(overlap)}")
         reach = [0] * len(rank)
-        for e in self.graph:
+        for e in graph:
             if len(e) != 2:
                 raise ValueError(f"not a two-vertex edge: {sorted(e)}")
             a, b = e
@@ -126,7 +130,30 @@ class BipartiteInstance:
             else:
                 a, b = sorted(e)
                 raise ValueError(f"edge {a} -- {b} does not join the two parties")
-        object.__setattr__(self, "reach", tuple(reach))
+        self._init(ranking, arrival, tuple(reach), graph=graph)
+
+    @classmethod
+    def _indexed(cls, ranking, arrival, reach: tuple) -> "BipartiteInstance":
+        """The instance of an index its caller has checked against the two orders."""
+        return cls.__new__(cls)._init(ranking, arrival, reach)
+
+    def _init(self, ranking, arrival, reach, **cached) -> "BipartiteInstance":
+        vars(self).update(cached, ranking=ranking, arrival=arrival, reach=reach)
+        return self
+
+    @cached_property
+    def graph(self) -> frozenset:
+        """The edge set, read off ``reach`` on first access."""
+        arrivals, edges = self.arrival.order, []
+        for v, mask in zip(self.ranking.order, self.reach):
+            while mask:
+                edges.append(frozenset((arrivals[(mask & -mask).bit_length() - 1], v)))
+                mask &= mask - 1
+        return frozenset(edges)
+
+    def __repr__(self) -> str:
+        edges = sorted(map(sorted, self.graph))  # a frozenset's order varies
+        return f"BipartiteInstance({edges!r}, {self.ranking!r}, {self.arrival!r})"
 
     @property
     def offline(self) -> frozenset:

@@ -16,7 +16,8 @@ a party line, that no vertex is declared twice; for an edge line, that it
 names exactly two endpoints, then that the first is a declared online vertex
 and the second a declared offline one.  After the last line it checks that
 both parties were declared.  A line is scanned again, for an error's
-column, only when the error names it.
+column, only when the error names it.  The lookups that check an edge's
+endpoints set its bit in ``reach``; ``graph`` is built only when first read.
 ``serialize_instance`` emits the canonical form (edges sorted by arrival
 position, then ranking position); parsing the canonical form and serializing
 again reproduces it byte for byte.
@@ -51,15 +52,14 @@ def _column(raw: str, k: int) -> int:
 def parse_instance(text: str) -> BipartiteInstance:
     """Parse an instance file, raising InstanceFormatError with positions."""
     lines = text.splitlines()
-    orders: List[List[str]] = []  # the offline, then the online members
+    parties: List[Permutation] = []  # the offline, then the online party
     seen: Dict[str, Tuple[str, int, int]] = {}  # vertex: (party, line, token index)
     last = 0  # the line of the last party declaration read
-    edges = set()
     for ln, raw in enumerate(lines, start=1):
         toks = raw.split("#", 1)[0].split()
         if not toks:
             continue
-        keyword = _PARTIES[len(orders)] if len(orders) < 2 else "edge"
+        keyword = _PARTIES[len(parties)] if len(parties) < 2 else "edge"
         if toks[0] != keyword:
             msg = f"expected '{keyword}', got {toks[0]!r}"
             raise InstanceFormatError(msg, ln, _column(raw, 0))
@@ -74,25 +74,26 @@ def parse_instance(text: str) -> BipartiteInstance:
                         _column(raw, k),
                     )
                 seen[v] = (keyword, ln, k)
-            orders.append(toks[1:])
-            # after the first line both sets are the offline party's
-            offline, online, last = set(orders[0]), set(orders[-1]), ln
+            parties.append(Permutation(toks[1:]))
+            # edge lines come after both; until then both maps are the offline one
+            rank, pos, last = parties[0]._pos, parties[-1]._pos, ln
+            reach = [0] * len(rank)  # bit pos[u] of reach[rank[v]]: the edge u v
             continue
         if len(toks) != 3:
             msg = f"'edge' takes exactly two endpoints, got {len(toks) - 1}"
             raise InstanceFormatError(msg, ln, _column(raw, 0))
         _, u, v = toks
-        if u not in online:
+        if (j := pos.get(u)) is None:
             msg = f"unknown online vertex {u!r} (edges name the online endpoint first)"
             raise InstanceFormatError(msg, ln, _column(raw, 1))
-        if v not in offline:
+        if (r := rank.get(v)) is None:
             msg = f"unknown offline vertex {v!r}"
             raise InstanceFormatError(msg, ln, _column(raw, 2))
-        edges.add(frozenset((u, v)))
-    if len(orders) < 2:
-        msg = f"missing '{_PARTIES[len(orders)]}' declaration"
+        reach[r] |= 1 << j
+    if len(parties) < 2:
+        msg = f"missing '{_PARTIES[len(parties)]}' declaration"
         raise InstanceFormatError(msg, last + 1)
-    return BipartiteInstance(frozenset(edges), *map(Permutation, orders))
+    return BipartiteInstance._indexed(*parties, tuple(reach))
 
 
 def serialize_instance(inst: BipartiteInstance) -> str:

@@ -7,7 +7,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rankinglab import (
@@ -24,11 +24,15 @@ from rankinglab import (
     gen_random,
     is_matching,
     max_card_matching,
+    mc_expected_size,
     online_match,
     parse_instance,
+    removal_diff_offline,
     serialize_instance,
     vertices,
 )
+
+from rankinglab.engine import rank_match
 
 from .conftest import DATA, instances, make_instance
 
@@ -321,6 +325,25 @@ class TestOnePassParse:
     )
     def test_fixed_texts(self, text):
         assert outcome(parse_instance, text) == outcome(oracle_parse, text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(instance_texts())
+    def test_constructor_round_trip(self, text):
+        inst = outcome(parse_instance, text)[0]
+        assume(isinstance(inst, BipartiteInstance))
+        twin = BipartiteInstance(inst.graph, inst.ranking, inst.arrival)
+        assert twin == inst and twin.reach == inst.reach
+        assert hash(twin) == hash(inst) and repr(twin) == repr(inst)
+
+    def test_graph_is_built_only_when_read(self):
+        big = gen_random(400, 400, 0.1, 1)
+        inst = parse_instance(serialize_instance(big))
+        rank_match(inst)
+        assert fingerprint(inst) == fingerprint(big)
+        mc_expected_size(inst, 20, 1)
+        removal_diff_offline(inst, inst.ranking[0])
+        assert "graph" not in vars(inst)
+        assert inst.graph == big.graph and inst == big
 
     def test_no_column_scan_on_well_formed_input(self, monkeypatch):
         texts = [
