@@ -12,13 +12,13 @@ on any given instance, exactly one matching satisfies.  Having both lets the
 tests drive each against the other.  The predicate is a closure over one
 (graph, orders), ``_predicate``, that settles the graph-only conjuncts once.
 
-Every other caller runs ``_greedy`` (most through ``rank_match``), the
-party-swapped greedy (offline vertices in ranking order take their
-earliest-arriving free neighbor), on the arrival bitmasks
-``BipartiteInstance.reach`` that each instance derives once, in the loop that
-validates its edges: the constructor's for a graph, ``parse_instance``'s for
-a file.  The predicate is symmetric in the two orders and has exactly one
-solution, so this is the fold's matching.
+Every other caller runs ``_greedy``, the party-swapped greedy (offline
+vertices in ranking order take their earliest-arriving free neighbor), on
+``BipartiteInstance.reach``; ``rank_match`` names its matching for
+``check_rank_move`` and two suites.  Each instance derives ``reach`` once,
+as it validates its edges or as a generator draws it.  The predicate is
+symmetric in the two orders and has exactly one solution, so this is the
+fold's matching.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .graph import (
     _mate_map,
     is_bipartite,
     is_matching,
-    remove_vertices,
     vertices,
 )
 
@@ -102,9 +101,9 @@ class BipartiteInstance:
     parties; a declared vertex without edges is fine.  The loop that checks
     this also builds ``reach``, the integer index every matcher reads: bit j
     of ``reach[r]`` is set when the offline vertex at rank r is adjacent to
-    the j-th arrival.  ``parse_instance`` checks and indexes a file's edges
-    itself (``_indexed``); ``graph`` is then read off ``reach`` when first
-    read.  Equality, hashing and ``repr`` go by (graph, ranking, arrival).
+    the j-th arrival.  The parser, generators and ``without_vertices`` write
+    ``reach`` directly (``_indexed``); ``graph`` is read off it on first read.
+    Equality, hashing and ``repr`` go by (graph, ranking, arrival).
     """
 
     graph: frozenset  # the cached_property below
@@ -164,10 +163,11 @@ class BipartiteInstance:
         return self.arrival.members
 
     def without_vertices(self, xs) -> "BipartiteInstance":
-        """Same orders, graph restricted away from the vertices xs."""
-        return BipartiteInstance(
-            remove_vertices(self.graph, frozenset(xs)), self.ranking, self.arrival
-        )
+        """Same orders, with the vertices xs cut out of ``reach``; no edge set built."""
+        xs = frozenset(xs)
+        kept = sum(1 << j for j, u in enumerate(self.arrival) if u not in xs)
+        reach = (0 if v in xs else m & kept for v, m in zip(self.ranking, self.reach))
+        return BipartiteInstance._indexed(self.ranking, self.arrival, tuple(reach))
 
 
 def step(g: frozenset, u: Vertex, ranked: Sequence[Vertex], m: frozenset) -> frozenset:

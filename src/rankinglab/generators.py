@@ -15,7 +15,20 @@ from typing import Iterator, List, Tuple
 from .engine import BipartiteInstance, Permutation
 from .graph import bipartite_max_matching, edge, vertices
 from .probability import _expected_size
-from .rng import stream
+from .rng import SplitMix64, stream
+
+
+def _draw(g: SplitMix64, n_offline: int, n_online: int, keep) -> BipartiteInstance:
+    """Edge u_j -- v_k where ``keep(j, k)``, asked in (j, k) order; then the
+    offline names are shuffled into the ranking and the online names into the
+    arrival order, and the edges indexed straight into ``reach``."""
+    pairs = [(j, k) for j in range(n_online) for k in range(n_offline) if keep(j, k)]
+    ranking = Permutation(g.shuffled(f"v{k}" for k in range(1, n_offline + 1)))
+    arrival = Permutation(g.shuffled(f"u{j}" for j in range(1, n_online + 1)))
+    reach = [0] * n_offline
+    for j, k in pairs:
+        reach[ranking.index(f"v{k + 1}")] |= 1 << arrival.index(f"u{j + 1}")
+    return BipartiteInstance._indexed(ranking, arrival, tuple(reach))
 
 
 def gen_random(
@@ -27,16 +40,7 @@ def gen_random(
     if not 0.0 <= edge_prob <= 1.0:
         raise ValueError("edge_prob must lie in [0, 1]")
     g = stream(seed, 0)
-    offline = [f"v{i}" for i in range(1, n_offline + 1)]
-    online = [f"u{i}" for i in range(1, n_online + 1)]
-    edges = set()
-    for u in online:
-        for v in offline:
-            if g.uniform() < edge_prob:
-                edges.add(edge(u, v))
-    return BipartiteInstance(
-        frozenset(edges), Permutation(g.shuffled(offline)), Permutation(g.shuffled(online))
-    )
+    return _draw(g, n_offline, n_online, lambda j, k: g.uniform() < edge_prob)
 
 
 def gen_perfect(
@@ -53,18 +57,8 @@ def gen_perfect(
     if not 0.0 <= extra_edge_prob <= 1.0:
         raise ValueError("extra_edge_prob must lie in [0, 1]")
     g = stream(seed, 0)
-    offline = [f"v{i}" for i in range(1, n + 1)]
-    online = [f"u{i}" for i in range(1, n + 1)]
-    planted = frozenset(edge(u, v) for u, v in zip(online, offline))
-    edges = set(planted)
-    for j, u in enumerate(online):
-        for k, v in enumerate(offline):
-            if j != k and g.uniform() < extra_edge_prob:
-                edges.add(edge(u, v))
-    inst = BipartiteInstance(
-        frozenset(edges), Permutation(g.shuffled(offline)), Permutation(g.shuffled(online))
-    )
-    return inst, planted
+    inst = _draw(g, n, n, lambda j, k: j == k or g.uniform() < extra_edge_prob)
+    return inst, frozenset(edge(f"u{k}", f"v{k}") for k in range(1, n + 1))
 
 
 def gen_gamma_family(n: int) -> Iterator[Tuple[frozenset, Tuple[Permutation, ...]]]:

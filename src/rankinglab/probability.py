@@ -334,14 +334,15 @@ def lemma3_chain(
 ) -> list:
     """The full per-rank chain of equalities and inequalities, one link per t.
 
-    Every link reads the one ``_tally`` pass, each quantity on its own
-    route: the rank probability and its running prefix sum from the match
-    counts by offline id, the moved probability as the mean over vertices x
-    of P[x matched | x at rank t], the mean count from the match counts by
-    arrival, and the designated-partner probability from those counts at the
-    arrival positions of m_star's partners.  The public per-t functions
-    compute the same quantities one t at a time from the ``_ensemble`` table
-    and are its test oracle.
+    Every link reads the one ``_tally`` pass: the rank probability and its
+    prefix sum from the match counts by offline id, the moved probability
+    as the mean over vertices x of P[x matched | x at rank t], the mean
+    count from the match counts by arrival, and the designated-partner
+    probability from those counts at m_star's partners' arrival positions.
+    The moved probability is the rank probability by algebra (sum_x c_x /
+    (n-1)! / n = sum_x c_x / n!), so ``move_equal`` cannot fail here; its
+    independent route is ``rank_matched_prob_moved``'s pair space.  The
+    per-t functions, on the ``_ensemble`` table, are the chain's test oracle.
     """
     _check_cap(inst, cap)
     if m_star is None:

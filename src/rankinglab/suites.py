@@ -63,10 +63,6 @@ class SuiteResult:
         return not self.failures
 
 
-def _master(seed: int) -> SplitMix64:
-    return stream(seed, 0)
-
-
 def _run(
     name: str,
     cases: Iterable[tuple],
@@ -107,18 +103,34 @@ def _rand_instance(g: SplitMix64, max_side: int) -> BipartiteInstance:
     return gen_random(n_off, n_on, p, g.next_u64())
 
 
-def _with_core(one: BipartiteInstance) -> Tuple[BipartiteInstance, _Core]:
-    return one, _Core(one)
-
-
 def _probes(
     count: int, inst: Optional[BipartiteInstance], g: SplitMix64, max_side: int
 ) -> Iterator[Tuple[BipartiteInstance, _Core]]:
     """``count`` probe instances and their cores: ``inst`` (none if it has no
     vertex) with one core, else fresh draws."""
-    given = None if inst is None else _with_core(inst)
+    given = None if inst is None else _Core(inst)
     for _ in range(count if inst is None or inst.offline | inst.online else 0):
-        yield given or _with_core(_rand_instance(g, max_side))
+        core = given or _Core(_rand_instance(g, max_side))
+        yield core.inst, core
+
+
+def _vertex_cases(
+    count: int, inst: Optional[BipartiteInstance], g: SplitMix64, max_side: int, side
+) -> Iterator[Tuple[BipartiteInstance, _Core, str]]:
+    """Every vertex ``side`` lists on ``inst``, else ``count`` drawn cases:
+    an instance, redrawn while ``side`` (of its core) lists none, then a vertex."""
+    if inst is not None:
+        core = _Core(inst)
+        yield from ((inst, core, x) for x in side(core))
+        return
+    for _ in range(count):
+        for _ in range(200):
+            core = _Core(_rand_instance(g, max_side))
+            if xs := side(core):
+                break
+        else:
+            raise RuntimeError("failed to draw an instance with a nonempty matching")
+        yield core.inst, core, g.choice(xs)
 
 
 def _rand_planted(g: SplitMix64, max_side: int, cap: int) -> tuple:
@@ -138,12 +150,13 @@ def suite_ranking_matching(
     of at most five) that no other matching of the graph satisfies the
     characterization.
     """
-    g = _master(seed)
+    g = stream(seed, 0)
 
     def check(one: BipartiteInstance) -> List[str]:
         gr, arr, rank = one.graph, one.arrival, one.ranking
         m = rank_match(one)
-        if not _predicate(gr, arr, rank)(m):
+        direct = _predicate(gr, arr, rank)
+        if not direct(m):
             return ["output fails the declarative characterization"]
         for e in sorted(m, key=sorted):
             if not _predicate(remove_vertices(gr, e), arr, rank)(m - {e}):
@@ -153,7 +166,7 @@ def suite_ranking_matching(
                 ]
         if len(rank) <= 5 and len(arr) <= 5:
             hits = []
-            direct, swapped = _predicate(gr, arr, rank), _predicate(gr, rank, arr)
+            swapped = _predicate(gr, rank, arr)
             for mm in all_matchings(gr):
                 a, b = direct(mm), swapped(mm)
                 if a != b:
@@ -177,7 +190,7 @@ def suite_lemma3(
     count: int, seed: int, inst: Optional[BipartiteInstance] = None, max_side: int = 6
 ) -> SuiteResult:
     """Every link of the per-rank chain holds exactly on planted instances."""
-    g = _master(seed)
+    g = stream(seed, 0)
 
     def check(one: BipartiteInstance, m_star: frozenset) -> List[str]:
         broken = [link.t for link in lemma3_chain(one, m_star) if not link.holds]
@@ -191,7 +204,7 @@ def suite_lemma5(
     count: int, seed: int, inst: Optional[BipartiteInstance] = None, max_side: int = 8
 ) -> SuiteResult:
     """Deleting guard-respecting vertices leaves the probe's cascade alone."""
-    g = _master(seed)
+    g = stream(seed, 0)
 
     def cases():
         for one, core in _probes(count, inst, g, max_side):
@@ -217,28 +230,16 @@ def suite_lemma6(
     count: int, seed: int, inst: Optional[BipartiteInstance] = None, max_side: int = 8
 ) -> SuiteResult:
     """Reduced-graph zig equals original-graph zag at every matched vertex."""
-    g = _master(seed)
-
-    def cases():
-        if inst is not None:
-            core = _Core(inst)
-            yield from ((inst, core, x) for x in sorted(vertices(core.matching)))
-            return
-        for _ in range(count):
-            for _ in range(200):  # redraw until the matching is nonempty
-                one, core = _with_core(_rand_instance(g, max_side))
-                if core.matching:
-                    break
-            else:
-                raise RuntimeError("failed to draw an instance with a nonempty matching")
-            yield one, core, g.choice(sorted(vertices(core.matching)))
 
     def check(one: BipartiteInstance, core: _Core, x: str) -> List[str]:
         if _zig_zag_symmetric(core, x):
             return []
         return [f"zig and zag disagree after deleting {x!r}"]
 
-    return _run("lemma6", cases(), check)
+    cases = _vertex_cases(
+        count, inst, stream(seed, 0), max_side, lambda c: sorted(vertices(c.matching))
+    )
+    return _run("lemma6", cases, check)
 
 
 def _removal_failures(
@@ -273,19 +274,12 @@ def _suite_removal(
     inst: Optional[BipartiteInstance],
     max_side: int,
 ) -> SuiteResult:
-    g = _master(seed)
-
-    def cases():
+    def party(core: _Core) -> tuple:
         # a frame's ranking side is the party whose deletions it walks
-        if inst is not None:
-            core = _Core(inst)
-            yield from ((inst, core, x) for x in core.frames[not online_side].ranking)
-            return
-        for _ in range(count):  # per case: instance first, then the vertex
-            one, core = _with_core(_rand_instance(g, max_side))
-            yield one, core, g.choice(core.frames[not online_side].ranking.order)
+        return core.frames[not online_side].ranking.order
 
-    return _run(name, cases(), _removal_failures)
+    cases = _vertex_cases(count, inst, stream(seed, 0), max_side, party)
+    return _run(name, cases, _removal_failures)
 
 
 def suite_lemma7(
@@ -306,7 +300,7 @@ def suite_lemma9(
     count: int, seed: int, inst: Optional[BipartiteInstance] = None, max_side: int = 8
 ) -> SuiteResult:
     """Deleting one vertex never shrinks the output by more than one edge."""
-    g = _master(seed)
+    g = stream(seed, 0)
 
     def cases():
         # sides alternate, arrival side first; an empty side yields to the other
@@ -330,7 +324,7 @@ def suite_rank_move(
     it; the suite fails if some designated partner came out unmatched, if a
     pair satisfied neither reading, or if neither reading held universally.
     """
-    g = _master(seed)
+    g = stream(seed, 0)
     notes = {"pairs": 0, "moved_rank_holds": 0, "original_rank_holds": 0}
 
     def check(one: BipartiteInstance, m_star: frozenset) -> List[str]:
@@ -385,7 +379,7 @@ def suite_theorem4(
     count: int, seed: int, inst: Optional[BipartiteInstance] = None, max_side: int = 6
 ) -> SuiteResult:
     """Expected ratio meets the bound on instances with a planted perfect matching."""
-    g = _master(seed)
+    g = stream(seed, 0)
     cases = _cases(count, inst, lambda: _rand_planted(g, max_side, 6))
     return _suite_ratio("theorem4", check_theorem4, cases)
 
@@ -394,7 +388,7 @@ def suite_theorem6(
     count: int, seed: int, inst: Optional[BipartiteInstance] = None, max_side: int = 6
 ) -> SuiteResult:
     """Expected ratio meets the bound with n the maximum matching size."""
-    g = _master(seed)
+    g = stream(seed, 0)
     cases = _cases(count, inst, lambda: (_rand_instance(g, min(max_side, 6)),))
     return _suite_ratio("theorem6", check_theorem6, cases)
 

@@ -231,6 +231,15 @@ class TestCheck:
         out = capsys.readouterr().out
         assert "suite ranking-matching: 5 cases, 0 failures" in out
 
+    def test_notes_printed(self, capsys):
+        assert main(["check", "--suite", "rank-move", "--count", "5", "--seed", "2"]) == 0
+        assert capsys.readouterr().out == (
+            "suite rank-move: 5 cases, 0 failures\n"
+            "note moved_rank_holds = 9\n"
+            "note original_rank_holds = 9\n"
+            "note pairs = 9\n"
+        )
+
     def test_file_suite(self, capsys):
         rc = main(["check", EXAMPLE, "--suite", "lemma7", "--count", "1", "--seed", "1"])
         assert rc == 0

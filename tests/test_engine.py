@@ -29,6 +29,7 @@ from rankinglab import (
     is_ranking_matching,
     online_match,
     partner,
+    remove_vertices,
     step,
 )
 from rankinglab.engine import _greedy, _move_id, _predicate, rank_match
@@ -231,6 +232,16 @@ class TestBipartiteInstance:
         inst = make_instance("v1 v2", "u1", [("u1", "v1")])
         assert inst.offline == {"v1", "v2"}
         assert inst.online == {"u1"}
+
+    @settings(max_examples=100)
+    @given(instances(), st.data())
+    def test_without_vertices_is_edge_removal(self, inst, data):
+        names = sorted(inst.offline | inst.online) + ["x0"]  # a non-member is ignored
+        xs = data.draw(st.lists(st.sampled_from(names)))
+        cut = inst.without_vertices(iter(xs))
+        kept = remove_vertices(inst.graph, set(xs))
+        rebuilt = BipartiteInstance(kept, inst.ranking, inst.arrival)
+        assert cut == rebuilt and cut.reach == rebuilt.reach
 
     def test_without_vertices(self):
         inst = make_instance("v1 v2", "u1 u2", [("u1", "v1"), ("u2", "v2")])

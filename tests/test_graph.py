@@ -104,6 +104,10 @@ def test_is_maximal_matching():
         is_maximal_matching(PATH4, g_of(("a", "z")))
 
 
+def test_is_maximal_matching_rejects_a_non_matching():
+    assert not is_maximal_matching(PATH4, g_of(("a", "b"), ("b", "c")))
+
+
 def test_partner():
     m = g_of(("a", "b"), ("c", "d"))
     assert partner(m, "a") == "b"
@@ -176,6 +180,10 @@ def test_augmenting_examples():
     assert is_augmenting_path(["a", "b"], frozenset())
     assert not is_augmenting_path(["a", "b", "c", "d"], frozenset())
     assert is_augmenting_path(["v2", "u1", "v1", "u2"], g_of(("u1", "v1")))
+
+
+def test_augmenting_path_starts_outside_the_matching():
+    assert not is_augmenting_path(["b", "c", "d"], g_of(("b", "c")))
 
 
 def test_augmenting_path_found_on_path4():

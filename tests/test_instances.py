@@ -481,6 +481,13 @@ class TestGenPerfect:
     def test_deterministic_per_seed(self):
         assert gen_perfect(4, 0.3, 9) == gen_perfect(4, 0.3, 9)
 
+    def test_bad_arguments(self):
+        with pytest.raises(ValueError, match="n must be nonnegative"):
+            gen_perfect(-1, 0.5, 1)
+        for p in (-0.1, 1.5):
+            with pytest.raises(ValueError, match=r"extra_edge_prob must lie in \[0, 1\]"):
+                gen_perfect(2, p, 1)
+
     def test_greedy_run_is_perfect_when_graph_is_the_matching(self):
         inst, planted = gen_perfect(5, 0.0, 3)
         assert online_match(inst) == planted

@@ -115,6 +115,11 @@ def test_streams_differ_by_index():
     assert len(outs) == 100
 
 
+def test_stream_index_must_be_nonnegative():
+    with pytest.raises(ValueError, match="stream index must be nonnegative"):
+        stream(9, -1)
+
+
 def test_streams_differ_by_seed():
     outs = {stream(s, 0).next_u64() for s in range(100)}
     assert len(outs) == 100

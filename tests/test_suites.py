@@ -125,9 +125,9 @@ class TestFileMode:
         inst = parse_instance(PERFECT_TEXT)
         result = suite_ranking_matching(1, 0, inst=inst)
         assert result.cases == 1 and result.passed
-        # the output, each matched pair's reduced graph, then one closure per
-        # orientation shared by every matching of the uniqueness loop
-        assert len(built) == 1 + len(rank_match(inst)) + 2
+        # the output's closure, reused as the uniqueness loop's direct one, each
+        # matched pair's reduced graph, then the swapped orientation's closure
+        assert len(built) == 1 + len(rank_match(inst)) + 1
 
     def test_lemma6_probes_every_matched_vertex(self, example6):
         result = suite_lemma6(1, 0, inst=example6)
