@@ -27,7 +27,7 @@ from bisect import bisect_right
 from functools import cache
 from pathlib import Path
 
-from .engine import BipartiteInstance, _greedy
+from .engine import BipartiteInstance, _greedy, _max_matching_size
 from .fileformat import (
     InstanceFormatError,
     fingerprint,
@@ -42,7 +42,6 @@ from .generators import (
     gen_perfect,
     gen_random,
 )
-from .graph import bipartite_max_matching
 from .probability import (
     DEFAULT_CAP,
     CapExceeded,
@@ -94,7 +93,7 @@ def cmd_mc(args) -> int:
     inst = _load(args.file)
     t0 = time.perf_counter()
     est = mc_expected_size(inst, args.samples, args.seed)
-    n = len(bipartite_max_matching(inst.graph))
+    n = _max_matching_size(inst.reach, len(inst.arrival))
     ms = (time.perf_counter() - t0) * 1000.0
     ratio = est.mean / n if n else None
     bound = competitive_bound(n) if n else None

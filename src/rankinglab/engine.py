@@ -18,7 +18,8 @@ vertices in ranking order take their earliest-arriving free neighbor), on
 ``check_rank_move`` and two suites.  Each instance derives ``reach`` once,
 as it validates its edges or as a generator draws it.  The predicate is
 symmetric in the two orders and has exactly one solution, so this is the
-fold's matching.
+fold's matching.  ``_max_matching_size`` augments that matching on the same
+index for callers that need only the size of a maximum matching.
 """
 
 from __future__ import annotations
@@ -209,6 +210,43 @@ def _greedy(reach: Sequence[int], order: Iterable[int], arrivals: int) -> List[i
             free ^= low
             prs[low.bit_length() - 1] = r
     return prs
+
+
+def _max_matching_size(reach: Sequence[int], arrivals: int) -> int:
+    """The size of a maximum matching of the index, with no edge set built.
+
+    Kuhn's method (1955) started from ``_greedy``'s matching, which is
+    maximal: one pass over the offline ids it leaves free, each running an
+    iterative alternating search over the masks.  Arrivals a failed search
+    reached lead to no free arrival and are skipped until the next
+    augmentation, and an id with no augmenting path never gains one later.
+    """
+    prs = _greedy(reach, range(len(reach)), arrivals)
+    size = arrivals - prs.count(-1)
+    seen = 0
+    for s in sorted(set(range(len(reach))).difference(prs)):
+        # the path alternates s, via[0], prs[via[0]], via[1], ...; cands[i]
+        # holds the arrivals its i-th offline id may still try
+        via, cands = [], [reach[s]]
+        while cands:
+            a = cands[-1] & ~seen
+            if not a:
+                cands.pop()
+                del via[-1:]
+                continue
+            low = a & -a
+            seen |= low
+            j = low.bit_length() - 1
+            if prs[j] < 0:
+                x = s  # each arrival on the path passes to the id before it
+                for k in (*via, j):
+                    prs[k], x = x, prs[k]
+                size += 1
+                seen = 0
+                break
+            via.append(j)
+            cands.append(reach[prs[j]])
+    return size
 
 
 def _move_id(order: Iterable, x, i: int) -> tuple:

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations
-from typing import Iterator, List, Tuple
+from typing import Iterator, Tuple
 
-from .engine import BipartiteInstance, Permutation
-from .graph import bipartite_max_matching, edge, vertices
+from .engine import BipartiteInstance, Permutation, _max_matching_size
+from .graph import edge, vertices
 from .probability import _expected_size
 from .rng import SplitMix64, stream
 
@@ -72,32 +72,27 @@ def gen_gamma_family(n: int) -> Iterator[Tuple[frozenset, Tuple[Permutation, ...
     An edge o_k - i_l with k, l >= n joins two slots the base leaves free, so
     with the base it is a matching of n + 1 edges: no family graph has one.
     The candidates are therefore the subsets of the other 3n^2 - n edges, in
-    binary order, each kept when ``bipartite_max_matching`` finds at most n
-    edges.  Supported for n <= 2: n = 3 would already be 2^24 candidates.
+    binary order, each kept when ``engine._max_matching_size`` on its slot
+    masks (offline slot k, bit l for online slot i_l) finds at most n edges.
+    Supported for n <= 2: n = 3 would already be 2^24 candidates.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     if n > 2:
         raise ValueError("family enumeration is supported for n <= 2 only")
-    base = [edge(f"o{k}", f"i{k}") for k in range(n)]
-    others: List[frozenset] = []
-    for k in range(2 * n):
-        for l in range(2 * n):
-            e = frozenset((f"o{k}", f"i{l}"))
-            if e not in base and (k < n or l < n):
-                others.append(e)
+    base = [(k, k) for k in range(n)]
+    slots = range(2 * n)
+    others = [(k, l) for k in slots for l in slots if k != l and min(k, l) < n]
     for bits in range(1 << len(others)):
-        g = frozenset(base) | frozenset(
-            others[j] for j in range(len(others)) if bits >> j & 1
-        )
-        if len(bipartite_max_matching(g)) > n:
+        pairs = base + [others[j] for j in range(len(others)) if bits >> j & 1]
+        reach = [0] * len(slots)
+        for k, l in pairs:
+            reach[k] |= 1 << l
+        if _max_matching_size(reach, len(slots)) > n:
             continue
-        vs = vertices(g)
-        online = sorted(
-            (v for v in vs if v.startswith("i")), key=lambda s: int(s[1:])
-        )
-        arrivals = tuple(Permutation(p) for p in permutations(online))
-        yield g, arrivals
+        g = frozenset(edge(f"o{k}", f"i{l}") for k, l in pairs)
+        online = [f"i{l}" for l in slots if any(m >> l & 1 for m in reach)]
+        yield g, tuple(Permutation(p) for p in permutations(online))
 
 
 def _gamma_ranking(g: frozenset) -> Permutation:

@@ -11,10 +11,12 @@ to make searches deterministic, never to encode meaning.
 Maximum matchings come from two searches that return the same matching.
 ``max_card_matching`` repeats the exhaustive augmenting-path search of
 ``find_augmenting_path``; it is complete on any graph, odd cycles included,
-and stays as the general-graph oracle.  Bipartite callers (every instance
-graph, and the hard-family filter in ``generators``) use
-``bipartite_max_matching``, one name-ordered pass of Kuhn's augmenting-path
-method, which is polynomial.
+and stays as the general-graph oracle.  ``bipartite_max_matching`` is one
+name-ordered pass of Kuhn's augmenting-path method, which is polynomial; it
+designates the perfect matching M* of an instance and serves the tests.
+Callers that need only a maximum matching's size (``mc``, the theorem 4 and
+6 checks, the hard-family filter) use ``engine._max_matching_size`` on the
+``reach`` masks instead, with no edge set built.
 """
 
 from __future__ import annotations

@@ -37,7 +37,7 @@ from fractions import Fraction
 from itertools import permutations
 from typing import AbstractSet, Dict, Optional, Tuple
 
-from .engine import BipartiteInstance, _greedy, _move_id
+from .engine import BipartiteInstance, _greedy, _max_matching_size, _move_id
 from .fileformat import fingerprint
 from .graph import _mate_map, bipartite_max_matching, is_matching, vertices
 from .rng import _GOLDEN, _MASK, stream
@@ -276,11 +276,14 @@ def perfect_matching_of(inst: BipartiteInstance) -> Optional[frozenset]:
     return None
 
 
+_NO_PERFECT = "instance has no perfect matching covering both parties"
+
+
 def _require_perfect_matching(inst: BipartiteInstance) -> frozenset:
     """``perfect_matching_of(inst)``, or ValueError when there is none."""
     m_star = perfect_matching_of(inst)
     if m_star is None:
-        raise ValueError("instance has no perfect matching covering both parties")
+        raise ValueError(_NO_PERFECT)
     return m_star
 
 
@@ -422,14 +425,16 @@ def _ratio_verdict(inst: BipartiteInstance, n: int, cap: int) -> RatioVerdict:
 def check_theorem4(inst: BipartiteInstance, cap: int = DEFAULT_CAP) -> RatioVerdict:
     """Expected size versus the bound, n taken as the (perfect) party size."""
     _check_cap(inst, cap)
-    _require_perfect_matching(inst)
-    return _ratio_verdict(inst, len(inst.ranking), cap)
+    n = len(inst.arrival)
+    if not _max_matching_size(inst.reach, n) == n == len(inst.ranking):
+        raise ValueError(_NO_PERFECT)
+    return _ratio_verdict(inst, n, cap)
 
 
 def check_theorem6(inst: BipartiteInstance, cap: int = DEFAULT_CAP) -> RatioVerdict:
     """Expected size versus the bound, n taken as the maximum matching size."""
     _check_cap(inst, cap)
-    return _ratio_verdict(inst, len(bipartite_max_matching(inst.graph)), cap)
+    return _ratio_verdict(inst, _max_matching_size(inst.reach, len(inst.arrival)), cap)
 
 
 def _mix_lanes(z: int, m: int) -> int:

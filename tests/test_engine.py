@@ -10,7 +10,7 @@ that ``is_ranking_matching`` and the suite use are compared against it.
 from __future__ import annotations
 
 import re
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +20,7 @@ from rankinglab import (
     BipartiteInstance,
     Permutation,
     all_matchings,
+    bipartite_max_matching,
     edge,
     gen_gamma_family,
     gen_random,
@@ -32,7 +33,13 @@ from rankinglab import (
     remove_vertices,
     step,
 )
-from rankinglab.engine import _greedy, _move_id, _predicate, rank_match
+from rankinglab.engine import (
+    _greedy,
+    _max_matching_size,
+    _move_id,
+    _predicate,
+    rank_match,
+)
 from rankinglab.generators import _gamma_ranking
 
 from .conftest import instances, make_instance
@@ -354,6 +361,47 @@ class TestRankMatch:
         for s in range(2):
             inst = gen_random(400, 400, 0.1, s)
             assert rank_match(inst) == online_match(inst)
+
+
+def kuhn_size(inst) -> int:
+    return len(bipartite_max_matching(inst.graph))
+
+
+class TestMaxMatchingSize:
+    """Kuhn on the masks from the greedy's matching, gated by the name-ordered Kuhn."""
+
+    @settings(max_examples=200)
+    @given(instances(max_side=7))
+    def test_equals_kuhn_on_instances(self, inst):
+        assert _max_matching_size(inst.reach, len(inst.arrival)) == kuhn_size(inst)
+
+    def test_equals_kuhn_on_every_graph_up_to_three_by_three(self):
+        for a, b in product(range(4), repeat=2):
+            ranking = Permutation(f"v{k}" for k in range(a))
+            arrival = Permutation(f"u{j}" for j in range(b))
+            for reach in product(range(1 << b), repeat=a):
+                inst = BipartiteInstance._indexed(ranking, arrival, reach)
+                assert _max_matching_size(reach, b) == kuhn_size(inst), (a, b, reach)
+
+    def test_equals_kuhn_on_random_400(self):
+        # the greedy leaves 10 to 60 augmentations to make on these
+        for p, s in product((0.005, 0.01, 0.05), range(2)):
+            inst = gen_random(400, 400, p, s)
+            greedy = 400 - _greedy(inst.reach, range(400), 400).count(-1)
+            size = _max_matching_size(inst.reach, 400)
+            assert size == kuhn_size(inst) and size - greedy >= 2
+
+    def test_path_of_4000_vertices(self):
+        # v_i sees u_i and u_(i+1), arrivals reversed: the greedy matches
+        # v_i with u_(i+1), and the only augmenting path is the whole path
+        n = 2000
+        inst = make_instance(
+            " ".join(f"v{i}" for i in range(1, n + 1)),
+            " ".join(f"u{i}" for i in range(n, 0, -1)),
+            [(f"u{i}", f"v{j}") for i in range(1, n + 1) for j in (i - 1, i) if j >= 1],
+        )
+        assert _greedy(inst.reach, range(n), n).count(-1) == 1
+        assert _max_matching_size(inst.reach, n) == n == kuhn_size(inst)
 
 
 class TestRankingMatchingPredicate:

@@ -14,6 +14,9 @@ from rankinglab import (
     BipartiteInstance,
     InstanceFormatError,
     Permutation,
+    check_theorem4,
+    check_theorem6,
+    cli,
     edge,
     fileformat,
     fingerprint,
@@ -335,7 +338,7 @@ class TestOnePassParse:
         assert twin == inst and twin.reach == inst.reach
         assert hash(twin) == hash(inst) and repr(twin) == repr(inst)
 
-    def test_graph_is_built_only_when_read(self):
+    def test_graph_is_built_only_when_read(self, tmp_path, monkeypatch, capsys):
         big = gen_random(400, 400, 0.1, 1)
         inst = parse_instance(serialize_instance(big))
         rank_match(inst)
@@ -344,6 +347,27 @@ class TestOnePassParse:
         removal_diff_offline(inst, inst.ranking[0])
         assert "graph" not in vars(inst)
         assert inst.graph == big.graph and inst == big
+
+        loaded = []
+
+        def load(text):
+            loaded.append(parse_instance(text))
+            return loaded[-1]
+
+        monkeypatch.setattr(cli, "parse_instance", load)
+        path = tmp_path / "big.obm"
+        path.write_text(serialize_instance(big))
+        assert cli.main(["mc", str(path), "--samples", "20", "--seed", "1"]) == 0
+        row = capsys.readouterr().out.splitlines()[1]
+        assert row.startswith(f"{fingerprint(big)},400,mc,")
+        assert len(loaded) == 1 and "graph" not in vars(loaded[0])
+
+        path = tmp_path / "p8.obm"
+        path.write_text(serialize_instance(gen_perfect(8, 0.4, 1)[0]))
+        p8 = parse_instance(path.read_text())
+        for check in (check_theorem6, check_theorem4):
+            assert check(p8).n == 8
+            assert "graph" not in vars(p8)
 
     def test_no_column_scan_on_well_formed_input(self, monkeypatch):
         texts = [
@@ -568,13 +592,13 @@ class TestGammaFamily:
     @pytest.mark.parametrize("n, calls", [(1, 4), (2, 1024)])
     def test_matcher_runs_once_per_candidate(self, monkeypatch, n, calls):
         seen = []
-        real = generators.bipartite_max_matching
+        real = generators._max_matching_size
 
-        def counting(g):
-            seen.append(g)
-            return real(g)
+        def counting(reach, arrivals):
+            seen.append(reach)
+            return real(reach, arrivals)
 
-        monkeypatch.setattr(generators, "bipartite_max_matching", counting)
+        monkeypatch.setattr(generators, "_max_matching_size", counting)
         list(gen_gamma_family(n))
         assert len(seen) == calls == 2 ** (3 * n * n - n)
 
