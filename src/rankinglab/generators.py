@@ -14,7 +14,7 @@ from typing import Iterator, Tuple
 
 from .engine import BipartiteInstance, Permutation, _max_matching_size
 from .graph import edge, vertices
-from .probability import _expected_size
+from .probability import _mean_size
 from .rng import SplitMix64, stream
 
 
@@ -61,20 +61,20 @@ def gen_perfect(
     return inst, frozenset(edge(f"u{k}", f"v{k}") for k in range(1, n + 1))
 
 
-def gen_gamma_family(n: int) -> Iterator[Tuple[frozenset, Tuple[Permutation, ...]]]:
-    """The hard family at size n: graphs on a 2n-by-2n grid of vertex slots.
+def _gamma_masks(n: int) -> Iterator[Tuple[list, list]]:
+    """The hard family at size n as slot masks: (masks, active online slots).
 
-    Offline slots are o0..o(2n-1) and online slots i0..i(2n-1).  Every graph
-    contains the base matching {o_k - i_k : k < n} and admits no matching
-    larger than n.  Each graph is yielded with all arrival orders over its
-    online vertices that actually have an edge.
+    Offline slots are o0..o(2n-1) and online slots i0..i(2n-1); mask k is
+    offline slot k's, bit l for online slot i_l, and the active online slots
+    are those with an edge, in slot order.  Every graph contains the base
+    matching {o_k - i_k : k < n} and admits no matching larger than n.
 
     An edge o_k - i_l with k, l >= n joins two slots the base leaves free, so
     with the base it is a matching of n + 1 edges: no family graph has one.
     The candidates are therefore the subsets of the other 3n^2 - n edges, in
     binary order, each kept when ``engine._max_matching_size`` on its slot
-    masks (offline slot k, bit l for online slot i_l) finds at most n edges.
-    Supported for n <= 2: n = 3 would already be 2^24 candidates.
+    masks finds at most n edges.  Supported for n <= 2: n = 3 would already
+    be 2^24 candidates.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -84,15 +84,20 @@ def gen_gamma_family(n: int) -> Iterator[Tuple[frozenset, Tuple[Permutation, ...
     slots = range(2 * n)
     others = [(k, l) for k in slots for l in slots if k != l and min(k, l) < n]
     for bits in range(1 << len(others)):
-        pairs = base + [others[j] for j in range(len(others)) if bits >> j & 1]
         reach = [0] * len(slots)
-        for k, l in pairs:
+        for k, l in base + [others[j] for j in range(len(others)) if bits >> j & 1]:
             reach[k] |= 1 << l
-        if _max_matching_size(reach, len(slots)) > n:
-            continue
+        if _max_matching_size(reach, len(slots)) <= n:
+            yield reach, [l for l in slots if any(m >> l & 1 for m in reach)]
+
+
+def gen_gamma_family(n: int) -> Iterator[Tuple[frozenset, Tuple[Permutation, ...]]]:
+    """The hard family at size n, named: each graph of ``_gamma_masks(n)`` as
+    edges o_k - i_l, with every arrival order of its active online vertices."""
+    for rows, active in _gamma_masks(n):
+        pairs = [(k, l) for k, m in enumerate(rows) for l in active if m >> l & 1]
         g = frozenset(edge(f"o{k}", f"i{l}") for k, l in pairs)
-        online = [f"i{l}" for l in slots if any(m >> l & 1 for m in reach)]
-        yield g, tuple(Permutation(p) for p in permutations(online))
+        yield g, tuple(Permutation(p) for p in permutations(f"i{l}" for l in active))
 
 
 def _gamma_ranking(g: frozenset) -> Permutation:
@@ -101,20 +106,24 @@ def _gamma_ranking(g: frozenset) -> Permutation:
     return Permutation(sorted(offline, key=lambda s: int(s[1:])))
 
 
+def _arrival_key(rows: list, order) -> tuple:
+    """The nonzero ``rows`` masks, bit l moved to l's position in ``order``, sorted."""
+    masks = (sum(1 << p for p, l in enumerate(order) if m >> l & 1) for m in rows if m)
+    return tuple(sorted(masks))
+
+
 def gamma_min_ratio(n: int) -> Fraction:
     """The worst expected-size ratio over the hard family at size n.
 
     Minimizes E[|matching|] / n over every family graph and every arrival
-    order, with the expectation exact over rankings of the offline vertices
-    that have an edge.
+    order of its active online slots, exactly over rankings of the offline
+    vertices that have an edge.  The DP runs once per distinct key (the
+    nonzero slot masks relabelled to arrival positions and sorted, by
+    ``_arrival_key``) on 2n arrivals.  The key is sound because the ranking
+    is uniform: renaming offline ids only permutes the rankings, and neither
+    an isolated vertex nor an arrival that no mask reaches changes the size.
     """
-    best: Fraction | None = None
-    for g, arrivals in gen_gamma_family(n):
-        ranking = _gamma_ranking(g)
-        for arr in arrivals:
-            inst = BipartiteInstance(g, ranking, arr)
-            ratio = _expected_size(inst) / n
-            if best is None or ratio < best:
-                best = ratio
-    assert best is not None  # the family is never empty
-    return best
+    keys = set()
+    for rows, active in _gamma_masks(n):
+        keys.update(_arrival_key(rows, order) for order in permutations(active))
+    return min(_mean_size(key, 2 * n) for key in keys) / n

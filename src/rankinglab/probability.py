@@ -6,11 +6,13 @@ configurable cap, default 8) every quantity is computed exactly, as a
 ``fractions.Fraction``, by one rank-order dynamic program: a uniformly random
 ranking is a uniformly random order in which offline vertices take their
 earliest-arriving free neighbor, so a pass over states (offline vertices
-still to come, free arrivals) counts rankings.  The expected size reads its
-last layer; ``lemma3_chain`` has the same pass count the matches at each
-rank too.  A table of the matcher's outcome under every ranking backs only
-the public per-t functions, the chain's test oracle.  Beyond the cap,
-``mc_expected_size`` gives a seeded, bit-reproducible Monte Carlo estimate.
+still to come, free arrivals) counts rankings.  It reads an index, not an
+instance: a ``reach`` mask per offline id and the number of arrivals.  The
+expected size reads its last layer; ``lemma3_chain`` has the same pass count
+the matches at each rank too.  A table of the matcher's outcome under every
+ranking backs only the public per-t functions, the chain's test oracle.
+Beyond the cap, ``mc_expected_size`` gives a seeded, bit-reproducible Monte
+Carlo estimate.
 
 The per-rank quantities connect into a chain that ``lemma3_chain`` builds
 from that one pass and the check functions verify link by link on
@@ -124,31 +126,33 @@ def exact_expected_size(inst: BipartiteInstance, cap: int = DEFAULT_CAP) -> Exac
 def _expected_size(inst: BipartiteInstance, cap: int = DEFAULT_CAP) -> Fraction:
     """The value of ``exact_expected_size``, with no report and no fingerprint."""
     _check_cap(inst, cap)
-    arrivals = len(inst.arrival)
-    last, _, _ = _tally(inst)
+    return _mean_size(inst.reach, len(inst.arrival))
+
+
+def _mean_size(reach, arrivals: int) -> Fraction:
+    """Expected matching size over the n! orders of the ``reach`` ids."""
+    last, _, _ = _tally(reach, arrivals)
     matched = sum(ways * (arrivals - free.bit_count()) for free, ways in last.items())
-    return Fraction(matched, math.factorial(len(inst.ranking)))
+    return Fraction(matched, math.factorial(len(reach)))
 
 
-def _tally(inst: BipartiteInstance, by_rank: bool = False) -> Tuple[dict, list, list]:
-    """Outcomes over all n! rankings: ``(last, by_id, by_arrival)``.
+def _tally(reach, arrivals: int, by_rank: bool = False) -> Tuple[dict, list, list]:
+    """Outcomes over all n! rankings of an index: ``(last, by_id, by_arrival)``.
 
-    ``last`` maps each final set of free arrivals (a bitmask) to the number
-    of rankings that leave it.  With ``by_rank``, ``by_id[d][x]`` counts the
-    rankings that put offline id x (``inst.reach`` numbering) at rank d and
-    match it, and ``by_arrival[d][j]`` those that match arrival j to rank d;
-    without, both lists are empty.  The party-swapped greedy of
-    ``engine._greedy`` makes a ranking an order in which offline vertices
-    take their earliest-arriving free neighbor.  A forward pass over depth
-    d = 0..n-1 counts, for each state (bitmask of offline ids still to come,
-    bitmask of free arrivals), the orders of the first d ids that reach it;
-    a match at depth d is completed by (n - d - 1)! orders of the rest, a
-    factor applied once per layer.  The counts equal those read off the
-    ``_ensemble`` table, without the table.
+    An instance passes ``inst.reach, len(inst.arrival)``.  ``last`` maps
+    each final set of free arrivals (a bitmask) to the number of rankings
+    that leave it.  With ``by_rank``, ``by_id[d][x]`` counts the rankings
+    that put offline id x at rank d and match it, and ``by_arrival[d][j]``
+    those that match arrival j to rank d; without, both lists are empty.
+    The party-swapped greedy of ``engine._greedy`` makes a ranking an order
+    in which offline vertices take their earliest-arriving free neighbor.
+    A forward pass over depth d = 0..n-1 counts, for each state (bitmask of
+    offline ids still to come, bitmask of free arrivals), the orders of the
+    first d ids that reach it; a match at depth d is completed by
+    (n - d - 1)! orders of the rest, a factor applied once per layer.  The
+    counts equal those read off the ``_ensemble`` table, without the table.
     """
-    reach = inst.reach
     n = len(reach)
-    arrivals = len(inst.arrival)
     full = (1 << n) - 1
     # a state is one int: bit x (x < n) for an offline id still to come,
     # bit n + j for a free arrival j
@@ -352,7 +356,7 @@ def lemma3_chain(
         m_star = _require_perfect_matching(inst)
     mset = _validated_perfect(inst, m_star)
     n = len(inst.ranking)
-    _, by_id, by_arrival = _tally(inst, by_rank=True)
+    _, by_id, by_arrival = _tally(inst.reach, len(inst.arrival), by_rank=True)
     upos = _designated_positions(inst, mset)
     size = math.factorial(n)
     links = []
@@ -367,7 +371,7 @@ def lemma3_chain(
                 t=i + 1,
                 n=n,
                 rank_prob=Fraction(hits, size),
-                moved_prob=sum(Fraction(k, size // n) for k in by_id[i]) / n,
+                moved_prob=Fraction(hits, size // n) / n,
                 before_prob=Fraction(before, size * n),
                 mean_before_count=Fraction(count, size),
                 prefix_sum=Fraction(prefix, size),

@@ -30,6 +30,7 @@ from rankinglab import (
     mc_expected_size,
     online_match,
     parse_instance,
+    probability,
     removal_diff_offline,
     serialize_instance,
     vertices,
@@ -584,6 +585,41 @@ class TestGammaFamily:
         q2 = gamma_min_ratio(2)
         assert q2 >= Fraction(5, 9)
         assert q2 == Fraction(3, 4)
+
+    def test_min_ratio_runs_one_dp_per_key(self, monkeypatch):
+        def no_instance(*args):
+            raise AssertionError("gamma_min_ratio built an instance")
+
+        seen = []
+        real = probability._tally
+
+        def counting(reach, arrivals, by_rank=False):
+            seen.append(reach)
+            return real(reach, arrivals, by_rank)
+
+        monkeypatch.setattr(generators, "BipartiteInstance", no_instance)
+        monkeypatch.setattr(generators, "Permutation", no_instance)
+        monkeypatch.setattr(probability, "_tally", counting)
+        assert gamma_min_ratio(2) == Fraction(3, 4)
+        assert len(seen) == len(set(seen)) == 106
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_arrival_key_keeps_the_expected_size(self, n):
+        # every (graph, order) pair: the DP on its key, with 2n arrivals,
+        # equals the DP on the pair's own instance
+        pairs = 0
+        for g, arrivals in gen_gamma_family(n):
+            rows = [0] * (2 * n)
+            for e in g:
+                o, i = sorted(e, reverse=True)
+                rows[int(o[1:])] |= 1 << int(i[1:])
+            ranking = generators._gamma_ranking(g)
+            for arr in arrivals:
+                key = generators._arrival_key(rows, [int(v[1:]) for v in arr])
+                inst = BipartiteInstance(g, ranking, arr)
+                assert probability._mean_size(key, 2 * n) == probability._expected_size(inst)
+                pairs += 1
+        assert pairs == {1: 4, 2: 1568}[n]
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_sequence_equals_definition(self, n):

@@ -228,6 +228,14 @@ class TestExpectedSizeEqualsTable:
         rep = exact_expected_size(inst)
         assert (rep.value, rep.sample_space) == table_expected_size(inst)
 
+    @settings(max_examples=60, deadline=None)
+    @given(instances(max_side=6))
+    def test_sorted_index_has_the_same_mean(self, inst):
+        # a uniform ranking makes the mean blind to the offline ids' names,
+        # the symmetry the hard family's key relies on
+        key = tuple(sorted(inst.reach))
+        assert probability._mean_size(key, len(inst.arrival)) == probability._expected_size(inst)
+
     @pytest.mark.parametrize("n", [10, 12])
     def test_last_layer_equals_the_per_rank_counts(self, n):
         # beyond the table's reach: the size read from the pass's last layer
@@ -384,8 +392,8 @@ class TestChainEqualsPerT:
         inst, m_star = gen_perfect(4, 0.3, 11)
         real = probability._tally
 
-        def dropped(one, by_rank):
-            last, by_id, by_arrival = real(one, by_rank)
+        def dropped(reach, arrivals, by_rank):
+            last, by_id, by_arrival = real(reach, arrivals, by_rank)
             d, j = next(
                 (d, j) for d, row in enumerate(by_arrival) for j, k in enumerate(row) if k
             )
