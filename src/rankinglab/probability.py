@@ -15,8 +15,8 @@ Beyond the cap, ``mc_expected_size`` gives a seeded, bit-reproducible Monte
 Carlo estimate.
 
 The per-rank quantities connect into a chain that ``lemma3_chain`` builds
-from that one pass and the check functions verify link by link on
-enumerated instances:
+from that one pass on a perfect instance, designating no perfect matching,
+and the check functions verify link by link on enumerated instances:
 
 * ``rank_matched_prob(t)``, the probability that the vertex at rank t ends
   up matched;
@@ -215,12 +215,6 @@ def rank_matched_prob_moved(
     return Fraction(hits, len(runs) * n)
 
 
-def _designated_positions(inst: BipartiteInstance, m_star: frozenset) -> list:
-    """Arrival position of each offline vertex's m_star partner, by rank."""
-    mate = _mate_map(m_star)
-    return [inst.arrival.index(mate[v]) for v in inst.ranking]
-
-
 def _validated_perfect(inst: BipartiteInstance, m_star: AbstractSet) -> frozenset:
     mset = frozenset(frozenset(e) for e in m_star)
     if not is_matching(mset) or not mset <= inst.graph:
@@ -242,14 +236,10 @@ def matched_before_prob(
     _check_cap(inst, cap)
     n = len(inst.ranking)
     _check_t(t, n)
-    mset = _validated_perfect(inst, m_star)
+    mate = _mate_map(_validated_perfect(inst, m_star))
+    upos = [inst.arrival.index(mate[v]) for v in inst.ranking]
     runs = _ensemble(inst)
-    upos = _designated_positions(inst, mset)
-    hits = 0
-    for _, prs in runs.values():
-        for k in range(n):
-            if 0 <= prs[upos[k]] <= t - 1:
-                hits += 1
+    hits = sum(0 <= prs[j] <= t - 1 for _, prs in runs.values() for j in upos)
     return Fraction(hits, len(runs) * n)
 
 
@@ -283,12 +273,11 @@ def perfect_matching_of(inst: BipartiteInstance) -> Optional[frozenset]:
 _NO_PERFECT = "instance has no perfect matching covering both parties"
 
 
-def _require_perfect_matching(inst: BipartiteInstance) -> frozenset:
-    """``perfect_matching_of(inst)``, or ValueError when there is none."""
-    m_star = perfect_matching_of(inst)
-    if m_star is None:
+def _require_perfect(inst: BipartiteInstance) -> None:
+    """ValueError unless a perfect matching covers both parties, on ``reach``."""
+    a = len(inst.arrival)
+    if not _max_matching_size(inst.reach, a) == a == len(inst.ranking):
         raise ValueError(_NO_PERFECT)
-    return m_star
 
 
 @dataclass(frozen=True)
@@ -343,36 +332,38 @@ def lemma3_chain(
 
     Every link reads the one ``_tally`` pass: the rank probability and its
     prefix sum from the match counts by offline id, the moved probability
-    as the mean over vertices x of P[x matched | x at rank t], the mean
-    count from the match counts by arrival, and the designated-partner
-    probability from those counts at m_star's partners' arrival positions.
-    The moved probability is the rank probability by algebra (sum_x c_x /
-    (n-1)! / n = sum_x c_x / n!), so ``move_equal`` cannot fail here; its
-    independent route is ``rank_matched_prob_moved``'s pair space.  The
-    per-t functions, on the ``_ensemble`` table, are the chain's test oracle.
+    as the mean over vertices x of P[x matched | x at rank t], and the mean
+    count from the match counts by arrival.  The moved probability is the
+    rank probability by algebra (sum_x c_x / (n-1)! / n = sum_x c_x / n!),
+    so ``move_equal`` cannot fail here; its independent route is
+    ``rank_matched_prob_moved``'s pair space.  The designated-partner
+    probability is the mean count over n: a perfect M* lists each arrival
+    once, so its partners' counts are all the counts, whichever M* it is.
+    So the chain needs perfectness (``_require_perfect``, on ``reach``), not
+    an M*; a given ``m_star`` is still checked.  The per-t functions, on the
+    ``_ensemble`` table, are the chain's test oracle.
     """
     _check_cap(inst, cap)
     if m_star is None:
-        m_star = _require_perfect_matching(inst)
-    mset = _validated_perfect(inst, m_star)
+        _require_perfect(inst)
+    else:
+        _validated_perfect(inst, m_star)
     n = len(inst.ranking)
     _, by_id, by_arrival = _tally(inst.reach, len(inst.arrival), by_rank=True)
-    upos = _designated_positions(inst, mset)
     size = math.factorial(n)
     links = []
-    prefix = count = before = 0
+    prefix = count = 0
     for i in range(n):
         hits = sum(by_id[i])
         prefix += hits
         count += sum(by_arrival[i])
-        before += sum(by_arrival[i][j] for j in upos)
         links.append(
             ChainLink(
                 t=i + 1,
                 n=n,
                 rank_prob=Fraction(hits, size),
                 moved_prob=Fraction(hits, size // n) / n,
-                before_prob=Fraction(before, size * n),
+                before_prob=Fraction(count, size * n),
                 mean_before_count=Fraction(count, size),
                 prefix_sum=Fraction(prefix, size),
             )
@@ -429,10 +420,8 @@ def _ratio_verdict(inst: BipartiteInstance, n: int, cap: int) -> RatioVerdict:
 def check_theorem4(inst: BipartiteInstance, cap: int = DEFAULT_CAP) -> RatioVerdict:
     """Expected size versus the bound, n taken as the (perfect) party size."""
     _check_cap(inst, cap)
-    n = len(inst.arrival)
-    if not _max_matching_size(inst.reach, n) == n == len(inst.ranking):
-        raise ValueError(_NO_PERFECT)
-    return _ratio_verdict(inst, n, cap)
+    _require_perfect(inst)
+    return _ratio_verdict(inst, len(inst.arrival), cap)
 
 
 def check_theorem6(inst: BipartiteInstance, cap: int = DEFAULT_CAP) -> RatioVerdict:

@@ -209,7 +209,8 @@ class _Frame(NamedTuple):
 class _Core:
     """An instance's greedy on positions, computed once for every check on it.
 
-    ``frames[True]`` ranks the offline party, ``frames[False]`` the arrivals.
+    ``frames[True]`` ranks the offline party, ``frames[False]`` the arrivals;
+    only this module reads ``frames``, so callers never pick a side by flag.
     Their masks are the transpose of ``inst.reach`` and ``inst.reach``; the
     arrival side taking its lowest free neighbour in order is the online
     fold in one and the party-swapped greedy in the other, one matching, so

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .engine import BipartiteInstance, _predicate, rank_match
@@ -26,10 +27,12 @@ from .fileformat import fingerprint, serialize_instance
 from .generators import gen_perfect, gen_random
 from .graph import all_matchings, is_alternating_path, remove_vertices, vertices
 from .probability import (
-    _require_perfect_matching,
+    _NO_PERFECT,
+    _require_perfect,
     check_theorem4,
     check_theorem6,
     lemma3_chain,
+    perfect_matching_of,
 )
 from .reporting import exact_row
 from .rng import SplitMix64, stream
@@ -93,7 +96,10 @@ def _cases(
 
 
 def _with_perfect(one: BipartiteInstance) -> tuple:
-    return one, _require_perfect_matching(one)
+    m_star = perfect_matching_of(one)
+    if m_star is None:
+        raise ValueError(_NO_PERFECT)
+    return one, m_star
 
 
 def _rand_instance(g: SplitMix64, max_side: int) -> BipartiteInstance:
@@ -115,14 +121,16 @@ def _probes(
 
 
 def _vertex_cases(
-    count: int, inst: Optional[BipartiteInstance], g: SplitMix64, max_side: int, side
+    count: int, inst: Optional[BipartiteInstance], seed: int, max_side: int, side
 ) -> Iterator[Tuple[BipartiteInstance, _Core, str]]:
-    """Every vertex ``side`` lists on ``inst``, else ``count`` drawn cases:
-    an instance, redrawn while ``side`` (of its core) lists none, then a vertex."""
+    """Every vertex ``side`` lists on ``inst``, else ``count`` drawn cases from
+    ``seed``: an instance, redrawn while ``side`` (of its core) lists none,
+    then a vertex."""
     if inst is not None:
         core = _Core(inst)
         yield from ((inst, core, x) for x in side(core))
         return
+    g = stream(seed, 0)
     for _ in range(count):
         for _ in range(200):
             core = _Core(_rand_instance(g, max_side))
@@ -192,11 +200,15 @@ def suite_lemma3(
     """Every link of the per-rank chain holds exactly on planted instances."""
     g = stream(seed, 0)
 
-    def check(one: BipartiteInstance, m_star: frozenset) -> List[str]:
+    def check(one: BipartiteInstance, m_star: Optional[frozenset]) -> List[str]:
         broken = [link.t for link in lemma3_chain(one, m_star) if not link.holds]
         return [f"chain link broken at t={broken[0]}"] if broken else []
 
-    cases = _cases(count, inst, lambda: _rand_planted(g, max_side, 6), _with_perfect)
+    # a given file's perfectness is decided before the chain's cap check
+    cases = _cases(
+        count, inst, lambda: _rand_planted(g, max_side, 6),
+        lambda one: (one, _require_perfect(one)),
+    )
     return _run("lemma3", cases, check)
 
 
@@ -237,7 +249,7 @@ def suite_lemma6(
         return [f"zig and zag disagree after deleting {x!r}"]
 
     cases = _vertex_cases(
-        count, inst, stream(seed, 0), max_side, lambda c: sorted(vertices(c.matching))
+        count, inst, seed, max_side, lambda c: sorted(vertices(c.matching))
     )
     return _run("lemma6", cases, check)
 
@@ -266,34 +278,20 @@ def _removal_failures(
     return []
 
 
-def _suite_removal(
-    name: str,
-    online_side: bool,
-    count: int,
-    seed: int,
-    inst: Optional[BipartiteInstance],
-    max_side: int,
-) -> SuiteResult:
-    def party(core: _Core) -> tuple:
-        # a frame's ranking side is the party whose deletions it walks
-        return core.frames[not online_side].ranking.order
-
-    cases = _vertex_cases(count, inst, stream(seed, 0), max_side, party)
-    return _run(name, cases, _removal_failures)
-
-
 def suite_lemma7(
     count: int, seed: int, inst: Optional[BipartiteInstance] = None, max_side: int = 8
 ) -> SuiteResult:
     """Deleting one arriving vertex changes the output by one cascade path."""
-    return _suite_removal("lemma7", True, count, seed, inst, max_side)
+    cases = _vertex_cases(count, inst, seed, max_side, lambda c: c.inst.arrival.order)
+    return _run("lemma7", cases, _removal_failures)
 
 
 def suite_lemma8(
     count: int, seed: int, inst: Optional[BipartiteInstance] = None, max_side: int = 8
 ) -> SuiteResult:
     """Deleting one ranked vertex changes the output by one cascade path."""
-    return _suite_removal("lemma8", False, count, seed, inst, max_side)
+    cases = _vertex_cases(count, inst, seed, max_side, lambda c: c.inst.ranking.order)
+    return _run("lemma8", cases, _removal_failures)
 
 
 def suite_lemma9(
@@ -305,13 +303,10 @@ def suite_lemma9(
     def cases():
         # sides alternate, arrival side first; an empty side yields to the other
         for k, (one, core) in enumerate(_probes(count, inst, g, max_side)):
-            first, second = core.frames[k % 2 == 1], core.frames[k % 2 == 0]
-            yield one, core, g.choice(first.ranking.order or second.ranking.order)
+            sides = (one.arrival.order, one.ranking.order)
+            yield one, core, g.choice(sides[k % 2] or sides[1 - k % 2])
 
-    def check(one: BipartiteInstance, core: _Core, x: str) -> List[str]:
-        return _removal_failures(one, core, x, paths=False)
-
-    return _run("lemma9", cases(), check)
+    return _run("lemma9", cases(), partial(_removal_failures, paths=False))
 
 
 def suite_rank_move(

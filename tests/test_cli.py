@@ -7,10 +7,12 @@ from fractions import Fraction
 import pytest
 
 from rankinglab import (
+    CapExceeded,
     bipartite_max_matching,
     cli,
     fileformat,
     gen_random,
+    lemma3_chain,
     parse_instance,
     probability,
     rng,
@@ -244,6 +246,21 @@ class TestCheck:
         rc = main(["check", EXAMPLE, "--suite", "lemma7", "--count", "1", "--seed", "1"])
         assert rc == 0
         assert "0 failures" in capsys.readouterr().out
+
+    def test_lemma3_decides_perfectness_before_the_cap(self, tmp_path, capsys):
+        # nine ranked vertices exceed the cap of 8, but the file is not perfect
+        path = str(tmp_path / "r97.obm")
+        argv = ["gen", "random", "--offline", "9", "--online", "7",
+                "--edge-prob", "0.4", "--seed", "5", "--out", path]
+        assert main(argv) == 0
+        with pytest.raises(CapExceeded):
+            lemma3_chain(parse_instance(open(path).read()))
+        for f in (path, EXAMPLE):  # example6's v6 is isolated
+            capsys.readouterr()
+            assert main(["check", f, "--suite", "lemma3"]) == 2
+            assert capsys.readouterr().err == (
+                "error: instance has no perfect matching covering both parties\n"
+            )
 
     def test_ratio_suite_writes_csv(self, tmp_path, capsys):
         out_csv = tmp_path / "rows.csv"

@@ -22,6 +22,7 @@ from rankinglab import (
     ChainLink,
     McEstimate,
     Permutation,
+    all_matchings,
     check_lemma3,
     check_theorem4,
     check_theorem6,
@@ -433,6 +434,42 @@ class TestChainEqualsPerT:
             lemma3_chain(inst)
         with pytest.raises(ValueError, match="cover both parties"):
             lemma3_chain(inst, frozenset())
+
+
+class TestPerfectDecidedOnce:
+    """Perfectness is decided on ``reach``; the chain reads no designated M*."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(instances(max_side=5))
+    def test_index_decision_equals_the_name_level_one(self, inst):
+        m_star = perfect_matching_of(inst)
+        if m_star is None:
+            for decide in (lemma3_chain, check_theorem4):
+                with pytest.raises(ValueError, match="no perfect matching covering both"):
+                    decide(inst)
+        else:
+            check_theorem4(inst)
+            assert lemma3_chain(inst) == lemma3_chain(inst, m_star)
+
+    @pytest.mark.parametrize(
+        "inst",
+        [
+            make_instance(
+                "v1 v2 v3", "u1 u2 u3",
+                [(u, v) for u in ("u1", "u2", "u3") for v in ("v1", "v2", "v3")],
+            ),
+            gen_perfect(5, 0.4, 2)[0],
+        ],
+        ids=["K33", "planted5"],
+    )
+    def test_every_perfect_matching_gives_the_same_chain(self, inst):
+        everyone = inst.offline | inst.online
+        perfect = [m for m in all_matchings(inst.graph) if vertices(m) == everyone]
+        assert len(perfect) >= 2
+        chain = lemma3_chain(inst)
+        for m in perfect:
+            # the per-t oracle reads this m's partners on its own
+            assert lemma3_chain(inst, m) == chain == chain_from_per_t(inst, m)
 
 
 class TestPerfectMatchingOf:

@@ -14,8 +14,12 @@ from rankinglab import (
     SuiteResult,
     all_matchings,
     check_rank_move,
+    check_lemma3,
+    check_theorem4,
     edge,
     gen_perfect,
+    gen_random,
+    lemma3_chain,
     online_match,
     parse_instance,
     perfect_matching_of,
@@ -33,7 +37,7 @@ from rankinglab import (
     vertices,
 )
 
-from rankinglab import structure, suites
+from rankinglab import probability, structure, suites
 from rankinglab.cli import main
 from rankinglab.engine import rank_match
 
@@ -139,6 +143,33 @@ class TestFileMode:
         assert suite_lemma8(1, 0, inst=example6).cases == 6
         assert suite_lemma7(1, 0, inst=example6).passed
         assert suite_lemma8(1, 0, inst=example6).passed
+
+    @pytest.mark.parametrize("suite, side", [(suite_lemma7, "arrival"), (suite_lemma8, "ranking")])
+    def test_removal_suites_walk_their_side_in_order(self, example6, suite, side, monkeypatch):
+        seen, real = [], suites._removal_failures
+
+        def recorded(one, core, x, paths=True):
+            seen.append(x)
+            return real(one, core, x, paths)
+
+        monkeypatch.setattr(suites, "_removal_failures", recorded)
+        for inst in (example6, gen_random(4, 5, 0.5, 3)):
+            seen.clear()
+            assert suite(1, 0, inst=inst).passed
+            assert tuple(seen) == getattr(inst, side).order
+
+    def test_lemma3_path_designates_no_perfect_matching(self, monkeypatch):
+        def banned(*args):
+            raise AssertionError("a perfect matching was designated by name")
+
+        monkeypatch.setattr(probability, "bipartite_max_matching", banned)
+        monkeypatch.setattr(probability, "_mate_map", banned)
+        inst = parse_instance(serialize_instance(gen_perfect(5, 0.4, 2)[0]))
+        assert len(lemma3_chain(inst)) == 5
+        assert all(check_lemma3(inst).values())
+        assert check_theorem4(inst).holds
+        assert suite_lemma3(1, 0, inst=inst).passed
+        assert "graph" not in vars(inst)
 
     def test_lemma9_reuses_the_instance(self, example6):
         result = suite_lemma9(30, 4, inst=example6)
