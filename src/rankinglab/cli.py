@@ -52,7 +52,7 @@ from .probability import (
     mc_expected_size,
 )
 from .reporting import CSV_HEADER, exact_row, fmt_cell, row_line
-from .suites import SUITES
+from .suites import _ROW_SUITES, SUITES
 
 #: the largest ``check --max-side``; ranking-matching's worst 80 x 80 draw took 1.3 s
 MAX_SIDE = 80
@@ -123,29 +123,20 @@ def cmd_mc(args) -> int:
 
 def cmd_check(args) -> int:
     if args.random and args.file:
-        print("error: give a file or --random, not both", file=sys.stderr)
-        return 2
+        raise ValueError("give a file or --random, not both")
     for flag, value, low in (("--count", args.count, 0), ("--max-side", args.max_side, 1)):
         if value < low:
-            print(f"error: {flag} must be at least {low}, got {value}", file=sys.stderr)
-            return 2
+            raise ValueError(f"{flag} must be at least {low}, got {value}")
     if MAX_SIDE < args.max_side <= 1 << 64:  # the draws refuse larger bounds themselves
-        msg = f"--max-side must be at most {MAX_SIDE}, got {args.max_side}"
-        print(f"error: {msg}", file=sys.stderr)
-        return 2
+        raise ValueError(f"--max-side must be at most {MAX_SIDE}, got {args.max_side}")
     inst = _load(args.file) if args.file else None
-    suite = SUITES[args.suite]
-    result = suite(args.count, args.seed, inst=inst, max_side=args.max_side)
+    if args.out is not None and args.suite not in _ROW_SUITES:  # before a minutes-long run
+        raise ValueError(f"suite {args.suite!r} produces no CSV rows")
+    result = SUITES[args.suite](args.count, args.seed, inst=inst, max_side=args.max_side)
     if args.out is not None:
-        rows = result.notes.get("rows")
-        if rows is None:
-            print(
-                f"error: suite {args.suite!r} produces no CSV rows", file=sys.stderr
-            )
-            return 2
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(CSV_HEADER + "\n")
-            for row in rows:
+            for row in result.notes["rows"]:
                 fh.write(row_line(row) + "\n")
     print(f"suite {result.name}: {result.cases} cases, {len(result.failures)} failures")
     for key, value in sorted(result.notes.items()):

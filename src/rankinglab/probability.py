@@ -407,9 +407,9 @@ class RatioVerdict:
     vacuous: bool
 
 
-def _ratio_verdict(inst: BipartiteInstance, n: int, cap: int) -> RatioVerdict:
-    """The exact expected size against the bound at size n (vacuous at 0)."""
-    expected = _expected_size(inst, cap)
+def _ratio_verdict(inst: BipartiteInstance, n: int) -> RatioVerdict:
+    """Exact expected size against the bound at n (vacuous at 0); callers check the cap."""
+    expected = _mean_size(inst.reach, len(inst.arrival))
     if n == 0:
         return RatioVerdict(0, expected, None, None, True, True)
     ratio = expected / n
@@ -421,13 +421,13 @@ def check_theorem4(inst: BipartiteInstance, cap: int = DEFAULT_CAP) -> RatioVerd
     """Expected size versus the bound, n taken as the (perfect) party size."""
     _check_cap(inst, cap)
     _require_perfect(inst)
-    return _ratio_verdict(inst, len(inst.arrival), cap)
+    return _ratio_verdict(inst, len(inst.arrival))
 
 
 def check_theorem6(inst: BipartiteInstance, cap: int = DEFAULT_CAP) -> RatioVerdict:
     """Expected size versus the bound, n taken as the maximum matching size."""
     _check_cap(inst, cap)
-    return _ratio_verdict(inst, _max_matching_size(inst.reach, len(inst.arrival)), cap)
+    return _ratio_verdict(inst, _max_matching_size(inst.reach, len(inst.arrival)))
 
 
 def _mix_lanes(z: int, m: int) -> int:

@@ -6,13 +6,15 @@ Every cascade is one walk, ``_walk``, on positions: the partner arrays that
 ``engine._greedy`` returns and one adjacency bitmask per arrival-side
 position.  ``_Core`` computes an instance's greedy, both mate arrays and the
 transposed masks once, in both orientations of the parties; a deletion
-zeroes one mask and reruns ``_greedy``.  The ``removal_diff_*`` and
-``check_*`` functions turn the structural claims into executable verdicts
-on that core, and the suites hold one core per instance.  ``zig`` and
-``zag`` are the literal walk on a ``ZigZagContext``: a zig step goes to the
-mate, a zag step to the one entry of ``shift_targets``, which lists what
-``shifts_to``, the literal definition of the shift relation, allows.  The
-tests hold ``_walk`` and the literal walk to the same paths.
+zeroes one mask and reruns ``_greedy``; a rank move, ``_rank_move``, moves
+one offline id in the order and reruns it on ``reach``.  The core reads no
+names.  The ``removal_diff_*`` and ``check_*`` functions turn the structural
+claims into executable verdicts on it, translating names to positions once,
+and the suites hold one core per instance.  ``zig`` and ``zag`` are the
+literal walk on a ``ZigZagContext``: a zig step goes to the mate, a zag step
+to the one entry of ``shift_targets``, which lists what ``shifts_to``, the
+literal definition of the shift relation, allows.  The tests hold ``_walk``
+and the literal walk to the same paths.
 
 A ``ZigZagContext`` bundles a graph, a matching over it, and the two orders.
 The party roles inside a context are positional: ``ranking`` names the side
@@ -393,28 +395,26 @@ def check_rank_move(
     ``m_star`` is a perfect matching supplying the designated partner
     u = m_star(v).  When v is unmatched in the baseline run, the claim under
     test is that u stays matched after the move, to a vertex ranked no worse
-    than v's original rank.  Two readings of "no worse" are evaluated, one
-    in the moved order and one in the original order.
+    than v's original rank.  Two readings of "no worse" are evaluated, one in
+    the moved order and one in the original order, by ``_rank_move`` on v's
+    rank and u's arrival index: the names are translated once, here.
     """
     if v not in inst.ranking:
         raise KeyError(f"{v!r} is not a ranking-side vertex")
-    return _rank_move(inst, _validated_perfect(inst, m_star), rank_match(inst), v, i)
-
-
-def _rank_move(
-    inst: BipartiteInstance, mset: frozenset, baseline: frozenset, v: Vertex, i: int
-) -> RankMoveVerdict:
-    """``check_rank_move`` given the validated ``mset`` and ``rank_match(inst)``.
-
-    Reranks ``inst.reach`` with v's id ``bar`` moved to index i: the designated
-    partner's ``_greedy`` entry p is its mate's moved rank, ``order[p]`` the original.
-    """
-    if partner(baseline, v) is not None:
+    j = inst.arrival.index(partner(_validated_perfect(inst, m_star), v))
+    if partner(rank_match(inst), v) is not None:
         return RankMoveVerdict(True, None, None, None)
-    bar = inst.ranking.index(v)
-    order = _move_id(range(len(inst.ranking)), bar, i)
-    j = inst.arrival.index(partner(mset, v))
-    p = _greedy(inst.reach, order, len(inst.arrival))[j]
+    return _rank_move(inst.reach, len(inst.arrival), inst.ranking.index(v), j, i)
+
+
+def _rank_move(reach, arrivals: int, bar: int, j: int, i: int) -> RankMoveVerdict:
+    """``check_rank_move`` on the index, for an unmatched offline id ``bar``.
+
+    Reranks ``reach`` with ``bar`` moved to index i and reads arrival j's
+    ``_greedy`` entry p: its mate's moved rank, and ``order[p]`` the original.
+    """
+    order = _move_id(range(len(reach)), bar, i)
+    p = _greedy(reach, order, arrivals)[j]
     if p < 0:
         return RankMoveVerdict(False, False, None, None)
     return RankMoveVerdict(False, True, p <= bar, order[p] <= bar, p)

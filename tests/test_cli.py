@@ -17,6 +17,7 @@ from rankinglab import (
     probability,
     rng,
     serialize_instance,
+    suites,
 )
 from rankinglab.cli import main
 from rankinglab.reporting import CSV_HEADER
@@ -296,6 +297,24 @@ class TestCheck:
         )
         assert rc == 2
         assert "produces no CSV rows" in capsys.readouterr().err
+
+    def test_out_refused_before_the_suite_runs(self, tmp_path, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("the suite ran")
+
+        monkeypatch.setitem(suites.SUITES, "ranking-matching", never)
+        out = tmp_path / "x.csv"
+        argv = ["check", "--suite", "ranking-matching", "--max-side", "80", "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: suite 'ranking-matching' produces no CSV rows\n"
+        )
+        assert not out.exists()
+        # the argument and file checks still come first
+        assert main([*argv, "--count", "-1"]) == 2
+        assert capsys.readouterr().err == "error: --count must be at least 0, got -1\n"
+        assert main(["check", str(tmp_path / "missing.obm"), *argv[1:]]) == 2
+        assert "missing.obm" in capsys.readouterr().err
 
     def test_unknown_suite_is_usage_error(self, capsys):
         assert main(["check", "--suite", "nope", "--count", "1"]) == 2

@@ -548,6 +548,22 @@ class TestRatioVerdicts:
         a, b = check_theorem6(small), check_theorem6(padded)
         assert (a.n, a.expected, a.ratio, a.holds) == (b.n, b.expected, b.ratio, b.holds)
 
+    @pytest.mark.parametrize("check", [check_theorem4, check_theorem6])
+    def test_one_cap_check_per_verdict(self, check, small, monkeypatch):
+        calls = []
+        real = probability._check_cap
+
+        def counting(inst, cap):
+            calls.append(cap)
+            real(inst, cap)
+
+        monkeypatch.setattr(probability, "_check_cap", counting)
+        assert check(small).expected == Fraction(3, 2)
+        assert calls == [probability.DEFAULT_CAP]
+        with pytest.raises(CapExceeded):
+            check(small, cap=1)
+        assert calls == [probability.DEFAULT_CAP, 1]
+
 
 class TestEnsemble:
     @settings(max_examples=30, deadline=None)

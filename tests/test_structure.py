@@ -356,6 +356,17 @@ class TestRankMove:
                 check_rank_move(inst, m_star, "v3", i)
         assert check_rank_move(inst, m_star, "v1", 4).skipped  # matched: no move made
 
+    def test_errors_come_in_a_fixed_order(self, four_by_four):
+        inst, m_star = four_by_four
+        bad = frozenset({edge("u1", "v1")})
+        with pytest.raises(KeyError):  # v outside the ranking, before m_star and i
+            check_rank_move(inst, bad, "u1", 9)
+        with pytest.raises(ValueError, match="m_star"):  # before the skip and i
+            check_rank_move(inst, bad, "v1", 9)
+        assert check_rank_move(inst, m_star, "v1", 9).skipped  # matched v, before i
+        with pytest.raises(IndexError, match="target index 9 out of range 0..3"):
+            check_rank_move(inst, m_star, "v3", 9)
+
     def test_equals_the_object_level_rerun(self):
         # the oracle moves v in the Permutation and folds ``step`` on a new instance
         for n in (1, 3, 5, 6):

@@ -218,6 +218,35 @@ class TestFileMode:
             result = suite_rank_move(25, seed)
             assert len(calls) == result.cases
 
+    def test_rank_move_reads_no_names(self, monkeypatch):
+        inst = make_instance(
+            "v1 v2 v3 v4", "u1 u2 u3 u4",
+            [("u1", "v1"), ("u1", "v3"), ("u2", "v2"), ("u3", "v4"), ("u4", "v1")],
+        )
+        expected = [suite_rank_move(1, 0, inst=inst), suite_rank_move(25, 3)]
+        assert all(r.notes["pairs"] > 0 for r in expected)
+
+        def no_names(*args):
+            raise AssertionError("partner() called by the rank-move suite")
+
+        monkeypatch.setattr(structure, "partner", no_names)
+        assert [suite_rank_move(1, 0, inst=inst), suite_rank_move(25, 3)] == expected
+
+    def test_lemma3_draws_designate_no_m_star(self, monkeypatch):
+        expected = suite_lemma3(30, 2)
+        assert expected.cases == 30 and expected.passed
+
+        def no_m_star(*args):
+            raise AssertionError("a drawn lemma-3 case passed an M*")
+
+        monkeypatch.setattr(probability, "_validated_perfect", no_m_star)
+        assert suite_lemma3(30, 2) == expected
+
+    def test_row_suites_are_the_ones_that_write_rows(self):
+        for name, suite in SUITES.items():
+            result = suite(1, 0, max_side=3)
+            assert ("rows" in result.notes) == (name in suites._ROW_SUITES)
+
     def test_rank_move_tallies_equal_the_public_check(self):
         for s in range(8):
             inst = gen_perfect(5, 0.4, s)[0]
@@ -303,6 +332,32 @@ class TestFailurePath:
         assert main(argv) == 1
         out = capsys.readouterr().out
         assert "FAIL: deleting" in out and "--- failing instance ---" in out
+
+    @pytest.fixture
+    def revisiting_path(self, monkeypatch):
+        real = structure._named  # steps back over a cascade's last edge: same edge set
+
+        def revisiting(path, first, second):
+            named = real(path, first, second)
+            return named + named[-2:-1]
+
+        monkeypatch.setattr(structure, "_named", revisiting)
+
+    def test_removal_suites_report_a_revisiting_cascade(self, example6, revisiting_path):
+        text = serialize_instance(example6)
+        for suite, side in ((suite_lemma7, example6.arrival), (suite_lemma8, example6.ranking)):
+            moved = _moved(example6, side)
+            result = suite(1, 0, inst=example6)
+            assert len(moved) > 0
+            assert [(f.description, f.instance_text) for f in result.failures] == [
+                (f"cascade from {x!r} revisits a vertex", text) for x in moved
+            ]
+
+    def test_revisiting_cascade_exits_one_from_the_cli(self, revisiting_path, capsys):
+        assert main(["check", str(DATA / "example6.obm"), "--suite", "lemma7"]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL: cascade from 'u1' revisits a vertex" in out
+        assert "--- failing instance ---" in out
 
     def test_lemma6_reports_a_start_only_walk(self, example6, start_only_walk):
         result = suite_lemma6(1, 0, inst=example6)
@@ -502,8 +557,8 @@ class TestFailurePath:
     def test_rank_move_reports_readings_that_split(self, monkeypatch):
         calls = []
 
-        def alternating(one, m_star, baseline, v, i):
-            calls.append(v)
+        def alternating(reach, arrivals, bar, j, i):
+            calls.append(bar)
             odd = len(calls) % 2 == 1
             return RankMoveVerdict(False, True, odd, not odd)
 
