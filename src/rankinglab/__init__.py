@@ -55,6 +55,7 @@ from .probability import (
     competitive_bound,
     competitive_bound_exact,
     exact_expected_size,
+    exact_size_distribution,
     expected_matched_before_count,
     lemma3_chain,
     matched_before_prob,

@@ -24,6 +24,7 @@ import os
 import sys
 import time
 from bisect import bisect_right
+from contextlib import nullcontext
 from functools import cache
 from pathlib import Path
 
@@ -132,9 +133,10 @@ def cmd_check(args) -> int:
     inst = _load(args.file) if args.file else None
     if args.out is not None and args.suite not in _ROW_SUITES:  # before a minutes-long run
         raise ValueError(f"suite {args.suite!r} produces no CSV rows")
-    result = SUITES[args.suite](args.count, args.seed, inst=inst, max_side=args.max_side)
-    if args.out is not None:
-        with open(args.out, "w", encoding="utf-8") as fh:
+    # an unwritable --out fails here, not after the run
+    with nullcontext() if args.out is None else open(args.out, "w", encoding="utf-8") as fh:
+        result = SUITES[args.suite](args.count, args.seed, inst=inst, max_side=args.max_side)
+        if fh is not None:
             fh.write(CSV_HEADER + "\n")
             for row in result.notes["rows"]:
                 fh.write(row_line(row) + "\n")

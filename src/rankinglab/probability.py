@@ -8,11 +8,12 @@ ranking is a uniformly random order in which offline vertices take their
 earliest-arriving free neighbor, so a pass over states (offline vertices
 still to come, free arrivals) counts rankings.  It reads an index, not an
 instance: a ``reach`` mask per offline id and the number of arrivals.  The
-expected size reads its last layer; ``lemma3_chain`` has the same pass count
-the matches at each rank too.  A table of the matcher's outcome under every
-ranking backs only the public per-t functions, the chain's test oracle.
-Beyond the cap, ``mc_expected_size`` gives a seeded, bit-reproducible Monte
-Carlo estimate.
+size distribution and its mean, the expected size, read its last layer;
+``lemma3_chain`` has the same pass count the matches at each rank too.  A
+table of the matcher's outcome under every ranking backs only the public
+per-t functions, the chain's test oracle.  Beyond the cap,
+``mc_expected_size`` gives a seeded, bit-reproducible Monte Carlo estimate,
+read off a histogram of the sampled sizes.
 
 The per-rank quantities connect into a chain that ``lemma3_chain`` builds
 from that one pass on a perfect instance, designating no perfect matching,
@@ -34,6 +35,7 @@ from __future__ import annotations
 
 import math
 import struct
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
@@ -46,8 +48,20 @@ from .rng import _GOLDEN, _MASK, stream
 
 DEFAULT_CAP = 8
 
-#: the most draws ``mc_expected_size`` holds at once; it sets the batch size
+#: ``mc_expected_size`` runs ``_DRAWS // n`` samples at once for n offline
+#: ids; above ``_BYTE_CUT`` a batch holds this many draws
 _DRAWS = 1 << 14
+
+#: the most offline ids ``mc_expected_size`` shuffles on byte lanes (at most
+#: 256); the byte lanes' column swaps grow as n^2 per sample and the
+#: per-sample swaps as n, and both took the same time at 48
+_BYTE_CUT = 48
+
+#: ``_EQ[p]`` maps byte p to 0xFF and every other byte to 0
+_EQ = [bytes(p) + b"\xff" + bytes(255 - p) for p in range(256)]
+
+#: ``_POP[x]`` is the number of set bits of byte x
+_POP = bytes(x.bit_count() for x in range(256))
 
 #: the large-n limit of the guaranteed ratio, 1 - 1/e
 LIMIT_RATIO = 1.0 - math.exp(-1.0)
@@ -129,10 +143,33 @@ def _expected_size(inst: BipartiteInstance, cap: int = DEFAULT_CAP) -> Fraction:
     return _mean_size(inst.reach, len(inst.arrival))
 
 
+def exact_size_distribution(
+    inst: BipartiteInstance, cap: int = DEFAULT_CAP
+) -> Dict[int, Fraction]:
+    """Probability of each matching size over a uniformly random ranking, exactly.
+
+    Maps each size that some ranking gives, in increasing order, to its
+    probability; the probabilities sum to 1 and their mean is
+    ``exact_expected_size``.
+    """
+    _check_cap(inst, cap)
+    counts = _size_counts(inst.reach, len(inst.arrival))
+    rankings = math.factorial(len(inst.ranking))
+    return {size: Fraction(counts[size], rankings) for size in sorted(counts)}
+
+
+def _size_counts(reach, arrivals: int) -> Counter:
+    """How many of the n! orders of the ``reach`` ids give each matching size."""
+    counts: Counter = Counter()
+    for free, ways in _tally(reach, arrivals)[0].items():
+        counts[arrivals - free.bit_count()] += ways
+    return counts
+
+
 def _mean_size(reach, arrivals: int) -> Fraction:
     """Expected matching size over the n! orders of the ``reach`` ids."""
-    last, _, _ = _tally(reach, arrivals)
-    matched = sum(ways * (arrivals - free.bit_count()) for free, ways in last.items())
+    counts = _size_counts(reach, arrivals)
+    matched = sum(size * ways for size, ways in counts.items())
     return Fraction(matched, math.factorial(len(reach)))
 
 
@@ -437,28 +474,41 @@ def _mix_lanes(z: int, m: int) -> int:
     return z ^ (z >> 31 & m)
 
 
-def _shuffle_draws(seed: int, start: int, k: int, items):
-    """Yield ``stream(seed, i).shuffled(items)`` for i in start..start+k-1.
+def _lane_draws(seed: int, start: int, k: int, n: int):
+    """The Fisher-Yates draws of ``stream(seed, i)`` for i in start..start+k-1.
 
     The k streams run at once, SIMD within a register: stream start + i
     sits in the 128-bit lane at bit 128 * i of one int.  A lane holds a
     64-bit value, a 64 x 64-bit product fits it, and each shift is masked
-    back to 64 bits, so no bit crosses lanes.  A lane whose draw ``below``
-    would reject (draw >= 2^64 - 2^64 % bound, that is, bit 64 of draw +
-    2^64 % bound set) is flagged, and its sample is shuffled by ``stream``.
-    ``mc_expected_size`` shuffles the offline ids' ``reach`` cells as items.
+    back to 64 bits, so no bit crosses lanes.  Yields ``(bound, z, flags)``
+    for bound = n..2, the bounds of ``shuffled``'s steps: z holds every
+    lane's draw, and ``flags`` bit 64 of each lane whose draw ``below``
+    would reject (draw >= 2^64 - 2^64 % bound, that is, bit 64 of
+    draw + 2^64 % bound set).  A flagged lane's sample is left to ``stream``.
     """
-    n = len(items)
     lane = struct.Struct("<" + "Q8x" * k)
     ones = int.from_bytes(lane.pack(*[1] * k), "little")
     m, g, high = ones * _MASK, ones * _GOLDEN, ones << 64
     seeds = [(seed + (i + 1) * _GOLDEN) & _MASK for i in range(start, start + k)]
     s = _mix_lanes(int.from_bytes(lane.pack(*seeds), "little"), m)
-    rows, rejected = [], 0
     for bound in range(n, 1, -1):
         s = (s + g) & m
         z = _mix_lanes(s, m)
-        rejected |= (z + (1 << 64) % bound * ones) & high
+        yield bound, z, (z + (1 << 64) % bound * ones) & high
+
+
+def _shuffle_draws(seed: int, start: int, k: int, items):
+    """Yield ``stream(seed, i).shuffled(items)`` for i in start..start+k-1.
+
+    The draws come from ``_lane_draws``; each sample's swaps run in Python,
+    one per rank.  ``mc_expected_size`` takes this path above ``_BYTE_CUT``
+    offline ids, shuffling their ``reach`` cells as items.
+    """
+    n = len(items)
+    lane = struct.Struct("<" + "Q8x" * k)
+    rows, rejected = [], 0
+    for bound, z, flags in _lane_draws(seed, start, k, n):
+        rejected |= flags
         rows.append([x % bound for x in lane.unpack(z.to_bytes(16 * k, "little"))])
     flags = lane.unpack((rejected >> 64).to_bytes(16 * k, "little"))
     # each sample's draws for j = n-1..1, then its flag
@@ -469,6 +519,110 @@ def _shuffle_draws(seed: int, start: int, k: int, items):
         yield stream(seed, i).shuffled(items) if rs[-1] else perm
 
 
+def _lane_mod(z: int, bound: int, low: int, m: int) -> int:
+    """Every 128-bit lane of z reduced modulo ``bound``, for 2 <= bound <= 256.
+
+    ``low`` holds 2^32 - 1 in each lane and m 2^64 - 1.  A lane's draw
+    hi * 2^32 + lo is congruent to y = hi * (2^32 % bound) + lo < 2^41, and
+    q = y * ceil(2^49 / bound) >> 49 is y // bound: the reciprocal errs by
+    e < bound <= 2^8, and y * e < 2^49.  The product stays below 2^89, so
+    within its lane; the mask drops what the shift brings down from the
+    next lane.
+    """
+    y = (z >> 32 & low) * ((1 << 32) % bound) + (z & low)
+    q = y * -(-(1 << 49) // bound) >> 49 & m
+    return y - q * bound
+
+
+def _id_columns(seed: int, start: int, k: int, n: int) -> list:
+    """``stream(seed, i).shuffled(range(n))`` for i in start..start+k-1, by rank.
+
+    Column p holds one byte per sample, byte i the id that sample start + i
+    puts at rank p, so n <= 256.  The draws come from ``_lane_draws``, and
+    step j = bound - 1 of Fisher-Yates runs on every lane at once: with
+    r = ``_lane_mod`` of the draws, one ``translate`` by ``_EQ[p]`` marks
+    the lanes where r == p, and three XORs swap columns p and j there.  A
+    lane that ``below`` would reject is then overwritten with its
+    ``stream``'s own shuffle.
+    """
+    ones = int.from_bytes((b"\x01" + bytes(15)) * k, "little")
+    low, m = ones * 0xFFFFFFFF, ones * _MASK
+    rejected, from_bytes = 0, int.from_bytes
+    cols = [from_bytes(bytes([p]) * k, "little") for p in range(n)]
+    for bound, z, flags in _lane_draws(seed, start, k, n):
+        rejected |= flags
+        r = _lane_mod(z, bound, low, m).to_bytes(16 * k, "little")[::16]
+        j = bound - 1
+        cj = cols[j]
+        for p, eq in zip(range(j), _EQ):
+            t = (cols[p] ^ cj) & from_bytes(r.translate(eq), "little")
+            cols[p] ^= t
+            cj ^= t
+        cols[j] = cj
+    cols = [bytearray(c.to_bytes(k, "little")) for c in cols]
+    flags = (rejected >> 64).to_bytes(16 * k, "little")[::16]
+    i = flags.find(1)
+    while i >= 0:
+        for col, x in zip(cols, stream(seed, start + i).shuffled(range(n))):
+            col[i] = x
+        i = flags.find(1, i + 1)
+    return cols
+
+
+def _gather(ids, tables) -> bytearray:
+    """The cells of the ids in ``ids``, one per lane: byte w of lane i is ``tables[w][ids[i]]``."""
+    width = len(tables)
+    out = bytearray(len(ids) * width)
+    for w, table in enumerate(tables):
+        out[w::width] = ids.translate(table)
+    return out
+
+
+def _lane_sizes(taken: int, k: int, width: int) -> Counter:
+    """How many of the k lanes of ``taken``, ``width`` bytes each, hold each count of set bits.
+
+    Each byte's bits are counted by ``translate``; the counts of a lane's
+    bytes are added in an 8-byte slot per lane, one slice per byte offset.
+    """
+    bits = taken.to_bytes(k * width, "little").translate(_POP)
+    slots, total = bytearray(8 * k), 0
+    for w in range(width):
+        slots[::8] = bits[w::width]
+        total += int.from_bytes(slots, "little")
+    return Counter(struct.unpack(f"<{k}Q", total.to_bytes(8 * k, "little")))
+
+
+def _mc_size_counts(inst: BipartiteInstance, samples: int, seed: int) -> Counter:
+    """The matching size of each of the samples of ``mc_expected_size``, counted.
+
+    Maps each size to the number of samples i < ``samples`` whose ranking,
+    ``stream(seed, i).shuffled`` of the offline vertices in name order,
+    gives a matching of that size.
+    """
+    arrivals, ranked = len(inst.arrival), sorted(inst.ranking)
+    n, width = len(ranked), arrivals // 8 + 1
+    cells = [inst.reach[inst.ranking.index(v)].to_bytes(width, "little") for v in ranked]
+    if n <= _BYTE_CUT:
+        # tables[w] maps an id to byte w of its cell
+        tables = [bytes(c[w] for c in cells).ljust(256, b"\0") for w in range(width)]
+    lanes = max(1, _DRAWS // max(n, 1))
+    counts: Counter = Counter()
+    for start in range(0, samples, lanes):
+        k = min(lanes, samples - start)
+        if n <= _BYTE_CUT:
+            cols = (_gather(ids, tables) for ids in _id_columns(seed, start, k, n))
+        else:
+            cols = map(b"".join, zip(*_shuffle_draws(seed, start, k, cells)))
+        ones = int.from_bytes((b"\x01" + bytes(width - 1)) * k, "little")
+        guard, full = ones << arrivals, ones * ((1 << arrivals) - 1)
+        free = full
+        for col in cols:
+            a = int.from_bytes(col, "little") & free
+            free ^= a & ~((a | guard) - ones)
+        counts.update(_lane_sizes(full ^ free, k, width))
+    return counts
+
+
 def mc_expected_size(inst: BipartiteInstance, samples: int, seed: int) -> McEstimate:
     """Monte Carlo estimate of the expected matching size.
 
@@ -477,39 +631,29 @@ def mc_expected_size(inst: BipartiteInstance, samples: int, seed: int) -> McEsti
     is bit-identical for identical (instance, samples, seed) regardless of
     batching, and does not depend on the instance's own ranking.
 
-    The shuffles come from ``_shuffle_draws`` in batches of ``_DRAWS // n``
-    samples for n offline vertices, and the party-swapped greedy of
-    ``engine._greedy`` runs on a whole batch at once, on lanes.  Each offline
-    id's ``reach`` mask is a little-endian cell of ``width = arrivals // 8 + 1``
-    bytes, so its bit ``arrivals`` (``guard``) lies above every arrival bit.
-    Sample i's cells and free arrivals sit at byte ``width * i`` of one int.
-    At each ranking position ``a`` holds every lane's free neighbours and
-    ``a & ~((a | guard) - ones)`` every lane's lowest set bit: the guard keeps
-    each lane above 0, so no borrow crosses lanes.  A lane's size is
-    ``arrivals`` minus its free bits.
+    ``_mc_size_counts`` runs the samples in batches of ``_DRAWS // n`` for
+    n offline vertices.  Up to ``_BYTE_CUT`` vertices a batch's shuffles
+    are ``_id_columns``, the ids by rank, one byte per sample; above it they
+    are ``_shuffle_draws``, one sample at a time.  The party-swapped greedy
+    of ``engine._greedy`` then runs on the whole batch at once, on lanes.
+    Each offline id's ``reach`` mask is a little-endian cell of
+    ``width = arrivals // 8 + 1`` bytes, so its bit ``arrivals``
+    (``guard``) lies above every arrival bit.  Sample i's cells and free
+    arrivals sit at byte ``width * i`` of one int.  At each ranking position
+    ``a`` holds every lane's free neighbours and ``a & ~((a | guard) - ones)``
+    every lane's lowest set bit: the guard keeps each lane above 0, so no
+    borrow crosses lanes.  A lane's size is the number of arrivals it took,
+    and ``_lane_sizes`` counts the batch's sizes with no per-lane loop.
 
-    The reported stddev is the sample standard deviation of the per-run
-    size, zero when only one sample was requested.
+    The mean and the reported stddev, the sample standard deviation of the
+    per-run size (zero when only one sample was requested), are read off
+    that histogram.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
-    arrivals, ranked = len(inst.arrival), sorted(inst.ranking)
-    width = arrivals // 8 + 1
-    cells = [inst.reach[inst.ranking.index(v)].to_bytes(width, "little") for v in ranked]
-    lanes = max(1, _DRAWS // max(len(cells), 1))
-    total = total_sq = 0
-    for start in range(0, samples, lanes):
-        k = min(lanes, samples - start)
-        ones = int.from_bytes((b"\x01" + bytes(width - 1)) * k, "little")
-        guard, free = ones << arrivals, ones * ((1 << arrivals) - 1)
-        for col in zip(*_shuffle_draws(seed, start, k, cells)):
-            a = int.from_bytes(b"".join(col), "little") & free
-            free ^= a & ~((a | guard) - ones)
-        total += k * arrivals - free.bit_count()
-        left = free.to_bytes(k * width, "little")
-        for i in range(0, k * width, width):
-            size = arrivals - int.from_bytes(left[i : i + width], "little").bit_count()
-            total_sq += size * size
+    counts = _mc_size_counts(inst, samples, seed)
+    total = sum(size * c for size, c in counts.items())
+    total_sq = sum(size * size * c for size, c in counts.items())
     mean = total / samples
     if samples > 1:
         var = Fraction(samples * total_sq - total * total, samples * (samples - 1))

@@ -316,6 +316,18 @@ class TestCheck:
         assert main(["check", str(tmp_path / "missing.obm"), *argv[1:]]) == 2
         assert "missing.obm" in capsys.readouterr().err
 
+    def test_unwritable_out_refused_before_the_suite_runs(self, tmp_path, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("the suite ran")
+
+        monkeypatch.setitem(suites.SUITES, "theorem4", never)
+        out = tmp_path / "nonexistent" / "x.csv"
+        argv = ["check", "--suite", "theorem4", "--count", "3000", "--seed", "1", "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: [Errno 2] No such file or directory: '{out}'\n"
+        )
+
     def test_unknown_suite_is_usage_error(self, capsys):
         assert main(["check", "--suite", "nope", "--count", "1"]) == 2
 

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import gc
 import math
+import struct
 import weakref
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -30,6 +32,7 @@ from rankinglab import (
     competitive_bound_exact,
     edge,
     exact_expected_size,
+    exact_size_distribution,
     expected_matched_before_count,
     fingerprint,
     gen_gamma_family,
@@ -79,12 +82,17 @@ def greedy_mc(inst, samples: int, seed: int) -> McEstimate:
     equal to the step fold in the engine tests), so it runs at sizes where
     the fold is too slow.
     """
+    return estimate(greedy_sizes(inst, samples, seed), seed)
+
+
+def greedy_sizes(inst, samples: int, seed: int) -> list:
+    """The per-sample matching sizes behind ``greedy_mc``."""
     reach = [inst.reach[inst.ranking.index(v)] for v in sorted(inst.ranking)]
     sizes = []
     for i in range(samples):
         order = stream(seed, i).shuffled(range(len(reach)))
         sizes.append(sum(r >= 0 for r in _greedy(reach, order, len(inst.arrival))))
-    return estimate(sizes, seed)
+    return sizes
 
 
 def estimate(sizes, seed: int) -> McEstimate:
@@ -280,6 +288,40 @@ class TestExpectedSizeEqualsTable:
         assert main(["gen", "perfect", "--n", "6", "--seed", "1", "--out", str(planted6)]) == 0
         assert main(["check", str(planted6), "--suite", "lemma3"]) == 0
         assert "lemma3: 1 cases, 0 failures" in capsys.readouterr().out
+
+
+class TestSizeDistribution:
+    @settings(max_examples=60, deadline=None)
+    @given(instances(max_side=6))
+    def test_equals_the_table_histogram(self, inst):
+        runs = probability._ensemble(inst)
+        table = Counter(len(matched) for matched, _ in runs.values())
+        dist = exact_size_distribution(inst)
+        assert dist == {size: Fraction(table[size], len(runs)) for size in table}
+        assert list(dist) == sorted(dist)
+        assert sum(dist.values()) == 1
+        assert sum(size * q for size, q in dist.items()) == probability._expected_size(inst)
+
+    def test_small_values(self, small):
+        assert exact_size_distribution(small) == {1: Fraction(1, 2), 2: Fraction(1, 2)}
+
+    def test_empty_and_edgeless_instances(self):
+        assert exact_size_distribution(make_instance("", "", [])) == {0: 1}
+        assert exact_size_distribution(make_instance("v1 v2", "u1", [])) == {0: 1}
+
+    def test_cap(self, small):
+        with pytest.raises(CapExceeded):
+            exact_size_distribution(small, cap=1)
+
+    def test_counts_are_the_last_layer(self):
+        inst, _ = gen_perfect(6, 0.4, 2)
+        reach, arrivals = inst.reach, len(inst.arrival)
+        counts = probability._size_counts(reach, arrivals)
+        last, _, _ = probability._tally(reach, arrivals)
+        assert sum(counts.values()) == sum(last.values()) == math.factorial(6)
+        assert probability._mean_size(reach, arrivals) == Fraction(
+            sum(size * ways for size, ways in counts.items()), math.factorial(6)
+        )
 
 
 class TestRankProbabilities:
@@ -753,3 +795,100 @@ class TestMonteCarloEqualsLiteral:
             inst = gen_random(400, 400, 0.05, seed)
             assert mc_expected_size(inst, 3, seed) == greedy_mc(inst, 3, seed)
             assert mc_expected_size(stair, 5, seed) == greedy_mc(stair, 5, seed)
+
+
+def lane_pack(values) -> int:
+    """Values in the 128-bit lanes of one int, value i at bit 128 * i."""
+    return int.from_bytes(struct.pack("<" + "Q8x" * len(values), *values), "little")
+
+
+def lane_masks(k: int):
+    """``_lane_mod``'s masks for k lanes: 2^32 - 1 and 2^64 - 1 in each."""
+    ones = lane_pack([1] * k)
+    return ones * ((1 << 32) - 1), ones * _MASK
+
+
+def shuffles(seed: int, start: int, k: int, n: int) -> list:
+    """The samples' shuffles by ``stream``, one list per sample."""
+    return [stream(seed, i).shuffled(range(n)) for i in range(start, start + k)]
+
+
+class TestByteLanes:
+    def test_cut_fits_a_byte(self):
+        assert 2 <= probability._BYTE_CUT < 256
+
+    def test_lane_mod_equals_remainder(self):
+        for b in range(2, 257):
+            top = (_MASK // b) * b
+            zs = [0, _MASK, 2**32 - 1, 2**32, 2**32 + 1, b, 2 * b + 1, top, top - 1]
+            zs += [top + 1 if top < _MASK else top - b + 1, (2**32 // b) * b, (2**32 // b) * b + 1]
+            zs += [(2**63 // b) * b - 1, (2**63 // b) * b, (2**63 // b) * b + 1]
+            low, m = lane_masks(len(zs))
+            assert probability._lane_mod(lane_pack(zs), b, low, m) == lane_pack(
+                [z % b for z in zs]
+            ), b
+
+    @pytest.mark.parametrize("seed", [0, 2**64 + 5, -7])
+    def test_id_columns_equal_stream_shuffles(self, seed):
+        for n in range(probability._BYTE_CUT + 2):
+            lanes = probability._DRAWS // max(n, 1)
+            for start, k in ((0, 3), (lanes - 2, 4), (2 * lanes, 1)):
+                cols = probability._id_columns(seed, start, k, n)
+                assert all(len(col) == k for col in cols) and len(cols) == n
+                assert [list(lane) for lane in zip(*cols)] == (
+                    shuffles(seed, start, k, n) if n else []
+                ), (n, start)
+
+    def test_id_columns_of_a_whole_batch(self):
+        n = 20
+        k = probability._DRAWS // n
+        cols = probability._id_columns(3, k, k, n)
+        assert [list(lane) for lane in zip(*cols)] == shuffles(3, k, k, n)
+
+    def test_rejecting_lane_patches_every_column(self, monkeypatch):
+        n, i = 20, probability._DRAWS // 20 + 5
+        seed = rejecting_seed(i)
+        assert stream(seed, i).next_u64() >= (1 << 64) - (1 << 64) % n  # below(20) rejects it
+        start, k = i - 5, 9
+        expected = shuffles(seed, start, k, n)
+        cols = probability._id_columns(seed, start, k, n)
+        assert [list(lane) for lane in zip(*cols)] == expected
+
+        class Marked:
+            def shuffled(self, xs):
+                return [0xE0 + x for x in xs]  # no id of 20 is a byte this large
+
+        calls = []
+
+        def marked(s, index):
+            calls.append(index)
+            return Marked()
+
+        monkeypatch.setattr(probability, "stream", marked)
+        lanes = [list(lane) for lane in zip(*probability._id_columns(seed, start, k, n))]
+        assert calls == [i]
+        assert lanes[5] == [0xE0 + p for p in range(n)]
+        assert lanes[:5] + lanes[6:] == expected[:5] + expected[6:]
+
+
+class TestMcSizeCounts:
+    @pytest.mark.parametrize("n", [5, probability._BYTE_CUT, probability._BYTE_CUT + 1])
+    def test_counts_equal_the_greedy_sizes_at_batch_edges(self, n):
+        inst, _ = gen_perfect(n, 0.1, 8)
+        lanes = probability._DRAWS // n
+        for samples in (1, lanes - 1, lanes, 2 * lanes + 1):
+            counts = probability._mc_size_counts(inst, samples, 17)
+            assert counts == Counter(greedy_sizes(inst, samples, 17)), (n, samples)
+
+    def test_sizes_above_a_byte(self):
+        inst = gen_random(300, 290, 0.05, 4)
+        counts = probability._mc_size_counts(inst, 6, 2)
+        assert counts == Counter(greedy_sizes(inst, 6, 2))
+        assert min(counts) > 255
+
+    def test_estimate_reads_the_counts(self, monkeypatch):
+        monkeypatch.setattr(
+            probability, "_mc_size_counts", lambda inst, samples, seed: Counter({2: 3, 5: 1})
+        )
+        est = mc_expected_size(make_instance("v1", "u1", []), 4, 9)
+        assert est == estimate([2, 2, 2, 5], 9)
