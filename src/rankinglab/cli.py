@@ -24,7 +24,6 @@ import os
 import sys
 import time
 from bisect import bisect_right
-from contextlib import nullcontext
 from functools import cache
 from pathlib import Path
 
@@ -133,10 +132,11 @@ def cmd_check(args) -> int:
     inst = _load(args.file) if args.file else None
     if args.out is not None and args.suite not in _ROW_SUITES:  # before a minutes-long run
         raise ValueError(f"suite {args.suite!r} produces no CSV rows")
-    # an unwritable --out fails here, not after the run
-    with nullcontext() if args.out is None else open(args.out, "w", encoding="utf-8") as fh:
-        result = SUITES[args.suite](args.count, args.seed, inst=inst, max_side=args.max_side)
-        if fh is not None:
+    if args.out is not None:  # an unwritable path fails here; an existing file keeps its bytes
+        open(args.out, "a", encoding="utf-8").close()
+    result = SUITES[args.suite](args.count, args.seed, inst=inst, max_side=args.max_side)
+    if args.out is not None:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(CSV_HEADER + "\n")
             for row in result.notes["rows"]:
                 fh.write(row_line(row) + "\n")

@@ -9,7 +9,6 @@ which uses its own o/i grid naming.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
 from itertools import permutations
 from typing import Iterator, Tuple
 
@@ -113,20 +112,6 @@ def _arrival_key(rows: list, order) -> tuple:
     return tuple(sorted(masks))
 
 
-@cache
-def _gamma_keys(n: int) -> frozenset:
-    """The distinct ``_arrival_key``s of the hard family at size n.
-
-    Kept per n, which ``_gamma_masks`` bounds to 1 and 2, so that repeated
-    ``gamma_min_ratio`` calls run the 2^(3n^2 - n)-candidate filter once.
-    """
-    return frozenset(
-        _arrival_key(rows, order)
-        for rows, active in _gamma_masks(n)
-        for order in permutations(active)
-    )
-
-
 def gamma_min_ratio(n: int) -> Fraction:
     """The worst expected-size ratio over the hard family at size n.
 
@@ -138,4 +123,7 @@ def gamma_min_ratio(n: int) -> Fraction:
     is uniform: renaming offline ids only permutes the rankings, and neither
     an isolated vertex nor an arrival that no mask reaches changes the size.
     """
-    return min(_mean_size(key, 2 * n) for key in _gamma_keys(n)) / n
+    keys = set()
+    for rows, active in _gamma_masks(n):
+        keys.update(_arrival_key(rows, order) for order in permutations(active))
+    return min(_mean_size(key, 2 * n) for key in keys) / n

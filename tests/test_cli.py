@@ -328,6 +328,17 @@ class TestCheck:
             f"error: [Errno 2] No such file or directory: '{out}'\n"
         )
 
+    def test_existing_out_kept_when_the_suite_fails(self, tmp_path, capsys, monkeypatch):
+        def failing(*args, **kwargs):
+            raise ValueError("bad input")
+
+        monkeypatch.setitem(suites.SUITES, "theorem4", failing)
+        out = tmp_path / "x.csv"
+        out.write_text("earlier rows\n", encoding="utf-8")
+        assert main(["check", "--suite", "theorem4", "--count", "3", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: bad input\n"
+        assert out.read_text(encoding="utf-8") == "earlier rows\n"
+
     def test_unknown_suite_is_usage_error(self, capsys):
         assert main(["check", "--suite", "nope", "--count", "1"]) == 2
 

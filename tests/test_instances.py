@@ -603,19 +603,6 @@ class TestGammaFamily:
         assert gamma_min_ratio(2) == Fraction(3, 4)
         assert len(seen) == len(set(seen)) == 106
 
-    def test_filter_runs_once_across_calls(self, monkeypatch):
-        generators._gamma_keys.cache_clear()
-        seen = []
-        real = generators._max_matching_size
-
-        def counting(reach, arrivals):
-            seen.append(reach)
-            return real(reach, arrivals)
-
-        monkeypatch.setattr(generators, "_max_matching_size", counting)
-        assert gamma_min_ratio(2) == gamma_min_ratio(2) == Fraction(3, 4)
-        assert len(seen) == 1024
-
     @pytest.mark.parametrize("n", [1, 2])
     def test_arrival_key_keeps_the_expected_size(self, n):
         # every (graph, order) pair: the DP on its key, with 2n arrivals,
