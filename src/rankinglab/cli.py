@@ -3,8 +3,10 @@
 Subcommands:
 
 * ``run FILE`` prints the computed matching and its size.
-* ``exact FILE`` prints one CSV row with the exact expected size and ratio.
-* ``mc FILE`` prints one CSV row with a seeded Monte Carlo estimate.
+* ``exact FILE`` prints one CSV row with the exact expected size and ratio;
+  ``--dist`` adds a ``dist <size> <p>`` line per size, p an exact fraction.
+* ``mc FILE`` prints one CSV row with a seeded Monte Carlo estimate;
+  ``--dist`` adds the same lines, p the share of the samples of that size.
 * ``check [FILE]`` runs a named property suite, randomized or on the file.
 * ``bound`` prints the guaranteed ratio at a given size.
 * ``gamma`` prints the exact worst ratio of the hard family at size n.
@@ -24,6 +26,7 @@ import os
 import sys
 import time
 from bisect import bisect_right
+from fractions import Fraction
 from functools import cache
 from pathlib import Path
 
@@ -49,6 +52,7 @@ from .probability import (
     check_theorem6,
     competitive_bound,
     competitive_bound_exact,
+    exact_size_distribution,
     mc_expected_size,
 )
 from .reporting import CSV_HEADER, exact_row, fmt_cell, row_line
@@ -86,6 +90,9 @@ def cmd_exact(args) -> int:
     ms = (time.perf_counter() - t0) * 1000.0
     print(CSV_HEADER)
     print(row_line(exact_row(fingerprint(inst), verdict, ms)))
+    if args.dist:  # by increasing size
+        for size, p in exact_size_distribution(inst, args.cap).items():
+            print(f"dist {size} {p}")
     return 0 if verdict.holds else 1
 
 
@@ -117,6 +124,9 @@ def cmd_mc(args) -> int:
             }
         )
     )
+    if args.dist:  # the histogram the row's mean was read off
+        for size, c in sorted(est.sizes.items()):
+            print(f"dist {size} {Fraction(c, est.samples)}")
     print(f"# stddev {fmt_cell(est.stddev)} over {est.samples} samples", file=sys.stderr)
     return 0
 
@@ -222,12 +232,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--cap", type=int, default=DEFAULT_CAP, help="enumeration cap (default %(default)s)"
     )
+    sp.add_argument("--dist", action="store_true", help="also print P[size] per size")
     sp.set_defaults(func=cmd_exact)
 
     sp = sub.add_parser("mc", help="Monte Carlo expected size as a CSV row")
     sp.add_argument("file")
     sp.add_argument("--samples", type=int, required=True)
     sp.add_argument("--seed", type=int)
+    sp.add_argument("--dist", action="store_true", help="also print the sampled P[size] per size")
     sp.set_defaults(func=cmd_mc)
 
     sp = sub.add_parser("check", help="run a property suite")

@@ -73,20 +73,26 @@ def _gamma_masks(n: int) -> Iterator[Tuple[list, list]]:
     with the base it is a matching of n + 1 edges: no family graph has one.
     The candidates are therefore the subsets of the other 3n^2 - n edges, in
     binary order, each kept when ``engine._max_matching_size`` on its slot
-    masks finds at most n edges.  Supported for n <= 2: n = 3 would already
-    be 2^24 candidates.
+    masks finds at most n edges.  The edges are listed by offline slot, so
+    each candidate's masks are read off a small table per slot.  Supported
+    for n <= 2: n = 3 would already be 2^24 candidates.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     if n > 2:
         raise ValueError("family enumeration is supported for n <= 2 only")
-    base = [(k, k) for k in range(n)]
     slots = range(2 * n)
-    others = [(k, l) for k in slots for l in slots if k != l and min(k, l) < n]
-    for bits in range(1 << len(others)):
-        reach = [0] * len(slots)
-        for k, l in base + [others[j] for j in range(len(others)) if bits >> j & 1]:
-            reach[k] |= 1 << l
+    # slot k's other edges, in l order, are one bit field of the candidate
+    # number; table[f] is slot k's mask (with its base edge) for field value f
+    fields, off = [], 0
+    for k in slots:
+        ls = [l for l in slots if l != k and min(k, l) < n]
+        table = [sum(1 << l for t, l in enumerate(ls) if f >> t & 1) for f in range(1 << len(ls))]
+        base = 1 << k if k < n else 0
+        fields.append((off, (1 << len(ls)) - 1, [base | m for m in table]))
+        off += len(ls)
+    for bits in range(1 << off):
+        reach = [table[bits >> at & mask] for at, mask, table in fields]
         if _max_matching_size(reach, len(slots)) <= n:
             yield reach, [l for l in slots if any(m >> l & 1 for m in reach)]
 

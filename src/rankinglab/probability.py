@@ -35,8 +35,9 @@ from __future__ import annotations
 
 import math
 import struct
+import sys
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations
 from typing import AbstractSet, Dict, Optional, Tuple
@@ -49,13 +50,17 @@ from .rng import _GOLDEN, _MASK, stream
 DEFAULT_CAP = 8
 
 #: ``mc_expected_size`` runs ``_DRAWS // n`` samples at once for n offline
-#: ids; above ``_BYTE_CUT`` a batch holds this many draws
+#: ids up to ``_BYTE_CUT``
 _DRAWS = 1 << 14
 
 #: the most offline ids ``mc_expected_size`` shuffles on byte lanes (at most
 #: 256); the byte lanes' column swaps grow as n^2 per sample and the
-#: per-sample swaps as n, and both took the same time at 48
+#: per-sample swaps as n, and the two cross between 44 and 48
 _BYTE_CUT = 48
+
+#: above ``_BYTE_CUT`` a batch holds at most this many draws, so its shuffles
+#: hold at most 1 MB of cell references; at n = 400 2^17 ran 1.1x over 2^16
+_WIDE_DRAWS = 1 << 17
 
 #: ``_EQ[p]`` maps byte p to 0xFF and every other byte to 0
 _EQ = [bytes(p) + b"\xff" + bytes(255 - p) for p in range(256)]
@@ -90,6 +95,8 @@ class McEstimate:
     stddev: float
     samples: int
     seed: int
+    #: how many samples gave each matching size, the histogram both are read off
+    sizes: Counter = field(default_factory=Counter, compare=False, repr=False)
 
 
 def _check_cap(inst: BipartiteInstance, cap: int) -> None:
@@ -480,58 +487,70 @@ def _lane_draws(seed: int, start: int, k: int, n: int):
     The k streams run at once, SIMD within a register: stream start + i
     sits in the 128-bit lane at bit 128 * i of one int.  A lane holds a
     64-bit value, a 64 x 64-bit product fits it, and each shift is masked
-    back to 64 bits, so no bit crosses lanes.  Yields ``(bound, z, flags)``
+    back to 64 bits, so no bit crosses lanes.  Yields ``(bound, z, over)``
     for bound = n..2, the bounds of ``shuffled``'s steps: z holds every
-    lane's draw, and ``flags`` bit 64 of each lane whose draw ``below``
-    would reject (draw >= 2^64 - 2^64 % bound, that is, bit 64 of
-    draw + 2^64 % bound set).  A flagged lane's sample is left to ``stream``.
+    lane's draw, and ``over`` bit 64 of each lane with a draw so far of at
+    least 2^64 - 2^L, L = ``n.bit_length()``: every lane ``below`` rejects
+    (2^64 % bound < 2^L), which is left to ``stream``, and almost no other.
     """
     lane = struct.Struct("<" + "Q8x" * k)
     ones = int.from_bytes(lane.pack(*[1] * k), "little")
-    m, g, high = ones * _MASK, ones * _GOLDEN, ones << 64
+    m, g, near = ones * _MASK, ones * _GOLDEN, ones << n.bit_length()
     seeds = [(seed + (i + 1) * _GOLDEN) & _MASK for i in range(start, start + k)]
     s = _mix_lanes(int.from_bytes(lane.pack(*seeds), "little"), m)
+    over = 0
     for bound in range(n, 1, -1):
         s = (s + g) & m
         z = _mix_lanes(s, m)
-        yield bound, z, (z + (1 << 64) % bound * ones) & high
+        over |= z + near
+        yield bound, z, over
 
 
-def _shuffle_draws(seed: int, start: int, k: int, items):
-    """Yield ``stream(seed, i).shuffled(items)`` for i in start..start+k-1.
+def _lane_mod(z: int, bound: int, low: int) -> int:
+    """Every 128-bit lane of z reduced modulo ``bound``, for 2 <= bound < 2^30.
 
-    The draws come from ``_lane_draws``; each sample's swaps run in Python,
-    one per rank.  ``mc_expected_size`` takes this path above ``_BYTE_CUT``
-    offline ids, shuffling their ``reach`` cells as items.
+    ``low`` holds 2^32 - 1 in each lane.  With L = ``bound.bit_length()``, a
+    draw hi * 2^32 + lo is congruent to y = hi * (2^32 % bound) + lo <=
+    (2^32 - 1) * bound < 2^(32 + L).  With s = 33 + 2L, q = y * ceil(2^s /
+    bound) >> s is y // bound < 2^32: the reciprocal errs by e < bound, and
+    y * e < 2^s.  The product is below 2^(67 + 2L) <= 2^127, in its lane; the
+    shift brings the next lane down to bit 128 - s >= 35, which ``low`` drops.
+    """
+    s = 33 + 2 * bound.bit_length()
+    y = (z >> 32 & low) * ((1 << 32) % bound) + (z & low)
+    q = y * -(-(1 << s) // bound) >> s & low
+    return y - q * bound
+
+
+def _shuffle_draws(seed: int, start: int, k: int, items: list) -> list:
+    """``stream(seed, i).shuffled(items)`` for i in start..start+k-1.
+
+    The draws come from ``_lane_draws`` and ``_lane_mod``.  Each step's k
+    remainders go to one buffer of host-order cells (16 bits up to 2^16
+    items); sample i reads its own as the strided slice ``[i::k]``, with no
+    Python int per draw, and swaps in Python.  A lane ``below`` would reject
+    takes its ``stream``'s shuffle.  Items are ``reach`` cells above ``_BYTE_CUT``.
     """
     n = len(items)
-    lane = struct.Struct("<" + "Q8x" * k)
-    rows, rejected = [], 0
-    for bound, z, flags in _lane_draws(seed, start, k, n):
-        rejected |= flags
-        rows.append([x % bound for x in lane.unpack(z.to_bytes(16 * k, "little"))])
-    flags = lane.unpack((rejected >> 64).to_bytes(16 * k, "little"))
-    # each sample's draws for j = n-1..1, then its flag
-    for i, rs in enumerate(zip(*rows, flags), start):
-        perm = list(items)
-        for j, r in zip(range(n - 1, 0, -1), rs):
+    low = int.from_bytes((b"\xff\xff\xff\xff" + bytes(12)) * k, "little")
+    cell = "H" if n <= 1 << 16 else "L"
+    w = struct.calcsize(cell)
+    order = range(w) if sys.byteorder == "little" else range(w - 1, -1, -1)
+    buf, rejected = bytearray(w * k * (n - 1)), 0
+    # the loop leaves in ``rejected`` the last step's ``over``
+    for o, (bound, z, rejected) in zip(range(0, len(buf), w * k), _lane_draws(seed, start, k, n)):
+        rem = _lane_mod(z, bound, low).to_bytes(16 * k, "little")
+        for t, b in enumerate(order):
+            buf[o + t:o + w * k:w] = rem[b::16]
+    draws = memoryview(buf).cast(cell)
+    flags = (rejected >> 64).to_bytes(16 * k, "little")[::16]
+    perms = []
+    for i, flag in enumerate(flags):
+        perm = items.copy()
+        for j, r in zip(range(n - 1, 0, -1), draws[i::k]):
             perm[j], perm[r] = perm[r], perm[j]
-        yield stream(seed, i).shuffled(items) if rs[-1] else perm
-
-
-def _lane_mod(z: int, bound: int, low: int, m: int) -> int:
-    """Every 128-bit lane of z reduced modulo ``bound``, for 2 <= bound <= 256.
-
-    ``low`` holds 2^32 - 1 in each lane and m 2^64 - 1.  A lane's draw
-    hi * 2^32 + lo is congruent to y = hi * (2^32 % bound) + lo < 2^41, and
-    q = y * ceil(2^49 / bound) >> 49 is y // bound: the reciprocal errs by
-    e < bound <= 2^8, and y * e < 2^49.  The product stays below 2^89, so
-    within its lane; the mask drops what the shift brings down from the
-    next lane.
-    """
-    y = (z >> 32 & low) * ((1 << 32) % bound) + (z & low)
-    q = y * -(-(1 << 49) // bound) >> 49 & m
-    return y - q * bound
+        perms.append(stream(seed, start + i).shuffled(items) if flag else perm)
+    return perms
 
 
 def _id_columns(seed: int, start: int, k: int, n: int) -> list:
@@ -546,12 +565,11 @@ def _id_columns(seed: int, start: int, k: int, n: int) -> list:
     ``stream``'s own shuffle.
     """
     ones = int.from_bytes((b"\x01" + bytes(15)) * k, "little")
-    low, m = ones * 0xFFFFFFFF, ones * _MASK
+    low = ones * 0xFFFFFFFF
     rejected, from_bytes = 0, int.from_bytes
     cols = [from_bytes(bytes([p]) * k, "little") for p in range(n)]
-    for bound, z, flags in _lane_draws(seed, start, k, n):
-        rejected |= flags
-        r = _lane_mod(z, bound, low, m).to_bytes(16 * k, "little")[::16]
+    for bound, z, rejected in _lane_draws(seed, start, k, n):  # keeps the last ``over``
+        r = _lane_mod(z, bound, low).to_bytes(16 * k, "little")[::16]
         j = bound - 1
         cj = cols[j]
         for p, eq in zip(range(j), _EQ):
@@ -606,6 +624,9 @@ def _mc_size_counts(inst: BipartiteInstance, samples: int, seed: int) -> Counter
         # tables[w] maps an id to byte w of its cell
         tables = [bytes(c[w] for c in cells).ljust(256, b"\0") for w in range(width)]
     lanes = max(1, _DRAWS // max(n, 1))
+    if n > _BYTE_CUT:  # as few batches of at most _WIDE_DRAWS // n as can be, all equal
+        batches = -(-samples // max(1, _WIDE_DRAWS // n))
+        lanes = -(-samples // batches)
     counts: Counter = Counter()
     for start in range(0, samples, lanes):
         k = min(lanes, samples - start)
@@ -618,7 +639,7 @@ def _mc_size_counts(inst: BipartiteInstance, samples: int, seed: int) -> Counter
         free = full
         for col in cols:
             a = int.from_bytes(col, "little") & free
-            free ^= a & ~((a | guard) - ones)
+            free ^= a ^ (a & ((a | guard) - ones))
         counts.update(_lane_sizes(full ^ free, k, width))
     return counts
 
@@ -631,23 +652,24 @@ def mc_expected_size(inst: BipartiteInstance, samples: int, seed: int) -> McEsti
     is bit-identical for identical (instance, samples, seed) regardless of
     batching, and does not depend on the instance's own ranking.
 
-    ``_mc_size_counts`` runs the samples in batches of ``_DRAWS // n`` for
-    n offline vertices.  Up to ``_BYTE_CUT`` vertices a batch's shuffles
-    are ``_id_columns``, the ids by rank, one byte per sample; above it they
-    are ``_shuffle_draws``, one sample at a time.  The party-swapped greedy
-    of ``engine._greedy`` then runs on the whole batch at once, on lanes.
+    ``_mc_size_counts`` runs the samples in batches.  For n <= ``_BYTE_CUT``
+    offline vertices a batch holds ``_DRAWS // n`` and ``_id_columns``
+    shuffles it, the ids by rank, one byte per sample; above, the fewest
+    equal batches of at most ``_WIDE_DRAWS // n``, each by ``_shuffle_draws``.
+    The party-swapped greedy of ``engine._greedy`` then runs on the whole
+    batch at once, on lanes.
     Each offline id's ``reach`` mask is a little-endian cell of
     ``width = arrivals // 8 + 1`` bytes, so its bit ``arrivals``
     (``guard``) lies above every arrival bit.  Sample i's cells and free
     arrivals sit at byte ``width * i`` of one int.  At each ranking position
-    ``a`` holds every lane's free neighbours and ``a & ~((a | guard) - ones)``
-    every lane's lowest set bit: the guard keeps each lane above 0, so no
-    borrow crosses lanes.  A lane's size is the number of arrivals it took,
-    and ``_lane_sizes`` counts the batch's sizes with no per-lane loop.
+    ``a`` holds every lane's free neighbours and ``a ^ (a & ((a | guard) -
+    ones))``, with no negative int, every lane's lowest set bit: the guard
+    keeps each lane above 0, so no borrow crosses lanes.  A lane's size is
+    the number of arrivals it took, and ``_lane_sizes`` counts them.
 
     The mean and the reported stddev, the sample standard deviation of the
     per-run size (zero when only one sample was requested), are read off
-    that histogram.
+    that histogram, which the estimate keeps as ``sizes``.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
@@ -660,4 +682,4 @@ def mc_expected_size(inst: BipartiteInstance, samples: int, seed: int) -> McEsti
         sd = math.sqrt(var)
     else:
         sd = 0.0
-    return McEstimate(mean=mean, stddev=sd, samples=samples, seed=seed)
+    return McEstimate(mean=mean, stddev=sd, samples=samples, seed=seed, sizes=counts)

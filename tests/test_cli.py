@@ -20,7 +20,7 @@ from rankinglab import (
     suites,
 )
 from rankinglab.cli import main
-from rankinglab.reporting import CSV_HEADER
+from rankinglab.reporting import CSV_HEADER, fmt_cell
 
 from .conftest import DATA
 
@@ -207,6 +207,51 @@ class TestMc:
     def test_worked_example_passes(self, capsys):
         assert main(["mc", EXAMPLE, "--samples", "2000", "--seed", "7"]) == 0
         assert capsys.readouterr().out.splitlines()[1].split(",")[6] == "pass"
+
+
+def dist_lines(argv, capsys):
+    """The CSV row without its runtime cell, and the ``dist`` lines as (size, Fraction)."""
+    assert main(argv) in (0, 1)
+    header, row, *rest = capsys.readouterr().out.splitlines()
+    assert header == CSV_HEADER
+    dist = [line.split() for line in rest]
+    assert all(word == "dist" for word, _, _ in dist)
+    return row.rsplit(",", 1)[0], [(int(k), Fraction(p)) for _, k, p in dist]
+
+
+class TestDist:
+    def test_exact_golden(self, capsys):
+        _, dist = dist_lines(["exact", EXAMPLE, "--dist"], capsys)
+        assert dist == [(4, Fraction(2, 5)), (5, Fraction(3, 5))]
+
+    def test_mc_golden(self, capsys):
+        _, dist = dist_lines(["mc", EXAMPLE, "--samples", "300", "--seed", "2", "--dist"], capsys)
+        assert dist == [(4, Fraction(19, 50)), (5, Fraction(31, 50))]
+
+    def test_exact_sums_to_one_with_the_row_mean(self, tmp_path, capsys):
+        path = tmp_path / "r.obm"
+        path.write_text(serialize_instance(gen_random(7, 7, 0.3, 9)))
+        row, dist = dist_lines(["exact", str(path), "--dist"], capsys)
+        assert [k for k, _ in dist] == sorted(k for k, _ in dist) and len(dist) > 2
+        assert sum(p for _, p in dist) == 1
+        assert sum(k * p for k, p in dist) == Fraction(row.split(",")[3])
+
+    @pytest.mark.parametrize("samples", ["1", "777"])
+    def test_mc_counts_sum_to_the_samples_with_the_row_mean(self, samples, tmp_path, capsys):
+        path = tmp_path / "r.obm"
+        path.write_text(serialize_instance(gen_random(60, 50, 0.05, 3)))
+        row, dist = dist_lines(["mc", str(path), "--samples", samples, "--seed", "4", "--dist"], capsys)
+        counts = [p * int(samples) for _, p in dist]
+        assert all(c.denominator == 1 for c in counts) and sum(counts) == int(samples)
+        assert [k for k, _ in dist] == sorted(k for k, _ in dist)
+        mean = sum(k * c for (k, _), c in zip(dist, counts)) / int(samples)
+        assert fmt_cell(float(mean)) == row.split(",")[3]
+
+    @pytest.mark.parametrize("argv", [["exact", EXAMPLE], ["mc", EXAMPLE, "--samples", "300"]])
+    def test_without_the_flag_nothing_changes(self, argv, capsys):
+        row, dist = dist_lines(argv, capsys)
+        assert dist == []
+        assert dist_lines(argv + ["--dist"], capsys)[0] == row
 
 
 class TestCheck:

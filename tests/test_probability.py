@@ -802,10 +802,9 @@ def lane_pack(values) -> int:
     return int.from_bytes(struct.pack("<" + "Q8x" * len(values), *values), "little")
 
 
-def lane_masks(k: int):
-    """``_lane_mod``'s masks for k lanes: 2^32 - 1 and 2^64 - 1 in each."""
-    ones = lane_pack([1] * k)
-    return ones * ((1 << 32) - 1), ones * _MASK
+def lane_low(k: int) -> int:
+    """``_lane_mod``'s mask for k lanes: 2^32 - 1 in each."""
+    return lane_pack([1] * k) * ((1 << 32) - 1)
 
 
 def shuffles(seed: int, start: int, k: int, n: int) -> list:
@@ -818,15 +817,14 @@ class TestByteLanes:
         assert 2 <= probability._BYTE_CUT < 256
 
     def test_lane_mod_equals_remainder(self):
-        for b in range(2, 257):
+        # every bound up to 2^16, then around 2^20 and at the top of the range
+        low = lane_low(15)
+        for b in [*range(2, 2**16 + 1), 2**20 - 1, 2**20, 2**20 + 1, 2**29 + 1, 2**30 - 1]:
             top = (_MASK // b) * b
             zs = [0, _MASK, 2**32 - 1, 2**32, 2**32 + 1, b, 2 * b + 1, top, top - 1]
             zs += [top + 1 if top < _MASK else top - b + 1, (2**32 // b) * b, (2**32 // b) * b + 1]
             zs += [(2**63 // b) * b - 1, (2**63 // b) * b, (2**63 // b) * b + 1]
-            low, m = lane_masks(len(zs))
-            assert probability._lane_mod(lane_pack(zs), b, low, m) == lane_pack(
-                [z % b for z in zs]
-            ), b
+            assert probability._lane_mod(lane_pack(zs), b, low) == lane_pack([z % b for z in zs]), b
 
     @pytest.mark.parametrize("seed", [0, 2**64 + 5, -7])
     def test_id_columns_equal_stream_shuffles(self, seed):
@@ -869,6 +867,55 @@ class TestByteLanes:
         assert calls == [i]
         assert lanes[5] == [0xE0 + p for p in range(n)]
         assert lanes[:5] + lanes[6:] == expected[:5] + expected[6:]
+
+
+WIDE_NS = [49, 64, 255, 256, 257, 400]
+
+
+class TestWideLanes:
+    @pytest.mark.parametrize("n", WIDE_NS)
+    def test_shuffles_equal_stream_in_every_lane(self, n):
+        k = probability._WIDE_DRAWS // n
+        for seed, start, lanes in ((3, 0, k), (2**64 + 5, 7 * k + 1, 2)):
+            got = probability._shuffle_draws(seed, start, lanes, list(range(n)))
+            assert got == shuffles(seed, start, lanes, n), (n, start)
+
+    def test_shuffles_above_16_bit_cells(self):
+        n = 2**16 + 1
+        assert probability._shuffle_draws(5, 3, 2, list(range(n))) == shuffles(5, 3, 2, n)
+
+    def test_rejecting_lane_is_patched(self, monkeypatch):
+        n = 400
+        k = probability._WIDE_DRAWS // n
+        i = k - 1  # the last lane of a full batch
+        seed = rejecting_seed(i)
+        assert stream(seed, i).next_u64() >= (1 << 64) - (1 << 64) % n  # below(400) rejects it
+        expected = shuffles(seed, 0, k, n)
+        assert probability._shuffle_draws(seed, 0, k, list(range(n))) == expected
+
+        class Marked:
+            def shuffled(self, xs):
+                return ["marked"]
+
+        calls = []
+
+        def marked(s, index):
+            calls.append(index)
+            return Marked()
+
+        monkeypatch.setattr(probability, "stream", marked)
+        got = probability._shuffle_draws(seed, 0, k, list(range(n)))
+        assert calls == [i]
+        assert got[i] == ["marked"] and got[:i] == expected[:i]
+
+    @pytest.mark.parametrize("n", WIDE_NS)
+    def test_counts_equal_the_greedy_sizes(self, n):
+        inst = gen_random(n, n // 2 + 3, 0.08, n)
+        lanes = probability._WIDE_DRAWS // n
+        # one sample; one full batch; two batches, the last one lane short
+        for samples in (1, lanes, lanes + 1 + lanes % 2):
+            counts = probability._mc_size_counts(inst, samples, 17)
+            assert counts == Counter(greedy_sizes(inst, samples, 17)), (n, samples)
 
 
 class TestMcSizeCounts:
