@@ -18,6 +18,11 @@ and the second a declared offline one.  After the last line it checks that
 both parties were declared.  A line is scanned again, for an error's
 column, only when the error names it.  The lookups that check an edge's
 endpoints set its bit in ``reach``; ``graph`` is built only when first read.
+A plain file (as ``serialize_instance`` writes it: leading ``#`` lines, each
+token after one space, each line ended by ``\n``) skips this line loop; its
+edges are read about 16 KB at a time, one regex check and one split each.
+Other text, and a plain one with a repeated name or an unknown endpoint, goes
+to the line loop, which alone raises errors.
 ``serialize_instance`` emits the canonical form (edges sorted by arrival
 position, then ranking position); parsing the canonical form and serializing
 again reproduces it byte for byte.
@@ -33,6 +38,12 @@ from .engine import BipartiteInstance, Permutation
 
 _TOKEN = re.compile(r"\S+")
 _PARTIES = ("offline", "online")
+_HEAD = re.compile(  # no comment or token of a plain file holds a line boundary
+    "(?:#[^\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]*\n)*"
+    r"offline((?: [^\s#]+)*)\nonline((?: [^\s#]+)*)\n"
+)
+_EDGES = re.compile(r"(?:edge [^\s#]+ [^\s#]+\n)*")
+_CHUNK = 1 << 14  # characters an edge chunk reaches before its last line ends
 
 
 class InstanceFormatError(ValueError):
@@ -49,8 +60,34 @@ def _column(raw: str, k: int) -> int:
     return [m.start() for m in _TOKEN.finditer(raw.split("#", 1)[0])][k] + 1
 
 
+def _parse_plain(text: str):
+    """The instance of a plain file, or None to leave the text to the line loop."""
+    head = _HEAD.match(text)
+    if head is None:
+        return None
+    ranked, arrivals = head[1].split(), head[2].split()
+    if len({*ranked, *arrivals}) < len(ranked) + len(arrivals):
+        return None
+    ranking, arrival = Permutation(ranked), Permutation(arrivals)
+    rank, pos, reach = ranking._pos, arrival._pos, [0] * len(ranked)
+    j = head.end()
+    while (i := j) < len(text):
+        j = text.find("\n", i + _CHUNK) + 1 or len(text)  # a chunk of whole lines
+        if not _EDGES.fullmatch(text, i, j):
+            return None
+        toks = text[i:j].split()
+        try:
+            for u, v in zip(toks[1::3], toks[2::3]):
+                reach[rank[v]] |= 1 << pos[u]
+        except KeyError:
+            return None
+    return BipartiteInstance._indexed(ranking, arrival, tuple(reach))
+
+
 def parse_instance(text: str) -> BipartiteInstance:
     """Parse an instance file, raising InstanceFormatError with positions."""
+    if (plain := _parse_plain(text)) is not None:
+        return plain
     lines = text.splitlines()
     parties: List[Permutation] = []  # the offline, then the online party
     seen: Dict[str, Tuple[str, int, int]] = {}  # vertex: (party, line, token index)

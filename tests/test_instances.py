@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -250,15 +251,8 @@ _BREAKS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 _NAMES = ("v1", "v2", "v3", "u1", "u2", "u3", "w")
 
 
-@st.composite
-def instance_texts(draw):
-    """Instance files, well formed or broken in one or more ways, in odd layouts."""
-    offline = draw(st.lists(st.sampled_from(_NAMES[:3]), min_size=1, unique=True))
-    online = draw(st.lists(st.sampled_from(_NAMES[3:6]), min_size=1, unique=True))
-    pairs = [(u, v) for u in online for v in offline]
-    edges = draw(st.lists(st.sampled_from(pairs), max_size=6)) if pairs else []
-    lines = [["offline", *offline], ["online", *online]]
-    lines += [["edge", u, v] for u, v in edges]
+def _break_lines(draw, lines):
+    """Apply up to two faults from a fixed menu to a file's token lines."""
     for _ in range(draw(st.integers(0, 2))):
         k = draw(st.integers(0, len(lines) - 1))
         toks = lines[k]
@@ -290,6 +284,19 @@ def instance_texts(draw):
             toks.insert(draw(st.integers(0, len(toks))), draw(st.sampled_from(_BREAKS)))
         if not lines:
             break
+    return lines
+
+
+@st.composite
+def instance_texts(draw):
+    """Instance files, well formed or broken in one or more ways, in odd layouts."""
+    offline = draw(st.lists(st.sampled_from(_NAMES[:3]), min_size=1, unique=True))
+    online = draw(st.lists(st.sampled_from(_NAMES[3:6]), min_size=1, unique=True))
+    pairs = [(u, v) for u in online for v in offline]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=6)) if pairs else []
+    lines = [["offline", *offline], ["online", *online]]
+    lines += [["edge", u, v] for u, v in edges]
+    lines = _break_lines(draw, lines)
     blank = st.text(_SPACES, max_size=2)
     out = []
     for toks in lines:
@@ -432,6 +439,118 @@ class TestOnePassParse:
             with pytest.raises(InstanceFormatError):
                 parse_instance(text)
             assert len(scanned) <= 2 and set(scanned) == named
+
+
+_NOTES = ("#", "# note", "#edge u1 v1", "#offline w")
+
+
+@st.composite
+def plain_texts(draw):
+    """Serialized instances under leading comments, some broken by the fault menu."""
+    text = serialize_instance(draw(instances()))
+    lines = _break_lines(draw, [line.split(" ") for line in text.splitlines()])
+    notes = draw(st.lists(st.sampled_from(_NOTES), max_size=2))
+    if notes and draw(st.booleans()):  # a boundary the line loop splits a comment at
+        notes[-1] += draw(st.sampled_from(["\r", *_BREAKS])) + "w"
+    return "".join(f"{line}\n" for line in [*notes, *map(" ".join, lines)])
+
+
+def _long_text(last_edge=None):
+    """test_bad_last_edge_of_a_long_file's layout, over 2.5 chunks: long offline names."""
+    offline = [f"v{k:012}" for k in range(50)]
+    online = [f"u{k}" for k in range(40)]
+    body = [f"edge {u} {v}" for u in online for v in offline]
+    body[-1] = last_edge or body[-1]
+    return "\n".join(["# big", "offline " + " ".join(offline),
+                      "online " + " ".join(online), *body]) + "\n"
+
+
+class TestPlainParse:
+    """The chunked reader of plain files, held to the oracle; it never raises."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(plain_texts())
+    def test_plain_texts_match_the_oracle(self, text):
+        want = outcome(oracle_parse, text)
+        assert outcome(parse_instance, text) == want
+        got = fileformat._parse_plain(text)
+        assert got is None or (got, got.reach) == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(instances(), st.lists(st.sampled_from(_NOTES), max_size=2))
+    def test_serialized_instances_are_plain(self, inst, notes):
+        text = "".join(f"{note}\n" for note in notes) + serialize_instance(inst)
+        got = fileformat._parse_plain(text)
+        assert got is not None and got == inst and got.reach == inst.reach
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "# c\x85d\noffline v1\nonline u1\nedge u1 v1\n",
+            "# c\u2028\noffline v1\nonline u1\n",
+            "offline v1\nonline u1\nedge u1\tv1\n",
+            "offline v1\nonline u1\nedge u1 v1\r\n",
+            "offline v1\r\nonline u1\n",
+            "offline v1\nonline u1\nedge  u1 v1\n",
+            "offline  v1\nonline u1\n",
+            "offline v1\nonline u1\nedge u1 v1 \n",
+            "offline v1 \nonline u1\n",
+            "offline v1\nonline u1\nedge u1 v1",
+            "offline v1\nonline u1",
+            "\noffline v1\nonline u1\n",
+            "offline v1 # c\nonline u1\n",
+            "offline v1\nonline u1\nedge u1 v1\n# c\n",
+            "offline edge\nonline u1\nedge u1\nedge u1 edge\n",
+            "offline edge\nonline u1\nedge u1 edge edge\n",
+            "offline v1 u1\nonline u1\nedge u1 v1\n",
+            "offline v1\nonline u1 u2 u1\n",
+            "offline v1\nonline u1\nedge u1 v1\nedge u1 v2\n",
+            "offline v1\nonline u1\nedge v1 u1\n",
+            "offline v1\nonline u1\nEdge u1 v1\n",
+            "online u1\noffline v1\n",
+            "",
+        ],
+    )
+    def test_declined_texts(self, text):
+        assert fileformat._parse_plain(text) is None
+        assert outcome(parse_instance, text) == outcome(oracle_parse, text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "offline\nonline\n",
+            "#\n#\toffline w\noffline edge\nonline u1\nedge u1 edge\n",
+            "offline v1\nonline u1\nedge u1 v1\nedge u1 v1\n",
+        ],
+    )
+    def test_accepted_texts(self, text):
+        got = fileformat._parse_plain(text)
+        assert got is not None and (got, got.reach) == outcome(oracle_parse, text)
+
+    def test_long_plain_file(self):
+        text = _long_text()
+        assert len(text) > 2.5 * fileformat._CHUNK
+        got = fileformat._parse_plain(text)
+        assert got is not None and (got, got.reach) == outcome(oracle_parse, text)
+
+    def test_bad_last_edge_of_a_long_plain_file(self):
+        text = _long_text("edge u39 u39")
+        assert fileformat._parse_plain(text) is None
+        with pytest.raises(InstanceFormatError) as err:
+            parse_instance(text)
+        assert (err.value.line, err.value.column) == (2003, 10)
+        assert "unknown offline vertex 'u39'" in str(err.value)
+
+    def test_parse_peaks_under_one_megabyte(self):
+        # the line loop peaks about 1.3 MB here, one regex over all edges 3.4 MB
+        text = serialize_instance(gen_random(400, 400, 0.1, 1))
+        tracemalloc.start()
+        try:
+            parse_instance(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1_000_000
 
 
 @st.composite
