@@ -9,8 +9,8 @@ its best-ranked still-free neighbor, or left unmatched forever.
 over the arrival order.  ``is_ranking_matching`` is the declarative one: a
 predicate on (graph, matching, orders) that the fold's output satisfies and,
 on any given instance, exactly one matching satisfies.  Having both lets the
-tests drive each against the other.  The predicate is a closure over one
-(graph, orders), ``_predicate``, that settles the graph-only conjuncts once.
+tests drive each against the other.  ``_ranking_holds`` decides it on an
+index, for a partner array; ``_predicate`` indexes one (graph, orders).
 
 Every other caller runs ``_greedy``, the party-swapped greedy (offline
 vertices in ranking order take their earliest-arriving free neighbor), on
@@ -258,55 +258,87 @@ def _move_id(order: Iterable, x, i: int) -> tuple:
     return tuple(rest)
 
 
+def _named(inst: BipartiteInstance, prs: Sequence[int]) -> frozenset:
+    """The matching of a partner array over ``inst``'s arrivals, as name edges."""
+    ranked = inst.ranking.order
+    return frozenset(frozenset((u, ranked[r])) for u, r in zip(inst.arrival, prs) if r >= 0)
+
+
 def rank_match(inst: BipartiteInstance) -> frozenset:
     """The matching of ``online_match``: ``_greedy`` on ``inst.reach`` in rank order."""
-    ranked = inst.ranking.order
-    prs = _greedy(inst.reach, range(len(ranked)), len(inst.arrival))
-    return frozenset(
-        frozenset((u, ranked[r])) for u, r in zip(inst.arrival, prs) if r >= 0
-    )
+    return _named(inst, _greedy(inst.reach, range(len(inst.reach)), len(inst.arrival)))
 
 
-def _first_choice_clause(
-    g: frozenset, m: frozenset, mate: dict, chooser: Permutation, chosen: Permutation
-) -> bool:
-    """No matched chooser skips an earlier-ranked neighbor without cause.
+def _transpose(masks: Sequence[int], n: int) -> List[int]:
+    """The n masks of the other party: bit i of entry k is bit k of ``masks[i]``."""
+    out = [0] * n
+    for i, mask in enumerate(masks):
+        while mask:
+            out[(mask & -mask).bit_length() - 1] |= 1 << i
+            mask &= mask - 1
+    return out
 
-    For every matched pair {u, v} with u on the chooser side: any neighbor
-    v2 of u ranked before v must itself be matched (``mate``, m's partner
-    map) to some chooser earlier than u.  Quantifiers are unrolled literally.
+
+def _inverse(prs: Sequence[int], n: int) -> List[int]:
+    """The other party's partner array, of length n, for a matching's ``prs``."""
+    inv = [-1] * n
+    for j, r in enumerate(prs):
+        if r >= 0:
+            inv[r] = j
+    return inv
+
+
+def _ranking_holds(prs: Sequence[int], cols: Sequence[int], rows: Sequence[int]) -> bool:
+    """``is_ranking_matching`` on an index, for the partner array ``prs``.
+
+    ``prs[j]`` is chooser j's partner position or -1, ``cols[j]`` its neighbour
+    mask, and ``rows`` the transpose; the parties are disjoint by construction.
+    The swapped orientation is this on ``(_inverse(prs, len(rows)), rows, cols)``.
     """
-    for e in m:
-        side = e & chooser.members
-        if len(side) != 1:
-            return False
-        (u,) = side
-        (v,) = e - side
-        for v2 in chosen.order[: chosen.index(v)]:
-            if frozenset((u, v2)) not in g:
-                continue
-            u2 = mate.get(v2)
-            if u2 is None or u2 not in chooser or chooser.index(u2) >= chooser.index(u):
+    taken = 0  # the positions held by the choosers before j
+    for j, r in enumerate(prs):
+        if r >= 0:  # an edge, not taken twice, no free neighbour ranked before it
+            bit = 1 << r
+            if taken & bit or not cols[j] & bit or cols[j] & (bit - 1) & ~taken:
                 return False
-    return True
+            taken |= bit
+    held = 0  # the choosers held by the chosen positions before r
+    for r, j in enumerate(_inverse(prs, len(rows))):
+        if j >= 0:  # the chosen side's first choice
+            if rows[r] & ((1 << j) - 1) & ~held:
+                return False
+            held |= 1 << j
+    return not any(c & ~taken for c, r in zip(cols, prs) if r < 0)  # maximal
+
+
+def _matchings(cols: Sequence[int]) -> List[tuple]:
+    """Every matching of the index as a partner tuple, in a fixed order."""
+    out = [((), 0)]  # (partners so far, the positions they hold)
+    for c in cols:
+        opts = [(-1, 0)] + [(r, 1 << r) for r in range(c.bit_length()) if c >> r & 1]
+        out = [(prs + (r,), used | bit) for prs, used in out for r, bit in opts if not used & bit]
+    return [prs for prs, _ in out]
 
 
 def _predicate(g, arrival: Permutation, ranking: Permutation) -> Callable[..., bool]:
-    """``is_ranking_matching`` on (g, orders) as a test of m, built once for many m."""
+    """``is_ranking_matching`` on (g, orders) as a test of m, built once for many m.
+
+    Checks the parties once and indexes g, arrivals choosing, for ``_ranking_holds``;
+    an edge of three or more ends that spans both parties needs one end covered.
+    """
     gset = frozenset(frozenset(e) for e in g)
     parties = not arrival.members & ranking.members
     parties = parties and is_bipartite(gset, arrival.members, ranking.members)
+    rows = [sum(1 << j for j, u in enumerate(arrival) if {u, v} in gset) for v in ranking]
+    cols, rank = _transpose(rows, len(arrival)), ranking._pos
 
     def holds(m) -> bool:
         mset = frozenset(frozenset(e) for e in m)
-        if not (mset <= gset and is_matching(mset) and parties):
+        if not (parties and mset <= gset and is_matching(mset)):
             return False
-        mate = _mate_map(mset)  # conjunct 1 holds: every edge has two ends
-        return (
-            all(e & mate.keys() for e in gset)
-            and _first_choice_clause(gset, mset, mate, arrival, ranking)
-            and _first_choice_clause(gset, mset, mate, ranking, arrival)
-        )
+        mate = _mate_map(mset)  # every edge has two ends
+        prs = [rank.get(mate.get(u), -1) for u in arrival]
+        return all(e & mate.keys() for e in gset if len(e) > 2) and _ranking_holds(prs, cols, rows)
 
     return holds
 

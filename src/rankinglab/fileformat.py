@@ -40,7 +40,7 @@ _TOKEN = re.compile(r"\S+")
 _PARTIES = ("offline", "online")
 _HEAD = re.compile(  # no comment or token of a plain file holds a line boundary
     "(?:#[^\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]*\n)*"
-    r"offline((?: [^\s#]+)*)\nonline((?: [^\s#]+)*)\n"
+    "offline([^\n]*)\nonline([^\n]*)\n"  # each party's tokens are checked after split
 )
 _EDGES = re.compile(r"(?:edge [^\s#]+ [^\s#]+\n)*")
 _CHUNK = 1 << 14  # characters an edge chunk reaches before its last line ends
@@ -66,6 +66,9 @@ def _parse_plain(text: str):
     if head is None:
         return None
     ranked, arrivals = head[1].split(), head[2].split()
+    for line, toks in ((head[1], ranked), (head[2], arrivals)):
+        if "#" in line or line != " ".join(["", *toks]):  # each token after one space
+            return None
     if len({*ranked, *arrivals}) < len(ranked) + len(arrivals):
         return None
     ranking, arrival = Permutation(ranked), Permutation(arrivals)

@@ -28,7 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import AbstractSet, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .engine import BipartiteInstance, Permutation, _greedy, _move_id, rank_match
+from .engine import BipartiteInstance, Permutation, _greedy, _inverse, _move_id, _transpose
+from .engine import rank_match
 from .graph import Vertex, _mate_map, is_matching, partner
 from .probability import _validated_perfect
 
@@ -178,15 +179,6 @@ class RemovalDiff:
         return self.path is None
 
 
-def _mates(mate: Sequence[int], n: int) -> list:
-    """The inverse of a partner array, over n positions (-1 for none)."""
-    out = [-1] * n
-    for j, i in enumerate(mate):
-        if i >= 0:
-            out[i] = j
-    return out
-
-
 class _Frame(NamedTuple):
     """A context on positions: the two orders, ``_walk``'s masks and mates."""
 
@@ -201,7 +193,7 @@ class _Frame(NamedTuple):
         adj = list(self.adj)
         adj[q] = 0
         mate_r = _greedy(adj, range(len(adj)), len(self.ranking))
-        return _Frame(self.ranking, self.arrival, adj, mate_r, _mates(mate_r, len(adj)))
+        return _Frame(self.ranking, self.arrival, adj, mate_r, _inverse(mate_r, len(adj)))
 
     def matching(self) -> frozenset:
         r, a = self.ranking.order, self.arrival.order
@@ -222,12 +214,7 @@ class _Core:
     def __init__(self, inst: BipartiteInstance):
         reach, arrivals = inst.reach, len(inst.arrival)
         prs = _greedy(reach, range(len(reach)), arrivals)
-        ids = _mates(prs, len(reach))
-        cols = [0] * arrivals
-        for x, row in enumerate(reach):
-            while row:
-                cols[(row & -row).bit_length() - 1] |= 1 << x
-                row &= row - 1
+        ids, cols = _inverse(prs, len(reach)), _transpose(reach, arrivals)
         self.inst = inst
         self.frames = {
             True: _Frame(inst.ranking, inst.arrival, cols, ids, prs),

@@ -22,10 +22,11 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
-from .engine import BipartiteInstance, _predicate, rank_match
+from .engine import BipartiteInstance, _greedy, _inverse, _matchings, _named, _ranking_holds
+from .engine import _transpose, rank_match
 from .fileformat import fingerprint, serialize_instance
 from .generators import gen_perfect, gen_random
-from .graph import _mate_map, all_matchings, is_alternating_path, remove_vertices, vertices
+from .graph import _mate_map, is_alternating_path, vertices
 from .probability import (
     _NO_PERFECT,
     _require_perfect,
@@ -147,6 +148,11 @@ def _rand_planted(g: SplitMix64, max_side: int, cap: int) -> tuple:
     return gen_perfect(n, 0.6 * g.uniform(), g.next_u64())
 
 
+def _cleared(masks: List[int], i: int, k: int) -> List[int]:
+    """``masks`` with entry i emptied and bit k cleared from every other entry."""
+    return [0 if x == i else mask & ~(1 << k) for x, mask in enumerate(masks)]
+
+
 def suite_ranking_matching(
     count: int, seed: int, inst: Optional[BipartiteInstance] = None, max_side: int = 5
 ) -> SuiteResult:
@@ -156,28 +162,32 @@ def suite_ranking_matching(
     stable under swapping the party roles, that deleting a matched pair's
     endpoints leaves a valid output on the reduced graph, and (for parties
     of at most five) that no other matching of the graph satisfies the
-    characterization.
+    characterization.  All of it runs on the index and partner arrays, the
+    arrivals choosing; names are made only for a failure's text.
     """
     g = stream(seed, 0)
 
     def check(one: BipartiteInstance) -> List[str]:
-        gr, arr, rank = one.graph, one.arrival, one.ranking
-        m = rank_match(one)
-        direct = _predicate(gr, arr, rank)
-        if not direct(m):
+        rows, arrivals = one.reach, len(one.arrival)
+        prs, cols = _greedy(rows, range(len(rows)), arrivals), _transpose(rows, arrivals)
+        if not _ranking_holds(prs, cols, rows):
             return ["output fails the declarative characterization"]
-        for e in sorted(m, key=sorted):
-            if not _predicate(remove_vertices(gr, e), arr, rank)(m - {e}):
-                return [
-                    f"removing the matched pair {sorted(e)} breaks the "
-                    "characterization of the remaining matching"
-                ]
-        if len(rank) <= 5 and len(arr) <= 5:
+        broken = [  # each matched pair's ends deleted: bits cleared, the pair unset
+            (j, r) for j, r in enumerate(prs) if r >= 0 and not _ranking_holds(
+                [*prs[:j], -1, *prs[j + 1:]], _cleared(cols, j, r), _cleared(rows, r, j)
+            )
+        ]
+        if broken:  # the first by name, the order the pairs are listed in
+            e = min(sorted((one.arrival[j], one.ranking[r])) for j, r in broken)
+            return [
+                f"removing the matched pair {e} breaks the "
+                "characterization of the remaining matching"
+            ]
+        if len(rows) <= 5 and arrivals <= 5:
             hits = []
-            swapped = _predicate(gr, rank, arr)
-            for mm in all_matchings(gr):
-                a, b = direct(mm), swapped(mm)
-                if a != b:
+            for mm in _matchings(cols):
+                a = _ranking_holds(mm, cols, rows)
+                if a != _ranking_holds(_inverse(mm, len(rows)), rows, cols):
                     return ["party swap changed a verdict"]
                 if a:
                     hits.append(mm)
@@ -186,7 +196,7 @@ def suite_ranking_matching(
                     f"{len(hits)} matchings satisfy the characterization, "
                     "expected exactly one"
                 ]
-            if hits[0] != m:
+            if _named(one, hits[0]) != rank_match(one):
                 return ["the unique satisfying matching is not the computed one"]
         return []
 

@@ -4,7 +4,8 @@ Frozen expected matchings were derived by stepping through the greedy rule
 by hand and double-checked with an independent brute-force enumeration
 before being committed here.  ``ranking_matching_oracle`` is the predicate's
 literal form, every conjunct re-derived per call; the ``_predicate`` closures
-that ``is_ranking_matching`` and the suite use are compared against it.
+that ``is_ranking_matching`` uses, and ``_ranking_holds`` on an index, which
+they and the suite call, are compared against it.
 """
 
 from __future__ import annotations
@@ -35,12 +36,17 @@ from rankinglab import (
 )
 from rankinglab.engine import (
     _greedy,
+    _inverse,
+    _matchings,
     _max_matching_size,
     _move_id,
     _predicate,
+    _ranking_holds,
+    _transpose,
     rank_match,
 )
 from rankinglab.generators import _gamma_ranking
+from rankinglab.suites import _cleared
 
 from .conftest import instances, make_instance
 
@@ -482,6 +488,98 @@ class TestRankingMatchingPredicate:
         )
         wrong = frozenset({edge("u1", "v2"), edge("u2", "v1")})
         assert not is_ranking_matching(inst.graph, wrong, inst.ranking, inst.arrival)
+
+
+def partners(inst, m):
+    """m as a partner array: entry j is the ranking position of arrival j's mate, or -1."""
+    prs = [-1] * len(inst.arrival)
+    for e in m:
+        (u,) = e & inst.online
+        (v,) = e - {u}
+        prs[inst.arrival.index(u)] = inst.ranking.index(v)
+    return prs
+
+
+class TestRankingHolds:
+    """The characterization on masks and partner arrays, gated by the literal oracle."""
+
+    @settings(max_examples=60)
+    @given(instances(max_side=5), st.data())
+    def test_equals_the_oracle(self, inst, data):
+        g, arrival, ranking = inst.graph, inst.arrival, inst.ranking
+        rows, n = inst.reach, len(ranking)
+        cols = _transpose(rows, len(arrival))
+        ms = list(all_matchings(g))
+        for m in ms:
+            prs = partners(inst, m)
+            assert _ranking_holds(prs, cols, rows) == ranking_matching_oracle(
+                g, m, arrival, ranking
+            )
+            assert _ranking_holds(_inverse(prs, n), rows, cols) == ranking_matching_oracle(
+                g, m, ranking, arrival
+            )
+        # each matched pair's ends deleted, as the suite deletes them, on the
+        # output and on one drawn matching
+        for m in (rank_match(inst), data.draw(st.sampled_from(ms))):
+            prs = partners(inst, m)
+            for e in m:
+                j, r = next((j, r) for j, r in enumerate(prs) if {arrival[j], ranking[r]} == e)
+                cut, kept = prs[:j] + [-1] + prs[j + 1:], m - {e}
+                c, w = _cleared(cols, j, r), _cleared(rows, r, j)
+                assert w == list(inst.without_vertices(e).reach)
+                reduced = remove_vertices(g, e)
+                assert _ranking_holds(cut, c, w) == ranking_matching_oracle(
+                    reduced, kept, arrival, ranking
+                )
+                assert _ranking_holds(_inverse(cut, n), w, c) == ranking_matching_oracle(
+                    reduced, kept, ranking, arrival
+                )
+
+    def test_rejects_each_broken_conjunct(self):
+        # u1 sees v1 v2, u2 sees v1; arrivals are choosers, rank order v1 v2
+        cols, rows = [0b11, 0b01], [0b11, 0b01]
+        assert _ranking_holds([0, -1], cols, rows)
+        assert not _ranking_holds([-1, -1], cols, rows)  # not maximal
+        assert not _ranking_holds([-1, 1], cols, rows)  # u2 v2 is no edge
+        assert not _ranking_holds([0, 0], cols, rows)  # v1 taken twice
+        assert not _ranking_holds([1, 0], cols, rows)  # u1 skipped a free v1
+        # v1 sees u1 u2, v2 sees u1; choosers swapped, u1 skipped by v1
+        assert not _ranking_holds([1, 0], rows, cols)
+        # only the chosen side's clause fails: v2 holds u2 while u1, earlier, is free
+        assert not _ranking_holds([-1, 1], [0b10, 0b10], [0b00, 0b11])
+        assert _ranking_holds([1, -1], [0b10, 0b10], [0b00, 0b11])
+
+    @settings(max_examples=100)
+    @given(instances(max_side=5))
+    def test_matchings_are_all_matchings(self, inst):
+        got = _matchings(_transpose(inst.reach, len(inst.arrival)))
+        want = [tuple(partners(inst, m)) for m in all_matchings(inst.graph)]
+        assert len(got) == len(set(got)) == len(want)
+        assert set(got) == set(want)
+
+    @pytest.mark.parametrize(
+        "a, b, edges, count",
+        [(5, 5, True, 1546), (2, 2, True, 7), (3, 2, False, 1), (4, 0, True, 1), (0, 0, True, 1)],
+    )
+    def test_matchings_count(self, a, b, edges, count):
+        rows = [(1 << b) - 1 if edges else 0] * a
+        got = _matchings(_transpose(rows, b))
+        assert len(got) == len(set(got)) == count
+        assert got[0] == (-1,) * b  # the empty matching first
+
+    @settings(max_examples=100)
+    @given(instances(max_side=6))
+    def test_transpose_and_inverse(self, inst):
+        a, n = len(inst.arrival), len(inst.ranking)
+        cols = _transpose(inst.reach, a)
+        assert cols == [
+            sum(1 << r for r, v in enumerate(inst.ranking) if edge(u, v) in inst.graph)
+            for u in inst.arrival
+        ]
+        assert _transpose(cols, n) == list(inst.reach)
+        prs = _greedy(inst.reach, range(n), a)
+        assert _inverse(_inverse(prs, n), a) == prs
+        assert all(prs[j] == r for r, j in enumerate(_inverse(prs, n)) if j >= 0)
 
 
 class TestArrivalOrderMatters:

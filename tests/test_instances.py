@@ -541,6 +541,30 @@ class TestPlainParse:
         assert (err.value.line, err.value.column) == (2003, 10)
         assert "unknown offline vertex 'u39'" in str(err.value)
 
+    @settings(max_examples=300)
+    @given(st.text(" \t\r\x0b\x85\xa0\u2028#ab", max_size=8), st.booleans())
+    def test_party_lines_are_read_as_before(self, line, online):
+        # a party line is plain when it is a run of (one space, a token); the
+        # head regex once matched exactly that, token by token
+        text = f"offline v9\nonline{line}\n" if online else f"offline{line}\nonline u9\n"
+        toks = line.split()
+        plain = re.fullmatch(r"(?: [^\s#]+)*", line) is not None
+        plain = plain and len(set(toks)) == len(toks)
+        assert (fileformat._parse_plain(text) is not None) == plain
+        assert outcome(parse_instance, text) == outcome(oracle_parse, text)
+
+    def test_head_match_peaks_under_one_megabyte(self):
+        # a regex repeat per name kept sre's stack: 5.3 MB at 16,000 names a side
+        names = " ".join(f"v{k}" for k in range(16_000))
+        text = f"offline {names}\nonline {names.replace('v', 'u')}\n"
+        tracemalloc.start()
+        try:
+            head = fileformat._HEAD.match(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert head is not None and peak <= 1_000_000
+
     def test_parse_peaks_under_one_megabyte(self):
         # the line loop peaks about 1.3 MB here, one regex over all edges 3.4 MB
         text = serialize_instance(gen_random(400, 400, 0.1, 1))

@@ -118,20 +118,22 @@ class TestFileMode:
         result = suite_ranking_matching(100, 0, inst=example6)
         assert result.cases == 1 and result.passed
 
-    def test_ranking_matching_builds_one_predicate_per_graph(self, monkeypatch):
-        real, built = suites._predicate, []
+    def test_ranking_matching_builds_one_index_per_case(self, monkeypatch):
+        real, built = suites._transpose, []
 
-        def counted(g, arrival, ranking):
-            built.append((g, arrival, ranking))
-            return real(g, arrival, ranking)
+        def counted(masks, n):
+            built.append(masks)
+            return real(masks, n)
 
-        monkeypatch.setattr(suites, "_predicate", counted)
+        monkeypatch.setattr(suites, "_transpose", counted)
         inst = parse_instance(PERFECT_TEXT)
         result = suite_ranking_matching(1, 0, inst=inst)
         assert result.cases == 1 and result.passed
-        # the output's closure, reused as the uniqueness loop's direct one, each
-        # matched pair's reduced graph, then the swapped orientation's closure
-        assert len(built) == 1 + len(rank_match(inst)) + 1
+        # the arrivals' masks, once: shared by the output's check, each matched
+        # pair's removal and both orientations of all 5 matchings
+        assert built == [inst.reach]
+        result = suite_ranking_matching(30, 5, max_side=5)
+        assert result.passed and len(built) == 1 + result.cases == 31
 
     def test_lemma6_probes_every_matched_vertex(self, example6):
         result = suite_lemma6(1, 0, inst=example6)
@@ -368,7 +370,7 @@ class TestFailurePath:
         assert suite_lemma6(15, 2, max_side=5).failures
 
     def test_ranking_matching_reports_a_rejected_output(self, example6, monkeypatch):
-        monkeypatch.setattr(suites, "_predicate", lambda *args: lambda m: False)
+        monkeypatch.setattr(suites, "_ranking_holds", lambda *args: False)
         result = suite_ranking_matching(1, 0, inst=example6)
         assert [(f.description, f.instance_text) for f in result.failures] == [
             (
@@ -381,7 +383,7 @@ class TestFailurePath:
         _replays(result, suite_ranking_matching)
 
     def test_ranking_matching_reports_a_broken_pair_removal(self, monkeypatch):
-        monkeypatch.setattr(suites, "remove_vertices", lambda g, xs: g)  # removes nothing
+        monkeypatch.setattr(suites, "_cleared", lambda masks, i, k: masks)  # removes nothing
         inst = parse_instance(PERFECT_TEXT)
         result = suite_ranking_matching(1, 0, inst=inst)
         assert [(f.description, f.instance_text) for f in result.failures] == [
@@ -402,13 +404,17 @@ class TestFailurePath:
         _replays(result, suite_ranking_matching)
 
     def test_ranking_matching_reports_a_role_dependent_verdict(self, monkeypatch):
-        real = suites._predicate
+        real_transpose, real_holds, built = suites._transpose, suites._ranking_holds, []
 
-        def arrivals_only(g, arrival, ranking):  # false whenever the roles swap
-            holds = real(g, arrival, ranking)
-            return lambda m: holds(m) and all(x[0] == "u" for x in arrival)
+        def recorded(masks, n):
+            built.append(real_transpose(masks, n))
+            return built[-1]
 
-        monkeypatch.setattr(suites, "_predicate", arrivals_only)
+        def arrivals_only(prs, cols, rows):  # false whenever the ranked side chooses
+            return real_holds(prs, cols, rows) and rows is not built[-1]
+
+        monkeypatch.setattr(suites, "_transpose", recorded)
+        monkeypatch.setattr(suites, "_ranking_holds", arrivals_only)
         inst = parse_instance(PERFECT_TEXT)
         result = suite_ranking_matching(1, 0, inst=inst)
         assert [(f.description, f.instance_text) for f in result.failures] == [
@@ -420,7 +426,7 @@ class TestFailurePath:
         _replays(result, suite_ranking_matching)
 
     def test_ranking_matching_reports_many_satisfying_matchings(self, monkeypatch):
-        monkeypatch.setattr(suites, "_predicate", lambda *args: lambda m: True)
+        monkeypatch.setattr(suites, "_ranking_holds", lambda *args: True)
         inst = parse_instance(PERFECT_TEXT)
         count = len(list(all_matchings(inst.graph)))
         result = suite_ranking_matching(1, 0, inst=inst)
@@ -441,8 +447,8 @@ class TestFailurePath:
         _replays(result, suite_ranking_matching)
 
     def test_ranking_matching_reports_another_satisfying_matching(self, monkeypatch):
-        real = suites.all_matchings  # the same edges as tuples: same verdicts, unequal
-        monkeypatch.setattr(suites, "all_matchings", lambda g: map(tuple, real(g)))
+        real = suites.rank_match  # the same edges as a tuple: same verdicts, unequal
+        monkeypatch.setattr(suites, "rank_match", lambda one: tuple(real(one)))
         inst = parse_instance(PERFECT_TEXT)
         result = suite_ranking_matching(1, 0, inst=inst)
         assert [(f.description, f.instance_text) for f in result.failures] == [
