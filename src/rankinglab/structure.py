@@ -4,13 +4,13 @@ The central object is the cascade: when a vertex is deleted, the computed
 matching does not change arbitrarily but along a single alternating path.
 Every cascade is one walk, ``_walk``, on positions: the partner arrays that
 ``engine._greedy`` returns and one adjacency bitmask per arrival-side
-position.  ``_Core`` computes an instance's greedy, both mate arrays and the
+position.  ``_Core`` computes an index's greedy, both mate arrays and the
 transposed masks once, in both orientations of the parties; a deletion
-zeroes one mask and reruns ``_greedy``; a rank move, ``_rank_move``, moves
-one offline id in the order and reruns it on ``reach``.  The core reads no
-names.  The ``removal_diff_*`` and ``check_*`` functions turn the structural
-claims into executable verdicts on it, translating names to positions once,
-and the suites hold one core per instance.  ``zig`` and ``zag`` are the
+zeroes one mask and reruns ``_greedy`` (``_cascade``); a rank move moves one
+offline id in the order and reruns it on ``reach`` (``_rank_move``).  The
+suites run these on positions and name a vertex only in a failure's text;
+the ``removal_diff_*`` and ``check_*`` functions translate names to
+positions once and name what they return.  ``zig`` and ``zag`` are the
 literal walk on a ``ZigZagContext``: a zig step goes to the mate, a zag step
 to the one entry of ``shift_targets``, which lists what ``shifts_to``, the
 literal definition of the shift relation, allows.  The tests hold ``_walk``
@@ -131,11 +131,6 @@ def _walk(x: int, zig_step: bool, adj: Sequence[int], mate_r: list, mate_a: list
         zig_step = not zig_step
 
 
-def _named(path: list, first, second) -> Tuple[Vertex, ...]:
-    """A walk's positions by name: it starts on side ``first``, sides alternate."""
-    return tuple((second if k % 2 else first)[p] for k, p in enumerate(path))
-
-
 def _name_walk(ctx: ZigZagContext, x: Vertex, zig_step: bool) -> Tuple[Vertex, ...]:
     """The walk from x: zig steps go to the mate, zag steps to its shift target."""
     path = [x]
@@ -180,71 +175,82 @@ class RemovalDiff:
 
 
 class _Frame(NamedTuple):
-    """A context on positions: the two orders, ``_walk``'s masks and mates."""
+    """One orientation on positions: ``_walk``'s masks and the two mate arrays."""
 
-    ranking: Permutation
-    arrival: Permutation
     adj: Sequence[int]
     mate_r: list
     mate_a: list
 
-    def without(self, q: int) -> "_Frame":
-        """Arrival-side q deleted: its mask zeroed and ``_greedy`` rerun."""
+    def without(self, q: int) -> tuple:
+        """Arrival-side q deleted: the masks with its own zeroed, ``_greedy`` on them."""
         adj = list(self.adj)
         adj[q] = 0
-        mate_r = _greedy(adj, range(len(adj)), len(self.ranking))
-        return _Frame(self.ranking, self.arrival, adj, mate_r, _inverse(mate_r, len(adj)))
-
-    def matching(self) -> frozenset:
-        r, a = self.ranking.order, self.arrival.order
-        return frozenset(frozenset((r[i], a[j])) for i, j in enumerate(self.mate_r) if j >= 0)
+        return adj, _greedy(adj, range(len(adj)), len(self.mate_r))
 
 
 class _Core:
-    """An instance's greedy on positions, computed once for every check on it.
+    """An index's greedy on positions, computed once for every check on it.
 
-    ``frames[True]`` ranks the offline party, ``frames[False]`` the arrivals;
-    only this module reads ``frames``, so callers never pick a side by flag.
-    Their masks are the transpose of ``inst.reach`` and ``inst.reach``; the
-    arrival side taking its lowest free neighbour in order is the online
-    fold in one and the party-swapped greedy in the other, one matching, so
-    ``_greedy``'s partner array and its inverse are the mates of both.
+    ``frames[True]`` ranks the offline party (masks: ``reach`` transposed),
+    ``frames[False]`` the arrivals (masks: ``reach``); ``_greedy``'s partner
+    array and its inverse are the mates of both.  A frame's vertex ids are
+    its n ranked positions, then n + j for arrival-side position j.
     """
 
-    def __init__(self, inst: BipartiteInstance):
-        reach, arrivals = inst.reach, len(inst.arrival)
+    def __init__(self, reach: Sequence[int], arrivals: int):
         prs = _greedy(reach, range(len(reach)), arrivals)
         ids, cols = _inverse(prs, len(reach)), _transpose(reach, arrivals)
-        self.inst = inst
-        self.frames = {
-            True: _Frame(inst.ranking, inst.arrival, cols, ids, prs),
-            False: _Frame(inst.arrival, inst.ranking, reach, prs, ids),
-        }
-        self.matching = self.frames[False].matching()
+        self.frames = {True: _Frame(cols, ids, prs), False: _Frame(reach, prs, ids)}
 
 
-def _removal_diff(core: _Core, x: Vertex) -> RemovalDiff:
-    """Deleting x: the walk from x in the frame that ranks x's party."""
-    offline = x in core.inst.ranking
-    r, a, adj, mate_r, mate_a = core.frames[offline]
-    p = r.index(x)
-    reduced = core.frames[not offline].without(p)
-    if reduced.mate_r == mate_a:
-        return RemovalDiff(core.matching, core.matching, None)
-    path = _named(_walk(p, True, adj, mate_r, mate_a), r, a)
-    diff = {
-        frozenset((a[j], r[i]))
-        for j, pair in enumerate(zip(mate_a, reduced.mate_r))
-        if pair[0] != pair[1]
-        for i in pair
-        if i >= 0
-    }
-    if set(map(frozenset, zip(path, path[1:]))) != diff:
+def _vertex(inst: BipartiteInstance, x: Vertex) -> Tuple[bool, int]:
+    """x as (offline, position): the party that holds it, and its index there."""
+    for offline, party in ((True, inst.ranking), (False, inst.arrival)):
+        if x in party:
+            return offline, party.index(x)
+    raise KeyError(f"{x!r} is not a vertex of the instance")
+
+
+def _names(inst: BipartiteInstance, offline: bool) -> tuple:
+    """The names of the vertex ids of the frame that ranks the party ``offline``."""
+    r, a = (inst.ranking, inst.arrival) if offline else (inst.arrival, inst.ranking)
+    return (*r, *a)
+
+
+def _ids(path: list, n: int) -> List[int]:
+    """A walk from the ranking side as vertex ids, with n ranked ids."""
+    return [q + n if k & 1 else q for k, q in enumerate(path)]
+
+
+def _cascade(core: _Core, offline: bool, p: int, inst: BipartiteInstance) -> tuple:
+    """Deleting position p of the party ``offline``: in the frame that ranks it,
+    the arrival side's mates before and after and the cascade from p as ids
+    (None if nothing changed); DichotomyViolation, named by ``inst``, if more changed."""
+    adj, mate_r, mate_a = core.frames[offline]
+    cut = core.frames[not offline].without(p)[1]
+    if cut == mate_a:
+        return mate_a, mate_a, None
+    n = len(mate_r)
+    path = _ids(_walk(p, True, adj, mate_r, mate_a), n)
+    diff = {(i, j + n) for j, pair in enumerate(zip(mate_a, cut)) if pair[0] != pair[1]
+            for i in pair if i >= 0}
+    if {(min(e), max(e)) for e in zip(path, path[1:])} != diff:
+        names = _names(inst, offline)
         raise DichotomyViolation(
-            f"deleting {x!r} changed the matching by {sorted(map(sorted, diff))}, "
-            f"not by the cascade path {list(path)}"
+            f"deleting {names[p]!r} changed the matching by "
+            f"{sorted(sorted((names[i], names[j])) for i, j in diff)}, "
+            f"not by the cascade path {[names[v] for v in path]}"
         )
-    return RemovalDiff(core.matching, reduced.matching(), path)
+    return mate_a, cut, path
+
+
+def _removal_diff(inst: BipartiteInstance, x: Vertex, offline: bool) -> RemovalDiff:
+    names = _names(inst, offline)  # ``_cascade`` named
+    base, cut, path = _cascade(_Core(inst.reach, len(inst.arrival)), offline, names.index(x), inst)
+    n = len(names) - len(base)
+    named = [frozenset(frozenset((names[i], names[j + n])) for j, i in enumerate(m) if i >= 0)
+             for m in (base, cut)]
+    return RemovalDiff(*named, path and tuple(names[v] for v in path))
 
 
 def removal_diff_online(inst: BipartiteInstance, u: Vertex) -> RemovalDiff:
@@ -257,25 +263,25 @@ def removal_diff_online(inst: BipartiteInstance, u: Vertex) -> RemovalDiff:
     """
     if u not in inst.arrival:
         raise KeyError(f"{u!r} is not an arrival-side vertex")
-    return _removal_diff(_Core(inst), u)
+    return _removal_diff(inst, u, False)
 
 
 def removal_diff_offline(inst: BipartiteInstance, v: Vertex) -> RemovalDiff:
     """Difference report for deleting the ranking-side vertex v."""
     if v not in inst.ranking:
         raise KeyError(f"{v!r} is not a ranking-side vertex")
-    return _removal_diff(_Core(inst), v)
+    return _removal_diff(inst, v, True)
 
 
-def _zig_zag_symmetric(core: _Core, x: Vertex) -> bool:
-    online = x in core.inst.arrival
-    frame = core.frames[online]  # x arrives: the zig's frame
-    q = frame.arrival.index(x)
+def _zig_zag_symmetric(core: _Core, offline: bool, q: int) -> Optional[bool]:
+    """Lemma 6 at position q of the party ``offline``; None when q is unmatched."""
+    frame = core.frames[not offline]  # q arrives: the zig's frame
     mate = frame.mate_a[q]
     if mate < 0:
-        raise ValueError(f"removed vertex {x!r} must be matched")
-    zig_path = _walk(mate, True, *frame.without(q)[2:])
-    return zig_path == _walk(mate, False, *core.frames[not online][2:])
+        return None
+    adj, mate_r = frame.without(q)
+    zig_path = _walk(mate, True, adj, mate_r, _inverse(mate_r, len(adj)))
+    return zig_path == _walk(mate, False, *core.frames[offline])
 
 
 def check_zig_zag_symmetry(inst: BipartiteInstance, x: Vertex) -> bool:
@@ -285,57 +291,36 @@ def check_zig_zag_symmetry(inst: BipartiteInstance, x: Vertex) -> bool:
     and its recomputed matching; the zag runs over the original pair with
     the party roles swapped relative to the zig.  Requires x matched.
     """
-    if x not in inst.arrival.members | inst.ranking.members:
-        raise KeyError(f"{x!r} is not a vertex of the instance")
-    return _zig_zag_symmetric(_Core(inst), x)
+    verdict = _zig_zag_symmetric(_Core(inst.reach, len(inst.arrival)), *_vertex(inst, x))
+    if verdict is None:
+        raise ValueError(f"removed vertex {x!r} must be matched")
+    return verdict
 
 
-def _stability_guard(core: _Core, offline_removed: bool, probe: Vertex):
-    """Frame, walk start, walk kind and guard test for deletions from one party.
-
-    The removed party plays the arrival side.  ``breach(x)`` says how x
-    breaks the guard of ``check_removal_stability``, and is empty when x
-    keeps it (always, when an arrival-side probe is unmatched).
-    """
-    frame = core.frames[not offline_removed]
-    r, a, mate_a = frame.ranking, frame.arrival, frame.mate_a
-    if probe in r:
-        start = cutoff = r.index(probe)
-    elif probe in a:
-        start = a.index(probe)
-        cutoff = mate_a[start]
-    else:
-        raise KeyError(f"{probe!r} is not a vertex of the instance")
-
-    def breach(x: Vertex) -> str:
-        i = mate_a[a.index(x)]
-        if not 0 <= cutoff <= i:
-            return ""
-        return (
-            f"removed vertex {x!r} is matched at rank {i}, "
-            f"not strictly before the probe cutoff {cutoff}"
-        )
-
-    return frame, start, probe in r, breach
+def _stability_guard(core: _Core, offline_removed: bool, probe_offline: bool, p: int):
+    """Frame, walk kind from p, and cutoff: the removed party arrives, and its
+    q breaks the guard iff ``0 <= cutoff <= frame.mate_a[q]``."""
+    frame, zig_step = core.frames[not offline_removed], probe_offline != offline_removed
+    return frame, zig_step, p if zig_step else frame.mate_a[p]
 
 
-def _stable(core: _Core, xs: frozenset, probe: Vertex) -> bool:
-    offline_removed = not xs <= core.inst.arrival.members
-    if offline_removed and not xs <= core.inst.ranking.members:
-        raise ValueError("removed vertices must all lie in one party")
-    frame, start, zig_step, breach = _stability_guard(core, offline_removed, probe)
-    for x in sorted(xs):
-        if breach(x):
-            raise GuardViolation(breach(x))
+def _stable(core: _Core, offline_removed: bool, removed: list, probe_offline: bool, p: int):
+    """``check_removal_stability`` on positions, for the probe p of the party
+    ``probe_offline``; ``removed`` holds (name, position) pairs by name."""
+    frame, zig_step, cutoff = _stability_guard(core, offline_removed, probe_offline, p)
     # clear the removed vertices' pairs; the walk meets an arrival-side vertex
     # only through its pair, so their masks are never read
-    _, a, adj, mate_r, mate_a = frame
+    adj, mate_r, mate_a = frame
     kept_r, kept_a = list(mate_r), list(mate_a)
-    for q in map(a.index, xs):
-        if mate_a[q] >= 0:
-            kept_r[mate_a[q]] = kept_a[q] = -1
-    kept = _walk(start, zig_step, adj, kept_r, kept_a)
-    return kept == _walk(start, zig_step, adj, mate_r, mate_a)
+    for x, q in removed:
+        i = mate_a[q]
+        if 0 <= cutoff <= i:
+            raise GuardViolation(f"removed vertex {x!r} is matched at rank {i}, "
+                                 f"not strictly before the probe cutoff {cutoff}")
+        if i >= 0:
+            kept_r[i] = kept_a[q] = -1
+    kept = _walk(p, zig_step, adj, kept_r, kept_a)
+    return kept == _walk(p, zig_step, adj, mate_r, mate_a)
 
 
 def check_removal_stability(
@@ -351,7 +336,12 @@ def check_removal_stability(
     in the reduced context (the baseline less the removed vertices' pairs,
     on the graph without them) equals the path in the full one.
     """
-    return _stable(_Core(inst), frozenset(removed), probe)
+    xs = frozenset(removed)
+    offline_removed = not xs <= inst.arrival.members
+    if offline_removed and not xs <= inst.ranking.members:
+        raise ValueError("removed vertices must all lie in one party")
+    pairs, probe = [(x, _vertex(inst, x)[1]) for x in sorted(xs)], _vertex(inst, probe)
+    return _stable(_Core(inst.reach, len(inst.arrival)), offline_removed, pairs, *probe)
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,10 @@ when it has no vertex.
 A suite is a case source, a lazy generator of cases (the instance first),
 and a check that returns the failure descriptions of one case; ``_run`` is
 the one loop that counts the cases and attaches each failing instance's
-text.  All randomness flows through one SplitMix64 master stream per run,
-drawn in case order, so a (suite, count, seed) triple is fully reproducible.
+text.  The structural suites check on positions, one ``structure._Core``
+per instance, and name a vertex only in a failure's text.  All randomness
+flows through one SplitMix64 master stream per run, drawn in case order, so
+a (suite, count, seed) triple is fully reproducible.
 """
 
 from __future__ import annotations
@@ -20,13 +22,13 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional
 
 from .engine import BipartiteInstance, _greedy, _inverse, _matchings, _named, _ranking_holds
 from .engine import _transpose, rank_match
 from .fileformat import fingerprint, serialize_instance
 from .generators import gen_perfect, gen_random
-from .graph import _mate_map, is_alternating_path, vertices
+from .graph import _mate_map, vertices
 from .probability import (
     _NO_PERFECT,
     _require_perfect,
@@ -40,9 +42,9 @@ from .rng import SplitMix64, stream
 from .structure import (
     DichotomyViolation,
     GuardViolation,
+    _cascade,
     _Core,
     _rank_move,
-    _removal_diff,
     _stability_guard,
     _stable,
     _zig_zag_symmetric,
@@ -110,36 +112,42 @@ def _rand_instance(g: SplitMix64, max_side: int) -> BipartiteInstance:
     return gen_random(n_off, n_on, p, g.next_u64())
 
 
+def _prepared(one: BipartiteInstance) -> tuple:
+    """An instance, its core, and every vertex as (name, offline, position) by name."""
+    parties = ((True, one.ranking), (False, one.arrival))
+    every = sorted((x, o, p) for o, party in parties for p, x in enumerate(party))
+    return one, _Core(one.reach, len(one.arrival)), every
+
+
 def _probes(
     count: int, inst: Optional[BipartiteInstance], g: SplitMix64, max_side: int
-) -> Iterator[Tuple[BipartiteInstance, _Core]]:
-    """``count`` probe instances and their cores: ``inst`` (none if it has no
-    vertex) with one core, else fresh draws."""
-    given = None if inst is None else _Core(inst)
+) -> Iterator[tuple]:
+    """``count`` probe instances, ``_prepared``: ``inst`` (none if it has no
+    vertex) once, else fresh draws."""
+    given = inst and _prepared(inst)
     for _ in range(count if inst is None or inst.offline | inst.online else 0):
-        core = given or _Core(_rand_instance(g, max_side))
-        yield core.inst, core
+        yield given or _prepared(_rand_instance(g, max_side))
 
 
 def _vertex_cases(
     count: int, inst: Optional[BipartiteInstance], seed: int, max_side: int, side
-) -> Iterator[Tuple[BipartiteInstance, _Core, str]]:
+) -> Iterator[tuple]:
     """Every vertex ``side`` lists on ``inst``, else ``count`` drawn cases from
-    ``seed``: an instance, redrawn while ``side`` (of its core) lists none,
-    then a vertex."""
+    ``seed``: an instance, redrawn while ``side`` lists none, then a vertex.
+    ``side`` takes the instance ``_prepared``; a vertex is (name, offline, position)."""
     if inst is not None:
-        core = _Core(inst)
-        yield from ((inst, core, x) for x in side(core))
+        made = _prepared(inst)
+        yield from ((*made[:2], *v) for v in side(*made))
         return
     g = stream(seed, 0)
     for _ in range(count):
         for _ in range(200):
-            core = _Core(_rand_instance(g, max_side))
-            if xs := side(core):
+            made = _prepared(_rand_instance(g, max_side))
+            if xs := side(*made):
                 break
         else:
             raise RuntimeError("failed to draw an instance with a nonempty matching")
-        yield core.inst, core, g.choice(xs)
+        yield (*made[:2], *g.choice(xs))
 
 
 def _rand_planted(g: SplitMix64, max_side: int, cap: int) -> tuple:
@@ -229,22 +237,22 @@ def suite_lemma5(
     """Deleting guard-respecting vertices leaves the probe's cascade alone."""
     g = stream(seed, 0)
 
-    def cases():
-        for one, core in _probes(count, inst, g, max_side):
-            from_arrival = g.below(2) == 0
-            party = sorted(one.online if from_arrival else one.offline)
-            probe = g.choice(sorted(one.offline | one.online))
-            breach = _stability_guard(core, not from_arrival, probe)[-1]
-            xs = frozenset(x for x in party if not breach(x) and g.below(2) == 0)
-            yield one, core, xs, probe
+    def cases():  # each party's members in name order, a draw for each that keeps the guard
+        for one, core, every in _probes(count, inst, g, max_side):
+            removed = g.below(2) != 0  # the party, by ``offline``
+            probe = g.choice(every)
+            frame, _, cutoff = _stability_guard(core, removed, *probe[1:])
+            xs = [(x, q) for x, o, q in every if o is removed
+                  and not 0 <= cutoff <= frame.mate_a[q] and g.below(2) == 0]
+            yield one, core, removed, xs, probe
 
-    def check(one: BipartiteInstance, core: _Core, xs: frozenset, probe: str) -> List[str]:
+    def check(one, core: _Core, offline_removed: bool, xs: list, probe: tuple) -> List[str]:
         try:
-            if _stable(core, xs, probe):
+            if _stable(core, offline_removed, xs, *probe[1:]):
                 return []
         except GuardViolation as e:
             return [f"sampler produced a guard breach: {e}"]
-        return [f"cascade from {probe!r} changed after deleting {sorted(xs)}"]
+        return [f"cascade from {probe[0]!r} changed after deleting {[x for x, _ in xs]}"]
 
     return _run("lemma5", cases(), check)
 
@@ -254,39 +262,53 @@ def suite_lemma6(
 ) -> SuiteResult:
     """Reduced-graph zig equals original-graph zag at every matched vertex."""
 
-    def check(one: BipartiteInstance, core: _Core, x: str) -> List[str]:
-        if _zig_zag_symmetric(core, x):
+    def check(one: BipartiteInstance, core: _Core, x: str, offline: bool, q: int) -> List[str]:
+        if _zig_zag_symmetric(core, offline, q):
             return []
         return [f"zig and zag disagree after deleting {x!r}"]
 
-    cases = _vertex_cases(
-        count, inst, seed, max_side, lambda c: sorted(vertices(c.matching))
-    )
-    return _run("lemma6", cases, check)
+    def matched(one: BipartiteInstance, core: _Core, every: list) -> list:  # by name
+        return [v for v in every if core.frames[not v[1]].mate_a[v[2]] >= 0]
+
+    return _run("lemma6", _vertex_cases(count, inst, seed, max_side, matched), check)
+
+
+def _alternates(path: List[int], mate_a: List[int], n: int) -> bool:
+    """``graph.is_alternating_path`` on a frame's vertex ids, n of them ranked,
+    against the matching of the arrival side's mates ``mate_a``."""
+    ins = [x < n <= y and mate_a[y - n] == x or y < n <= x and mate_a[x - n] == y
+           for x, y in zip(path, path[1:])]
+    return not any(ins[0::2]) and all(ins[1::2]) or not any(ins[1::2])
+
+
+def _covered(mate_a: List[int], n: int) -> set:
+    """``graph.vertices`` on a frame's vertex ids: the ones ``mate_a`` matches."""
+    return {i for i in mate_a if i >= 0} | {j + n for j, i in enumerate(mate_a) if i >= 0}
 
 
 def _removal_failures(
-    one: BipartiteInstance, core: _Core, x: str, paths: bool = True
+    one: BipartiteInstance, core: _Core, x: str, offline: bool, p: int, paths: bool = True
 ) -> List[str]:
-    """Deleting x: the size drops by 0 or 1, and (``paths``) along a cascade."""
+    """Deleting x, position p of the party ``offline``: the size drops by 0 or
+    1, and (``paths``) along a cascade."""
     try:
-        diff = _removal_diff(core, x)
+        base, cut, path = _cascade(core, offline, p, one)
     except DichotomyViolation as e:
         return [str(e)]
-    drop = len(diff.baseline) - len(diff.reduced)
+    drop = (cut.count(-1) - base.count(-1) + len(base) - len(cut)) // 2
     if drop not in (0, 1):
         return [f"deleting {x!r} changed the size by {drop}"]
-    p = diff.path
-    if not paths or p is None:
+    if not paths or path is None:
         return []
-    if p[0] != x:
+    if path[0] != p:
         return [f"cascade does not start at {x!r}"]
-    if len(set(p)) != len(p):
+    if len(set(path)) != len(path):
         return [f"cascade from {x!r} revisits a vertex"]
-    if not all(is_alternating_path(p, m) for m in (diff.baseline, diff.reduced)):
+    n = len(one.ranking if offline else one.arrival)
+    if not all(_alternates(path, m, n) for m in (base, cut)):
         return [f"cascade from {x!r} does not alternate against both matchings"]
-    covered = vertices(diff.baseline)
-    if any(v not in covered for v in p[:-1]):
+    covered = _covered(base, n)
+    if any(v not in covered for v in path[:-1]):
         return [f"cascade from {x!r} has an uncovered interior vertex"]
     return []
 
@@ -295,16 +317,16 @@ def suite_lemma7(
     count: int, seed: int, inst: Optional[BipartiteInstance] = None, max_side: int = 8
 ) -> SuiteResult:
     """Deleting one arriving vertex changes the output by one cascade path."""
-    cases = _vertex_cases(count, inst, seed, max_side, lambda c: c.inst.arrival.order)
-    return _run("lemma7", cases, _removal_failures)
+    side = lambda one, *_: [(x, False, j) for j, x in enumerate(one.arrival)]  # noqa: E731
+    return _run("lemma7", _vertex_cases(count, inst, seed, max_side, side), _removal_failures)
 
 
 def suite_lemma8(
     count: int, seed: int, inst: Optional[BipartiteInstance] = None, max_side: int = 8
 ) -> SuiteResult:
     """Deleting one ranked vertex changes the output by one cascade path."""
-    cases = _vertex_cases(count, inst, seed, max_side, lambda c: c.inst.ranking.order)
-    return _run("lemma8", cases, _removal_failures)
+    side = lambda one, *_: [(x, True, i) for i, x in enumerate(one.ranking)]  # noqa: E731
+    return _run("lemma8", _vertex_cases(count, inst, seed, max_side, side), _removal_failures)
 
 
 def suite_lemma9(
@@ -315,9 +337,11 @@ def suite_lemma9(
 
     def cases():
         # sides alternate, arrival side first; an empty side yields to the other
-        for k, (one, core) in enumerate(_probes(count, inst, g, max_side)):
-            sides = (one.arrival.order, one.ranking.order)
-            yield one, core, g.choice(sides[k % 2] or sides[1 - k % 2])
+        for k, (one, core, _) in enumerate(_probes(count, inst, g, max_side)):
+            sides = (one.arrival, one.ranking)
+            side = sides[k % 2] or sides[1 - k % 2]
+            p = g.below(len(side))
+            yield one, core, side[p], side is one.ranking, p
 
     return _run("lemma9", cases(), partial(_removal_failures, paths=False))
 

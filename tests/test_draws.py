@@ -90,19 +90,16 @@ def test_gen_perfect_bytes(n, digest):
     ],
 )
 def test_random_mode_case_draws(suite, digest, monkeypatch):
-    seen = []
-    removal, zig_zag = suites._removal_failures, suites._zig_zag_symmetric
+    seen, run = [], suites._run
 
-    def removal_seen(one, core, x, paths=True):
-        seen.append(f"{serialize_instance(one)}{x}")
-        return removal(one, core, x, paths)
+    def run_seen(name, cases, check, notes=None):
+        def check_seen(one, core, x, *rest):  # each case carries its vertex's name
+            seen.append(f"{serialize_instance(one)}{x}")
+            return check(one, core, x, *rest)
 
-    def zig_zag_seen(core, x):
-        seen.append(f"{serialize_instance(core.inst)}{x}")
-        return zig_zag(core, x)
+        return run(name, cases, check_seen, notes)
 
-    monkeypatch.setattr(suites, "_removal_failures", removal_seen)
-    monkeypatch.setattr(suites, "_zig_zag_symmetric", zig_zag_seen)
+    monkeypatch.setattr(suites, "_run", run_seen)
     for seed in range(20):
         result = suite(15, seed, max_side=5)
         assert result.cases == 15 and result.passed

@@ -1,0 +1,75 @@
+"""The per-layer timing script, ``tools/layers.py``, at its smallest sizes."""
+
+from __future__ import annotations
+
+import json
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPT = ROOT / "tools" / "layers.py"
+
+ROWS = [
+    "rng.shuffled",
+    "fileformat.parse_instance",
+    "engine._greedy",
+    "engine._max_matching_size",
+    "probability._tally",
+    "probability.mc_expected_size bytes",
+    "probability.mc_expected_size wide",
+    "structure.removal_diff_offline",
+    "cli run",
+    "cli exact",
+    "cli mc",
+    "cli bound",
+    "cli gamma",
+    "cli gen",
+    *(
+        f"cli check --suite {s}"
+        for s in ("ranking-matching", "lemma5", "lemma6", "lemma7", "lemma8", "lemma9")
+    ),
+    "cli check --suite rank-move",
+]
+
+
+def _sources(tmp_path: Path) -> Path:
+    """A copy of the package with no bytecode cache, as the script requires."""
+    src = tmp_path / "src"
+    shutil.copytree(
+        ROOT / "src" / "rankinglab", src / "rankinglab",
+        ignore=shutil.ignore_patterns("__pycache__"),
+    )
+    return src
+
+
+def _layers(*args: str) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, "-B", str(SCRIPT), "--quick", "--repeats", "1", *args],
+        capture_output=True, text=True, timeout=60,
+    )
+
+
+def test_one_repeat_lists_every_row(tmp_path):
+    src = _sources(tmp_path)
+    out = tmp_path / "bench.json"
+    done = _layers("--src", f"a={src}", "--src", f"b={src}", "--out", str(out))
+    assert done.returncode == 0, done.stderr
+    doc = json.loads(out.read_text())
+    assert doc["columns"] == ["a", "b"] and doc["repeats"] == 1 and doc["quick"]
+    assert doc["machine"] and doc["python"]
+    assert list(doc["rows"]) == ROWS
+    for cells in doc["rows"].values():
+        assert set(cells) == {"a", "b"}
+        assert all(0 <= c["min_ms"] <= c["median_ms"] for c in cells.values())
+    assert not list(src.rglob("__pycache__"))
+
+
+def test_refuses_a_bytecode_cache(tmp_path):
+    src = _sources(tmp_path)
+    (src / "rankinglab" / "__pycache__").mkdir()
+    done = _layers("--src", f"change={src}")
+    assert done.returncode != 0
+    assert "remove the bytecode caches first" in done.stderr
+    assert done.stdout == ""

@@ -6,8 +6,12 @@ from dataclasses import replace
 
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from rankinglab import (
     CaseFailure,
+    DichotomyViolation,
     GuardViolation,
     RankMoveVerdict,
     SUITES,
@@ -19,11 +23,13 @@ from rankinglab import (
     edge,
     gen_perfect,
     gen_random,
+    is_alternating_path,
     lemma3_chain,
     online_match,
     parse_instance,
     perfect_matching_of,
     serialize_instance,
+    stream,
     suite_lemma3,
     suite_lemma5,
     suite_lemma6,
@@ -41,7 +47,13 @@ from rankinglab import probability, structure, suites
 from rankinglab.cli import main
 from rankinglab.engine import rank_match
 
-from .conftest import DATA, make_instance
+from .conftest import DATA, instances, make_instance
+from .test_structure import (
+    cascade_oracle,
+    every_graph,
+    name_context,
+    stability_oracle,
+)
 
 PERFECT_TEXT = (
     "offline v1 v2\nonline u1 u2\nedge u1 v1\nedge u1 v2\nedge u2 v1\n"
@@ -150,9 +162,9 @@ class TestFileMode:
     def test_removal_suites_walk_their_side_in_order(self, example6, suite, side, monkeypatch):
         seen, real = [], suites._removal_failures
 
-        def recorded(one, core, x, paths=True):
+        def recorded(one, core, x, offline, p, paths=True):
             seen.append(x)
-            return real(one, core, x, paths)
+            return real(one, core, x, offline, p, paths)
 
         monkeypatch.setattr(suites, "_removal_failures", recorded)
         for inst in (example6, gen_random(4, 5, 0.5, 3)):
@@ -337,13 +349,13 @@ class TestFailurePath:
 
     @pytest.fixture
     def revisiting_path(self, monkeypatch):
-        real = structure._named  # steps back over a cascade's last edge: same edge set
+        real = structure._ids  # steps back over a cascade's last edge: same edge set
 
-        def revisiting(path, first, second):
-            named = real(path, first, second)
-            return named + named[-2:-1]
+        def revisiting(path, n):
+            ids = real(path, n)
+            return ids + ids[-2:-1]
 
-        monkeypatch.setattr(structure, "_named", revisiting)
+        monkeypatch.setattr(structure, "_ids", revisiting)
 
     def test_removal_suites_report_a_revisiting_cascade(self, example6, revisiting_path):
         text = serialize_instance(example6)
@@ -459,13 +471,8 @@ class TestFailurePath:
         _replays(result, suite_ranking_matching)
 
     def test_removal_suites_report_a_size_change(self, example6, monkeypatch):
-        real, ghost = suites._removal_diff, edge("u0", "v0")
-
-        def growing(core, x):  # the reduced matching gains an edge
-            d = real(core, x)
-            return replace(d, reduced=d.baseline | {ghost})
-
-        monkeypatch.setattr(suites, "_removal_diff", growing)
+        # the reduced matching is the baseline plus a new arrival's edge
+        monkeypatch.setattr(suites, "_cascade", _plus_an_edge(suites._cascade))
         result = suite_lemma7(1, 0, inst=example6)
         assert [(f.description, f.instance_text) for f in result.failures] == [
             (f"deleting {x!r} changed the size by -1", serialize_instance(example6))
@@ -479,15 +486,15 @@ class TestFailurePath:
         "module, name, fault, text",
         [
             (
-                structure, "_named", lambda real: lambda *args: real(*args)[::-1],
+                structure, "_ids", lambda real: lambda *args: real(*args)[::-1],
                 "cascade does not start at {x!r}",
             ),
             (
-                suites, "is_alternating_path", lambda real: lambda p, m: False,
+                suites, "_alternates", lambda real: lambda *args: False,
                 "cascade from {x!r} does not alternate against both matchings",
             ),
             (
-                suites, "vertices", lambda real: lambda m: frozenset(),
+                suites, "_covered", lambda real: lambda *args: set(),
                 "cascade from {x!r} has an uncovered interior vertex",
             ),
         ],
@@ -534,7 +541,7 @@ class TestFailurePath:
             assert f.description.startswith("cascade from ")
             assert f.instance_text == serialize_instance(example6)
 
-        def breach(core, xs, probe):
+        def breach(*args):
             raise GuardViolation("planted")
 
         monkeypatch.setattr(suites, "_stable", breach)
@@ -614,3 +621,237 @@ class TestFailurePath:
         assert all("unmatched after move to" in f.description for f in per_pair)
         assert last.instance_text == "" and "(moved 0, original 0)" in last.description
         _replays(result, suite_rank_move)
+
+
+# ---------------------------------------------------------------- name-level oracles
+#
+# The removal check of lemmas 7-9 and lemma 5's cases and check as they ran on
+# names, before the suites moved onto positions: the name-level removal diff,
+# ``is_alternating_path`` and ``vertices``, and a probe sampler that sorts the
+# names of both parties for every probe.  The position path must give the same
+# failures, text for text, with and without a fault planted in both.
+
+
+def removal_failures_oracle(
+    one, x, paths=True, cascade=cascade_oracle, alternates=is_alternating_path,
+    covered_by=vertices, reduced=None,
+):
+    """Deleting x: the size drops by 0 or 1, and (``paths``) along a cascade."""
+    m, m2, p = rank_match(one), rank_match(one.without_vertices({x})), None
+    if m != m2:
+        p = cascade(name_context(one, x in one.ranking, m), x, True)
+        if set(map(frozenset, zip(p, p[1:]))) != m ^ m2:
+            return [
+                f"deleting {x!r} changed the matching by {sorted(map(sorted, m ^ m2))}, "
+                f"not by the cascade path {list(p)}"
+            ]
+    m2 = m2 if reduced is None else reduced(m)
+    drop = len(m) - len(m2)
+    if drop not in (0, 1):
+        return [f"deleting {x!r} changed the size by {drop}"]
+    if not paths or p is None:
+        return []
+    if p[0] != x:
+        return [f"cascade does not start at {x!r}"]
+    if len(set(p)) != len(p):
+        return [f"cascade from {x!r} revisits a vertex"]
+    if not all(alternates(p, mm) for mm in (m, m2)):
+        return [f"cascade from {x!r} does not alternate against both matchings"]
+    covered = covered_by(m)
+    if any(v not in covered for v in p[:-1]):
+        return [f"cascade from {x!r} has an uncovered interior vertex"]
+    return []
+
+
+def guard_breaches(one, offline_removed, probe):
+    """The removed party's vertices that break ``check_removal_stability``'s
+    guard for ``probe``, on names."""
+    ctx = name_context(one, not offline_removed, rank_match(one))
+    rank = ctx.ranking._pos
+    cutoff = rank[probe] if probe in rank else rank.get(ctx.mate.get(probe))
+    return {
+        x for x in ctx.arrival
+        if cutoff is not None and rank.get(ctx.mate.get(x), -1) >= cutoff
+    }
+
+
+def lemma5_oracle(count, seed, inst=None, max_side=8, stable=stability_oracle, breaches=None):
+    """``suite_lemma5`` on names: its case count and its (description, text) failures."""
+    g, cases, failures = stream(seed, 0), 0, []
+    for _ in range(count if inst is None or inst.offline | inst.online else 0):
+        one = inst if inst is not None else suites._rand_instance(g, max_side)
+        from_arrival = g.below(2) == 0
+        party = sorted(one.online if from_arrival else one.offline)
+        probe = g.choice(sorted(one.offline | one.online))
+        bad = (breaches or guard_breaches)(one, not from_arrival, probe)
+        xs = frozenset(x for x in party if x not in bad and g.below(2) == 0)
+        cases += 1
+        try:
+            if stable(one, xs, probe):
+                continue
+            text = f"cascade from {probe!r} changed after deleting {sorted(xs)}"
+        except GuardViolation as e:
+            text = f"sampler produced a guard breach: {e}"
+        failures.append((text, serialize_instance(one)))
+    return cases, failures
+
+
+def _start_only(real):
+    return lambda x, zig_step, *arrays: [x] if zig_step else real(x, zig_step, *arrays)
+
+
+def _steps_back(path):
+    return path + path[-2:-1]
+
+
+def _plus_an_edge(real):
+    def growing(*args):  # the baseline plus a new arrival matched to ranked id 0
+        base, _, path = real(*args)
+        return base, [*base, 0], path
+
+    return growing
+
+
+#: a fault planted in both paths: (position seams to patch, oracle keywords)
+REMOVAL_FAULTS = {
+    "none": ({}, {}),
+    "walk stops at its start": (
+        {(structure, "_walk"): _start_only},
+        {"cascade": lambda ctx, x, zig_step: (x,)},
+    ),
+    "path reversed": (
+        {(structure, "_ids"): lambda real: lambda *args: real(*args)[::-1]},
+        {"cascade": lambda ctx, x, zig_step: cascade_oracle(ctx, x, zig_step)[::-1]},
+    ),
+    "path steps back": (
+        {(structure, "_ids"): lambda real: lambda *args: _steps_back(real(*args))},
+        {"cascade": lambda ctx, x, zig_step: _steps_back(cascade_oracle(ctx, x, zig_step))},
+    ),
+    "reduced is the baseline plus an edge": (
+        {(suites, "_cascade"): _plus_an_edge},
+        {"reduced": lambda m: m | {edge("u0", "v0")}},
+    ),
+    "nothing alternates": (
+        {(suites, "_alternates"): lambda real: lambda *args: False},
+        {"alternates": lambda p, m: False},
+    ),
+    "nothing is covered": (
+        {(suites, "_covered"): lambda real: lambda *args: set()},
+        {"covered_by": lambda m: frozenset()},
+    ),
+}
+
+
+def _plant(monkeypatch, seams):
+    for (module, name), fault in seams.items():
+        monkeypatch.setattr(module, name, fault(getattr(module, name)))
+
+
+def removal_mismatches(one, oracle_kwargs):
+    """The vertices of both parties, each with and without ``paths``, where
+    ``_removal_failures`` and its oracle give other failures."""
+    core = structure._Core(one.reach, len(one.arrival))
+    bad = []
+    for offline, party in ((True, one.ranking), (False, one.arrival)):
+        for p, x in enumerate(party):
+            for paths in (True, False):
+                got = suites._removal_failures(one, core, x, offline, p, paths)
+                if got != removal_failures_oracle(one, x, paths, **oracle_kwargs):
+                    bad.append((x, paths, got))
+    return bad
+
+
+class TestPositionsEqualNameLevel:
+    """The structural suites on positions against the name-level check they replaced."""
+
+    @pytest.mark.parametrize("fault", REMOVAL_FAULTS)
+    def test_removal_on_every_three_by_three_graph(self, fault, monkeypatch):
+        seams, kwargs = REMOVAL_FAULTS[fault]
+        _plant(monkeypatch, seams)
+        failing = 0
+        for one in every_graph("v1 v2 v3", "u1 u2 u3"):
+            assert removal_mismatches(one, kwargs) == [], serialize_instance(one)
+            failing += any(removal_failures_oracle(one, x, True, **kwargs) for x in one.arrival)
+        assert (failing > 0) == (fault != "none")
+
+    def test_removal_on_every_sixteenth_four_by_four_graph(self):
+        for one in every_graph("v1 v2 v3 v4", "u1 u2 u3 u4", step=16):
+            assert removal_mismatches(one, {}) == [], serialize_instance(one)
+
+    @settings(max_examples=60, deadline=None)
+    @given(instances(max_side=6), st.sampled_from(sorted(REMOVAL_FAULTS)))
+    def test_removal_on_random_instances(self, one, fault):
+        seams, kwargs = REMOVAL_FAULTS[fault]
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            _plant(monkeypatch, seams)
+            assert removal_mismatches(one, kwargs) == []
+
+    @pytest.mark.parametrize("fault", ["none", "walk stops at its start", "path steps back"])
+    @pytest.mark.parametrize("suite", [suite_lemma7, suite_lemma8, suite_lemma9])
+    def test_removal_suites_in_random_mode(self, suite, fault, monkeypatch):
+        seams, kwargs = REMOVAL_FAULTS[fault]
+        _plant(monkeypatch, seams)
+        cases, real, failing = [], suites._removal_failures, 0
+
+        def recorded(one, core, x, offline, p, paths=True):
+            cases.append((one, x, paths))
+            return real(one, core, x, offline, p, paths)
+
+        monkeypatch.setattr(suites, "_removal_failures", recorded)
+        for seed in range(20):
+            cases.clear()
+            result = suite(15, seed, max_side=5)
+            expected = [
+                (text, serialize_instance(one))
+                for one, x, paths in cases
+                for text in removal_failures_oracle(one, x, paths, **kwargs)
+            ]
+            assert result.cases == len(cases) == 15
+            assert [(f.description, f.instance_text) for f in result.failures] == expected
+            failing += len(expected)
+        # lemma 9 checks no path, so a path that steps back passes it
+        quiet = fault == "none" or suite is suite_lemma9 and fault == "path steps back"
+        assert (failing == 0) == quiet
+
+    @staticmethod
+    def lemma5_faults(monkeypatch, fault):
+        """Oracle keywords for a fault planted in both lemma-5 paths."""
+        if fault == "cascade always moves":
+            monkeypatch.setattr(suites, "_stable", lambda *args: False)
+            return {"stable": lambda *args: False}
+        if fault == "sampler ignores the guard":
+            real = suites._stability_guard
+            monkeypatch.setattr(suites, "_stability_guard", lambda *args: (*real(*args)[:2], -1))
+            return {"breaches": lambda *args: set()}
+        return {}
+
+    def same_lemma5(self, count, seed, inst=None, max_side=8, **kwargs):
+        result = suite_lemma5(count, seed, inst=inst, max_side=max_side)
+        got = result.cases, [(f.description, f.instance_text) for f in result.failures]
+        assert got == lemma5_oracle(count, seed, inst, max_side, **kwargs)
+        return got[1]
+
+    FAULTS5 = ["none", "cascade always moves", "sampler ignores the guard"]
+
+    @pytest.mark.parametrize("fault", FAULTS5)
+    def test_lemma5_on_every_three_by_three_graph(self, fault, monkeypatch):
+        kwargs, failing = self.lemma5_faults(monkeypatch, fault), 0
+        for k, one in enumerate(every_graph("v1 v2 v3", "u1 u2 u3")):
+            failing += bool(self.same_lemma5(6, k, one, **kwargs))
+        assert (failing > 0) == (fault != "none")
+
+    def test_lemma5_on_every_sixteenth_four_by_four_graph(self):
+        for k, one in enumerate(every_graph("v1 v2 v3 v4", "u1 u2 u3 u4", step=16)):
+            self.same_lemma5(4, k, one)
+
+    @settings(max_examples=60, deadline=None)
+    @given(instances(max_side=6), st.integers(0, 2**32), st.sampled_from(FAULTS5))
+    def test_lemma5_on_random_instances(self, one, seed, fault):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            self.same_lemma5(8, seed, one, **self.lemma5_faults(monkeypatch, fault))
+
+    @pytest.mark.parametrize("fault", FAULTS5)
+    def test_lemma5_in_random_mode(self, fault, monkeypatch):
+        kwargs = self.lemma5_faults(monkeypatch, fault)
+        failures = [self.same_lemma5(15, seed, max_side=5, **kwargs) for seed in range(20)]
+        assert any(failures) == (fault != "none")

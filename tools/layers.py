@@ -1,0 +1,235 @@
+"""Per-layer timings of rankinglab on fixed inputs: BENCH_<pr>.json.
+
+Run from the repository root, with no bytecode cache under the timed sources:
+
+    python3 tools/layers.py --src parent=../parent/src --src change=src --out BENCH_31.json
+
+Each row times one entry point, or one CLI command run in-process, on
+inputs made from fixed seeds and sizes.  Each column (``--src LABEL=PATH``,
+default ``change`` on this checkout's ``src``) imports ``rankinglab`` from
+the ``src`` directory PATH in a process of its own; the runs of a row
+alternate between the columns.  A row runs ``--repeats`` times a column
+(default 7), and its thread CPU time is reported as the min and the median,
+in milliseconds, with the machine and the Python version.  Every row's entry
+point exists since the parse and the Monte Carlo lanes took their current
+form, so older checkouts can be timed too.  ``--quick`` shrinks every input
+to its smallest size, for a smoke test.
+
+A ``__pycache__`` under the timed sources would let that side skip
+compiling and read low, so the script refuses to run while one exists, and
+its processes write none.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from subprocess import PIPE
+from typing import Callable, Dict, List, Tuple
+
+sys.dont_write_bytecode = True
+
+ROOT = Path(__file__).resolve().parent.parent
+STRUCTURAL = ("ranking-matching", "lemma5", "lemma6", "lemma7", "lemma8", "lemma9", "rank-move")
+#: per row family, (full size, --quick size)
+SIZES = {
+    "shuffle": (100_000, 1_000),
+    "side": (400, 30),
+    "tally": (8, 4),
+    "mc_bytes": ((24, 5000), (8, 100)),
+    "mc_wide": ((400, 200), (50, 10)),
+    "stair": (580, 20),
+    "files": (8, 2),
+}
+
+
+def _program(src: Path):
+    if not (src / "rankinglab" / "__init__.py").is_file():
+        sys.exit(f"error: no rankinglab sources under {src}")
+    sys.path.insert(0, str(src))
+    import rankinglab
+    import rankinglab.cli
+
+    if Path(rankinglab.__file__).resolve().parent != src.resolve() / "rankinglab":
+        sys.exit(f"error: rankinglab imported from {rankinglab.__file__}, not {src}")
+    return rankinglab
+
+
+def _staircase(rl, n: int):
+    """u_i adjacent to v_i and v_(i+1): deleting v1 cascades along all 2n vertices."""
+    v = [f"v{i}" for i in range(1, n + 1)]
+    u = [f"u{i}" for i in range(1, n + 1)]
+    edges = [(u[i], v[i]) for i in range(n)] + [(u[i], v[i + 1]) for i in range(n - 1)]
+    return rl.BipartiteInstance(edges, rl.Permutation(v), rl.Permutation(u))
+
+
+def rows(rl, tmp: Path, quick: bool) -> List[Tuple[str, Callable[[], object]]]:
+    """(name, callable) for every row, with its inputs made up front."""
+    from rankinglab.engine import _greedy, _max_matching_size
+    from rankinglab.probability import _tally
+
+    def size(key):
+        return SIZES[key][quick]
+
+    side = size("side")
+    big = rl.gen_random(side, side, 0.1, 1)
+    big_text = rl.serialize_instance(big)
+    reach, arrivals = big.reach, len(big.arrival)
+    tally = rl.gen_perfect(size("tally"), 0.4, 1)[0]
+    (n_b, k_b), (n_w, k_w) = size("mc_bytes"), size("mc_wide")
+    mc_bytes = rl.gen_perfect(n_b, 0.3, 5)[0]
+    mc_wide = rl.gen_random(n_w, n_w, 0.05, 1)
+    stair = _staircase(rl, size("stair"))
+
+    def write(name, inst):
+        path = tmp / name
+        path.write_text(rl.serialize_instance(inst), encoding="utf-8")
+        return str(path)
+
+    big_file, mc_file = write("big.obm", big), write("mcb.obm", mc_bytes)
+    exact_file = write("p.obm", tally)
+    # the check workload's shape: small files of 3 to 8 a side, 20 probes each
+    files = [
+        (write(f"r{k}.obm", rl.gen_random(3 + k % 6, 3 + (k + 2) % 6, 0.3 + 0.1 * (k % 5), k)),
+         write(f"p{k}.obm", rl.gen_perfect(3 + k % 4, 0.3, k)[0]))
+        for k in range(size("files"))
+    ]
+
+    def cli(*argv):
+        return lambda: rl.cli.main(list(argv))
+
+    def check(suite):
+        def go():  # rank-move needs a perfect matching
+            for plain, planted in files:
+                path = planted if suite == "rank-move" else plain
+                rl.cli.main(["check", path, "--suite", suite, "--count", "20", "--seed", "1"])
+
+        return go
+
+    out = [
+        ("rng.shuffled", lambda: rl.stream(7, 0).shuffled(range(size("shuffle")))),
+        ("fileformat.parse_instance", lambda: rl.parse_instance(big_text)),
+        ("engine._greedy", lambda: _greedy(reach, range(len(reach)), arrivals)),
+        ("engine._max_matching_size", lambda: _max_matching_size(reach, arrivals)),
+        ("probability._tally", lambda: _tally(tally.reach, len(tally.arrival))),
+        ("probability.mc_expected_size bytes", lambda: rl.mc_expected_size(mc_bytes, k_b, 1)),
+        ("probability.mc_expected_size wide", lambda: rl.mc_expected_size(mc_wide, k_w, 1)),
+        ("structure.removal_diff_offline", lambda: rl.removal_diff_offline(stair, "v1")),
+        ("cli run", cli("run", big_file)),
+        ("cli exact", cli("exact", exact_file)),
+        ("cli mc", cli("mc", mc_file, "--samples", str(k_b), "--seed", "1")),
+        ("cli bound", cli("bound", "--n", "50", "--exact")),
+        ("cli gamma", cli("gamma", "--n", "2" if not quick else "1")),
+        ("cli gen", cli("gen", "random", "--offline", str(side), "--online", str(side),
+                        "--edge-prob", "0.1", "--seed", "1", "--out", str(tmp / "gen.obm"))),
+    ]
+    out += [(f"cli check --suite {s}", check(s)) for s in STRUCTURAL]
+    return out
+
+
+def serve(src: Path, quick: bool) -> int:
+    """Import ``src``, print the row names, then run row k for each k read from stdin."""
+    rl, out = _program(src), sys.stdout
+    quiet = contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO())
+    with tempfile.TemporaryDirectory() as tmp, quiet[0], quiet[1]:
+        table = rows(rl, Path(tmp), quick)
+        rl.cli.main(["bound", "--n", "1"])  # the CLI builds its parser once
+        print(json.dumps([name for name, _ in table]), file=out, flush=True)
+        for line in sys.stdin:
+            call = table[int(line)][1]
+            t0 = time.thread_time()
+            call()
+            print((time.thread_time() - t0) * 1000.0, file=out, flush=True)
+    return 0
+
+
+def measure(cols: Dict[str, Path], repeats: int, quick: bool) -> Dict[str, dict]:
+    """Each row's min and median thread CPU time per column, in ms.
+
+    One process per column; the runs of a row alternate between them, the
+    order flipping every repeat, so that a drift in host speed hits all alike.
+    """
+    for src in cols.values():
+        caches = sorted(str(p) for p in src.rglob("__pycache__"))
+        if caches:
+            sys.exit(f"error: remove the bytecode caches first: {' '.join(caches)}")
+    argv = [sys.executable, "-B", __file__, *(["--quick"] if quick else []), "--serve"]
+    procs = {
+        label: subprocess.Popen([*argv, str(src)], stdin=PIPE, stdout=PIPE, text=True)
+        for label, src in cols.items()
+    }
+    try:
+        names = {label: json.loads(p.stdout.readline() or "null") for label, p in procs.items()}
+        table = next(iter(names.values()))
+        if table is None or any(n != table for n in names.values()):
+            sys.exit(f"error: the columns do not list the same rows: {names}")
+        out = {}
+        for k, name in enumerate(table):
+            times: Dict[str, List[float]] = {label: [] for label in procs}
+            for r in range(repeats):
+                for label in list(procs)[:: 1 - 2 * (r % 2)]:
+                    procs[label].stdin.write(f"{k}\n")
+                    procs[label].stdin.flush()
+                    times[label].append(float(procs[label].stdout.readline()))
+            out[name] = {
+                label: {"min_ms": round(min(ts), 3), "median_ms": round(statistics.median(ts), 3)}
+                for label, ts in times.items()
+            }
+        return out
+    finally:
+        for p in procs.values():
+            p.stdin.close()
+            p.wait()
+
+
+def machine() -> str:
+    cpu = platform.processor() or platform.machine()
+    with contextlib.suppress(OSError):
+        for line in Path("/proc/cpuinfo").read_text().splitlines():
+            if line.startswith("model name"):
+                cpu = line.split(":", 1)[1].strip()
+                break
+    return f"{cpu}, {os.cpu_count()} CPUs, {platform.system()} {platform.release()}"
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    p.add_argument("--src", action="append", metavar="LABEL=PATH",
+                   help="a column: its label and the src directory to import rankinglab "
+                        "from (default: change=this checkout's src)")
+    p.add_argument("--repeats", type=int, default=7)
+    p.add_argument("--quick", action="store_true", help="every input at its smallest size")
+    p.add_argument("--out", type=Path, help="store the columns in this JSON file")
+    p.add_argument("--serve", type=Path, help=argparse.SUPPRESS)
+    args = p.parse_args(argv)
+    if args.serve is not None:
+        return serve(args.serve, args.quick)
+    if args.repeats < 1:
+        p.error("--repeats must be at least 1")
+    specs = args.src or [f"change={ROOT / 'src'}"]
+    if not all("=" in spec for spec in specs):
+        p.error("--src takes LABEL=PATH")
+    cols = {label: Path(path) for label, path in (spec.split("=", 1) for spec in specs)}
+    doc = {"machine": machine(), "python": platform.python_version(),
+           "repeats": args.repeats, "quick": args.quick, "unit": "thread CPU ms",
+           "columns": list(cols), "rows": measure(cols, args.repeats, args.quick)}
+    text = json.dumps(doc, indent=1) + "\n"
+    if args.out is None:
+        sys.stdout.write(text)
+    else:
+        args.out.write_text(text, encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
