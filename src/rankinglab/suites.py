@@ -112,17 +112,19 @@ def _rand_instance(g: SplitMix64, max_side: int) -> BipartiteInstance:
     return gen_random(n_off, n_on, p, g.next_u64())
 
 
-def _prepared(one: BipartiteInstance) -> tuple:
-    """An instance, its core, and every vertex as (name, offline, position) by name."""
+_prepared = lambda one: (one, _Core(one.reach, len(one.arrival)))  # noqa: E731
+
+
+def _by_name(one: BipartiteInstance) -> list:
+    """Every vertex as (name, offline, position), in name order."""
     parties = ((True, one.ranking), (False, one.arrival))
-    every = sorted((x, o, p) for o, party in parties for p, x in enumerate(party))
-    return one, _Core(one.reach, len(one.arrival)), every
+    return sorted((x, o, p) for o, party in parties for p, x in enumerate(party))
 
 
 def _probes(
     count: int, inst: Optional[BipartiteInstance], g: SplitMix64, max_side: int
 ) -> Iterator[tuple]:
-    """``count`` probe instances, ``_prepared``: ``inst`` (none if it has no
+    """``count`` probe instances with their cores: ``inst`` (none if it has no
     vertex) once, else fresh draws."""
     given = inst and _prepared(inst)
     for _ in range(count if inst is None or inst.offline | inst.online else 0):
@@ -134,10 +136,10 @@ def _vertex_cases(
 ) -> Iterator[tuple]:
     """Every vertex ``side`` lists on ``inst``, else ``count`` drawn cases from
     ``seed``: an instance, redrawn while ``side`` lists none, then a vertex.
-    ``side`` takes the instance ``_prepared``; a vertex is (name, offline, position)."""
+    ``side`` takes the instance and its core; a vertex is (name, offline, position)."""
     if inst is not None:
         made = _prepared(inst)
-        yield from ((*made[:2], *v) for v in side(*made))
+        yield from ((*made, *v) for v in side(*made))
         return
     g = stream(seed, 0)
     for _ in range(count):
@@ -147,7 +149,7 @@ def _vertex_cases(
                 break
         else:
             raise RuntimeError("failed to draw an instance with a nonempty matching")
-        yield (*made[:2], *g.choice(xs))
+        yield (*made, *g.choice(xs))
 
 
 def _rand_planted(g: SplitMix64, max_side: int, cap: int) -> tuple:
@@ -238,7 +240,9 @@ def suite_lemma5(
     g = stream(seed, 0)
 
     def cases():  # each party's members in name order, a draw for each that keeps the guard
-        for one, core, every in _probes(count, inst, g, max_side):
+        given = inst and _by_name(inst)  # a given instance is sorted once
+        for one, core in _probes(count, inst, g, max_side):
+            every = given or _by_name(one)
             removed = g.below(2) != 0  # the party, by ``offline``
             probe = g.choice(every)
             frame, _, cutoff = _stability_guard(core, removed, *probe[1:])
@@ -263,12 +267,11 @@ def suite_lemma6(
     """Reduced-graph zig equals original-graph zag at every matched vertex."""
 
     def check(one: BipartiteInstance, core: _Core, x: str, offline: bool, q: int) -> List[str]:
-        if _zig_zag_symmetric(core, offline, q):
-            return []
-        return [f"zig and zag disagree after deleting {x!r}"]
+        return [] if _zig_zag_symmetric(core, offline, q) else [
+            f"zig and zag disagree after deleting {x!r}"]
 
-    def matched(one: BipartiteInstance, core: _Core, every: list) -> list:  # by name
-        return [v for v in every if core.frames[not v[1]].mate_a[v[2]] >= 0]
+    def matched(one: BipartiteInstance, core: _Core) -> list:  # by name
+        return [v for v in _by_name(one) if core.frames[not v[1]].mate_a[v[2]] >= 0]
 
     return _run("lemma6", _vertex_cases(count, inst, seed, max_side, matched), check)
 
@@ -295,7 +298,7 @@ def _removal_failures(
         base, cut, path = _cascade(core, offline, p, one)
     except DichotomyViolation as e:
         return [str(e)]
-    drop = (cut.count(-1) - base.count(-1) + len(base) - len(cut)) // 2
+    drop = (len(base) - base.count(-1)) - (len(cut) - cut.count(-1))
     if drop not in (0, 1):
         return [f"deleting {x!r} changed the size by {drop}"]
     if not paths or path is None:
@@ -307,8 +310,7 @@ def _removal_failures(
     n = len(one.ranking if offline else one.arrival)
     if not all(_alternates(path, m, n) for m in (base, cut)):
         return [f"cascade from {x!r} does not alternate against both matchings"]
-    covered = _covered(base, n)
-    if any(v not in covered for v in path[:-1]):
+    if not _covered(base, n).issuperset(path[:-1]):
         return [f"cascade from {x!r} has an uncovered interior vertex"]
     return []
 
@@ -337,9 +339,8 @@ def suite_lemma9(
 
     def cases():
         # sides alternate, arrival side first; an empty side yields to the other
-        for k, (one, core, _) in enumerate(_probes(count, inst, g, max_side)):
-            sides = (one.arrival, one.ranking)
-            side = sides[k % 2] or sides[1 - k % 2]
+        for k, (one, core) in enumerate(_probes(count, inst, g, max_side)):
+            side = (one.arrival, one.ranking)[k % 2] or (one.ranking, one.arrival)[k % 2]
             p = g.below(len(side))
             yield one, core, side[p], side is one.ranking, p
 

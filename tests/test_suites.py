@@ -482,6 +482,24 @@ class TestFailurePath:
         assert result.cases == len(result.failures) == 10
         _replays(result, suite_lemma7)
 
+    def test_removal_suites_report_a_size_drop_of_two(self, example6, monkeypatch):
+        # the reduced matching is the baseline less two of its pairs
+        monkeypatch.setattr(suites, "_cascade", _minus_two_pairs(suites._cascade))
+        result = suite_lemma7(1, 0, inst=example6)
+        expected = [
+            (f"deleting {x!r} changed the size by 2", serialize_instance(example6))
+            for x in example6.arrival
+        ]
+        assert [(f.description, f.instance_text) for f in result.failures] == expected
+        assert [
+            (text, serialize_instance(example6))
+            for x in example6.arrival
+            for text in removal_failures_oracle(example6, x, reduced=_less_two_edges)
+        ] == expected
+        result = suite_lemma8(10, 2, max_side=4)
+        assert result.failures
+        _replays(result, suite_lemma8)
+
     @pytest.mark.parametrize(
         "module, name, fault, text",
         [
@@ -712,6 +730,19 @@ def _plus_an_edge(real):
     return growing
 
 
+def _minus_two_pairs(real):
+    def shrinking(*args):  # the baseline less its first two pairs by arrival position
+        base, _, path = real(*args)
+        gone = [j for j, i in enumerate(base) if i >= 0][:2]
+        return base, [-1 if j in gone else i for j, i in enumerate(base)], path
+
+    return shrinking
+
+
+def _less_two_edges(m):
+    return m - set(sorted(m, key=sorted)[:2])
+
+
 #: a fault planted in both paths: (position seams to patch, oracle keywords)
 REMOVAL_FAULTS = {
     "none": ({}, {}),
@@ -730,6 +761,10 @@ REMOVAL_FAULTS = {
     "reduced is the baseline plus an edge": (
         {(suites, "_cascade"): _plus_an_edge},
         {"reduced": lambda m: m | {edge("u0", "v0")}},
+    ),
+    "reduced is the baseline less two pairs": (
+        {(suites, "_cascade"): _minus_two_pairs},
+        {"reduced": _less_two_edges},
     ),
     "nothing alternates": (
         {(suites, "_alternates"): lambda real: lambda *args: False},
