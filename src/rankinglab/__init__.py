@@ -24,22 +24,11 @@ from .generators import gamma_min_ratio, gen_gamma_family, gen_perfect, gen_rand
 from .graph import (
     Edge,
     Vertex,
-    all_matchings,
     bipartite_max_matching,
     edge,
-    find_augmenting_path,
-    is_alternating_path,
-    is_augmenting_path,
     is_bipartite,
     is_matching,
-    is_maximal_matching,
-    make_perfect_matching,
-    max_card_matching,
-    neighbors,
     partner,
-    path_edges,
-    remove_vertices,
-    symmetric_difference,
     vertices,
 )
 from .probability import (
@@ -49,20 +38,15 @@ from .probability import (
     LIMIT_RATIO,
     McEstimate,
     RatioVerdict,
-    check_lemma3,
     check_theorem4,
     check_theorem6,
     competitive_bound,
     competitive_bound_exact,
     exact_expected_size,
     exact_size_distribution,
-    expected_matched_before_count,
     lemma3_chain,
-    matched_before_prob,
     mc_expected_size,
     perfect_matching_of,
-    rank_matched_prob,
-    rank_matched_prob_moved,
 )
 from .rng import SplitMix64, stream
 from .structure import (

@@ -49,10 +49,10 @@ from .probability import (
     DEFAULT_CAP,
     CapExceeded,
     LIMIT_RATIO,
-    check_theorem6,
+    _distribution,
+    _theorem6,
     competitive_bound,
     competitive_bound_exact,
-    exact_size_distribution,
     mc_expected_size,
 )
 from .reporting import CSV_HEADER, exact_row, fmt_cell, row_line
@@ -86,12 +86,12 @@ def cmd_run(args) -> int:
 def cmd_exact(args) -> int:
     inst = _load(args.file)
     t0 = time.perf_counter()
-    verdict = check_theorem6(inst, args.cap)
+    verdict, counts = _theorem6(inst, args.cap)
     ms = (time.perf_counter() - t0) * 1000.0
     print(CSV_HEADER)
     print(row_line(exact_row(fingerprint(inst), verdict, ms)))
-    if args.dist:  # by increasing size
-        for size, p in exact_size_distribution(inst, args.cap).items():
+    if args.dist:  # by increasing size, from the counts the verdict's mean was read off
+        for size, p in _distribution(counts, len(inst.ranking)).items():
             print(f"dist {size} {p}")
     return 0 if verdict.holds else 1
 

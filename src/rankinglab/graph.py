@@ -8,20 +8,19 @@ mutates its arguments and every returned collection is immutable.
 Vertex names carry a total order (plain string comparison) that is used only
 to make searches deterministic, never to encode meaning.
 
-Maximum matchings come from two searches that return the same matching.
-``max_card_matching`` repeats the exhaustive augmenting-path search of
-``find_augmenting_path``; it is complete on any graph, odd cycles included,
-and stays as the general-graph oracle.  ``bipartite_max_matching`` is one
-name-ordered pass of Kuhn's augmenting-path method, which is polynomial; it
-designates the perfect matching M* of an instance and serves the tests.
-Callers that need only a maximum matching's size (``mc``, the theorem 4 and
-6 checks, the hard-family filter) use ``engine._max_matching_size`` on the
-``reach`` masks instead, with no edge set built.
+The maximum matching is ``bipartite_max_matching``, one name-ordered pass of
+Kuhn's augmenting-path method, which is polynomial; it designates the
+perfect matching M* of an instance.  Callers that need only a maximum
+matching's size (``mc``, the theorem 4 and 6 checks, the hard-family
+filter) use ``engine._max_matching_size`` on the ``reach`` masks instead,
+with no edge set built.  The exhaustive general-graph search it is held to,
+and the rest of the name-level set algebra the tests use, are in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
-from typing import AbstractSet, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import AbstractSet, Dict, Iterable, List, Optional
 
 Vertex = str
 Edge = frozenset
@@ -40,15 +39,6 @@ def vertices(g: Iterable[Edge]) -> frozenset:
     out: set = set()
     for e in g:
         out.update(e)
-    return frozenset(out)
-
-
-def neighbors(g: Iterable[Edge], v: Vertex) -> frozenset:
-    """The vertices adjacent to v in g."""
-    out = set()
-    for e in g:
-        if v in e:
-            out.update(e - {v})
     return frozenset(out)
 
 
@@ -74,21 +64,6 @@ def is_matching(m: Iterable[Edge]) -> bool:
     return True
 
 
-def is_maximal_matching(g: AbstractSet, m: AbstractSet) -> bool:
-    """True iff m is a matching and no edge of g extends it.
-
-    Raises ValueError when m is not a subset of g; that always signals a bug
-    in the caller rather than a property worth reporting false for.
-    """
-    mset = frozenset(m)
-    if not mset <= frozenset(g):
-        raise ValueError("m must be a subset of g")
-    if not is_matching(mset):
-        return False
-    covered = vertices(mset)
-    return all(e & covered for e in g)
-
-
 def _mate_map(m: Iterable[Edge]) -> Dict[Vertex, Vertex]:
     """Each vertex the matching m (of two-vertex edges) covers, mapped to its partner."""
     return {x: y for a, b in m for x, y in ((a, b), (b, a))}
@@ -103,116 +78,6 @@ def partner(m: Iterable[Edge], v: Vertex) -> Optional[Vertex]:
                 raise ValueError(f"{v!r} is covered twice; not a matching")
             (found,) = e - {v}
     return found
-
-
-def remove_vertices(g: Iterable[Edge], xs: AbstractSet) -> frozenset:
-    """The subgraph left after deleting the vertices xs and their edges."""
-    return frozenset(e for e in g if not (e & xs))
-
-
-def symmetric_difference(m1: Iterable[Edge], m2: Iterable[Edge]) -> frozenset:
-    """Edges in exactly one of the two sets."""
-    return frozenset(m1) ^ frozenset(m2)
-
-
-def path_edges(p: Sequence[Vertex]) -> List[Edge]:
-    """The consecutive edges of a vertex path.
-
-    A path is a sequence of pairwise distinct vertices; anything else is a
-    malformed input and raises ValueError.
-    """
-    if len(set(p)) != len(p):
-        raise ValueError("path vertices must be pairwise distinct")
-    return [frozenset((p[i], p[i + 1])) for i in range(len(p) - 1)]
-
-
-def is_alternating_path(p: Sequence[Vertex], e: AbstractSet) -> bool:
-    """Whether the edges of p alternate against the edge set e.
-
-    Membership is tested against a witness set E' that is either e itself or
-    disjoint from e; edges at even positions (counting from one) must lie in
-    E', edges at odd positions must not.  With E' = e this is the familiar
-    out-in-out pattern.  The disjoint witness can always be taken to be the
-    even-position edges themselves, so that phase reduces to those edges
-    avoiding e.  Paths with at most one edge alternate vacuously.
-    """
-    es = path_edges(p)
-    eset = frozenset(e)
-    evens_in = all(x in eset for x in es[1::2])
-    odds_out = all(x not in eset for x in es[0::2])
-    if odds_out and evens_in:
-        return True
-    return all(x not in eset for x in es[1::2])
-
-
-def is_augmenting_path(p: Sequence[Vertex], m: AbstractSet) -> bool:
-    """Whether flipping p along m would grow the matching m by one edge.
-
-    The edges of p must strictly alternate starting outside m, the path needs
-    at least two vertices, and both ends must be uncovered by m.
-    """
-    if len(p) < 2:
-        return False
-    es = path_edges(p)
-    mset = frozenset(m)
-    if any(x in mset for x in es[0::2]):
-        return False
-    if any(x not in mset for x in es[1::2]):
-        return False
-    covered = vertices(mset)
-    return p[0] not in covered and p[-1] not in covered
-
-
-def find_augmenting_path(g: AbstractSet, m: AbstractSet) -> Optional[List[Vertex]]:
-    """A deterministic augmenting path for m in g, or None.
-
-    Performs an exhaustive alternating depth-first search from every
-    uncovered vertex in ascending name order, visiting neighbors in ascending
-    name order.  Backtracking keeps the search complete on any finite graph,
-    including non-bipartite ones, at an exponential worst case.  It is kept
-    as the search behind ``max_card_matching``, the general-graph oracle
-    that ``bipartite_max_matching`` is tested against edge for edge.
-    """
-    mset = frozenset(m)
-    gset = frozenset(g)
-    if not is_matching(mset):
-        raise ValueError("m must be a matching")
-    if not mset <= gset:
-        raise ValueError("m must be a subset of g")
-    adj = {v: sorted(neighbors(gset, v)) for v in vertices(gset)}
-    mate = _mate_map(mset)  # its keys are the vertices m covers
-
-    def extend(path: List[Vertex], seen: frozenset) -> Optional[List[Vertex]]:
-        # the last path vertex is free or was entered along its matched edge,
-        # so every unseen neighbor continues with a non-matching edge
-        for w in adj[path[-1]]:
-            if w in seen:
-                continue
-            if w not in mate:
-                return path + [w]
-            x = mate[w]
-            if x in seen:
-                continue
-            found = extend(path + [w, x], seen | {w, x})
-            if found is not None:
-                return found
-        return None
-
-    for s in sorted(vertices(gset) - mate.keys()):
-        found = extend([s], frozenset((s,)))
-        if found is not None:
-            return found
-    return None
-
-
-def max_card_matching(g: AbstractSet) -> frozenset:
-    """A maximum-cardinality matching of g, deterministically chosen."""
-    m: frozenset = frozenset()
-    while True:
-        p = find_augmenting_path(g, m)
-        if p is None:
-            return m
-        m = symmetric_difference(m, path_edges(p))
 
 
 def _two_colour(adj: Dict[Vertex, List[Vertex]]) -> None:
@@ -234,7 +99,7 @@ def _two_colour(adj: Dict[Vertex, List[Vertex]]) -> None:
 
 
 def bipartite_max_matching(g: AbstractSet) -> frozenset:
-    """``max_card_matching(g)`` on a bipartite graph, in polynomial time.
+    """``tests/oracles.py``'s ``max_card_matching(g)`` on a bipartite graph, in polynomial time.
 
     Kuhn's augmenting-path method (1955), run in name order: one pass over
     the vertices in ascending name order, and from each one still uncovered
@@ -284,38 +149,3 @@ def bipartite_max_matching(g: AbstractSet) -> frozenset:
             path += (w, x)
             stack.append(iter(adj[x]))
     return frozenset(frozenset((a, b)) for a, b in mate.items() if a < b)
-
-
-def make_perfect_matching(g: AbstractSet, m: AbstractSet) -> frozenset:
-    """The subgraph of g left after deleting every vertex m does not cover.
-
-    Deleting a vertex outside m takes no edge of m with it, so the result
-    contains all of m, and m is perfect with respect to it.
-    """
-    mset = frozenset(m)
-    if not is_matching(mset):
-        raise ValueError("m must be a matching")
-    gg = frozenset(g)
-    if not mset <= gg:
-        raise ValueError("m must be a subset of g")
-    return remove_vertices(gg, vertices(gg) - vertices(mset))
-
-
-def all_matchings(g: AbstractSet) -> Iterator[frozenset]:
-    """Every matching contained in g, the empty one included.
-
-    Deterministic order; the number of results is the number of matchings,
-    not the number of edge subsets, so this stays cheap on small graphs.
-    """
-    es: List[Edge] = sorted(g, key=sorted)
-
-    def rec(i: int, used: frozenset, acc: Tuple[Edge, ...]) -> Iterator[frozenset]:
-        if i == len(es):
-            yield frozenset(acc)
-            return
-        yield from rec(i + 1, used, acc)
-        e = es[i]
-        if not (e & used):
-            yield from rec(i + 1, used | e, acc + (e,))
-
-    yield from rec(0, frozenset(), ())

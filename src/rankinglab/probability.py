@@ -9,26 +9,14 @@ earliest-arriving free neighbor, so a pass over states (offline vertices
 still to come, free arrivals) counts rankings.  It reads an index, not an
 instance: a ``reach`` mask per offline id and the number of arrivals.  The
 size distribution and its mean, the expected size, read its last layer;
-``lemma3_chain`` has the same pass count the matches at each rank too.  A
-table of the matcher's outcome under every ranking backs only the public
-per-t functions, the chain's test oracle.  Beyond the cap,
-``mc_expected_size`` gives a seeded, bit-reproducible Monte Carlo estimate,
-read off a histogram of the sampled sizes.
+``lemma3_chain`` has the same pass count the matches at each rank too.
+Beyond the cap, ``mc_expected_size`` gives a seeded, bit-reproducible Monte
+Carlo estimate, read off a histogram of the sampled sizes.
 
 The per-rank quantities connect into a chain that ``lemma3_chain`` builds
-from that one pass on a perfect instance, designating no perfect matching,
-and the check functions verify link by link on enumerated instances:
-
-* ``rank_matched_prob(t)``, the probability that the vertex at rank t ends
-  up matched;
-* ``rank_matched_prob_moved(t)``, the same probability computed over a
-  different sample space (draw a ranking and an independent uniform vertex,
-  move the vertex to rank t), which must agree exactly;
-* ``matched_before_prob(t)``, the probability that the designated partner of
-  a uniformly drawn vertex is matched to rank t or better; and
-* ``expected_matched_before_count(t)``, the expected number of arrivals
-  matched to rank t or better, which is n times the previous quantity and
-  also the prefix sum of the rank probabilities.
+from that one pass on a perfect instance, designating no perfect matching.
+Its test oracles, per-t functions on a table of the matcher's outcome under
+every ranking, are in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -39,12 +27,11 @@ import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import permutations
 from typing import AbstractSet, Dict, Optional, Tuple
 
-from .engine import BipartiteInstance, _greedy, _max_matching_size, _move_id
+from .engine import BipartiteInstance, _max_matching_size
 from .fileformat import fingerprint
-from .graph import _mate_map, bipartite_max_matching, is_matching, vertices
+from .graph import bipartite_max_matching, is_matching, vertices
 from .rng import _GOLDEN, _MASK, stream
 
 DEFAULT_CAP = 8
@@ -108,30 +95,6 @@ def _check_cap(inst: BipartiteInstance, cap: int) -> None:
         )
 
 
-def _check_t(t: int, n: int) -> None:
-    if not 1 <= t <= n:
-        raise ValueError(f"rank t={t} out of range 1..{n}")
-
-
-def _ensemble(inst: BipartiteInstance):
-    """Matcher outcomes for every ranking of the offline party.
-
-    Maps each permutation of ranking positions (``inst.reach`` numbering;
-    the identity is ``inst.ranking``) to a pair (set of matched ranks,
-    partner rank per arrival), each row one ``engine._greedy`` run.  Only
-    the public per-t functions read it, as the test oracle of the dynamic
-    program in ``_tally``; the CLI, the suites and ``lemma3_chain`` never
-    build it.
-    """
-    reach = inst.reach
-    arrivals = len(inst.arrival)
-    runs: Dict[tuple, tuple] = {}
-    for perm in permutations(range(len(reach))):
-        prs = tuple(_greedy(reach, perm, arrivals))
-        runs[perm] = (frozenset(r for r in prs if r >= 0), prs)
-    return runs
-
-
 def exact_expected_size(inst: BipartiteInstance, cap: int = DEFAULT_CAP) -> ExactReport:
     """Expected matching size over a uniformly random ranking, exactly."""
     value = _expected_size(inst, cap)
@@ -160,8 +123,12 @@ def exact_size_distribution(
     ``exact_expected_size``.
     """
     _check_cap(inst, cap)
-    counts = _size_counts(inst.reach, len(inst.arrival))
-    rankings = math.factorial(len(inst.ranking))
+    return _distribution(_size_counts(inst.reach, len(inst.arrival)), len(inst.ranking))
+
+
+def _distribution(counts: Counter, n: int) -> Dict[int, Fraction]:
+    """``_size_counts``' counts over the n! orders as probabilities, by increasing size."""
+    rankings = math.factorial(n)
     return {size: Fraction(counts[size], rankings) for size in sorted(counts)}
 
 
@@ -175,9 +142,13 @@ def _size_counts(reach, arrivals: int) -> Counter:
 
 def _mean_size(reach, arrivals: int) -> Fraction:
     """Expected matching size over the n! orders of the ``reach`` ids."""
-    counts = _size_counts(reach, arrivals)
+    return _mean(_size_counts(reach, arrivals), len(reach))
+
+
+def _mean(counts: Counter, n: int) -> Fraction:
+    """The mean size of ``_size_counts``' counts over the n! orders."""
     matched = sum(size * ways for size, ways in counts.items())
-    return Fraction(matched, math.factorial(len(reach)))
+    return Fraction(matched, math.factorial(n))
 
 
 def _tally(reach, arrivals: int, by_rank: bool = False) -> Tuple[dict, list, list]:
@@ -194,7 +165,7 @@ def _tally(reach, arrivals: int, by_rank: bool = False) -> Tuple[dict, list, lis
     offline ids still to come, bitmask of free arrivals), the orders of the
     first d ids that reach it; a match at depth d is completed by
     (n - d - 1)! orders of the rest, a factor applied once per layer.  The
-    counts equal those read off the ``_ensemble`` table, without the table.
+    counts equal those of the ``_ensemble`` table in ``tests/oracles.py``.
     """
     n = len(reach)
     full = (1 << n) - 1
@@ -231,34 +202,6 @@ def _tally(reach, arrivals: int, by_rank: bool = False) -> Tuple[dict, list, lis
     return {state >> n: ways for state, ways in layer.items()}, by_id, by_arrival
 
 
-def rank_matched_prob(inst: BipartiteInstance, t: int, cap: int = DEFAULT_CAP) -> Fraction:
-    """Probability that the vertex at rank t ends up matched."""
-    _check_cap(inst, cap)
-    _check_t(t, len(inst.ranking))
-    runs = _ensemble(inst)
-    hits = sum(1 for matched, _ in runs.values() if t - 1 in matched)
-    return Fraction(hits, len(runs))
-
-
-def rank_matched_prob_moved(
-    inst: BipartiteInstance, t: int, cap: int = DEFAULT_CAP
-) -> Fraction:
-    """Same event, dual sample space: an independent vertex forced to rank t.
-
-    Draw a ranking and a vertex independently and uniformly, move the vertex
-    to rank t, and ask whether it ends up matched.  Each moved ranking is
-    hit exactly n times, so this equals ``rank_matched_prob(t)``; computing
-    it over the pair space keeps the two routes independent.
-    """
-    _check_cap(inst, cap)
-    n = len(inst.ranking)
-    _check_t(t, n)
-    runs = _ensemble(inst)
-    i = t - 1
-    hits = sum(i in runs[_move_id(perm, x, i)][0] for perm in runs for x in range(n))
-    return Fraction(hits, len(runs) * n)
-
-
 def _validated_perfect(inst: BipartiteInstance, m_star: AbstractSet) -> frozenset:
     mset = frozenset(frozenset(e) for e in m_star)
     if not is_matching(mset) or not mset <= inst.graph:
@@ -266,44 +209,6 @@ def _validated_perfect(inst: BipartiteInstance, m_star: AbstractSet) -> frozense
     if vertices(mset) != inst.offline | inst.online:
         raise ValueError("m_star must cover both parties entirely")
     return mset
-
-
-def matched_before_prob(
-    inst: BipartiteInstance, m_star: AbstractSet, t: int, cap: int = DEFAULT_CAP
-) -> Fraction:
-    """Probability the designated partner of a random vertex matches rank <= t.
-
-    Draw a ranking and a vertex v independently and uniformly; the event is
-    that u = m_star(v) is matched and its mate sits at rank t or better.
-    ``m_star`` must be a perfect matching of the instance graph.
-    """
-    _check_cap(inst, cap)
-    n = len(inst.ranking)
-    _check_t(t, n)
-    mate = _mate_map(_validated_perfect(inst, m_star))
-    upos = [inst.arrival.index(mate[v]) for v in inst.ranking]
-    runs = _ensemble(inst)
-    hits = sum(0 <= prs[j] <= t - 1 for _, prs in runs.values() for j in upos)
-    return Fraction(hits, len(runs) * n)
-
-
-def expected_matched_before_count(
-    inst: BipartiteInstance, t: int, cap: int = DEFAULT_CAP
-) -> ExactReport:
-    """Expected number of arrivals matched to rank t or better."""
-    _check_cap(inst, cap)
-    _check_t(t, len(inst.ranking))
-    runs = _ensemble(inst)
-    total = sum(
-        sum(1 for r in prs if 0 <= r <= t - 1) for _, prs in runs.values()
-    )
-    return ExactReport(
-        instance_id=fingerprint(inst),
-        quantity="expected_count_matched_within_rank",
-        params=(("t", t),),
-        value=Fraction(total, len(runs)),
-        sample_space=len(runs),
-    )
 
 
 def perfect_matching_of(inst: BipartiteInstance) -> Optional[frozenset]:
@@ -379,13 +284,13 @@ def lemma3_chain(
     as the mean over vertices x of P[x matched | x at rank t], and the mean
     count from the match counts by arrival.  The moved probability is the
     rank probability by algebra (sum_x c_x / (n-1)! / n = sum_x c_x / n!),
-    so ``move_equal`` cannot fail here; its independent route is
-    ``rank_matched_prob_moved``'s pair space.  The designated-partner
+    so ``move_equal`` cannot fail here; its independent route is the pair
+    space of ``rank_matched_prob_moved``.  The designated-partner
     probability is the mean count over n: a perfect M* lists each arrival
     once, so its partners' counts are all the counts, whichever M* it is.
     So the chain needs perfectness (``_require_perfect``, on ``reach``), not
-    an M*; a given ``m_star`` is still checked.  The per-t functions, on the
-    ``_ensemble`` table, are the chain's test oracle.
+    an M*; a given ``m_star`` is still checked.  The per-t functions of
+    ``tests/oracles.py``, on the n!-ranking table, are the chain's test oracle.
     """
     _check_cap(inst, cap)
     if m_star is None:
@@ -415,16 +320,6 @@ def lemma3_chain(
     return links
 
 
-def check_lemma3(inst: BipartiteInstance, cap: int = DEFAULT_CAP) -> Dict[int, bool]:
-    """Per-rank verdicts of the survival inequality, all exact.
-
-    For each t: the probability of the rank-t vertex being unmatched is at
-    most the average of the first t rank probabilities.  Requires the
-    instance to admit a perfect matching.  A view of ``lemma3_chain``.
-    """
-    return {link.t: link.inequality for link in lemma3_chain(inst, cap=cap)}
-
-
 def competitive_bound_exact(n: int) -> Fraction:
     """The guaranteed ratio at party size n, exactly: 1 - (1 - 1/(n+1))^n."""
     if n < 1:
@@ -451,9 +346,8 @@ class RatioVerdict:
     vacuous: bool
 
 
-def _ratio_verdict(inst: BipartiteInstance, n: int) -> RatioVerdict:
-    """Exact expected size against the bound at n (vacuous at 0); callers check the cap."""
-    expected = _mean_size(inst.reach, len(inst.arrival))
+def _ratio_verdict(expected: Fraction, n: int) -> RatioVerdict:
+    """An exact expected size against the bound at n (vacuous at 0)."""
     if n == 0:
         return RatioVerdict(0, expected, None, None, True, True)
     ratio = expected / n
@@ -465,13 +359,20 @@ def check_theorem4(inst: BipartiteInstance, cap: int = DEFAULT_CAP) -> RatioVerd
     """Expected size versus the bound, n taken as the (perfect) party size."""
     _check_cap(inst, cap)
     _require_perfect(inst)
-    return _ratio_verdict(inst, len(inst.arrival))
+    return _ratio_verdict(_mean_size(inst.reach, len(inst.arrival)), len(inst.arrival))
 
 
 def check_theorem6(inst: BipartiteInstance, cap: int = DEFAULT_CAP) -> RatioVerdict:
     """Expected size versus the bound, n taken as the maximum matching size."""
+    return _theorem6(inst, cap)[0]
+
+
+def _theorem6(inst: BipartiteInstance, cap: int) -> Tuple[RatioVerdict, Counter]:
+    """``check_theorem6`` and the ``_size_counts`` its mean is read off, from one ``_tally``."""
     _check_cap(inst, cap)
-    return _ratio_verdict(inst, _max_matching_size(inst.reach, len(inst.arrival)))
+    n = _max_matching_size(inst.reach, len(inst.arrival))
+    counts = _size_counts(inst.reach, len(inst.arrival))
+    return _ratio_verdict(_mean(counts, len(inst.ranking)), n), counts
 
 
 def _mix_lanes(z: int, m: int) -> int:

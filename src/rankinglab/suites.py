@@ -277,7 +277,7 @@ def suite_lemma6(
 
 
 def _alternates(path: List[int], mate_a: List[int], n: int) -> bool:
-    """``graph.is_alternating_path`` on a frame's vertex ids, n of them ranked,
+    """``is_alternating_path`` of ``tests/oracles.py`` on a frame's vertex ids, n ranked,
     against the matching of the arrival side's mates ``mate_a``."""
     ins = [x < n <= y and mate_a[y - n] == x or y < n <= x and mate_a[x - n] == y
            for x, y in zip(path, path[1:])]

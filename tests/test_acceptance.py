@@ -20,7 +20,6 @@ from rankinglab import (
     BipartiteInstance,
     Permutation,
     ZigZagContext,
-    all_matchings,
     check_rank_move,
     check_theorem4,
     check_theorem6,
@@ -30,17 +29,13 @@ from rankinglab import (
     exact_expected_size,
     gamma_min_ratio,
     gen_perfect,
-    is_alternating_path,
     is_ranking_matching,
     lemma3_chain,
     mc_expected_size,
     online_match,
     partner,
-    path_edges,
-    remove_vertices,
     removal_diff_offline,
     removal_diff_online,
-    symmetric_difference,
     vertices,
     zig,
 )
@@ -48,6 +43,13 @@ from rankinglab.cli import main
 from rankinglab.rng import stream
 
 from .conftest import DATA
+from .oracles import (
+    all_matchings,
+    is_alternating_path,
+    path_edges,
+    remove_vertices,
+    symmetric_difference,
+)
 
 BASE_SEED = 20260823
 

@@ -247,6 +247,13 @@ class TestDist:
         mean = sum(k * c for (k, _), c in zip(dist, counts)) / int(samples)
         assert fmt_cell(float(mean)) == row.split(",")[3]
 
+    @pytest.mark.parametrize("flags", [[], ["--dist"]])
+    def test_exact_runs_one_tally(self, flags, monkeypatch, capsys):
+        real, calls = probability._tally, []
+        monkeypatch.setattr(probability, "_tally", lambda *a, **k: calls.append(a) or real(*a, **k))
+        dist_lines(["exact", EXAMPLE, *flags], capsys)
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("argv", [["exact", EXAMPLE], ["mc", EXAMPLE, "--samples", "300"]])
     def test_without_the_flag_nothing_changes(self, argv, capsys):
         row, dist = dist_lines(argv, capsys)

@@ -20,18 +20,15 @@ from hypothesis import strategies as st
 from rankinglab import (
     BipartiteInstance,
     Permutation,
-    all_matchings,
     bipartite_max_matching,
     edge,
     gen_gamma_family,
     gen_random,
     is_bipartite,
     is_matching,
-    is_maximal_matching,
     is_ranking_matching,
     online_match,
     partner,
-    remove_vertices,
     step,
 )
 from rankinglab.engine import (
@@ -49,6 +46,7 @@ from rankinglab.generators import _gamma_ranking
 from rankinglab.suites import _cleared
 
 from .conftest import instances, make_instance
+from .oracles import all_matchings, is_maximal_matching, remove_vertices
 
 
 def pairs_of(m):

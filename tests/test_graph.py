@@ -16,28 +16,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rankinglab import (
-    all_matchings,
     bipartite_max_matching,
     edge,
-    find_augmenting_path,
     gen_gamma_family,
     gen_perfect,
-    is_alternating_path,
-    is_augmenting_path,
     is_bipartite,
     is_matching,
-    is_maximal_matching,
-    make_perfect_matching,
-    max_card_matching,
-    neighbors,
     partner,
-    path_edges,
-    remove_vertices,
-    symmetric_difference,
     vertices,
 )
 
 from .conftest import instances
+from .oracles import (
+    all_matchings,
+    find_augmenting_path,
+    is_alternating_path,
+    is_augmenting_path,
+    is_maximal_matching,
+    make_perfect_matching,
+    max_card_matching,
+    neighbors,
+    path_edges,
+    remove_vertices,
+    symmetric_difference,
+)
 
 
 @st.composite

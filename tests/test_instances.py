@@ -27,7 +27,6 @@ from rankinglab import (
     gen_perfect,
     gen_random,
     is_matching,
-    max_card_matching,
     mc_expected_size,
     online_match,
     parse_instance,
@@ -40,6 +39,7 @@ from rankinglab import (
 from rankinglab.engine import rank_match
 
 from .conftest import DATA, instances, make_instance
+from .oracles import max_card_matching
 
 
 class TestParse:

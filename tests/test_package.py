@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import importlib
 import pkgutil
 import re
@@ -9,6 +10,8 @@ from pathlib import Path
 from types import ModuleType
 
 import rankinglab
+
+from . import oracles
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -41,3 +44,16 @@ def test_readme_library_example_runs(capsys):
     assert len(blocks) == 1
     exec(compile(blocks[0], str(README), "exec"), {"__name__": "readme_example"})
     assert capsys.readouterr().out
+
+
+def test_every_public_name_is_documented_or_called():
+    """Each ``__all__`` name is in README.md or read by ``src/`` outside its own definition."""
+    used: set = set()
+    for path in Path(rankinglab.__file__).parent.glob("[!_]*.py"):  # not __init__.py
+        for stmt in ast.parse(path.read_text()).body:  # a Name has an id, an Attribute an attr
+            refs = {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(stmt)}
+            used |= refs - {getattr(stmt, "name", None)}
+    documented = set(re.findall(r"\w+", README.read_text()))
+    assert [n for n in rankinglab.__all__ if n not in used | documented] == []
+    moved = {n for n, v in vars(oracles).items() if getattr(v, "__module__", "") == oracles.__name__}
+    assert moved and not moved & set(rankinglab.__all__)

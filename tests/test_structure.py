@@ -25,23 +25,18 @@ from rankinglab import (
     RankMoveVerdict,
     RemovalDiff,
     ZigZagContext,
-    all_matchings,
     check_rank_move,
     check_removal_stability,
     check_zig_zag_symmetry,
     edge,
     gen_perfect,
-    is_alternating_path,
     online_match,
     partner,
-    path_edges,
-    remove_vertices,
     removal_diff_offline,
     removal_diff_online,
     serialize_instance,
     shift_targets,
     shifts_to,
-    symmetric_difference,
     vertices,
     zag,
     zig,
@@ -51,6 +46,13 @@ from rankinglab import structure
 from rankinglab.engine import rank_match
 
 from .conftest import instances, make_instance
+from .oracles import (
+    all_matchings,
+    is_alternating_path,
+    path_edges,
+    remove_vertices,
+    symmetric_difference,
+)
 
 
 @pytest.fixture
