@@ -18,8 +18,10 @@ vertices in ranking order take their earliest-arriving free neighbor), on
 ``check_rank_move`` and two suites.  Each instance derives ``reach`` once,
 as it validates its edges or as a generator draws it.  The predicate is
 symmetric in the two orders and has exactly one solution, so this is the
-fold's matching.  ``_max_matching_size`` augments that matching on the same
-index for callers that need only the size of a maximum matching.
+fold's matching.  ``_max_matching`` augments that matching on the same
+index with ``graph._augment``, the package's one augmenting-path search, and
+returns its partner array; ``_max_matching_size`` counts it for callers that
+need only the size of a maximum matching.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from typing import Callable, Iterable, Iterator, List, Sequence
 
 from .graph import (
     Vertex,
+    _augment,
     _mate_map,
     is_bipartite,
     is_matching,
@@ -212,41 +215,24 @@ def _greedy(reach: Sequence[int], order: Iterable[int], arrivals: int) -> List[i
     return prs
 
 
-def _max_matching_size(reach: Sequence[int], arrivals: int) -> int:
-    """The size of a maximum matching of the index, with no edge set built.
+def _max_matching(reach: Sequence[int], arrivals: int) -> List[int]:
+    """A maximum matching of the index, as a partner array like ``_greedy``'s.
 
-    Kuhn's method (1955) started from ``_greedy``'s matching, which is
-    maximal: one pass over the offline ids it leaves free, each running an
-    iterative alternating search over the masks.  Arrivals a failed search
-    reached lead to no free arrival and are skipped until the next
-    augmentation, and an id with no augmenting path never gains one later.
+    Kuhn's method (1955) from ``_greedy``'s maximal matching: ``graph._augment``
+    from each offline id it leaves free, in id order.  What a failed search
+    reached is skipped until the next augmentation, and an id with no
+    augmenting path never gains one later.
     """
     prs = _greedy(reach, range(len(reach)), arrivals)
-    size = arrivals - prs.count(-1)
-    seen = 0
+    ids, seen = [-1] * len(reach), 0  # the ids' partners, which nothing here reads
     for s in sorted(set(range(len(reach))).difference(prs)):
-        # the path alternates s, via[0], prs[via[0]], via[1], ...; cands[i]
-        # holds the arrivals its i-th offline id may still try
-        via, cands = [], [reach[s]]
-        while cands:
-            a = cands[-1] & ~seen
-            if not a:
-                cands.pop()
-                del via[-1:]
-                continue
-            low = a & -a
-            seen |= low
-            j = low.bit_length() - 1
-            if prs[j] < 0:
-                x = s  # each arrival on the path passes to the id before it
-                for k in (*via, j):
-                    prs[k], x = x, prs[k]
-                size += 1
-                seen = 0
-                break
-            via.append(j)
-            cands.append(reach[prs[j]])
-    return size
+        seen = max(0, _augment(s, reach, prs, ids, seen))
+    return prs
+
+
+def _max_matching_size(reach: Sequence[int], arrivals: int) -> int:
+    """The size of a maximum matching of the index, with no edge set built."""
+    return arrivals - _max_matching(reach, arrivals).count(-1)
 
 
 def _move_id(order: Iterable, x, i: int) -> tuple:

@@ -2,25 +2,25 @@
 
 Vertices are opaque string tokens.  An edge is a frozenset of two distinct
 vertices, so undirected equality and set algebra come for free.  A graph (and
-a matching) is simply a set of edges.  All functions are pure: nothing
-mutates its arguments and every returned collection is immutable.
+a matching) is simply a set of edges.  Every public function is pure:
+nothing mutates its arguments and every returned collection is immutable.
 
 Vertex names carry a total order (plain string comparison) that is used only
 to make searches deterministic, never to encode meaning.
 
-The maximum matching is ``bipartite_max_matching``, one name-ordered pass of
-Kuhn's augmenting-path method, which is polynomial; it designates the
-perfect matching M* of an instance.  Callers that need only a maximum
-matching's size (``mc``, the theorem 4 and 6 checks, the hard-family
-filter) use ``engine._max_matching_size`` on the ``reach`` masks instead,
-with no edge set built.  The exhaustive general-graph search it is held to,
-and the rest of the name-level set algebra the tests use, are in
+``_augment`` is the package's one augmenting-path search (Kuhn's method),
+on bitmasks.  ``bipartite_max_matching`` runs it in name order, which is
+polynomial, and designates the perfect matching M* of an instance; callers
+that need a maximum matching on the ``reach`` masks (``mc``, the theorem 4
+and 6 checks, the hard-family filter) run it through ``engine._max_matching``
+instead, with no edge set built.  The exhaustive general-graph search both are
+held to, and the rest of the name-level set algebra the tests use, are in
 ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
-from typing import AbstractSet, Dict, Iterable, List, Optional
+from typing import AbstractSet, Dict, Iterable, List, Optional, Sequence
 
 Vertex = str
 Edge = frozenset
@@ -98,14 +98,47 @@ def _two_colour(adj: Dict[Vertex, List[Vertex]]) -> None:
                     raise ValueError(f"graph is not bipartite: odd cycle through {b!r}")
 
 
+def _augment(s: int, adj: Sequence[int], mate_to: list, mate_from: list, seen: int) -> int:
+    """Kuhn's (1955) augmenting-path search from the free position s, on masks.
+
+    ``adj[x]`` masks x's neighbours, ``mate_to[j]`` is neighbour j's partner
+    or -1, and ``mate_from`` holds the partners of the start side.  The
+    alternating depth-first search tries the lowest bit first and skips
+    ``seen``.  It flips the first augmenting path in both arrays and returns
+    -1; with none, it returns ``seen`` grown by every neighbour it reached,
+    none of which leads to a free neighbour until the matching changes.
+    """
+    # the path alternates s, via[0], mate_to[via[0]], via[1], ...; cands[i]
+    # holds the neighbours its i-th position may still try
+    via, cands = [], [adj[s]]
+    while cands:
+        a = cands[-1] & ~seen
+        if not a:
+            cands.pop()
+            del via[-1:]
+            continue
+        low = a & -a
+        seen |= low
+        j = low.bit_length() - 1
+        if mate_to[j] < 0:
+            x = s  # each neighbour on the path passes to the position before it
+            for k in (*via, j):
+                mate_from[x] = k
+                mate_to[k], x = x, mate_to[k]
+            return -1
+        via.append(j)
+        cands.append(adj[mate_to[j]])
+    return seen
+
+
 def bipartite_max_matching(g: AbstractSet) -> frozenset:
     """``tests/oracles.py``'s ``max_card_matching(g)`` on a bipartite graph, in polynomial time.
 
-    Kuhn's augmenting-path method (1955), run in name order: one pass over
-    the vertices in ascending name order, and from each one still uncovered
-    an iterative alternating depth-first search that visits neighbours in
-    ascending name order and augments on the first free vertex it reaches.
-    A vertex the search has left stays marked until the next start.  On a
+    Kuhn's method (1955) in name order: with the vertices numbered by name,
+    ``_augment`` runs from each one still uncovered, in that order, on their
+    neighbour masks, one ``mate`` list serving as both partner arrays.  Its
+    searches visit neighbours in name order, and a failed search's marks, on
+    the side opposite its start, hold until the next augmentation.  On a
     bipartite graph that prunes only subtrees in which the exhaustive search
     finds no path either, and a vertex with no augmenting path never gains
     one later (Berge), so the pass makes the exhaustive loop's augmentations
@@ -118,34 +151,12 @@ def bipartite_max_matching(g: AbstractSet) -> frozenset:
         a, b = e
         adj.setdefault(a, []).append(b)
         adj.setdefault(b, []).append(a)
-    for nbrs in adj.values():
-        nbrs.sort()
     _two_colour(adj)
-    mate: Dict[Vertex, Vertex] = {}
-    for s in sorted(adj):
-        if s in mate:
-            continue
-        # path alternates s, w1, mate[w1], w2, mate[w2], ...; one neighbour
-        # iterator per even position, so no step recurses
-        path = [s]
-        seen = {s}
-        stack = [iter(adj[s])]
-        while stack:
-            for w in stack[-1]:
-                if w not in seen:
-                    break
-            else:
-                stack.pop()
-                del path[-2:]
-                continue
-            seen.add(w)
-            x = mate.get(w)
-            if x is None:
-                path.append(w)
-                for a, b in zip(path[::2], path[1::2]):
-                    mate[a], mate[b] = b, a
-                break
-            seen.add(x)
-            path += (w, x)
-            stack.append(iter(adj[x]))
-    return frozenset(frozenset((a, b)) for a, b in mate.items() if a < b)
+    names = sorted(adj)
+    pos = {v: i for i, v in enumerate(names)}
+    masks = [sum(1 << pos[w] for w in adj[v]) for v in names]
+    mate, seen = [-1] * len(names), 0
+    for s in range(len(names)):
+        if mate[s] < 0:
+            seen = max(0, _augment(s, masks, mate, mate, seen))
+    return frozenset(frozenset((names[i], names[j])) for i, j in enumerate(mate) if i < j)

@@ -156,9 +156,9 @@ def _tally(reach, arrivals: int, by_rank: bool = False) -> Tuple[dict, list, lis
 
     An instance passes ``inst.reach, len(inst.arrival)``.  ``last`` maps
     each final set of free arrivals (a bitmask) to the number of rankings
-    that leave it.  With ``by_rank``, ``by_id[d][x]`` counts the rankings
-    that put offline id x at rank d and match it, and ``by_arrival[d][j]``
-    those that match arrival j to rank d; without, both lists are empty.
+    that leave it.  With ``by_rank``, ``by_id[d]`` counts the rankings that
+    match the id at rank d, and ``by_arrival[d]`` the same matches counted
+    on the arrival side (one arrival each); without, both lists are empty.
     The party-swapped greedy of ``engine._greedy`` makes a ranking an order
     in which offline vertices take their earliest-arriving free neighbor.
     A forward pass over depth d = 0..n-1 counts, for each state (bitmask of
@@ -174,7 +174,7 @@ def _tally(reach, arrivals: int, by_rank: bool = False) -> Tuple[dict, list, lis
     layer = {full | ((1 << arrivals) - 1) << n: 1}
     by_id, by_arrival = [], []
     for d in range(n):
-        ids, arrived = [0] * n, [0] * arrivals
+        hits = 0
         nxt: Dict[int, int] = {}
         for state, ways in layer.items():
             free = state >> n
@@ -188,16 +188,15 @@ def _tally(reach, arrivals: int, by_rank: bool = False) -> Tuple[dict, list, lis
                     a &= -a
                     after = state ^ bit ^ a << n
                     if by_rank:
-                        ids[x] += ways
-                        arrived[a.bit_length() - 1] += ways
+                        hits += ways
                 else:
                     after = state ^ bit
                 nxt[after] = nxt.get(after, 0) + ways
         layer = nxt
         if by_rank:
-            completions = math.factorial(n - d - 1)
-            by_id.append([k * completions for k in ids])
-            by_arrival.append([k * completions for k in arrived])
+            hits *= math.factorial(n - d - 1)
+            by_id.append(hits)
+            by_arrival.append(hits)
     # every offline id has come: each state is its free arrivals << n
     return {state >> n: ways for state, ways in layer.items()}, by_id, by_arrival
 
@@ -303,9 +302,9 @@ def lemma3_chain(
     links = []
     prefix = count = 0
     for i in range(n):
-        hits = sum(by_id[i])
+        hits = by_id[i]
         prefix += hits
-        count += sum(by_arrival[i])
+        count += by_arrival[i]
         links.append(
             ChainLink(
                 t=i + 1,

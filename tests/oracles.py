@@ -1,8 +1,8 @@
 """Literal oracles of the package's indexed paths, for the tests only.
 
 ``all_matchings`` and ``max_card_matching`` (the exhaustive search of
-``find_augmenting_path``) gate ``bipartite_max_matching`` and
-``engine._ranking_holds``; the name-level path and removal algebra gates
+``find_augmenting_path``) gate ``bipartite_max_matching``,
+``engine._max_matching`` and ``engine._ranking_holds``; the name-level path and removal algebra gates
 ``structure``'s cascades and ``suites._alternates``; the per-t functions on
 the ``_ensemble`` table gate the by-rank counts of ``probability._tally``
 behind ``lemma3_chain``, and ``check_lemma3`` is the chain's inequality per t.

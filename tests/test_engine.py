@@ -35,6 +35,7 @@ from rankinglab.engine import (
     _greedy,
     _inverse,
     _matchings,
+    _max_matching,
     _max_matching_size,
     _move_id,
     _predicate,
@@ -46,7 +47,7 @@ from rankinglab.generators import _gamma_ranking
 from rankinglab.suites import _cleared
 
 from .conftest import instances, make_instance
-from .oracles import all_matchings, is_maximal_matching, remove_vertices
+from .oracles import all_matchings, is_maximal_matching, max_card_matching, remove_vertices
 
 
 def pairs_of(m):
@@ -372,7 +373,34 @@ def kuhn_size(inst) -> int:
 
 
 class TestMaxMatchingSize:
-    """Kuhn on the masks from the greedy's matching, gated by the name-ordered Kuhn."""
+    """Kuhn on the masks from the greedy's matching, gated by the name-ordered Kuhn.
+
+    Both run ``graph._augment``, so the exhaustive oracle ``max_card_matching``
+    gates ``_max_matching``'s partner array on its own as well.
+    """
+
+    @staticmethod
+    def assert_maximum_mates(inst):
+        reach, b = inst.reach, len(inst.arrival)
+        prs = _max_matching(reach, b)
+        ids = [r for r in prs if r >= 0]
+        assert len(prs) == b and len(ids) == len(set(ids)), reach
+        assert all(reach[r] >> j & 1 for j, r in enumerate(prs) if r >= 0), reach
+        assert len(ids) == len(max_card_matching(inst.graph)), reach
+
+    @settings(max_examples=100, deadline=None)
+    @given(instances(max_side=6))
+    def test_mates_are_a_maximum_matching_on_instances(self, inst):
+        self.assert_maximum_mates(inst)
+
+    def test_mates_after_a_search_that_reaches_the_next_path(self):
+        # the greedy leaves ids 2 and 3 free; the search from 2 reaches the
+        # arrivals the one from 3 needs, so it must not skip them after a flip
+        ranking, arrival = Permutation("v0 v1 v2 v3".split()), Permutation("u0 u1 u2 u3".split())
+        inst = BipartiteInstance._indexed(ranking, arrival, (15, 11, 3, 1))
+        assert _greedy(inst.reach, range(4), 4).count(-1) == 2
+        self.assert_maximum_mates(inst)
+        assert _max_matching_size(inst.reach, 4) == 4
 
     @settings(max_examples=200)
     @given(instances(max_side=7))
@@ -386,6 +414,7 @@ class TestMaxMatchingSize:
             for reach in product(range(1 << b), repeat=a):
                 inst = BipartiteInstance._indexed(ranking, arrival, reach)
                 assert _max_matching_size(reach, b) == kuhn_size(inst), (a, b, reach)
+                self.assert_maximum_mates(inst)
 
     def test_equals_kuhn_on_random_400(self):
         # the greedy leaves 10 to 60 augmentations to make on these

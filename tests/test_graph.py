@@ -9,6 +9,7 @@ cycles.  ``max_card_matching`` is in turn the oracle of the polynomial
 
 from __future__ import annotations
 
+from itertools import product
 from typing import FrozenSet, List, Tuple
 
 import pytest
@@ -335,6 +336,15 @@ class TestBipartiteMaxMatching:
             for s in range(3):
                 g = gen_perfect(n, 0.3, s)[0].graph
                 assert bipartite_max_matching(g) == max_card_matching(g)
+
+    def test_equals_oracle_on_every_graph_up_to_three_by_three_interleaved(self):
+        # offline a c e, online b d f: name order alternates the sides, so
+        # the pass starts searches from both of them
+        for a, b in product(range(4), repeat=2):
+            pairs = [(x, y) for x in "ace"[:a] for y in "bdf"[:b]]
+            for keep in range(1 << len(pairs)):
+                g = frozenset(edge(*e) for k, e in enumerate(pairs) if keep >> k & 1)
+                assert bipartite_max_matching(g) == max_card_matching(g), sorted(map(sorted, g))
 
     def test_small_cases(self):
         assert bipartite_max_matching(frozenset()) == frozenset()

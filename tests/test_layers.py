@@ -16,7 +16,10 @@ ROWS = [
     "fileformat.parse_instance",
     "engine._greedy",
     "engine._max_matching_size",
+    "graph.bipartite_max_matching small",
+    "graph.bipartite_max_matching large",
     "probability._tally",
+    "generators.gamma_min_ratio",
     "probability.mc_expected_size bytes",
     "probability.mc_expected_size wide",
     "structure.removal_diff_offline",

@@ -437,10 +437,8 @@ class TestChainEqualsPerT:
 
         def dropped(reach, arrivals, by_rank):
             last, by_id, by_arrival = real(reach, arrivals, by_rank)
-            d, j = next(
-                (d, j) for d, row in enumerate(by_arrival) for j, k in enumerate(row) if k
-            )
-            by_arrival[d][j] -= 1
+            d = next(d for d, k in enumerate(by_arrival) if k)
+            by_arrival[d] -= 1
             return last, by_id, by_arrival
 
         monkeypatch.setattr(probability, "_tally", dropped)

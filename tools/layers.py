@@ -46,6 +46,8 @@ SIZES = {
     "shuffle": (100_000, 1_000),
     "side": (400, 30),
     "tally": (8, 4),
+    "kuhn": ((8, 150), (4, 20)),
+    "gamma": (2, 1),
     "mc_bytes": ((24, 5000), (8, 100)),
     "mc_wide": ((400, 200), (50, 10)),
     "stair": (580, 20),
@@ -90,6 +92,7 @@ def rows(rl, tmp: Path, quick: bool) -> List[Tuple[str, Callable[[], object]]]:
     mc_bytes = rl.gen_perfect(n_b, 0.3, 5)[0]
     mc_wide = rl.gen_random(n_w, n_w, 0.05, 1)
     stair = _staircase(rl, size("stair"))
+    kuhn = [rl.gen_perfect(n, 0.1, 1)[0].graph for n in size("kuhn")]  # planted, n a side
 
     def write(name, inst):
         path = tmp / name
@@ -121,7 +124,10 @@ def rows(rl, tmp: Path, quick: bool) -> List[Tuple[str, Callable[[], object]]]:
         ("fileformat.parse_instance", lambda: rl.parse_instance(big_text)),
         ("engine._greedy", lambda: _greedy(reach, range(len(reach)), arrivals)),
         ("engine._max_matching_size", lambda: _max_matching_size(reach, arrivals)),
+        ("graph.bipartite_max_matching small", lambda: rl.bipartite_max_matching(kuhn[0])),
+        ("graph.bipartite_max_matching large", lambda: rl.bipartite_max_matching(kuhn[1])),
         ("probability._tally", lambda: _tally(tally.reach, len(tally.arrival))),
+        ("generators.gamma_min_ratio", lambda: rl.gamma_min_ratio(size("gamma"))),
         ("probability.mc_expected_size bytes", lambda: rl.mc_expected_size(mc_bytes, k_b, 1)),
         ("probability.mc_expected_size wide", lambda: rl.mc_expected_size(mc_wide, k_w, 1)),
         ("structure.removal_diff_offline", lambda: rl.removal_diff_offline(stair, "v1")),
