@@ -11,7 +11,10 @@ instance: a ``reach`` mask per offline id and the number of arrivals.  The
 size distribution and its mean, the expected size, read its last layer;
 ``lemma3_chain`` has the same pass count the matches at each rank too.
 Beyond the cap, ``mc_expected_size`` gives a seeded, bit-reproducible Monte
-Carlo estimate, read off a histogram of the sampled sizes.
+Carlo estimate, read off a histogram of the sampled sizes.  It draws a batch
+of samples at once on the 128-bit lanes of one int; ``_lane_draws`` is the
+one place where the lanes' remainders become bytes, which both shuffle
+paths read.
 
 The per-rank quantities connect into a chain that ``lemma3_chain`` builds
 from that one pass on a perfect instance, designating no perfect matching.
@@ -381,42 +384,75 @@ def _mix_lanes(z: int, m: int) -> int:
     return z ^ (z >> 31 & m)
 
 
-def _lane_draws(seed: int, start: int, k: int, n: int):
-    """The Fisher-Yates draws of ``stream(seed, i)`` for i in start..start+k-1.
+def _ramp(k: int) -> int:
+    """i in the 128-bit lane at bit 128 * i of one int, for each i < k.
+
+    Built by doubling: the first j lanes, plus j in each, are the next j.
+    """
+    ramp, ones, j = 0, 1, 1
+    while j < k:
+        ramp |= (ramp + j * ones) << 128 * j
+        ones |= ones << 128 * j
+        j *= 2
+    return ramp & ((1 << 128 * k) - 1)
+
+
+def _lane_draws(seed: int, start: int, k: int, n: int, width: int):
+    """The Fisher-Yates draws of ``stream(seed, i)`` for i in start..start+k-1, as bytes.
 
     The k streams run at once, SIMD within a register: stream start + i
     sits in the 128-bit lane at bit 128 * i of one int.  A lane holds a
     64-bit value, a 64 x 64-bit product fits it, and each shift is masked
-    back to 64 bits, so no bit crosses lanes.  Yields ``(bound, z, over)``
-    for bound = n..2, the bounds of ``shuffled``'s steps: z holds every
-    lane's draw, and ``over`` bit 64 of each lane with a draw so far of at
-    least 2^64 - 2^L, L = ``n.bit_length()``: every lane ``below`` rejects
-    (2^64 % bound < 2^L), which is left to ``stream``, and almost no other.
+    back to 64 bits, so no bit crosses lanes.  The seeds are lane arithmetic
+    too: lane i starts at ((seed + (start + 1) * G) mod 2^64) + i * G, i from
+    ``_ramp``, masked to 64 bits.  Yields ``(bound, planes, over)`` for
+    bound = n..2, the bounds of ``shuffled``'s steps.  ``planes[b]`` holds
+    byte b of every lane's draw modulo bound, one byte per lane, for b <
+    ``width``; each remainder must fit ``width`` bytes.  ``over`` has bit 64
+    of each lane set with a draw of at least 2^64 - 2^L, L =
+    ``n.bit_length()``: every lane ``below`` rejects (2^64 % bound < 2^L),
+    which is left to ``stream``, and almost no other.
+
+    The remainders (``_lane_mod``) of 16 // width steps are ORed into one
+    int, step t at byte ``width * t`` of each lane, and one ``to_bytes``
+    serves the pack.  So ``over`` covers the draws up to the end of the
+    step's pack, and the last step's covers them all.
     """
-    lane = struct.Struct("<" + "Q8x" * k)
-    ones = int.from_bytes(lane.pack(*[1] * k), "little")
-    m, g, near = ones * _MASK, ones * _GOLDEN, ones << n.bit_length()
-    seeds = [(seed + (i + 1) * _GOLDEN) & _MASK for i in range(start, start + k)]
-    s = _mix_lanes(int.from_bytes(lane.pack(*seeds), "little"), m)
-    over = 0
-    for bound in range(n, 1, -1):
-        s = (s + g) & m
-        z = _mix_lanes(s, m)
-        over |= z + near
-        yield bound, z, over
+    ones = int.from_bytes((b"\x01" + bytes(15)) * k, "little")
+    m, g, low, near = ones * _MASK, ones * _GOLDEN, ones * 0xFFFFFFFF, ones << n.bit_length()
+    s = ones * ((seed + (start + 1) * _GOLDEN) & _MASK) + _ramp(k) * _GOLDEN
+    s = _mix_lanes(s & m, m)
+    per, over = 16 // width, 0
+    for top in range(n, 1, -per):
+        bounds = range(top, max(top - per, 1), -1)
+        pack = 0
+        for t, bound in enumerate(bounds):
+            s = (s + g) & m
+            z = _mix_lanes(s, m)
+            over |= z + near
+            pack |= _lane_mod(z, bound, low) << 8 * width * t
+        rem = pack.to_bytes(16 * k, "little")
+        for t, bound in enumerate(bounds):
+            yield bound, [rem[width * t + b::16] for b in range(width)], over
 
 
 def _lane_mod(z: int, bound: int, low: int) -> int:
     """Every 128-bit lane of z reduced modulo ``bound``, for 2 <= bound < 2^30.
 
-    ``low`` holds 2^32 - 1 in each lane.  With L = ``bound.bit_length()``, a
-    draw hi * 2^32 + lo is congruent to y = hi * (2^32 % bound) + lo <=
-    (2^32 - 1) * bound < 2^(32 + L).  With s = 33 + 2L, q = y * ceil(2^s /
-    bound) >> s is y // bound < 2^32: the reciprocal errs by e < bound, and
-    y * e < 2^s.  The product is below 2^(67 + 2L) <= 2^127, in its lane; the
-    shift brings the next lane down to bit 128 - s >= 35, which ``low`` drops.
+    ``low`` holds 2^32 - 1 in each lane, and each lane of z below 2^64.  Let
+    L = ``bound.bit_length()``.  A power of two takes one mask: ``low >> 33 -
+    L`` holds bound - 1 in each lane, and what the shift pulls down from the
+    next lane lands at bit 95 + L, above z's 64 bits.  Otherwise a draw
+    hi * 2^32 + lo is congruent to y = hi * (2^32 % bound) + lo <= (2^32 - 1)
+    * bound < 2^(32 + L).  With s = 33 + 2L, q = y * ceil(2^s / bound) >> s
+    is y // bound < 2^32: the reciprocal errs by e < bound, and y * e < 2^s.
+    The product is below 2^(67 + 2L) <= 2^127, in its lane; the shift brings
+    the next lane down to bit 128 - s >= 35, which ``low`` drops.
     """
-    s = 33 + 2 * bound.bit_length()
+    size = bound.bit_length()
+    if not bound & (bound - 1):
+        return z & low >> 33 - size
+    s = 33 + 2 * size
     y = (z >> 32 & low) * ((1 << 32) % bound) + (z & low)
     q = y * -(-(1 << s) // bound) >> s & low
     return y - q * bound
@@ -425,23 +461,22 @@ def _lane_mod(z: int, bound: int, low: int) -> int:
 def _shuffle_draws(seed: int, start: int, k: int, items: list) -> list:
     """``stream(seed, i).shuffled(items)`` for i in start..start+k-1.
 
-    The draws come from ``_lane_draws`` and ``_lane_mod``.  Each step's k
-    remainders go to one buffer of host-order cells (16 bits up to 2^16
-    items); sample i reads its own as the strided slice ``[i::k]``, with no
-    Python int per draw, and swaps in Python.  A lane ``below`` would reject
-    takes its ``stream``'s shuffle.  Items are ``reach`` cells above ``_BYTE_CUT``.
+    The draws are ``_lane_draws``' byte planes.  Each step's k remainders go
+    to one buffer of host-order cells (16 bits up to 2^16 items, else 32);
+    sample i reads its own as the strided slice ``[i::k]``, with no Python
+    int per draw, and swaps in Python.  A lane ``below`` would reject takes
+    its ``stream``'s shuffle.  Items are ``reach`` cells above ``_BYTE_CUT``.
     """
     n = len(items)
-    low = int.from_bytes((b"\xff\xff\xff\xff" + bytes(12)) * k, "little")
-    cell = "H" if n <= 1 << 16 else "L"
+    cell = "H" if n <= 1 << 16 else "I"
     w = struct.calcsize(cell)
     order = range(w) if sys.byteorder == "little" else range(w - 1, -1, -1)
     buf, rejected = bytearray(w * k * (n - 1)), 0
     # the loop leaves in ``rejected`` the last step's ``over``
-    for o, (bound, z, rejected) in zip(range(0, len(buf), w * k), _lane_draws(seed, start, k, n)):
-        rem = _lane_mod(z, bound, low).to_bytes(16 * k, "little")
+    steps = _lane_draws(seed, start, k, n, w)
+    for o, (_, planes, rejected) in zip(range(0, len(buf), w * k), steps):
         for t, b in enumerate(order):
-            buf[o + t:o + w * k:w] = rem[b::16]
+            buf[o + t:o + w * k:w] = planes[b]
     draws = memoryview(buf).cast(cell)
     flags = (rejected >> 64).to_bytes(16 * k, "little")[::16]
     perms = []
@@ -457,19 +492,16 @@ def _id_columns(seed: int, start: int, k: int, n: int) -> list:
     """``stream(seed, i).shuffled(range(n))`` for i in start..start+k-1, by rank.
 
     Column p holds one byte per sample, byte i the id that sample start + i
-    puts at rank p, so n <= 256.  The draws come from ``_lane_draws``, and
-    step j = bound - 1 of Fisher-Yates runs on every lane at once: with
-    r = ``_lane_mod`` of the draws, one ``translate`` by ``_EQ[p]`` marks
-    the lanes where r == p, and three XORs swap columns p and j there.  A
-    lane that ``below`` would reject is then overwritten with its
+    puts at rank p, so n <= 256.  The draws are ``_lane_draws``' one-byte
+    planes, and step j = bound - 1 of Fisher-Yates runs on every lane at
+    once: with r the plane of remainders, one ``translate`` by ``_EQ[p]``
+    marks the lanes where r == p, and three XORs swap columns p and j there.
+    A lane that ``below`` would reject is then overwritten with its
     ``stream``'s own shuffle.
     """
-    ones = int.from_bytes((b"\x01" + bytes(15)) * k, "little")
-    low = ones * 0xFFFFFFFF
     rejected, from_bytes = 0, int.from_bytes
     cols = [from_bytes(bytes([p]) * k, "little") for p in range(n)]
-    for bound, z, rejected in _lane_draws(seed, start, k, n):  # keeps the last ``over``
-        r = _lane_mod(z, bound, low).to_bytes(16 * k, "little")[::16]
+    for bound, (r,), rejected in _lane_draws(seed, start, k, n, 1):  # keeps the last ``over``
         j = bound - 1
         cj = cols[j]
         for p, eq in zip(range(j), _EQ):

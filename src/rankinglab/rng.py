@@ -15,13 +15,15 @@ samples are batched, ordered, or sharded across workers.
 
 ``probability.mc_expected_size`` runs the generator on lanes: one Python int
 holds the states of a batch of streams, one per 128-bit lane, and each step
-advances them all.  Its shuffles equal ``stream(seed, i).shuffled``, each
-draw reduced modulo its bound on the lanes by a reciprocal multiply.  Up to
-``probability._BYTE_CUT`` offline vertices every Fisher-Yates step runs on
-byte lanes of id columns; above it the swaps run one sample at a time.  Its
-greedy reads them in lanes too.  ``SplitMix64`` is the reference they are
-tested against, and it shuffles each sample with a draw that the rejection
-step of ``below`` refuses.
+advances them all, from seeds set by lane arithmetic.  Its shuffles equal
+``stream(seed, i).shuffled``, each draw reduced modulo its bound on the
+lanes, a power of two by a mask and any other bound by a reciprocal
+multiply, and the remainders of up to 16 steps turned into bytes at once.
+Up to ``probability._BYTE_CUT`` offline vertices every Fisher-Yates step
+runs on byte lanes of id columns; above it the swaps run one sample at a
+time.  Its greedy reads them in lanes too.  ``SplitMix64`` is the reference
+they are tested against, and it shuffles each sample with a draw that the
+rejection step of ``below`` refuses.
 """
 
 from __future__ import annotations

@@ -21,6 +21,7 @@ ROWS = [
     "probability._tally",
     "generators.gamma_min_ratio",
     "probability.mc_expected_size bytes",
+    "probability.mc_expected_size bytes small",
     "probability.mc_expected_size wide",
     "structure.removal_diff_offline",
     "cli run",

@@ -810,9 +810,45 @@ def shuffles(seed: int, start: int, k: int, n: int) -> list:
     return [stream(seed, i).shuffled(range(n)) for i in range(start, start + k)]
 
 
+def check_lane_draws(width: int, n: int, cases) -> None:
+    """``_lane_draws``' planes against each lane's own stream, and its flags.
+
+    For each (seed, start, k) of ``cases``, step j's ``width`` planes must
+    spell, lane by lane, draw j + 1 of ``stream(seed, start + i)`` modulo its
+    bound, little-endian, and the last ``over`` must flag no lane.  With the
+    seed that makes lane k // 2 draw 2^64 - 1 first, it must flag that lane
+    alone.
+    """
+    for seed, start, k in cases:
+        gens = [stream(seed, i) for i in range(start, start + k)]
+        bounds, over = [], 0
+        for bound, planes, over in probability._lane_draws(seed, start, k, n, width):
+            assert len(planes) == width and all(len(p) == k for p in planes)
+            got = [int.from_bytes(bytes(cell), "little") for cell in zip(*planes)]
+            assert got == [g.next_u64() % bound for g in gens], (seed, start, k, bound)
+            bounds.append(bound)
+        assert bounds == list(range(n, 1, -1))
+        assert (over >> 64).to_bytes(16 * k, "little")[::16] == bytes(k)
+        i = k // 2
+        *_, (_, _, over) = probability._lane_draws(rejecting_seed(start + i), start, k, n, width)
+        flags = (over >> 64).to_bytes(16 * k, "little")[::16]
+        assert flags == bytes(i) + b"\x01" + bytes(k - i - 1), (n, start, k)
+
+
+LANE_CASES = [
+    (seed, start, k) for seed in (0, 2**64 + 5, -7) for start in (0, 1000) for k in (1, 5)
+]
+
+
 class TestByteLanes:
     def test_cut_fits_a_byte(self):
         assert 2 <= probability._BYTE_CUT < 256
+
+    @pytest.mark.parametrize("n", [2, 3, 16, 17, 18, 33, 48])
+    def test_lane_draws_in_byte_planes(self, n):
+        # 17 fills one pack of 16 steps, 18 spills one step into a second,
+        # and 33 has the power-of-two bounds 32..2 in its packs
+        check_lane_draws(1, n, LANE_CASES)
 
     def test_lane_mod_equals_remainder(self):
         # every bound up to 2^16, then around 2^20 and at the top of the range
@@ -871,6 +907,14 @@ WIDE_NS = [49, 64, 255, 256, 257, 400]
 
 
 class TestWideLanes:
+    @pytest.mark.parametrize("n", [49, 57, 400])
+    def test_lane_draws_in_two_byte_planes(self, n):
+        check_lane_draws(2, n, LANE_CASES)
+
+    def test_lane_draws_in_four_byte_planes(self):
+        cases = [(0, 0, 1), (2**64 + 5, 1000, 2), (-7, 1000, 1)]
+        check_lane_draws(4, 2**16 + 1, cases)
+
     @pytest.mark.parametrize("n", WIDE_NS)
     def test_shuffles_equal_stream_in_every_lane(self, n):
         k = probability._WIDE_DRAWS // n

@@ -49,6 +49,7 @@ SIZES = {
     "kuhn": ((8, 150), (4, 20)),
     "gamma": (2, 1),
     "mc_bytes": ((24, 5000), (8, 100)),
+    "mc_small": ((12, 5000), (4, 100)),
     "mc_wide": ((400, 200), (50, 10)),
     "stair": (580, 20),
     "files": (8, 2),
@@ -88,8 +89,9 @@ def rows(rl, tmp: Path, quick: bool) -> List[Tuple[str, Callable[[], object]]]:
     big_text = rl.serialize_instance(big)
     reach, arrivals = big.reach, len(big.arrival)
     tally = rl.gen_perfect(size("tally"), 0.4, 1)[0]
-    (n_b, k_b), (n_w, k_w) = size("mc_bytes"), size("mc_wide")
+    (n_b, k_b), (n_s, k_s), (n_w, k_w) = size("mc_bytes"), size("mc_small"), size("mc_wide")
     mc_bytes = rl.gen_perfect(n_b, 0.3, 5)[0]
+    mc_small = rl.gen_perfect(n_s, 0.3, 5)[0]  # 11 steps a batch: seeding weighs most
     mc_wide = rl.gen_random(n_w, n_w, 0.05, 1)
     stair = _staircase(rl, size("stair"))
     kuhn = [rl.gen_perfect(n, 0.1, 1)[0].graph for n in size("kuhn")]  # planted, n a side
@@ -129,6 +131,8 @@ def rows(rl, tmp: Path, quick: bool) -> List[Tuple[str, Callable[[], object]]]:
         ("probability._tally", lambda: _tally(tally.reach, len(tally.arrival))),
         ("generators.gamma_min_ratio", lambda: rl.gamma_min_ratio(size("gamma"))),
         ("probability.mc_expected_size bytes", lambda: rl.mc_expected_size(mc_bytes, k_b, 1)),
+        ("probability.mc_expected_size bytes small",
+         lambda: rl.mc_expected_size(mc_small, k_s, 1)),
         ("probability.mc_expected_size wide", lambda: rl.mc_expected_size(mc_wide, k_w, 1)),
         ("structure.removal_diff_offline", lambda: rl.removal_diff_offline(stair, "v1")),
         ("cli run", cli("run", big_file)),
