@@ -12,6 +12,10 @@ Subcommands:
 * ``gamma`` prints the exact worst ratio of the hard family at size n.
 * ``gen`` writes generated instance files.
 
+An instance file is read as bytes once and decoded as strict UTF-8, with
+CRLF and a lone CR read as LF: the text, and every error, that
+``Path.read_text`` would give.
+
 Exit codes: 0 success, 1 a checked property failed, 2 usage or input error.
 The default seed comes from the RANKINGLAB_SEED environment variable when
 set, otherwise 271828; it is read and validated on every ``main`` call,
@@ -71,7 +75,11 @@ def _default_seed() -> int:
 
 
 def _load(path: str):
-    return parse_instance(Path(path).read_text(encoding="utf-8"))
+    """``parse_instance(Path(path).read_text(encoding="utf-8"))``, from one bytes read."""
+    text = Path(path).read_bytes().decode("utf-8")
+    if "\r" in text:  # universal newlines; a search for "\r\n" alone costs more than this
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return parse_instance(text)
 
 
 def cmd_run(args) -> int:

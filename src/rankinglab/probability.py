@@ -30,6 +30,7 @@ import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import AbstractSet, Dict, Optional, Tuple
 
 from .engine import BipartiteInstance, _max_matching_size
@@ -154,14 +155,14 @@ def _mean(counts: Counter, n: int) -> Fraction:
     return Fraction(matched, math.factorial(n))
 
 
-def _tally(reach, arrivals: int, by_rank: bool = False) -> Tuple[dict, list, list]:
-    """Outcomes over all n! rankings of an index: ``(last, by_id, by_arrival)``.
+def _tally(reach, arrivals: int, by_rank: bool = False) -> Tuple[dict, list]:
+    """Outcomes over all n! rankings of an index: ``(last, by_rank)``.
 
     An instance passes ``inst.reach, len(inst.arrival)``.  ``last`` maps
     each final set of free arrivals (a bitmask) to the number of rankings
-    that leave it.  With ``by_rank``, ``by_id[d]`` counts the rankings that
-    match the id at rank d, and ``by_arrival[d]`` the same matches counted
-    on the arrival side (one arrival each); without, both lists are empty.
+    that leave it.  With ``by_rank``, list entry d counts the rankings that
+    match the id at rank d, which are as many matches of one arrival each;
+    without, the list is empty.
     The party-swapped greedy of ``engine._greedy`` makes a ranking an order
     in which offline vertices take their earliest-arriving free neighbor.
     A forward pass over depth d = 0..n-1 counts, for each state (bitmask of
@@ -175,7 +176,7 @@ def _tally(reach, arrivals: int, by_rank: bool = False) -> Tuple[dict, list, lis
     # a state is one int: bit x (x < n) for an offline id still to come,
     # bit n + j for a free arrival j
     layer = {full | ((1 << arrivals) - 1) << n: 1}
-    by_id, by_arrival = [], []
+    counts = []
     for d in range(n):
         hits = 0
         nxt: Dict[int, int] = {}
@@ -197,11 +198,9 @@ def _tally(reach, arrivals: int, by_rank: bool = False) -> Tuple[dict, list, lis
                 nxt[after] = nxt.get(after, 0) + ways
         layer = nxt
         if by_rank:
-            hits *= math.factorial(n - d - 1)
-            by_id.append(hits)
-            by_arrival.append(hits)
+            counts.append(hits * math.factorial(n - d - 1))
     # every offline id has come: each state is its free arrivals << n
-    return {state >> n: ways for state, ways in layer.items()}, by_id, by_arrival
+    return {state >> n: ways for state, ways in layer.items()}, counts
 
 
 def _validated_perfect(inst: BipartiteInstance, m_star: AbstractSet) -> frozenset:
@@ -281,18 +280,19 @@ def lemma3_chain(
 ) -> list:
     """The full per-rank chain of equalities and inequalities, one link per t.
 
-    Every link reads the one ``_tally`` pass: the rank probability and its
-    prefix sum from the match counts by offline id, the moved probability
-    as the mean over vertices x of P[x matched | x at rank t], and the mean
-    count from the match counts by arrival.  The moved probability is the
-    rank probability by algebra (sum_x c_x / (n-1)! / n = sum_x c_x / n!),
-    so ``move_equal`` cannot fail here; its independent route is the pair
-    space of ``rank_matched_prob_moved``.  The designated-partner
+    Every link reads the one ``_tally`` pass: the rank probability from the
+    match count at rank t, the moved probability as the mean over vertices
+    x of P[x matched | x at rank t], and the prefix sum and the mean count
+    from one running sum of those counts, since each match takes one
+    arrival.  The moved probability is the rank probability by algebra
+    (sum_x c_x / (n-1)! / n = sum_x c_x / n!), so ``move_equal`` cannot fail
+    here, nor ``count_equal`` and ``prefix_equal``; their independent routes
+    are the per-t functions of ``tests/oracles.py``.  The designated-partner
     probability is the mean count over n: a perfect M* lists each arrival
     once, so its partners' counts are all the counts, whichever M* it is.
     So the chain needs perfectness (``_require_perfect``, on ``reach``), not
-    an M*; a given ``m_star`` is still checked.  The per-t functions of
-    ``tests/oracles.py``, on the n!-ranking table, are the chain's test oracle.
+    an M*; a given ``m_star`` is still checked.  Those per-t functions, on
+    the n!-ranking table, are the chain's test oracle.
     """
     _check_cap(inst, cap)
     if m_star is None:
@@ -300,22 +300,20 @@ def lemma3_chain(
     else:
         _validated_perfect(inst, m_star)
     n = len(inst.ranking)
-    _, by_id, by_arrival = _tally(inst.reach, len(inst.arrival), by_rank=True)
+    _, by_rank = _tally(inst.reach, len(inst.arrival), by_rank=True)
     size = math.factorial(n)
     links = []
-    prefix = count = 0
-    for i in range(n):
-        hits = by_id[i]
+    prefix = 0
+    for t, hits in enumerate(by_rank, 1):
         prefix += hits
-        count += by_arrival[i]
         links.append(
             ChainLink(
-                t=i + 1,
+                t=t,
                 n=n,
                 rank_prob=Fraction(hits, size),
                 moved_prob=Fraction(hits, size // n) / n,
-                before_prob=Fraction(count, size * n),
-                mean_before_count=Fraction(count, size),
+                before_prob=Fraction(prefix, size * n),
+                mean_before_count=Fraction(prefix, size),
                 prefix_sum=Fraction(prefix, size),
             )
         )
@@ -397,6 +395,14 @@ def _ramp(k: int) -> int:
     return ramp & ((1 << 128 * k) - 1)
 
 
+@lru_cache(maxsize=2)  # the full batches of a call share one k; its last may have another
+def _lanes(k: int) -> tuple:
+    """The constants of k lanes: ``ones`` (1 in each), its multiples by
+    2^64 - 1, G and 2^32 - 1, and ``_ramp(k) * G``."""
+    ones = int.from_bytes((b"\x01" + bytes(15)) * k, "little")
+    return ones, ones * _MASK, ones * _GOLDEN, ones * 0xFFFFFFFF, _ramp(k) * _GOLDEN
+
+
 def _lane_draws(seed: int, start: int, k: int, n: int, width: int):
     """The Fisher-Yates draws of ``stream(seed, i)`` for i in start..start+k-1, as bytes.
 
@@ -418,9 +424,9 @@ def _lane_draws(seed: int, start: int, k: int, n: int, width: int):
     serves the pack.  So ``over`` covers the draws up to the end of the
     step's pack, and the last step's covers them all.
     """
-    ones = int.from_bytes((b"\x01" + bytes(15)) * k, "little")
-    m, g, low, near = ones * _MASK, ones * _GOLDEN, ones * 0xFFFFFFFF, ones << n.bit_length()
-    s = ones * ((seed + (start + 1) * _GOLDEN) & _MASK) + _ramp(k) * _GOLDEN
+    ones, m, g, low, ramp = _lanes(k)
+    near = ones << n.bit_length()
+    s = ones * ((seed + (start + 1) * _GOLDEN) & _MASK) + ramp
     s = _mix_lanes(s & m, m)
     per, over = 16 // width, 0
     for top in range(n, 1, -per):

@@ -6,22 +6,24 @@ self-contained instance file text that reproduces them.  Given an explicit
 instance, most suites check it exhaustively where that makes sense (the
 instance once, every matched or removable vertex, every move target) and
 ignore `count`; lemma5 and lemma9 instead draw `count` probes on it, none
-when it has no vertex.
+when it has no vertex.  lemma9 keeps one verdict per vertex of a given
+instance, so a probe that repeats a vertex counts and reports as a case of
+its own but is not checked again.
 
 A suite is a case source, a lazy generator of cases (the instance first),
 and a check that returns the failure descriptions of one case; ``_run`` is
 the one loop that counts the cases and attaches each failing instance's
-text.  The structural suites check on positions, one ``structure._Core``
-per instance, and name a vertex only in a failure's text.  All randomness
-flows through one SplitMix64 master stream per run, drawn in case order, so
-a (suite, count, seed) triple is fully reproducible.
+text, serialized once per failing case and not at all for a passing one.
+The structural suites check on positions, one ``structure._Core`` per
+instance, and name a vertex only in a failure's text.  All randomness flows
+through one SplitMix64 master stream per run, drawn in case order, so a
+(suite, count, seed) triple is fully reproducible.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable, Dict, Iterable, Iterator, List, Optional
 
 from .engine import BipartiteInstance, _greedy, _inverse, _matchings, _named, _ranking_holds
@@ -80,7 +82,9 @@ def _run(
     total = 0
     for case in cases:
         total += 1
-        failures += (CaseFailure(d, serialize_instance(case[0])) for d in check(*case))
+        if found := check(*case):  # a passing case builds nothing
+            text = serialize_instance(case[0])
+            failures += [CaseFailure(d, text) for d in found]
     return SuiteResult(name, total, failures, {} if notes is None else notes)
 
 
@@ -336,6 +340,7 @@ def suite_lemma9(
 ) -> SuiteResult:
     """Deleting one vertex never shrinks the output by more than one edge."""
     g = stream(seed, 0)
+    verdicts: Dict[tuple, List[str]] = {}  # the given instance's, by (offline, position)
 
     def cases():
         # sides alternate, arrival side first; an empty side yields to the other
@@ -344,7 +349,14 @@ def suite_lemma9(
             p = g.below(len(side))
             yield one, core, side[p], side is one.ranking, p
 
-    return _run("lemma9", cases(), partial(_removal_failures, paths=False))
+    def check(one, core: _Core, x: str, offline: bool, p: int) -> List[str]:
+        if inst is None:  # every draw is a fresh instance
+            return _removal_failures(one, core, x, offline, p, paths=False)
+        if (offline, p) not in verdicts:
+            verdicts[offline, p] = _removal_failures(one, core, x, offline, p, paths=False)
+        return verdicts[offline, p]
+
+    return _run("lemma9", cases(), check)
 
 
 def suite_rank_move(

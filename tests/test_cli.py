@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -63,6 +64,92 @@ class TestRun:
         assert main(["run", str(p)]) == 2
         err = capsys.readouterr().err
         assert "line 3" in err and "unknown offline vertex" in err
+
+
+def _read_text_outcome(path):
+    """What parsing ``Path(path).read_text`` gives: the instance, or the error's type and text."""
+    try:
+        return parse_instance(Path(path).read_text(encoding="utf-8"))
+    except Exception as e:  # noqa: BLE001 - the outcome is compared, not handled
+        return type(e), str(e)
+
+
+class TestLoad:
+    """``cli._load`` reads a file's bytes once, as ``read_text`` would decode them."""
+
+    EX = (DATA / "example6.obm").read_bytes()
+    FILES = {
+        "lf": EX,
+        "crlf": EX.replace(b"\n", b"\r\n"),
+        "lone cr": EX.replace(b"\n", b"\r"),
+        "mixed": EX.replace(b"\n", b"\r\n", 3).replace(b"\n", b"\r", 4),
+        "crlf split by a lone cr": EX.replace(b"\n", b"\r\r\n", 2),
+        "last line ends in cr": EX[:-1] + b"\r",
+        "leading bom": b"\xef\xbb\xbf" + EX,
+        "bom after a blank line": b"\r\n\xef\xbb\xbf" + EX,
+        "invalid byte early": EX[:10] + b"\xff" + EX[10:],
+        "invalid after byte 8192": b"#" + b"x" * 9000 + b"\r\n" + EX + b"\xc3",
+        "sequence across byte 8192": b"#" + b"x" * 8190 + b"\xe2\x82\n" + EX,
+        "truncated at the end": EX + b"\xe2\x82",
+        "non-ascii comment": b"# \xc3\xa9t\xc3\xa9\r\n" + EX,
+        "empty": b"",
+    }
+
+    @pytest.mark.parametrize("name", FILES)
+    def test_same_outcome_as_read_text(self, name, tmp_path, monkeypatch):
+        path, texts = tmp_path / "f.obm", []
+        path.write_bytes(self.FILES[name])
+        want = _read_text_outcome(path)
+        monkeypatch.setattr(cli, "parse_instance", lambda t: texts.append(t) or parse_instance(t))
+        try:
+            got = cli._load(str(path))
+        except Exception as e:  # noqa: BLE001
+            got = type(e), str(e)
+        assert got == want
+        # the parser is given read_text's very text, so a CRLF or CR file is as
+        # plain to it as the LF file it came from
+        try:
+            assert texts == [path.read_text(encoding="utf-8")]
+        except UnicodeDecodeError:
+            assert texts == []
+        if name in ("lf", "crlf", "lone cr", "mixed"):
+            assert got == parse_instance(self.EX.decode())
+
+    @pytest.mark.parametrize("path", ["./x//y.obm", "x/../x//y.obm", "."])
+    def test_same_os_error_as_read_text(self, path, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "x").mkdir()
+        kind, text = _read_text_outcome(path)
+        with pytest.raises(OSError) as got:
+            cli._load(path)
+        assert (type(got.value), str(got.value)) == (kind, text)
+        assert issubclass(kind, OSError) and "//" not in text
+
+    @pytest.mark.parametrize("name", FILES)
+    def test_main_reads_every_file_alike(self, name, tmp_path, capsys):
+        path, plain = tmp_path / "f.obm", tmp_path / "plain.obm"
+        path.write_bytes(self.FILES[name])
+        want = _read_text_outcome(path)
+        if not isinstance(want, tuple):  # what read_text gave, with LF line ends only
+            plain.write_text(path.read_text(encoding="utf-8"), encoding="utf-8")
+        for tail in (["run"], ["check", "--suite", "lemma9", "--count", "20", "--seed", "4"]):
+            rc = main([tail[0], str(path), *tail[1:]])
+            got = rc, *capsys.readouterr()
+            if isinstance(want, tuple):
+                assert got == (2, "", f"error: {want[1]}\n")
+            else:
+                assert got == (main([tail[0], str(plain), *tail[1:]]), *capsys.readouterr())
+                assert rc == 0
+
+    @pytest.mark.parametrize("path", ["./x//y.obm", "x"])
+    def test_main_reports_os_errors_alike(self, path, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "x").mkdir()
+        _, text = _read_text_outcome(path)
+        for command in ("run", "exact", "mc"):
+            argv = [command, path, *(["--samples", "5"] if command == "mc" else [])]
+            assert main(argv) == 2
+            assert capsys.readouterr() == ("", f"error: {text}\n")
 
 
 class TestExact:

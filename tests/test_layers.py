@@ -35,6 +35,7 @@ ROWS = [
         for s in ("ranking-matching", "lemma5", "lemma6", "lemma7", "lemma8", "lemma9")
     ),
     "cli check --suite rank-move",
+    "cli check --suite lemma9 --count 1000",
 ]
 
 

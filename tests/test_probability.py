@@ -317,7 +317,7 @@ class TestSizeDistribution:
         inst, _ = gen_perfect(6, 0.4, 2)
         reach, arrivals = inst.reach, len(inst.arrival)
         counts = probability._size_counts(reach, arrivals)
-        last, _, _ = probability._tally(reach, arrivals)
+        last, _ = probability._tally(reach, arrivals)
         assert sum(counts.values()) == sum(last.values()) == math.factorial(6)
         assert probability._mean_size(reach, arrivals) == Fraction(
             sum(size * ways for size, ways in counts.items()), math.factorial(6)
@@ -428,24 +428,27 @@ class TestChainEqualsPerT:
         assert lemma3_chain(inst, m_star) == chain_from_per_t(inst, m_star)
 
     def test_routes_stay_apart(self, monkeypatch):
-        # one tally drops an arrival's match that the counts by offline id
-        # keep: the prefix sum reads the latter and the mean count the
-        # former, so they part; the designated partners are every arrival
-        # once, so the designated-partner route still agrees with the count
+        # one tally drops a match: the chain reads its rank probability,
+        # prefix sum and mean count off that one list, so its own relations
+        # still hold, while the per-t oracles on the n!-ranking table,
+        # which never call the tally, part from it from that rank on
         inst, m_star = gen_perfect(4, 0.3, 11)
-        real = probability._tally
+        real, oracle = probability._tally, chain_from_per_t(inst, m_star)
+        d = next(d for d, k in enumerate(real(inst.reach, 4, True)[1]) if k)
 
         def dropped(reach, arrivals, by_rank):
-            last, by_id, by_arrival = real(reach, arrivals, by_rank)
-            d = next(d for d, k in enumerate(by_arrival) if k)
-            by_arrival[d] -= 1
-            return last, by_id, by_arrival
+            last, counts = real(reach, arrivals, by_rank)
+            counts[d] -= 1
+            return last, counts
 
         monkeypatch.setattr(probability, "_tally", dropped)
         links = lemma3_chain(inst, m_star)
-        assert not all(l.count_equal and l.prefix_equal for l in links)
-        assert not all(l.prefix_equal for l in links)
-        assert all(l.count_equal for l in links)
+        assert all(l.count_equal and l.prefix_equal for l in links)
+        assert links[:d] == oracle[:d]
+        for link, want in zip(links[d:], oracle[d:]):
+            assert link.mean_before_count != want.mean_before_count
+            assert link.prefix_sum != want.prefix_sum
+        assert links[d].rank_prob != oracle[d].rank_prob
 
     def test_same_errors(self, small):
         no_perfect = make_instance("v1 v2", "u1", [("u1", "v1")])

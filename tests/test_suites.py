@@ -888,3 +888,89 @@ class TestPositionsEqualNameLevel:
         kwargs = self.lemma5_faults(monkeypatch, fault)
         failures = [self.same_lemma5(15, seed, max_side=5, **kwargs) for seed in range(20)]
         assert any(failures) == (fault != "none")
+
+
+def lemma9_reference(inst, count, seed, removal):
+    """``check FILE --suite lemma9``'s stdout and its probes, from a loop that
+    replays the suite's draws and calls ``removal`` once per probe."""
+    g, core, text = stream(seed, 0), structure._Core(inst.reach, len(inst.arrival)), ""
+    probes, lines = [], []
+    for k in range(count if inst.offline | inst.online else 0):
+        side = (inst.arrival, inst.ranking)[k % 2] or (inst.ranking, inst.arrival)[k % 2]
+        p = g.below(len(side))
+        probes.append((side is inst.ranking, p))
+        for d in removal(inst, core, side[p], side is inst.ranking, p, False):
+            text = text or serialize_instance(inst)
+            lines.append(f"FAIL: {d}\n--- failing instance ---\n{text}--- end ---\n")
+    head = f"suite lemma9: {len(probes)} cases, {len(lines)} failures\n"
+    return head + "".join(lines), probes
+
+
+class TestLemma9GivenFile:
+    """On a given file, lemma 9 checks each vertex once and reports every probe."""
+
+    @pytest.fixture(params=["example6", "dense 8x8"])
+    def path(self, request, tmp_path):
+        if request.param == "example6":
+            return DATA / "example6.obm"
+        path = tmp_path / "d88.obm"
+        path.write_text(serialize_instance(gen_random(8, 8, 0.6, 3)), encoding="utf-8")
+        return path
+
+    def run(self, path, count, capsys):
+        rc = main(["check", str(path), "--suite", "lemma9", "--count", str(count), "--seed", "4"])
+        return rc, capsys.readouterr().out
+
+    @pytest.mark.parametrize("count", [0, 1, 20, 1000])
+    def test_stdout_equals_a_check_per_probe(self, path, count, monkeypatch, capsys):
+        real, checked = suites._removal_failures, []
+
+        def counted(one, core, x, offline, p, paths=True):
+            checked.append((offline, p))
+            return real(one, core, x, offline, p, paths)
+
+        inst = parse_instance(path.read_text(encoding="utf-8"))
+        want, probes = lemma9_reference(inst, count, 4, real)
+        monkeypatch.setattr(suites, "_removal_failures", counted)
+        assert self.run(path, count, capsys) == (0, want)
+        assert len(checked) == len(set(checked)) == len(set(probes))
+        assert sorted(checked) == sorted(set(probes))
+        if count == 1000:  # every vertex is probed, and checked once
+            assert len(checked) == len(inst.arrival) + len(inst.ranking)
+
+    @pytest.mark.parametrize("count", [20, 1000])
+    def test_a_failing_vertex_fails_every_probe_of_it(self, path, count, monkeypatch, capsys):
+        inst = parse_instance(path.read_text(encoding="utf-8"))
+        _, probes = lemma9_reference(inst, count, 4, suites._removal_failures)
+        target = max(sorted(set(probes)), key=probes.count)  # the most probed vertex
+        real = suites._cascade
+
+        def faulty(core, offline, p, one):
+            if (offline, p) == target:
+                raise DichotomyViolation(f"planted at {p}")
+            return real(core, offline, p, one)
+
+        monkeypatch.setattr(suites, "_cascade", faulty)
+        want, _ = lemma9_reference(inst, count, 4, suites._removal_failures)
+        assert self.run(path, count, capsys) == (1, want)
+        assert want.count(f"FAIL: planted at {target[1]}\n") == probes.count(target) > 1
+
+
+class TestRunLoop:
+    def test_failures_in_case_order(self, example6, monkeypatch):
+        small = parse_instance(PERFECT_TEXT)
+        cases = [(one, k) for k in range(9) for one in (example6, small)]
+
+        def check(one, k):  # none, one or two descriptions a case
+            return [f"fault {j} of case {k}" for j in range(k % 3)]
+
+        serialized = []
+        monkeypatch.setattr(suites, "serialize_instance",
+                            lambda one: serialized.append(one) or serialize_instance(one))
+        result = suites._run("x", iter(cases), check)
+        assert result.cases == len(cases) and result.notes == {}
+        assert result.failures == [
+            CaseFailure(d, serialize_instance(c[0])) for c in cases for d in check(*c)
+        ]
+        # one text per failing case; a passing case serializes nothing
+        assert serialized == [one for one, k in cases if k % 3]

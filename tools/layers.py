@@ -103,6 +103,7 @@ def rows(rl, tmp: Path, quick: bool) -> List[Tuple[str, Callable[[], object]]]:
 
     big_file, mc_file = write("big.obm", big), write("mcb.obm", mc_bytes)
     exact_file = write("p.obm", tally)
+    dense_file = write("d88.obm", rl.gen_random(8, 8, 0.6, 3))  # every vertex probed at 1000
     # the check workload's shape: small files of 3 to 8 a side, 20 probes each
     files = [
         (write(f"r{k}.obm", rl.gen_random(3 + k % 6, 3 + (k + 2) % 6, 0.3 + 0.1 * (k % 5), k)),
@@ -144,6 +145,8 @@ def rows(rl, tmp: Path, quick: bool) -> List[Tuple[str, Callable[[], object]]]:
                         "--edge-prob", "0.1", "--seed", "1", "--out", str(tmp / "gen.obm"))),
     ]
     out += [(f"cli check --suite {s}", check(s)) for s in STRUCTURAL]
+    out.append(("cli check --suite lemma9 --count 1000",
+                cli("check", dense_file, "--suite", "lemma9", "--count", "1000", "--seed", "1")))
     return out
 
 
