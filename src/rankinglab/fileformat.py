@@ -20,8 +20,14 @@ column, only when the error names it.  The lookups that check an edge's
 endpoints set its bit in ``reach``; ``graph`` is built only when first read.
 A plain file (as ``serialize_instance`` writes it: leading ``#`` lines, each
 token after one space, each line ended by ``\n``) skips this line loop; its
-edges are read about 16 KB at a time, one regex check and one split each.
-Other text, and a plain one with a repeated name or an unknown endpoint, goes
+edges are read about 16 KB of whole lines at a time, so that no token list
+outgrows a chunk.  A chunk is checked by string calls that run in C: it is
+ASCII and ends in ``\n``; cutting ``edge `` from the start of each line
+shortens it by 5 characters a line; deleting every printable character but
+space and ``#`` leaves one space and one ``\n`` a line; and it splits into
+two tokens a line.  So every line is ``edge X Y`` and the split is the
+endpoints in order.  Other text, non-ASCII names and control characters
+included, and a plain one with a repeated name or an unknown endpoint, goes
 to the line loop, which alone raises errors.
 ``serialize_instance`` emits the canonical form (edges sorted by arrival
 position, then ranking position); parsing the canonical form and serializing
@@ -42,7 +48,7 @@ _HEAD = re.compile(  # no comment or token of a plain file holds a line boundary
     "(?:#[^\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]*\n)*"
     "offline([^\n]*)\nonline([^\n]*)\n"  # each party's tokens are checked after split
 )
-_EDGES = re.compile(r"(?:edge [^\s#]+ [^\s#]+\n)*")
+_NAME = bytes(c for c in range(0x21, 0x7F) if c != ord("#"))  # printable, no space or '#'
 _CHUNK = 1 << 14  # characters an edge chunk reaches before its last line ends
 
 
@@ -60,6 +66,20 @@ def _column(raw: str, k: int) -> int:
     return [m.start() for m in _TOKEN.finditer(raw.split("#", 1)[0])][k] + 1
 
 
+def _edge_tokens(chunk: str):
+    """The endpoints of a chunk of plain edge lines, in order, or None."""
+    if not (chunk.isascii() and chunk.endswith("\n")):
+        return None
+    lines = chunk.count("\n")
+    body = ("\n" + chunk).replace("\nedge ", "\n")  # "\nedge " can start only a line
+    if len(body) != len(chunk) + 1 - 5 * lines:
+        return None
+    if body.encode().translate(None, _NAME) != b"\n" + b" \n" * lines:
+        return None
+    toks = body.split()  # two a line: neither name is empty
+    return toks if len(toks) == 2 * lines else None
+
+
 def _parse_plain(text: str):
     """The instance of a plain file, or None to leave the text to the line loop."""
     head = _HEAD.match(text)
@@ -72,16 +92,16 @@ def _parse_plain(text: str):
     if len({*ranked, *arrivals}) < len(ranked) + len(arrivals):
         return None
     ranking, arrival = Permutation(ranked), Permutation(arrivals)
-    rank, pos, reach = ranking._pos, arrival._pos, [0] * len(ranked)
+    rank, reach = ranking._pos, [0] * len(ranked)
+    bit = {u: 1 << k for k, u in enumerate(arrivals)}
     j = head.end()
     while (i := j) < len(text):
         j = text.find("\n", i + _CHUNK) + 1 or len(text)  # a chunk of whole lines
-        if not _EDGES.fullmatch(text, i, j):
+        if (toks := _edge_tokens(text[i:j])) is None:
             return None
-        toks = text[i:j].split()
         try:
-            for u, v in zip(toks[1::3], toks[2::3]):
-                reach[rank[v]] |= 1 << pos[u]
+            for u, v in zip(toks[::2], toks[1::2]):
+                reach[rank[v]] |= bit[u]
         except KeyError:
             return None
     return BipartiteInstance._indexed(ranking, arrival, tuple(reach))
@@ -148,7 +168,7 @@ def serialize_instance(inst: BipartiteInstance) -> str:
         " ".join(["offline", *ranked]).rstrip(),
         " ".join(["online", *arrivals]).rstrip(),
     ]
-    lines += [f"edge {u} {v}" for u, vs in zip(arrivals, mates) for v in vs]
+    lines += [f"edge {u} " + f"\nedge {u} ".join(vs) for u, vs in zip(arrivals, mates) if vs]
     return "\n".join(lines) + "\n"
 
 

@@ -455,14 +455,85 @@ def plain_texts(draw):
     return "".join(f"{line}\n" for line in [*notes, *map(" ".join, lines)])
 
 
-def _long_text(last_edge=None):
+def _long_text(bad_edge=None, at=-1):
     """test_bad_last_edge_of_a_long_file's layout, over 2.5 chunks: long offline names."""
     offline = [f"v{k:012}" for k in range(50)]
     online = [f"u{k}" for k in range(40)]
     body = [f"edge {u} {v}" for u in online for v in offline]
-    body[-1] = last_edge or body[-1]
+    body[at] = bad_edge or body[at]
     return "\n".join(["# big", "offline " + " ".join(offline),
                       "online " + " ".join(online), *body]) + "\n"
+
+
+# The regex the plain reader checked each edge chunk with before it used string
+# calls; it stays here as the oracle of a plain chunk.
+_EDGES = re.compile(r"(?:edge [^\s#]+ [^\s#]+\n)*")
+
+
+def _chunks(text, start):
+    """The edge chunks the plain reader cuts from start on: whole lines, about _CHUNK each."""
+    while start < len(text):
+        end = text.find("\n", start + fileformat._CHUNK) + 1 or len(text)
+        yield text[start:end]
+        start = end
+
+
+def chunk_tokens(chunk):
+    """A plain edge chunk's endpoints in order, or None: plain is the regex, in printable ASCII."""
+    rest = chunk.replace("\n", "")
+    if _EDGES.fullmatch(chunk) and rest.isascii() and rest.isprintable():
+        return [t for k, t in enumerate(chunk.split()) if k % 3]
+    return None
+
+
+def is_plain(text):
+    """Whether the plain reader should accept text, from the format's definition."""
+    head = re.match(r"((?:#.*\n)*)offline((?: [^\s#]+)*)\nonline((?: [^\s#]+)*)\n", text)
+    if head is None or len(head[1].splitlines()) != head[1].count("\n"):
+        return False  # a comment holds a line boundary other than \n
+    names = (head[2] + head[3]).split()
+    if len(set(names)) < len(names):
+        return False
+    if any(chunk_tokens(chunk) is None for chunk in _chunks(text, head.end())):
+        return False
+    try:
+        oracle_parse(text)
+    except InstanceFormatError:
+        return False  # an unknown endpoint
+    return True
+
+
+_ODD = "\xe9\ud800\x01\x7f\xa0\t"  # é, a lone surrogate, two controls, two spaces
+
+
+@st.composite
+def odd_plain_texts(draw):
+    """A plain head, then edge lines whose names may hold non-ASCII, control or space."""
+    offline = draw(st.lists(st.sampled_from(["v1", "v2", "\xe9", "v\x01", "v\x7f"]), unique=True))
+    online = draw(st.lists(st.sampled_from(["u1", "u2", "u\xe9", "u\x01"]), unique=True))
+    name = st.one_of(st.sampled_from([*offline, *online, "w"]), st.text("uv1#" + _ODD, max_size=3))
+    edges = draw(st.lists(st.tuples(name, name), max_size=6))
+    lines = [["offline", *offline], ["online", *online], *(["edge", u, v] for u, v in edges)]
+    return "".join(" ".join(line) + "\n" for line in lines)
+
+
+@st.composite
+def edge_chunks(draw):
+    """Edge lines of plain names, one of them perhaps replaced by an odd line."""
+    name = st.sampled_from(["u1", "v1", "edge", "d"])
+    lines = draw(st.lists(st.builds("edge {} {}\n".format, name, name), min_size=1, max_size=4))
+    if draw(st.booleans()):
+        odd = st.sampled_from(["v#", "u\xe9", "v\ud800", "v\x01", "v\x7f", "u1\xa0"])
+        gap = st.sampled_from([" ", "", "  ", "\t", "\xa0"])
+        text = st.text("ue1d g#" + _ODD, max_size=4)
+        lines[draw(st.integers(0, len(lines) - 1))] = draw(st.one_of(
+            st.builds("edge {} {}\n".format, st.one_of(name, odd), st.one_of(name, odd)),
+            st.tuples(st.sampled_from(["edge", "Edge", ""]), gap, text, gap, text,
+                      st.sampled_from(["\n", " \n", "\r\n", ""])).map("".join),
+        ))
+    chunk = "".join(lines)
+    assume(chunk)  # the reader never cuts an empty chunk
+    return chunk
 
 
 class TestPlainParse:
@@ -475,6 +546,29 @@ class TestPlainParse:
         assert outcome(parse_instance, text) == want
         got = fileformat._parse_plain(text)
         assert got is None or (got, got.reach) == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(plain_texts(), odd_plain_texts()))
+    def test_accepted_exactly_when_plain(self, text):
+        got = fileformat._parse_plain(text)
+        assert (got is not None) == is_plain(text)
+        assert got is None or (got, got.reach) == outcome(oracle_parse, text)
+        assert outcome(parse_instance, text) == outcome(oracle_parse, text)
+
+    @settings(max_examples=400, deadline=None)
+    @given(edge_chunks())
+    def test_edge_chunks_match_the_regex(self, chunk):
+        assert fileformat._edge_tokens(chunk) == chunk_tokens(chunk)
+
+    @pytest.mark.parametrize(
+        "chunk",
+        ["edge u1 v#1\n", "edge u# v1\n", "edge u1 \n", "edge  v1\n", "edge edge\n",
+         "edge u1 v1 edge\nu1 v2\n", "a b\nedge c \nedge d", "edge u\x01 v1\n",
+         "edge u1 v\x7f\n", "edge u1 v\xe9\n", "edge u1 v\ud800\n", "edge edge edge\n",
+         "u1 v1\n", "edge u1 v1\nu1 v1\n"],
+    )
+    def test_fixed_edge_chunks(self, chunk):
+        assert fileformat._edge_tokens(chunk) == chunk_tokens(chunk)
 
     @settings(max_examples=100, deadline=None)
     @given(instances(), st.lists(st.sampled_from(_NOTES), max_size=2))
@@ -509,6 +603,14 @@ class TestPlainParse:
             "offline v1\nonline u1\nEdge u1 v1\n",
             "online u1\noffline v1\n",
             "",
+            "offline v1 v2\nonline u1\nedge u1 v1 edge\nu1 v2\n",
+            "offline v1\nonline u1\nedge edge\n",
+            "offline v1\nonline u1\nedge u1 \n",
+            "offline b d\nonline a c\na b\nedge c \nedge d",
+            "offline v\x01\nonline u1\nedge u1 v\x01\n",
+            "offline v1\nonline u\xe9\nedge u\xe9 v1\n",
+            "offline v\ud800\nonline u1\nedge u1 v\ud800\n",
+            "offline v1\nonline u1\nu1 v1\n",
         ],
     )
     def test_declined_texts(self, text):
@@ -532,6 +634,18 @@ class TestPlainParse:
         assert len(text) > 2.5 * fileformat._CHUNK
         got = fileformat._parse_plain(text)
         assert got is not None and (got, got.reach) == outcome(oracle_parse, text)
+
+    @pytest.mark.parametrize(
+        "bad",
+        ["edge u20 u20", "edge u20 v000000000003 v000000000004", "edge u20\tv000000000003",
+         "edge u20 v\x01"],
+    )
+    def test_bad_line_in_the_second_chunk(self, bad):
+        text = _long_text(bad, at=1000)
+        first, second = list(_chunks(text, text.index("\nedge ") + 1))[:2]
+        assert f"\n{bad}\n" in second and bad not in first
+        assert fileformat._parse_plain(text) is None
+        assert outcome(parse_instance, text) == outcome(oracle_parse, text)
 
     def test_bad_last_edge_of_a_long_plain_file(self):
         text = _long_text("edge u39 u39")

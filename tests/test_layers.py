@@ -27,6 +27,8 @@ ROWS = [
     "cli run",
     "cli exact",
     "cli mc",
+    "cli exact --dist",
+    "cli mc --dist",
     "cli bound",
     "cli gamma",
     "cli gen",

@@ -139,6 +139,8 @@ def rows(rl, tmp: Path, quick: bool) -> List[Tuple[str, Callable[[], object]]]:
         ("cli run", cli("run", big_file)),
         ("cli exact", cli("exact", exact_file)),
         ("cli mc", cli("mc", mc_file, "--samples", str(k_b), "--seed", "1")),
+        ("cli exact --dist", cli("exact", exact_file, "--dist")),
+        ("cli mc --dist", cli("mc", mc_file, "--samples", str(k_b), "--seed", "1", "--dist")),
         ("cli bound", cli("bound", "--n", "50", "--exact")),
         ("cli gamma", cli("gamma", "--n", "2" if not quick else "1")),
         ("cli gen", cli("gen", "random", "--offline", str(side), "--online", str(side),
