@@ -10,7 +10,8 @@ over the arrival order.  ``is_ranking_matching`` is the declarative one: a
 predicate on (graph, matching, orders) that the fold's output satisfies and,
 on any given instance, exactly one matching satisfies.  Having both lets the
 tests drive each against the other.  ``_ranking_holds`` decides it on an
-index, for a partner array; ``_predicate`` indexes one (graph, orders).
+index, for a partner array, which ``is_ranking_matching`` builds from
+(graph, orders).
 
 Every other caller runs ``_greedy``, the party-swapped greedy (offline
 vertices in ranking order take their earliest-arriving free neighbor), on
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, List, Sequence
+from typing import Iterable, Iterator, List, Sequence
 
 from .graph import (
     Vertex,
@@ -306,29 +307,6 @@ def _matchings(cols: Sequence[int]) -> List[tuple]:
     return [prs for prs, _ in out]
 
 
-def _predicate(g, arrival: Permutation, ranking: Permutation) -> Callable[..., bool]:
-    """``is_ranking_matching`` on (g, orders) as a test of m, built once for many m.
-
-    Checks the parties once and indexes g, arrivals choosing, for ``_ranking_holds``;
-    an edge of three or more ends that spans both parties needs one end covered.
-    """
-    gset = frozenset(frozenset(e) for e in g)
-    parties = not arrival.members & ranking.members
-    parties = parties and is_bipartite(gset, arrival.members, ranking.members)
-    rows = [sum(1 << j for j, u in enumerate(arrival) if {u, v} in gset) for v in ranking]
-    cols, rank = _transpose(rows, len(arrival)), ranking._pos
-
-    def holds(m) -> bool:
-        mset = frozenset(frozenset(e) for e in m)
-        if not (parties and mset <= gset and is_matching(mset)):
-            return False
-        mate = _mate_map(mset)  # every edge has two ends
-        prs = [rank.get(mate.get(u), -1) for u in arrival]
-        return all(e & mate.keys() for e in gset if len(e) > 2) and _ranking_holds(prs, cols, rows)
-
-    return holds
-
-
 def is_ranking_matching(
     g: frozenset, m: frozenset, arrival: Permutation, ranking: Permutation
 ) -> bool:
@@ -338,6 +316,18 @@ def is_ranking_matching(
     disjoint parties; m is maximal in g; no arriving vertex skipped a free
     better-ranked neighbor; and the same first-choice condition with the
     parties' roles swapped.  The conjunction is symmetric under exchanging
-    the two orders.  This is one call of the closure ``_predicate``.
+    the two orders.  It indexes g, arrivals choosing, for ``_ranking_holds``;
+    an edge of three or more ends that spans both parties needs one end
+    covered.
     """
-    return _predicate(g, arrival, ranking)(m)
+    gset = frozenset(frozenset(e) for e in g)
+    mset = frozenset(frozenset(e) for e in m)
+    parties = not arrival.members & ranking.members
+    parties = parties and is_bipartite(gset, arrival.members, ranking.members)
+    if not (parties and mset <= gset and is_matching(mset)):
+        return False
+    rows = [sum(1 << j for j, u in enumerate(arrival) if {u, v} in gset) for v in ranking]
+    cols = _transpose(rows, len(arrival))
+    mate = _mate_map(mset)  # every edge has two ends
+    prs = [ranking._pos.get(mate.get(u), -1) for u in arrival]
+    return all(e & mate.keys() for e in gset if len(e) > 2) and _ranking_holds(prs, cols, rows)

@@ -9,7 +9,8 @@ earliest-arriving free neighbor, so a pass over states (offline vertices
 still to come, free arrivals) counts rankings.  It reads an index, not an
 instance: a ``reach`` mask per offline id and the number of arrivals.  The
 size distribution and its mean, the expected size, read its last layer;
-``lemma3_chain`` has the same pass count the matches at each rank too.
+``lemma3_chain`` reads the matched total of every layer, with no count kept
+per rank.
 Beyond the cap, ``mc_expected_size`` gives a seeded, bit-reproducible Monte
 Carlo estimate, read off a histogram of the sampled sizes.  It draws a batch
 of samples at once on the 128-bit lanes of one int; ``_lane_draws`` is the
@@ -31,7 +32,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import AbstractSet, Dict, Optional, Tuple
+from typing import AbstractSet, Dict, Iterator, Optional, Tuple
 
 from .engine import BipartiteInstance, _max_matching_size
 from .fileformat import fingerprint
@@ -101,20 +102,14 @@ def _check_cap(inst: BipartiteInstance, cap: int) -> None:
 
 def exact_expected_size(inst: BipartiteInstance, cap: int = DEFAULT_CAP) -> ExactReport:
     """Expected matching size over a uniformly random ranking, exactly."""
-    value = _expected_size(inst, cap)
+    _check_cap(inst, cap)
     return ExactReport(
         instance_id=fingerprint(inst),
         quantity="expected_matching_size",
         params=(),
-        value=value,
+        value=_mean_size(inst.reach, len(inst.arrival)),
         sample_space=math.factorial(len(inst.ranking)),
     )
-
-
-def _expected_size(inst: BipartiteInstance, cap: int = DEFAULT_CAP) -> Fraction:
-    """The value of ``exact_expected_size``, with no report and no fingerprint."""
-    _check_cap(inst, cap)
-    return _mean_size(inst.reach, len(inst.arrival))
 
 
 def exact_size_distribution(
@@ -138,9 +133,12 @@ def _distribution(counts: Counter, n: int) -> Dict[int, Fraction]:
 
 def _size_counts(reach, arrivals: int) -> Counter:
     """How many of the n! orders of the ``reach`` ids give each matching size."""
+    for last in _layers(reach, arrivals):
+        pass
+    # every offline id has come: each state is its free arrivals << n
     counts: Counter = Counter()
-    for free, ways in _tally(reach, arrivals)[0].items():
-        counts[arrivals - free.bit_count()] += ways
+    for state, ways in last.items():
+        counts[arrivals - state.bit_count()] += ways
     return counts
 
 
@@ -155,30 +153,24 @@ def _mean(counts: Counter, n: int) -> Fraction:
     return Fraction(matched, math.factorial(n))
 
 
-def _tally(reach, arrivals: int, by_rank: bool = False) -> Tuple[dict, list]:
-    """Outcomes over all n! rankings of an index: ``(last, by_rank)``.
+def _layers(reach, arrivals: int) -> Iterator[Dict[int, int]]:
+    """The layers d = 0..n of the rank-order pass over all n! rankings of an index.
 
-    An instance passes ``inst.reach, len(inst.arrival)``.  ``last`` maps
-    each final set of free arrivals (a bitmask) to the number of rankings
-    that leave it.  With ``by_rank``, list entry d counts the rankings that
-    match the id at rank d, which are as many matches of one arrival each;
-    without, the list is empty.
-    The party-swapped greedy of ``engine._greedy`` makes a ranking an order
-    in which offline vertices take their earliest-arriving free neighbor.
-    A forward pass over depth d = 0..n-1 counts, for each state (bitmask of
-    offline ids still to come, bitmask of free arrivals), the orders of the
-    first d ids that reach it; a match at depth d is completed by
-    (n - d - 1)! orders of the rest, a factor applied once per layer.  The
-    counts equal those of the ``_ensemble`` table in ``tests/oracles.py``.
+    An instance passes ``inst.reach, len(inst.arrival)``.  The party-swapped
+    greedy of ``engine._greedy`` makes a ranking an order in which offline
+    vertices take their earliest-arriving free neighbor.  Layer d maps each
+    state, one int with bit x (x < n) for an offline id still to come and bit
+    n + j for a free arrival j, to the number of orders of d ids that reach
+    it; its ways sum to n! / (n - d)!, and its matched total (ways times
+    matched arrivals) times (n - d)! counts the matches among the first d
+    ranks over all n! rankings.  The counts equal those of the ``_ensemble``
+    table in ``tests/oracles.py``.
     """
     n = len(reach)
     full = (1 << n) - 1
-    # a state is one int: bit x (x < n) for an offline id still to come,
-    # bit n + j for a free arrival j
     layer = {full | ((1 << arrivals) - 1) << n: 1}
-    counts = []
-    for d in range(n):
-        hits = 0
+    yield layer
+    for _ in range(n):
         nxt: Dict[int, int] = {}
         for state, ways in layer.items():
             free = state >> n
@@ -186,21 +178,11 @@ def _tally(reach, arrivals: int, by_rank: bool = False) -> Tuple[dict, list]:
             while todo:
                 bit = todo & -todo
                 todo ^= bit
-                x = bit.bit_length() - 1
-                a = reach[x] & free
-                if a:
-                    a &= -a
-                    after = state ^ bit ^ a << n
-                    if by_rank:
-                        hits += ways
-                else:
-                    after = state ^ bit
+                a = reach[bit.bit_length() - 1] & free
+                after = state ^ bit ^ (a & -a) << n  # a == 0: the id takes no arrival
                 nxt[after] = nxt.get(after, 0) + ways
         layer = nxt
-        if by_rank:
-            counts.append(hits * math.factorial(n - d - 1))
-    # every offline id has come: each state is its free arrivals << n
-    return {state >> n: ways for state, ways in layer.items()}, counts
+        yield layer
 
 
 def _validated_perfect(inst: BipartiteInstance, m_star: AbstractSet) -> frozenset:
@@ -280,11 +262,13 @@ def lemma3_chain(
 ) -> list:
     """The full per-rank chain of equalities and inequalities, one link per t.
 
-    Every link reads the one ``_tally`` pass: the rank probability from the
-    match count at rank t, the moved probability as the mean over vertices
-    x of P[x matched | x at rank t], and the prefix sum and the mean count
-    from one running sum of those counts, since each match takes one
-    arrival.  The moved probability is the rank probability by algebra
+    Every link reads the one ``_layers`` pass.  Layer t's matched total
+    times (n - t)! is the prefix count: the matches among the first t ranks
+    over all n! rankings, S_t * n!, which gives the prefix sum and the mean
+    count, since each match takes one arrival.  The match count at rank t is
+    the difference of two prefix counts; it gives the rank probability, and
+    the moved probability as the mean over vertices x of P[x matched | x at
+    rank t].  The moved probability is the rank probability by algebra
     (sum_x c_x / (n-1)! / n = sum_x c_x / n!), so ``move_equal`` cannot fail
     here, nor ``count_equal`` and ``prefix_equal``; their independent routes
     are the per-t functions of ``tests/oracles.py``.  The designated-partner
@@ -299,13 +283,15 @@ def lemma3_chain(
         _require_perfect(inst)
     else:
         _validated_perfect(inst, m_star)
-    n = len(inst.ranking)
-    _, by_rank = _tally(inst.reach, len(inst.arrival), by_rank=True)
+    n, arrivals = len(inst.ranking), len(inst.arrival)
     size = math.factorial(n)
-    links = []
-    prefix = 0
-    for t, hits in enumerate(by_rank, 1):
-        prefix += hits
+    layers = _layers(inst.reach, arrivals)
+    next(layers)  # layer 0: no id has come
+    links, before = [], 0
+    for t, layer in enumerate(layers, 1):
+        matched = sum(ways * (arrivals - (state >> n).bit_count()) for state, ways in layer.items())
+        prefix = matched * math.factorial(n - t)
+        hits, before = prefix - before, prefix
         links.append(
             ChainLink(
                 t=t,
@@ -368,7 +354,7 @@ def check_theorem6(inst: BipartiteInstance, cap: int = DEFAULT_CAP) -> RatioVerd
 
 
 def _theorem6(inst: BipartiteInstance, cap: int) -> Tuple[RatioVerdict, Counter]:
-    """``check_theorem6`` and the ``_size_counts`` its mean is read off, from one ``_tally``."""
+    """``check_theorem6`` and the ``_size_counts`` its mean is read off, from one pass."""
     _check_cap(inst, cap)
     n = _max_matching_size(inst.reach, len(inst.arrival))
     counts = _size_counts(inst.reach, len(inst.arrival))

@@ -4,8 +4,9 @@
 ``find_augmenting_path``) gate ``bipartite_max_matching``,
 ``engine._max_matching`` and ``engine._ranking_holds``; the name-level path and removal algebra gates
 ``structure``'s cascades and ``suites._alternates``; the per-t functions on
-the ``_ensemble`` table gate the by-rank counts of ``probability._tally``
-behind ``lemma3_chain``, and ``check_lemma3`` is the chain's inequality per t.
+the ``_ensemble`` table gate the layers of ``probability._layers`` and the
+prefix counts ``lemma3_chain`` reads off them, and ``check_lemma3`` is the
+chain's inequality per t.
 """
 
 from __future__ import annotations
@@ -201,7 +202,7 @@ def _ensemble(inst: BipartiteInstance):
     the identity is ``inst.ranking``) to a pair (set of matched ranks,
     partner rank per arrival), each row one ``engine._greedy`` run.  The
     per-t functions read it, as the test oracle of the dynamic program in
-    ``probability._tally``; the CLI, the suites and ``lemma3_chain`` never
+    ``probability._layers``; the CLI, the suites and ``lemma3_chain`` never
     build it.
     """
     reach = inst.reach

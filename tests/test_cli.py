@@ -336,8 +336,8 @@ class TestDist:
 
     @pytest.mark.parametrize("flags", [[], ["--dist"]])
     def test_exact_runs_one_tally(self, flags, monkeypatch, capsys):
-        real, calls = probability._tally, []
-        monkeypatch.setattr(probability, "_tally", lambda *a, **k: calls.append(a) or real(*a, **k))
+        real, calls = probability._layers, []
+        monkeypatch.setattr(probability, "_layers", lambda *a: calls.append(a) or real(*a))
         dist_lines(["exact", EXAMPLE, *flags], capsys)
         assert len(calls) == 1
 

@@ -3,9 +3,9 @@
 Frozen expected matchings were derived by stepping through the greedy rule
 by hand and double-checked with an independent brute-force enumeration
 before being committed here.  ``ranking_matching_oracle`` is the predicate's
-literal form, every conjunct re-derived per call; the ``_predicate`` closures
-that ``is_ranking_matching`` uses, and ``_ranking_holds`` on an index, which
-they and the suite call, are compared against it.
+literal form, every conjunct re-derived per call; ``is_ranking_matching``,
+and ``_ranking_holds`` on an index, which it and the suite call, are
+compared against it.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from rankinglab.engine import (
     _max_matching,
     _max_matching_size,
     _move_id,
-    _predicate,
     _ranking_holds,
     _transpose,
     rank_match,
@@ -490,19 +489,16 @@ class TestRankingMatchingPredicate:
     @given(predicate_inputs())
     def test_closure_equals_the_oracle(self, case):
         g, arrival, ranking, edge_sets, shape = case
-        holds = _predicate(g, arrival, ranking)
-        # one closure on every matching of g in turn: nothing may carry over
+        # every matching of g in turn, on the same (g, orders)
         for m in map(shape, [*edge_sets, *all_matchings(g)]):
             expect = ranking_matching_oracle(g, m, arrival, ranking)
-            assert holds(m) == expect
             assert is_ranking_matching(g, m, arrival, ranking) == expect
 
     @pytest.mark.parametrize("swap", [False, True])
     def test_closure_on_every_matching_of_example6(self, example6, swap):
         g, orders = example6.graph, (example6.arrival, example6.ranking)
         arrival, ranking = orders[::-1] if swap else orders
-        holds = _predicate(g, arrival, ranking)
-        verdicts = [(m, holds(m)) for m in all_matchings(g)]
+        verdicts = [(m, is_ranking_matching(g, m, arrival, ranking)) for m in all_matchings(g)]
         assert [m for m, ok in verdicts if ok] == [online_match(example6)]
         assert verdicts == [
             (m, ranking_matching_oracle(g, m, arrival, ranking)) for m in all_matchings(g)

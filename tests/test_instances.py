@@ -19,6 +19,7 @@ from rankinglab import (
     check_theorem6,
     cli,
     edge,
+    exact_expected_size,
     fileformat,
     fingerprint,
     gamma_min_ratio,
@@ -776,8 +777,6 @@ class TestGenPerfect:
 
     def test_single_extra_edge_instance_occurs(self):
         # seed found by scan: planted pairs plus the one extra u1-v2 edge
-        from rankinglab import exact_expected_size
-
         inst, _ = gen_perfect(2, 0.5, 1)
         assert inst.graph == frozenset(
             {edge("u1", "v1"), edge("u1", "v2"), edge("u2", "v2")}
@@ -848,15 +847,15 @@ class TestGammaFamily:
             raise AssertionError("gamma_min_ratio built an instance")
 
         seen = []
-        real = probability._tally
+        real = probability._layers
 
-        def counting(reach, arrivals, by_rank=False):
+        def counting(reach, arrivals):
             seen.append(reach)
-            return real(reach, arrivals, by_rank)
+            return real(reach, arrivals)
 
         monkeypatch.setattr(generators, "BipartiteInstance", no_instance)
         monkeypatch.setattr(generators, "Permutation", no_instance)
-        monkeypatch.setattr(probability, "_tally", counting)
+        monkeypatch.setattr(probability, "_layers", counting)
         assert gamma_min_ratio(2) == Fraction(3, 4)
         assert len(seen) == len(set(seen)) == 106
 
@@ -874,7 +873,7 @@ class TestGammaFamily:
             for arr in arrivals:
                 key = generators._arrival_key(rows, [int(v[1:]) for v in arr])
                 inst = BipartiteInstance(g, ranking, arr)
-                assert probability._mean_size(key, 2 * n) == probability._expected_size(inst)
+                assert probability._mean_size(key, 2 * n) == exact_expected_size(inst).value
                 pairs += 1
         assert pairs == {1: 4, 2: 1568}[n]
 

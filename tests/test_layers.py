@@ -18,7 +18,8 @@ ROWS = [
     "engine._max_matching_size",
     "graph.bipartite_max_matching small",
     "graph.bipartite_max_matching large",
-    "probability._tally",
+    "probability._size_counts",
+    "probability.lemma3_chain",
     "generators.gamma_min_ratio",
     "probability.mc_expected_size bytes",
     "probability.mc_expected_size bytes small",
@@ -66,7 +67,8 @@ def test_one_repeat_lists_every_row(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["columns"] == ["a", "b"] and doc["repeats"] == 1 and doc["quick"]
     assert doc["machine"] and doc["python"]
-    assert list(doc["rows"]) == ROWS
+    assert list(doc["rows"]) == list(doc["calls"]) == ROWS
+    assert all(calls >= 1 for calls in doc["calls"].values())
     for cells in doc["rows"].values():
         assert set(cells) == {"a", "b"}
         assert all(0 <= c["min_ms"] <= c["median_ms"] for c in cells.values())

@@ -13,6 +13,7 @@ import struct
 import weakref
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -246,12 +247,12 @@ class TestExpectedSizeEqualsTable:
         # a uniform ranking makes the mean blind to the offline ids' names,
         # the symmetry the hard family's key relies on
         key = tuple(sorted(inst.reach))
-        assert probability._mean_size(key, len(inst.arrival)) == probability._expected_size(inst)
+        assert probability._mean_size(key, len(inst.arrival)) == exact_expected_size(inst).value
 
     @pytest.mark.parametrize("n", [10, 12])
     def test_last_layer_equals_the_per_rank_counts(self, n):
         # beyond the table's reach: the size read from the pass's last layer
-        # equals the chain's final prefix sum, read from its per-rank counts
+        # equals the chain's final prefix sum, read from that layer's matched total
         inst, m_star = gen_perfect(n, 0.4, 1)
         links = lemma3_chain(inst, m_star, cap=n)
         assert links[-1].prefix_sum == exact_expected_size(inst, cap=n).value
@@ -300,7 +301,7 @@ class TestSizeDistribution:
         assert dist == {size: Fraction(table[size], len(runs)) for size in table}
         assert list(dist) == sorted(dist)
         assert sum(dist.values()) == 1
-        assert sum(size * q for size, q in dist.items()) == probability._expected_size(inst)
+        assert sum(size * q for size, q in dist.items()) == exact_expected_size(inst).value
 
     def test_small_values(self, small):
         assert exact_size_distribution(small) == {1: Fraction(1, 2), 2: Fraction(1, 2)}
@@ -317,11 +318,44 @@ class TestSizeDistribution:
         inst, _ = gen_perfect(6, 0.4, 2)
         reach, arrivals = inst.reach, len(inst.arrival)
         counts = probability._size_counts(reach, arrivals)
-        last, _ = probability._tally(reach, arrivals)
+        *_, last = probability._layers(reach, arrivals)
         assert sum(counts.values()) == sum(last.values()) == math.factorial(6)
         assert probability._mean_size(reach, arrivals) == Fraction(
             sum(size * ways for size, ways in counts.items()), math.factorial(6)
         )
+
+
+def assert_layers_equal_the_table(inst):
+    """Each layer of the pass against the n!-ranking table.
+
+    Layer t holds the orders of t ids, n!/(n - t)! of them, each state with
+    n - t ids to come; its matched total times (n - t)! is the table's count
+    of matches among the first t ranks, summed over every ranking.
+    """
+    n, arrivals = len(inst.ranking), len(inst.arrival)
+    runs = _ensemble(inst)
+    layers = list(probability._layers(inst.reach, arrivals))
+    assert len(layers) == n + 1
+    for t, layer in enumerate(layers):
+        rest = math.factorial(n - t)
+        assert sum(layer.values()) * rest == math.factorial(n)
+        assert all((state & (1 << n) - 1).bit_count() == n - t for state in layer)
+        matched = sum(ways * (arrivals - (state >> n).bit_count()) for state, ways in layer.items())
+        assert matched * rest == sum(sum(0 <= r < t for r in prs) for _, prs in runs.values())
+
+
+class TestLayers:
+    def test_every_index_up_to_three_by_three(self):
+        for a, b in product(range(4), repeat=2):
+            ranking = Permutation(f"v{k}" for k in range(a))
+            arrival = Permutation(f"u{j}" for j in range(b))
+            for reach in product(range(1 << b), repeat=a):
+                assert_layers_equal_the_table(BipartiteInstance._indexed(ranking, arrival, reach))
+
+    @settings(max_examples=60, deadline=None)
+    @given(instances(max_side=6))
+    def test_drawn_instances(self, inst):
+        assert_layers_equal_the_table(inst)
 
 
 class TestRankProbabilities:
@@ -428,20 +462,34 @@ class TestChainEqualsPerT:
         assert lemma3_chain(inst, m_star) == chain_from_per_t(inst, m_star)
 
     def test_routes_stay_apart(self, monkeypatch):
-        # one tally drops a match: the chain reads its rank probability,
-        # prefix sum and mean count off that one list, so its own relations
-        # still hold, while the per-t oracles on the n!-ranking table,
-        # which never call the tally, part from it from that rank on
+        # one order of the pass's layer d + 1 loses a match, moved in place to
+        # the state with one more free arrival, one that no id still to come
+        # reaches, so the later layers inherit the drop: the chain reads its
+        # rank probability, prefix sum and mean count off those layers, so its
+        # own relations still hold, while the per-t oracles on the n!-ranking
+        # table, which never run the pass, part from it from that rank on
         inst, m_star = gen_perfect(4, 0.3, 11)
-        real, oracle = probability._tally, chain_from_per_t(inst, m_star)
-        d = next(d for d, k in enumerate(real(inst.reach, 4, True)[1]) if k)
+        real, oracle = probability._layers, chain_from_per_t(inst, m_star)
 
-        def dropped(reach, arrivals, by_rank):
-            last, counts = real(reach, arrivals, by_rank)
-            counts[d] -= 1
-            return last, counts
+        def spare(state):
+            # the matched arrivals of a state that no id still to come reaches
+            late = 0
+            for x, mask in enumerate(inst.reach):
+                late |= mask if state >> x & 1 else 0
+            return ~(state >> 4 | late) & 0b1111
 
-        monkeypatch.setattr(probability, "_tally", dropped)
+        d = next(t for t, layer in enumerate(real(inst.reach, 4)) if any(map(spare, layer))) - 1
+
+        def dropped(reach, arrivals):
+            for t, layer in enumerate(real(reach, arrivals)):
+                if t == d + 1:
+                    state = next(filter(spare, layer))
+                    moved = state | (spare(state) & -spare(state)) << 4
+                    layer[state] -= 1
+                    layer[moved] = layer.get(moved, 0) + 1
+                yield layer
+
+        monkeypatch.setattr(probability, "_layers", dropped)
         links = lemma3_chain(inst, m_star)
         assert all(l.count_equal and l.prefix_equal for l in links)
         assert links[:d] == oracle[:d]
@@ -647,13 +695,13 @@ class TestEnsemble:
         inst, planted = gen_perfect(6, 0.4, 3)
         before = (
             rank_match(inst),
-            probability._expected_size(inst),
+            exact_expected_size(inst).value,
             lemma3_chain(inst, planted),
             mc_expected_size(inst, 50, 1),
         )
         object.__setattr__(inst, "graph", Unwalkable(inst.graph))
         assert rank_match(inst) == before[0]
-        assert probability._expected_size(inst) == before[1]
+        assert exact_expected_size(inst).value == before[1]
         assert lemma3_chain(inst, planted) == before[2]
         assert mc_expected_size(inst, 50, 1) == before[3]
 

@@ -8,12 +8,15 @@ Each row times one entry point, or one CLI command run in-process, on
 inputs made from fixed seeds and sizes.  Each column (``--src LABEL=PATH``,
 default ``change`` on this checkout's ``src``) imports ``rankinglab`` from
 the ``src`` directory PATH in a process of its own; the runs of a row
-alternate between the columns.  A row runs ``--repeats`` times a column
-(default 7), and its thread CPU time is reported as the min and the median,
-in milliseconds, with the machine and the Python version.  Every row's entry
-point exists since the parse and the Monte Carlo lanes took their current
-form, so older checkouts can be timed too.  ``--quick`` shrinks every input
-to its smallest size, for a smoke test.
+alternate between the columns.  A row is timed ``--repeats`` times a column
+(default 7), and its thread CPU time per call is reported as the min and the
+median, in milliseconds, with the machine and the Python version.  A row
+whose call takes under 1 ms is timed as a loop of calls, as many as make
+each timing last about 5 ms or more in every column, the same count in
+every column; ``calls`` lists each row's count.  Every row's entry point
+exists since the parse and the Monte Carlo lanes took their current form,
+so older checkouts can be timed too.  ``--quick`` shrinks every input to its
+smallest size, for a smoke test.
 
 A ``__pycache__`` under the timed sources would let that side skip
 compiling and read low, so the script refuses to run while one exists, and
@@ -46,6 +49,7 @@ SIZES = {
     "shuffle": (100_000, 1_000),
     "side": (400, 30),
     "tally": (8, 4),
+    "chain": (7, 4),
     "kuhn": ((8, 150), (4, 20)),
     "gamma": (2, 1),
     "mc_bytes": ((24, 5000), (8, 100)),
@@ -79,7 +83,7 @@ def _staircase(rl, n: int):
 def rows(rl, tmp: Path, quick: bool) -> List[Tuple[str, Callable[[], object]]]:
     """(name, callable) for every row, with its inputs made up front."""
     from rankinglab.engine import _greedy, _max_matching_size
-    from rankinglab.probability import _tally
+    from rankinglab.probability import _size_counts
 
     def size(key):
         return SIZES[key][quick]
@@ -89,6 +93,7 @@ def rows(rl, tmp: Path, quick: bool) -> List[Tuple[str, Callable[[], object]]]:
     big_text = rl.serialize_instance(big)
     reach, arrivals = big.reach, len(big.arrival)
     tally = rl.gen_perfect(size("tally"), 0.4, 1)[0]
+    chain = rl.gen_perfect(size("chain"), 0.3, 7)
     (n_b, k_b), (n_s, k_s), (n_w, k_w) = size("mc_bytes"), size("mc_small"), size("mc_wide")
     mc_bytes = rl.gen_perfect(n_b, 0.3, 5)[0]
     mc_small = rl.gen_perfect(n_s, 0.3, 5)[0]  # 11 steps a batch: seeding weighs most
@@ -129,7 +134,8 @@ def rows(rl, tmp: Path, quick: bool) -> List[Tuple[str, Callable[[], object]]]:
         ("engine._max_matching_size", lambda: _max_matching_size(reach, arrivals)),
         ("graph.bipartite_max_matching small", lambda: rl.bipartite_max_matching(kuhn[0])),
         ("graph.bipartite_max_matching large", lambda: rl.bipartite_max_matching(kuhn[1])),
-        ("probability._tally", lambda: _tally(tally.reach, len(tally.arrival))),
+        ("probability._size_counts", lambda: _size_counts(tally.reach, len(tally.arrival))),
+        ("probability.lemma3_chain", lambda: rl.lemma3_chain(*chain)),
         ("generators.gamma_min_ratio", lambda: rl.gamma_min_ratio(size("gamma"))),
         ("probability.mc_expected_size bytes", lambda: rl.mc_expected_size(mc_bytes, k_b, 1)),
         ("probability.mc_expected_size bytes small",
@@ -153,7 +159,11 @@ def rows(rl, tmp: Path, quick: bool) -> List[Tuple[str, Callable[[], object]]]:
 
 
 def serve(src: Path, quick: bool) -> int:
-    """Import ``src``, print the row names, then run row k for each k read from stdin."""
+    """Import ``src``, print the row names, then time each "k calls" read from stdin.
+
+    Row k runs ``calls`` times in a row, and the thread CPU time per call
+    is printed, in ms.
+    """
     rl, out = _program(src), sys.stdout
     quiet = contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO())
     with tempfile.TemporaryDirectory() as tmp, quiet[0], quiet[1]:
@@ -161,17 +171,41 @@ def serve(src: Path, quick: bool) -> int:
         rl.cli.main(["bound", "--n", "1"])  # the CLI builds its parser once
         print(json.dumps([name for name, _ in table]), file=out, flush=True)
         for line in sys.stdin:
-            call = table[int(line)][1]
+            k, calls = map(int, line.split())
+            call = table[k][1]
             t0 = time.thread_time()
-            call()
-            print((time.thread_time() - t0) * 1000.0, file=out, flush=True)
+            for _ in range(calls):
+                call()
+            print((time.thread_time() - t0) * 1000.0 / calls, file=out, flush=True)
     return 0
 
 
-def measure(cols: Dict[str, Path], repeats: int, quick: bool) -> Dict[str, dict]:
-    """Each row's min and median thread CPU time per column, in ms.
+def _time(proc: subprocess.Popen, k: int, calls: int) -> float:
+    """Row k's thread CPU ms per call, over ``calls`` calls in the process ``proc``."""
+    proc.stdin.write(f"{k} {calls}\n")
+    proc.stdin.flush()
+    return float(proc.stdout.readline())
 
-    One process per column; the runs of a row alternate between them, the
+
+def _calls(procs, k: int) -> int:
+    """How many calls a timing of row k makes: 1 for a call of 1 ms or more, else
+    the most that any column needs, doubling from 1, to last 5 ms."""
+    most = 1
+    for proc in procs:
+        calls, per = 1, _time(proc, k, 1)
+        if per < 1.0:
+            while calls * per < 5.0:
+                calls *= 2
+                per = _time(proc, k, calls)
+        most = max(most, calls)
+    return most
+
+
+def measure(cols: Dict[str, Path], repeats: int, quick: bool) -> Tuple[dict, dict]:
+    """Each row's min and median thread CPU time per call per column, in ms,
+    and each row's calls per timing (``_calls``).
+
+    One process per column; the timings of a row alternate between them, the
     order flipping every repeat, so that a drift in host speed hits all alike.
     """
     for src in cols.values():
@@ -188,19 +222,18 @@ def measure(cols: Dict[str, Path], repeats: int, quick: bool) -> Dict[str, dict]
         table = next(iter(names.values()))
         if table is None or any(n != table for n in names.values()):
             sys.exit(f"error: the columns do not list the same rows: {names}")
-        out = {}
+        out, counts = {}, {}
         for k, name in enumerate(table):
+            counts[name] = calls = _calls(procs.values(), k)
             times: Dict[str, List[float]] = {label: [] for label in procs}
             for r in range(repeats):
                 for label in list(procs)[:: 1 - 2 * (r % 2)]:
-                    procs[label].stdin.write(f"{k}\n")
-                    procs[label].stdin.flush()
-                    times[label].append(float(procs[label].stdout.readline()))
+                    times[label].append(_time(procs[label], k, calls))
             out[name] = {
-                label: {"min_ms": round(min(ts), 3), "median_ms": round(statistics.median(ts), 3)}
+                label: {"min_ms": round(min(ts), 4), "median_ms": round(statistics.median(ts), 4)}
                 for label, ts in times.items()
             }
-        return out
+        return out, counts
     finally:
         for p in procs.values():
             p.stdin.close()
@@ -235,9 +268,10 @@ def main(argv=None) -> int:
     if not all("=" in spec for spec in specs):
         p.error("--src takes LABEL=PATH")
     cols = {label: Path(path) for label, path in (spec.split("=", 1) for spec in specs)}
+    rows_ms, calls = measure(cols, args.repeats, args.quick)
     doc = {"machine": machine(), "python": platform.python_version(),
-           "repeats": args.repeats, "quick": args.quick, "unit": "thread CPU ms",
-           "columns": list(cols), "rows": measure(cols, args.repeats, args.quick)}
+           "repeats": args.repeats, "quick": args.quick, "unit": "thread CPU ms per call",
+           "columns": list(cols), "rows": rows_ms, "calls": calls}
     text = json.dumps(doc, indent=1) + "\n"
     if args.out is None:
         sys.stdout.write(text)
