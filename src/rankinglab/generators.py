@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import permutations
 from typing import Iterator, Tuple
 
-from .engine import BipartiteInstance, Permutation, _max_matching_size
+from .engine import BipartiteInstance, Permutation
 from .graph import edge, vertices
 from .probability import _mean_size
 from .rng import SplitMix64, stream
@@ -71,11 +71,14 @@ def _gamma_masks(n: int) -> Iterator[Tuple[list, list]]:
 
     An edge o_k - i_l with k, l >= n joins two slots the base leaves free, so
     with the base it is a matching of n + 1 edges: no family graph has one.
-    The candidates are therefore the subsets of the other 3n^2 - n edges, in
-    binary order, each kept when ``engine._max_matching_size`` on its slot
-    masks finds at most n edges.  The edges are listed by offline slot, so
-    each candidate's masks are read off a small table per slot.  Supported
-    for n <= 2: n = 3 would already be 2^24 candidates.
+    The candidates are the subsets of the other 3n^2 - n edges, numbered in
+    binary.  By König's theorem a candidate's largest matching is n exactly
+    when n vertices cover its edges, and those n must be one end of each
+    base edge.  So each of the 2^n choices of ends covers one set of
+    candidate edges, and the family is every subset of one of those sets, in
+    binary order: no matching is searched for.  The edges are listed by
+    offline slot, so each graph's masks are read off a small table per slot.
+    Supported for n <= 2: n = 3 would already be 2^24 candidates.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -84,17 +87,26 @@ def _gamma_masks(n: int) -> Iterator[Tuple[list, list]]:
     slots = range(2 * n)
     # slot k's other edges, in l order, are one bit field of the candidate
     # number; table[f] is slot k's mask (with its base edge) for field value f
-    fields, off = [], 0
+    fields, edges, off = [], [], 0
     for k in slots:
         ls = [l for l in slots if l != k and min(k, l) < n]
+        edges += [(k, l) for l in ls]
         table = [sum(1 << l for t, l in enumerate(ls) if f >> t & 1) for f in range(1 << len(ls))]
         base = 1 << k if k < n else 0
         fields.append((off, (1 << len(ls)) - 1, [base | m for m in table]))
         off += len(ls)
-    for bits in range(1 << off):
+    family = {0}
+    for c in range(1 << n):
+        # the candidate edges covered by o_k where bit k of c is set, else by i_k
+        covered = (c >> k & 1 or l < n and not c >> l & 1 for k, l in edges)
+        cover = sum(1 << b for b, yes in enumerate(covered) if yes)
+        bits = cover
+        while bits:  # every nonempty subset of cover, by the (bits - 1) & cover walk
+            family.add(bits)
+            bits = bits - 1 & cover
+    for bits in sorted(family):
         reach = [table[bits >> at & mask] for at, mask, table in fields]
-        if _max_matching_size(reach, len(slots)) <= n:
-            yield reach, [l for l in slots if any(m >> l & 1 for m in reach)]
+        yield reach, [l for l in slots if any(m >> l & 1 for m in reach)]
 
 
 def gen_gamma_family(n: int) -> Iterator[Tuple[frozenset, Tuple[Permutation, ...]]]:
@@ -128,8 +140,18 @@ def gamma_min_ratio(n: int) -> Fraction:
     ``_arrival_key``) on 2n arrivals.  The key is sound because the ranking
     is uniform: renaming offline ids only permutes the rankings, and neither
     an isolated vertex nor an arrival that no mask reaches changes the size.
+    Graphs with the same nonzero masks (and so the same active slots) have
+    the same keys, so each such multiset is keyed once, through one table
+    per arrival order that relabels every mask, built from ``_arrival_key``.
     """
-    keys = set()
-    for rows, active in _gamma_masks(n):
-        keys.update(_arrival_key(rows, order) for order in permutations(active))
+    distinct = {tuple(sorted(m for m in rows if m)): active for rows, active in _gamma_masks(n)}
+    keys, tables = set(), {}
+    for masks, active in distinct.items():
+        for order in permutations(active):
+            if order not in tables:
+                table = tables[order] = [0]
+                for l in range(2 * n):  # table[m + 2^l] is table[m] with l's relabelled bit
+                    bit = sum(_arrival_key([1 << l], order))  # 0 if order lacks l
+                    table += [m | bit for m in table]
+            keys.add(tuple(sorted(tables[order][m] for m in masks)))
     return min(_mean_size(key, 2 * n) for key in keys) / n

@@ -12,8 +12,8 @@ to make searches deterministic, never to encode meaning.
 on bitmasks.  ``bipartite_max_matching`` runs it in name order, which is
 polynomial, and designates the perfect matching M* of an instance; callers
 that need a maximum matching on the ``reach`` masks (``mc``, the theorem 4
-and 6 checks, the hard-family filter) run it through ``engine._max_matching``
-instead, with no edge set built.  The exhaustive general-graph search both are
+and 6 checks, the lemma 3 chain's perfectness test) run it through
+``engine._max_matching`` instead, with no edge set built.  The exhaustive general-graph search both are
 held to, and the rest of the name-level set algebra the tests use, are in
 ``tests/oracles.py``.
 """

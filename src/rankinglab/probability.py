@@ -214,7 +214,10 @@ def _require_perfect(inst: BipartiteInstance) -> None:
 
 @dataclass(frozen=True)
 class ChainLink:
-    """All exactly computed quantities for one rank t, with their relations."""
+    """All exactly computed quantities for one rank t, with their relations.
+
+    Relations are decided on numerators and denominators, with no ``Fraction``
+    built: denominators are positive, so cross-multiplying keeps ``<=`` and ``==``."""
 
     t: int
     n: int
@@ -229,20 +232,23 @@ class ChainLink:
         return self.rank_prob == self.moved_prob
 
     @property
-    def survival_le(self) -> bool:
-        return 1 - self.rank_prob <= self.before_prob
+    def survival_le(self) -> bool:  # 1 - rank_prob <= before_prob
+        r, b = self.rank_prob, self.before_prob
+        return (r.denominator - r.numerator) * b.denominator <= b.numerator * r.denominator
 
     @property
-    def count_equal(self) -> bool:
-        return self.before_prob * self.n == self.mean_before_count
+    def count_equal(self) -> bool:  # before_prob * n == mean_before_count
+        b, m = self.before_prob, self.mean_before_count
+        return b.numerator * self.n * m.denominator == m.numerator * b.denominator
 
     @property
     def prefix_equal(self) -> bool:
         return self.mean_before_count == self.prefix_sum
 
     @property
-    def inequality(self) -> bool:
-        return self.n * (1 - self.rank_prob) <= self.prefix_sum
+    def inequality(self) -> bool:  # n * (1 - rank_prob) <= prefix_sum
+        r, p = self.rank_prob, self.prefix_sum
+        return self.n * (r.denominator - r.numerator) * p.denominator <= p.numerator * r.denominator
 
     @property
     def holds(self) -> bool:
@@ -291,7 +297,7 @@ def lemma3_chain(
     for t, layer in enumerate(layers, 1):
         matched = sum(ways * (arrivals - (state >> n).bit_count()) for state, ways in layer.items())
         prefix = matched * math.factorial(n - t)
-        hits, before = prefix - before, prefix
+        hits, before, mean = prefix - before, prefix, Fraction(prefix, size)
         links.append(
             ChainLink(
                 t=t,
@@ -299,8 +305,8 @@ def lemma3_chain(
                 rank_prob=Fraction(hits, size),
                 moved_prob=Fraction(hits, size // n) / n,
                 before_prob=Fraction(prefix, size * n),
-                mean_before_count=Fraction(prefix, size),
-                prefix_sum=Fraction(prefix, size),
+                mean_before_count=mean,
+                prefix_sum=mean,
             )
         )
     return links

@@ -19,6 +19,7 @@ from rankinglab import (
     check_theorem6,
     cli,
     edge,
+    engine,
     exact_expected_size,
     fileformat,
     fingerprint,
@@ -27,6 +28,7 @@ from rankinglab import (
     generators,
     gen_perfect,
     gen_random,
+    graph,
     is_matching,
     mc_expected_size,
     online_match,
@@ -812,6 +814,15 @@ def _gamma_family_oracle(n):
     return out
 
 
+def _gamma_rows(g, n):
+    """A named hard-family graph's slot masks: row k has bit l for edge o_k - i_l."""
+    rows = [0] * (2 * n)
+    for e in g:
+        o, i = sorted(e, reverse=True)
+        rows[int(o[1:])] |= 1 << int(i[1:])
+    return rows
+
+
 class TestGammaFamily:
     def test_size_one_graphs(self):
         fams = list(gen_gamma_family(1))
@@ -853,11 +864,18 @@ class TestGammaFamily:
             seen.append(reach)
             return real(reach, arrivals)
 
+        # the keys of every (family graph, arrival order) pair, by ``_arrival_key``
+        keys = {
+            generators._arrival_key(_gamma_rows(g, 2), [int(v[1:]) for v in arr])
+            for g, arrivals in gen_gamma_family(2)
+            for arr in arrivals
+        }
         monkeypatch.setattr(generators, "BipartiteInstance", no_instance)
         monkeypatch.setattr(generators, "Permutation", no_instance)
         monkeypatch.setattr(probability, "_layers", counting)
         assert gamma_min_ratio(2) == Fraction(3, 4)
         assert len(seen) == len(set(seen)) == 106
+        assert set(seen) == keys
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_arrival_key_keeps_the_expected_size(self, n):
@@ -865,10 +883,7 @@ class TestGammaFamily:
         # equals the DP on the pair's own instance
         pairs = 0
         for g, arrivals in gen_gamma_family(n):
-            rows = [0] * (2 * n)
-            for e in g:
-                o, i = sorted(e, reverse=True)
-                rows[int(o[1:])] |= 1 << int(i[1:])
+            rows = _gamma_rows(g, n)
             ranking = generators._gamma_ranking(g)
             for arr in arrivals:
                 key = generators._arrival_key(rows, [int(v[1:]) for v in arr])
@@ -881,18 +896,20 @@ class TestGammaFamily:
     def test_sequence_equals_definition(self, n):
         assert list(gen_gamma_family(n)) == _gamma_family_oracle(n)
 
-    @pytest.mark.parametrize("n, calls", [(1, 4), (2, 1024)])
-    def test_matcher_runs_once_per_candidate(self, monkeypatch, n, calls):
-        seen = []
-        real = generators._max_matching_size
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_no_matching_search_runs(self, monkeypatch, n):
+        # the family is kept by vertex covers: neither the size search nor the
+        # augmenting-path search it runs on is called
+        def no_search(*args):
+            raise AssertionError("the hard family ran a matching search")
 
-        def counting(reach, arrivals):
-            seen.append(reach)
-            return real(reach, arrivals)
-
-        monkeypatch.setattr(generators, "_max_matching_size", counting)
-        list(gen_gamma_family(n))
-        assert len(seen) == calls == 2 ** (3 * n * n - n)
+        assert not hasattr(generators, "_max_matching_size")
+        for module in (engine, probability):
+            monkeypatch.setattr(module, "_max_matching_size", no_search)
+        for module in (graph, engine):
+            monkeypatch.setattr(module, "_augment", no_search)
+        assert len(list(gen_gamma_family(n))) == {1: 3, 2: 160}[n]
+        assert gamma_min_ratio(n) == {1: 1, 2: Fraction(3, 4)}[n]
 
     def test_unsupported_sizes(self):
         with pytest.raises(ValueError):

@@ -445,6 +445,39 @@ class TestChain:
         assert all(l.holds for l in lemma3_chain(inst))
 
 
+def _small_fractions():
+    """Fractions of small terms: zero, negatives and repeated values come up often."""
+    return st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4))
+
+
+class TestChainLinkRelations:
+    """Each relation, decided on integers, equals its ``Fraction`` expression."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.integers(-3, 6), st.data())
+    def test_relations_equal_the_fraction_expressions(self, n, data):
+        # a later field is a fresh fraction or a boundary value of an earlier
+        # one, so every relation is drawn below, at and above equality
+        def field(*boundaries):
+            return data.draw(st.one_of(_small_fractions(), st.sampled_from(boundaries)))
+
+        r = data.draw(_small_fractions())
+        moved = field(r)
+        before = field(1 - r, r)
+        mean = field(before * n, before)
+        prefix = field(mean, n * (1 - r))
+        link = ChainLink(1, n, r, moved, before, mean, prefix)
+        assert link.move_equal == (r == moved)
+        assert link.survival_le == (1 - r <= before)
+        assert link.count_equal == (before * n == mean)
+        assert link.prefix_equal == (mean == prefix)
+        assert link.inequality == (n * (1 - r) <= prefix)
+        assert link.holds == (
+            r == moved and 1 - r <= before and before * n == mean == prefix
+            and n * (1 - r) <= prefix
+        )
+
+
 class TestChainEqualsPerT:
     @settings(max_examples=25, deadline=None)
     @given(planted(max_n=6))

@@ -369,6 +369,13 @@ class TestRankMove:
         with pytest.raises(IndexError, match="target index 9 out of range 0..3"):
             check_rank_move(inst, m_star, "v3", 9)
 
+    def test_designated_arrival_with_no_neighbour_stays_unmatched(self):
+        # arrival 1 reaches no offline id: id 1, unmatched, moves anywhere and
+        # its designated partner, arrival 1, still finds no mate
+        for i in range(2):
+            verdict = structure._rank_move((0b01, 0b01), 2, 1, 1, i)
+            assert verdict == RankMoveVerdict(False, False, None, None)
+
     def test_equals_the_object_level_rerun(self):
         # the oracle moves v in the Permutation and folds ``step`` on a new instance
         for n in (1, 3, 5, 6):

@@ -638,6 +638,31 @@ class TestFailurePath:
         assert last.instance_text == "" and "(moved 0, original 0)" in last.description
         _replays(result, suite_rank_move)
 
+    def test_rank_move_reports_a_partner_with_no_neighbour(self, monkeypatch, tmp_path, capsys):
+        real = structure._rank_move  # the real move, with arrival j's edges dropped
+
+        def partnerless(reach, arrivals, bar, j, i):
+            return real([m & ~(1 << j) for m in reach], arrivals, bar, j, i)
+
+        monkeypatch.setattr(suites, "_rank_move", partnerless)
+        inst = parse_instance(PERFECT_TEXT)  # v2 goes unmatched; M* pairs it with u1
+        result = suite_rank_move(1, 0, inst=inst)
+        assert [(f.description, f.instance_text) for f in result.failures] == [
+            (f"designated partner of 'v2' unmatched after move to {i}", PERFECT_TEXT)
+            for i in range(2)
+        ] + [("neither rank reading held on all 2 pairs (moved 0, original 0)", "")]
+        path = tmp_path / "perfect.obm"
+        path.write_text(PERFECT_TEXT)
+        assert main(["check", str(path), "--suite", "rank-move"]) == 1
+        out = capsys.readouterr().out
+        assert "designated partner of 'v2' unmatched after move to 0" in out
+
+
+def test_vertex_cases_give_up_when_no_draw_lists_a_vertex():
+    cases = suites._vertex_cases(1, None, 0, 3, lambda one, core: [])
+    with pytest.raises(RuntimeError, match="failed to draw an instance"):
+        next(cases)
+
 
 # ---------------------------------------------------------------- name-level oracles
 #
