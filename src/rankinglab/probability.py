@@ -13,9 +13,9 @@ size distribution and its mean, the expected size, read its last layer;
 per rank.
 Beyond the cap, ``mc_expected_size`` gives a seeded, bit-reproducible Monte
 Carlo estimate, read off a histogram of the sampled sizes.  It draws a batch
-of samples at once on the 128-bit lanes of one int; ``_lane_draws`` is the
-one place where the lanes' remainders become bytes, which both shuffle
-paths read.
+of samples at once on the 128-bit lanes of one int, up to 8,192 a batch on
+byte lanes whatever the party size; ``_lane_draws`` is the one place where
+the lanes' remainders become bytes, which both shuffle paths read.
 
 The per-rank quantities connect into a chain that ``lemma3_chain`` builds
 from that one pass on a perfect instance, designating no perfect matching.
@@ -41,9 +41,9 @@ from .rng import _GOLDEN, _MASK, stream
 
 DEFAULT_CAP = 8
 
-#: ``mc_expected_size`` runs ``_DRAWS // n`` samples at once for n offline
-#: ids up to ``_BYTE_CUT``
-_DRAWS = 1 << 14
+#: up to ``_BYTE_CUT`` offline ids a batch holds at most this many samples,
+#: whatever n is, so every call at one sample count has the same batches
+_LANES = 1 << 13
 
 #: the most offline ids ``mc_expected_size`` shuffles on byte lanes (at most
 #: 256); the byte lanes' column swaps grow as n^2 per sample and the
@@ -271,24 +271,28 @@ def lemma3_chain(
     Every link reads the one ``_layers`` pass.  Layer t's matched total
     times (n - t)! is the prefix count: the matches among the first t ranks
     over all n! rankings, S_t * n!, which gives the prefix sum and the mean
-    count, since each match takes one arrival.  The match count at rank t is
-    the difference of two prefix counts; it gives the rank probability, and
-    the moved probability as the mean over vertices x of P[x matched | x at
-    rank t].  The moved probability is the rank probability by algebra
-    (sum_x c_x / (n-1)! / n = sum_x c_x / n!), so ``move_equal`` cannot fail
-    here, nor ``count_equal`` and ``prefix_equal``; their independent routes
-    are the per-t functions of ``tests/oracles.py``.  The designated-partner
-    probability is the mean count over n: a perfect M* lists each arrival
-    once, so its partners' counts are all the counts, whichever M* it is.
-    So the chain needs perfectness (``_require_perfect``, on ``reach``), not
-    an M*; a given ``m_star`` is still checked.  Those per-t functions, on
-    the n!-ranking table, are the chain's test oracle.
+    count, since each match takes one arrival.  The match count at rank t,
+    the difference of two prefix counts, gives the rank probability.  It is
+    also the moved probability, the mean over vertices x of P[x matched | x
+    at rank t], by algebra (sum_x c_x / (n-1)! / n = sum_x c_x / n!), so
+    ``move_equal`` cannot fail here, nor ``count_equal`` and
+    ``prefix_equal``; their independent routes, the chain's test oracle, are
+    the per-t functions of ``tests/oracles.py`` on the n!-ranking table.  The
+    designated-partner probability is the mean count over n: a perfect M*
+    lists each arrival once, so its partners' counts are all the counts,
+    whichever M* it is.  So the chain needs perfectness (``_require_perfect``,
+    on ``reach``), not an M*; a given ``m_star`` is still checked.
     """
     _check_cap(inst, cap)
     if m_star is None:
         _require_perfect(inst)
     else:
         _validated_perfect(inst, m_star)
+    return _chain(inst)
+
+
+def _chain(inst: BipartiteInstance) -> list:
+    """``lemma3_chain`` of an instance known to be perfect and within the cap."""
     n, arrivals = len(inst.ranking), len(inst.arrival)
     size = math.factorial(n)
     layers = _layers(inst.reach, arrivals)
@@ -297,13 +301,13 @@ def lemma3_chain(
     for t, layer in enumerate(layers, 1):
         matched = sum(ways * (arrivals - (state >> n).bit_count()) for state, ways in layer.items())
         prefix = matched * math.factorial(n - t)
-        hits, before, mean = prefix - before, prefix, Fraction(prefix, size)
+        rank, before, mean = Fraction(prefix - before, size), prefix, Fraction(prefix, size)
         links.append(
             ChainLink(
                 t=t,
                 n=n,
-                rank_prob=Fraction(hits, size),
-                moved_prob=Fraction(hits, size // n) / n,
+                rank_prob=rank,
+                moved_prob=rank,
                 before_prob=Fraction(prefix, size * n),
                 mean_before_count=mean,
                 prefix_sum=mean,
@@ -387,7 +391,7 @@ def _ramp(k: int) -> int:
     return ramp & ((1 << 128 * k) - 1)
 
 
-@lru_cache(maxsize=2)  # the full batches of a call share one k; its last may have another
+@lru_cache(maxsize=2)  # a call's batches hold one or two k, set by the sample count alone
 def _lanes(k: int) -> tuple:
     """The constants of k lanes: ``ones`` (1 in each), its multiples by
     2^64 - 1, G and 2^32 - 1, and ``_ramp(k) * G``."""
@@ -545,7 +549,7 @@ def _mc_size_counts(inst: BipartiteInstance, samples: int, seed: int) -> Counter
 
     Maps each size to the number of samples i < ``samples`` whose ranking,
     ``stream(seed, i).shuffled`` of the offline vertices in name order,
-    gives a matching of that size.
+    gives a matching of that size, in ``mc_expected_size``'s batches.
     """
     arrivals, ranked = len(inst.arrival), sorted(inst.ranking)
     n, width = len(ranked), arrivals // 8 + 1
@@ -553,13 +557,12 @@ def _mc_size_counts(inst: BipartiteInstance, samples: int, seed: int) -> Counter
     if n <= _BYTE_CUT:
         # tables[w] maps an id to byte w of its cell
         tables = [bytes(c[w] for c in cells).ljust(256, b"\0") for w in range(width)]
-    lanes = max(1, _DRAWS // max(n, 1))
-    if n > _BYTE_CUT:  # as few batches of at most _WIDE_DRAWS // n as can be, all equal
-        batches = -(-samples // max(1, _WIDE_DRAWS // n))
-        lanes = -(-samples // batches)
+    cap = _LANES if n <= _BYTE_CUT else max(1, _WIDE_DRAWS // n)
+    batches = -(-samples // cap)
     counts: Counter = Counter()
-    for start in range(0, samples, lanes):
-        k = min(lanes, samples - start)
+    for b in range(batches):
+        start = samples * b // batches
+        k = samples * (b + 1) // batches - start
         if n <= _BYTE_CUT:
             cols = (_gather(ids, tables) for ids in _id_columns(seed, start, k, n))
         else:
@@ -582,10 +585,10 @@ def mc_expected_size(inst: BipartiteInstance, samples: int, seed: int) -> McEsti
     is bit-identical for identical (instance, samples, seed) regardless of
     batching, and does not depend on the instance's own ranking.
 
-    ``_mc_size_counts`` runs the samples in batches.  For n <= ``_BYTE_CUT``
-    offline vertices a batch holds ``_DRAWS // n`` and ``_id_columns``
-    shuffles it, the ids by rank, one byte per sample; above, the fewest
-    equal batches of at most ``_WIDE_DRAWS // n``, each by ``_shuffle_draws``.
+    ``_mc_size_counts`` runs the fewest batches of at most ``_LANES`` samples
+    for n <= ``_BYTE_CUT`` offline vertices, each shuffled by ``_id_columns``,
+    the ids by rank, one byte per sample; above, of at most ``_WIDE_DRAWS //
+    n``, each by ``_shuffle_draws``.  Their sizes differ by at most one sample.
     The party-swapped greedy of ``engine._greedy`` then runs on the whole
     batch at once, on lanes.
     Each offline id's ``reach`` mask is a little-endian cell of

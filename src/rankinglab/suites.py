@@ -32,11 +32,13 @@ from .fileformat import fingerprint, serialize_instance
 from .generators import gen_perfect, gen_random
 from .graph import _mate_map, vertices
 from .probability import (
+    DEFAULT_CAP,
     _NO_PERFECT,
+    _chain,
+    _check_cap,
     _require_perfect,
     check_theorem4,
     check_theorem6,
-    lemma3_chain,
     perfect_matching_of,
 )
 from .reporting import exact_row
@@ -224,16 +226,14 @@ def suite_lemma3(
     """Every link of the per-rank chain holds exactly on planted instances."""
     g = stream(seed, 0)
 
-    def check(one: BipartiteInstance, m_star: None) -> List[str]:
-        broken = [link.t for link in lemma3_chain(one, m_star) if not link.holds]
+    def check(one: BipartiteInstance, _: None) -> List[str]:
+        _check_cap(one, DEFAULT_CAP)
+        broken = [link.t for link in _chain(one) if not link.holds]
         return [f"chain link broken at t={broken[0]}"] if broken else []
 
-    # no case designates M*; a given file's perfectness is decided before the
-    # chain's cap check, a drawn one's inside the chain
-    cases = _cases(
-        count, inst, lambda: (_rand_planted(g, max_side, 6)[0], None),
-        lambda one: (one, _require_perfect(one)),
-    )
+    # no case designates M*; each case's perfectness is decided once, before the cap check
+    perfect = lambda one: (one, _require_perfect(one))  # noqa: E731
+    cases = _cases(count, inst, lambda: perfect(_rand_planted(g, max_side, 6)[0]), perfect)
     return _run("lemma3", cases, check)
 
 

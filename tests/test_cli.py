@@ -20,6 +20,7 @@ from rankinglab import (
     serialize_instance,
     suites,
 )
+from rankinglab import probability
 from rankinglab.cli import main
 from rankinglab.reporting import CSV_HEADER, fmt_cell
 
@@ -401,6 +402,29 @@ class TestCheck:
             assert capsys.readouterr().err == (
                 "error: instance has no perfect matching covering both parties\n"
             )
+
+    def test_lemma3_decides_perfectness_once_per_file(self, tmp_path, monkeypatch, capsys):
+        # a perfect file, one with no perfect matching, and a perfect one above the cap
+        searches = []
+        real = probability._max_matching_size
+        monkeypatch.setattr(
+            probability, "_max_matching_size", lambda *a: searches.append(a) or real(*a)
+        )
+        files = []
+        for n in (6, 9):
+            files.append(str(tmp_path / f"p{n}.obm"))
+            assert main(["gen", "perfect", "--n", str(n), "--seed", "3", "--out", files[-1]]) == 0
+        capsys.readouterr()
+        for f, rc, err in (
+            (files[0], 0, ""),
+            (EXAMPLE, 2, "error: instance has no perfect matching covering both parties\n"),
+            (files[1], 2, "error: 9 ranked vertices exceeds the enumeration cap 8; "
+                          "use mc_expected_size for instances this large\n"),
+        ):
+            searches.clear()
+            assert main(["check", f, "--suite", "lemma3"]) == rc
+            assert capsys.readouterr().err == err
+            assert len(searches) == 1, f
 
     def test_ratio_suite_writes_csv(self, tmp_path, capsys):
         out_csv = tmp_path / "rows.csv"

@@ -82,3 +82,21 @@ def test_refuses_a_bytecode_cache(tmp_path):
     assert done.returncode != 0
     assert "remove the bytecode caches first" in done.stderr
     assert done.stdout == ""
+
+
+def test_reads_the_slowest_tests_off_pytest():
+    stdout = (
+        "....\n============ slowest 10 durations ============\n"
+        "4.00s call     tests/test_a.py::TestA::test_one[1-2]\n"
+        "0.51s setup    tests/test_b.py::test_two\n"
+        "\n(3 durations < 0.005s hidden.)\n4 passed in 5.01s\n"
+    )
+    code = "import sys; sys.path.insert(0, sys.argv[1]); import layers; " \
+           "print(repr(layers._slowest(sys.stdin.read())))"
+    done = subprocess.run([sys.executable, "-B", "-c", code, str(SCRIPT.parent)],
+                          input=stdout, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == repr([
+        {"s": 4.0, "when": "call", "test": "tests/test_a.py::TestA::test_one[1-2]"},
+        {"s": 0.51, "when": "setup", "test": "tests/test_b.py::test_two"},
+    ]) + "\n"

@@ -172,6 +172,39 @@ def rejecting_seed(i: int) -> int:
     return (unmix(state) - (i + 1) * _GOLDEN) & _MASK
 
 
+#: a byte-lane cap for the tests that check batch edges against a per-sample
+#: reference, which at the real ``probability._LANES`` would take seconds
+SMALL_LANES = 1 << 10
+
+
+@pytest.fixture
+def small_lanes(monkeypatch):
+    monkeypatch.setattr(probability, "_LANES", SMALL_LANES)
+
+
+def batch_edges(cap: int) -> tuple:
+    """Sample counts around a batch cap: 1; cap - 1 and cap, one batch each;
+    cap + 1, two batches a lane apart; 2 * cap + 1, three."""
+    return (1, cap - 1, cap, cap + 1, 2 * cap + 1)
+
+
+def batch_cap(n: int) -> int:
+    """The most samples a Monte Carlo batch holds at n offline vertices."""
+    return probability._LANES if n <= probability._BYTE_CUT else probability._WIDE_DRAWS // n
+
+
+def record_batches(monkeypatch) -> list:
+    """The (start, k) of every batch that ``_mc_size_counts`` shuffles, in order."""
+    seen = []
+    for name in ("_id_columns", "_shuffle_draws"):
+        def recorded(seed, start, k, *rest, real=getattr(probability, name)):
+            seen.append((start, k))
+            return real(seed, start, k, *rest)
+
+        monkeypatch.setattr(probability, name, recorded)
+    return seen
+
+
 def lane_instance(arrivals: int, offline: int, seed: int) -> BipartiteInstance:
     """A random instance with u1 and the last offline vertex isolated.
 
@@ -822,8 +855,10 @@ class TestMonteCarloEqualsLiteral:
         assert mc_expected_size(inst, 50, seed) == literal_mc(inst, 50, seed)
 
     @pytest.mark.parametrize("batch, lane", [(0, 1), (1, -1), (1, 0), (1, 500)])
-    def test_rejection_in_any_lane_and_batch(self, batch, lane, monkeypatch):
-        i = batch * (probability._DRAWS // 3) + lane
+    def test_rejection_in_any_lane_and_batch(self, batch, lane, small_lanes, monkeypatch):
+        # three equal batches; lane -1 of batch 1 is the last of batch 0
+        samples = 2 * SMALL_LANES + 1
+        i = batch * (samples // 3) + lane
         seed = rejecting_seed(i)
         assert stream(seed, i).next_u64() == _MASK
         calls = []
@@ -836,20 +871,18 @@ class TestMonteCarloEqualsLiteral:
         inst = make_instance(
             "v1 v2 v3", "u1 u2 u3", [("u1", "v1"), ("u1", "v2"), ("u2", "v1"), ("u3", "v3")]
         )
-        assert mc_expected_size(inst, i + 2, seed) == literal_mc(inst, i + 2, seed)
+        assert mc_expected_size(inst, samples, seed) == literal_mc(inst, samples, seed)
         assert calls == [i]
 
-    def test_batch_edges(self):
-        lanes = probability._DRAWS // 5
+    def test_batch_edges(self, small_lanes):
         inst, _ = gen_perfect(5, 0.4, 3)
-        for samples in (lanes - 1, lanes, lanes + 1, 2 * lanes + 1):
+        for samples in batch_edges(SMALL_LANES):
             assert mc_expected_size(inst, samples, 17) == literal_mc(inst, samples, 17)
 
-    def test_batch_edges_wide_lanes(self):
+    def test_batch_edges_wide_lanes(self, small_lanes):
         # 70 arrivals make each lane 9 bytes wide, wider than one 64-bit word
         inst = gen_random(16, 70, 0.1, 3)
-        lanes = probability._DRAWS // 16
-        for samples in (lanes - 1, lanes, lanes + 1, 2 * lanes + 1):
+        for samples in batch_edges(SMALL_LANES):
             assert mc_expected_size(inst, samples, 17) == greedy_mc(inst, samples, 17)
 
     @pytest.mark.parametrize("arrivals", [0, 1, 7, 8, 9, 15, 16, 63, 64, 65])
@@ -946,9 +979,10 @@ class TestByteLanes:
 
     @pytest.mark.parametrize("seed", [0, 2**64 + 5, -7])
     def test_id_columns_equal_stream_shuffles(self, seed):
+        cap = probability._LANES
+        # cap // 2 - 1 runs over the start of cap + 1's second batch, cap // 2
         for n in range(probability._BYTE_CUT + 2):
-            lanes = probability._DRAWS // max(n, 1)
-            for start, k in ((0, 3), (lanes - 2, 4), (2 * lanes, 1)):
+            for start, k in ((0, 3), (cap // 2 - 1, 4), (cap - 2, 4), (2 * cap, 1)):
                 cols = probability._id_columns(seed, start, k, n)
                 assert all(len(col) == k for col in cols) and len(cols) == n
                 assert [list(lane) for lane in zip(*cols)] == (
@@ -956,13 +990,12 @@ class TestByteLanes:
                 ), (n, start)
 
     def test_id_columns_of_a_whole_batch(self):
-        n = 20
-        k = probability._DRAWS // n
+        n, k = 20, probability._LANES
         cols = probability._id_columns(3, k, k, n)
         assert [list(lane) for lane in zip(*cols)] == shuffles(3, k, k, n)
 
     def test_rejecting_lane_patches_every_column(self, monkeypatch):
-        n, i = 20, probability._DRAWS // 20 + 5
+        n, i = 20, probability._LANES // 2 + 5  # the sixth lane of cap + 1's second batch
         seed = rejecting_seed(i)
         assert stream(seed, i).next_u64() >= (1 << 64) - (1 << 64) % n  # below(20) rejects it
         start, k = i - 5, 9
@@ -1046,12 +1079,33 @@ class TestWideLanes:
 
 class TestMcSizeCounts:
     @pytest.mark.parametrize("n", [5, probability._BYTE_CUT, probability._BYTE_CUT + 1])
-    def test_counts_equal_the_greedy_sizes_at_batch_edges(self, n):
+    def test_counts_equal_the_greedy_sizes_at_batch_edges(self, n, small_lanes):
         inst, _ = gen_perfect(n, 0.1, 8)
-        lanes = probability._DRAWS // n
-        for samples in (1, lanes - 1, lanes, 2 * lanes + 1):
+        for samples in batch_edges(batch_cap(n)):
             counts = probability._mc_size_counts(inst, samples, 17)
             assert counts == Counter(greedy_sizes(inst, samples, 17)), (n, samples)
+
+    def test_one_batch_and_one_lane_table_per_sample_count(self, monkeypatch):
+        batches = record_batches(monkeypatch)
+        probability._lanes.cache_clear()
+        for n in (12, 24):
+            probability._mc_size_counts(gen_perfect(n, 0.3, 5)[0], 5000, 1)
+        assert batches == [(0, 5000), (0, 5000)]
+        assert probability._lanes.cache_info().misses == 1
+
+    @pytest.mark.parametrize("n", [3, probability._BYTE_CUT, probability._BYTE_CUT + 1, 400])
+    def test_fewest_batches_a_lane_apart(self, n, monkeypatch):
+        cap = batch_cap(n)
+        inst = gen_random(n, 3, 0.5, n)
+        batches = record_batches(monkeypatch)
+        for samples in batch_edges(cap):
+            batches.clear()
+            probability._mc_size_counts(inst, samples, 17)
+            starts, sizes = zip(*batches)
+            assert len(sizes) == -(-samples // cap) and max(sizes) <= cap, (n, samples)
+            assert max(sizes) - min(sizes) <= 1, (n, samples)
+            assert list(starts) == [sum(sizes[:b]) for b in range(len(sizes))]
+            assert sum(sizes) == samples
 
     def test_sizes_above_a_byte(self):
         inst = gen_random(300, 290, 0.05, 4)

@@ -531,15 +531,14 @@ class TestFailurePath:
             _replays(result, suite)
 
     def test_lemma3_reports_the_first_broken_link(self, monkeypatch):
-        real = suites.lemma3_chain
+        real = suites._chain
 
-        def broken(one, m_star):  # every link from t = 2 on misses its prefix sum
+        def broken(one):  # every link from t = 2 on misses its prefix sum
             return [
-                replace(link, prefix_sum=link.prefix_sum + (link.t > 1))
-                for link in real(one, m_star)
+                replace(link, prefix_sum=link.prefix_sum + (link.t > 1)) for link in real(one)
             ]
 
-        monkeypatch.setattr(suites, "lemma3_chain", broken)
+        monkeypatch.setattr(suites, "_chain", broken)
         inst = parse_instance(PERFECT_TEXT)
         result = suite_lemma3(1, 0, inst=inst)
         assert [(f.description, f.instance_text) for f in result.failures] == [

@@ -18,6 +18,11 @@ exists since the parse and the Monte Carlo lanes took their current form,
 so older checkouts can be timed too.  ``--quick`` shrinks every input to its
 smallest size, for a smoke test.
 
+Without ``--quick``, each column's Tier-1 suite then runs once, one column
+after the other: the ``tests`` beside its ``src``, under pytest with that
+``src`` on the path.  ``tier1`` gives its wall time in seconds, pytest's
+summary line and the ten slowest test phases.
+
 A ``__pycache__`` under the timed sources would let that side skip
 compiling and read low, so the script refuses to run while one exists, and
 its processes write none.
@@ -31,6 +36,7 @@ import io
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -240,6 +246,29 @@ def measure(cols: Dict[str, Path], repeats: int, quick: bool) -> Tuple[dict, dic
             p.wait()
 
 
+#: one line of pytest's ``--durations`` table: seconds, phase, test id
+_DURATION = re.compile(r"^(\d+\.\d+)s (\w+)\s+(\S+)$", re.M)
+
+
+def _slowest(stdout: str) -> List[dict]:
+    """The test phases of pytest's ``--durations`` table, slowest first."""
+    return [{"s": float(s), "when": when, "test": test}
+            for s, when, test in _DURATION.findall(stdout)]
+
+
+def tier1(src: Path) -> dict:
+    """Run the Tier-1 suite beside ``src`` once: wall seconds, summary, ten slowest."""
+    env = {**os.environ, "PYTHONPATH": str(src.resolve()), "PYTHONDONTWRITEBYTECODE": "1"}
+    argv = [sys.executable, "-B", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+            "--continue-on-collection-errors", "--durations=10"]
+    t0 = time.perf_counter()
+    done = subprocess.run(argv, cwd=src.resolve().parent, env=env, capture_output=True, text=True)
+    wall = time.perf_counter() - t0
+    lines = done.stdout.strip().splitlines()
+    return {"wall_s": round(wall, 1), "summary": lines[-1] if lines else done.stderr.strip(),
+            "slowest": _slowest(done.stdout)}
+
+
 def machine() -> str:
     cpu = platform.processor() or platform.machine()
     with contextlib.suppress(OSError):
@@ -272,6 +301,8 @@ def main(argv=None) -> int:
     doc = {"machine": machine(), "python": platform.python_version(),
            "repeats": args.repeats, "quick": args.quick, "unit": "thread CPU ms per call",
            "columns": list(cols), "rows": rows_ms, "calls": calls}
+    if not args.quick:
+        doc["tier1"] = {label: tier1(src) for label, src in cols.items()}
     text = json.dumps(doc, indent=1) + "\n"
     if args.out is None:
         sys.stdout.write(text)
