@@ -13,7 +13,7 @@ derived from the names it binds.
 
 from types import ModuleType as _Module
 
-from .engine import BipartiteInstance, Permutation, is_ranking_matching, online_match, step
+from .engine import BipartiteInstance, Permutation, rank_match
 from .fileformat import (
     InstanceFormatError,
     fingerprint,
@@ -26,7 +26,6 @@ from .graph import (
     Vertex,
     bipartite_max_matching,
     edge,
-    is_bipartite,
     is_matching,
     partner,
     vertices,
@@ -54,16 +53,11 @@ from .structure import (
     GuardViolation,
     RankMoveVerdict,
     RemovalDiff,
-    ZigZagContext,
     check_rank_move,
     check_removal_stability,
     check_zig_zag_symmetry,
     removal_diff_offline,
     removal_diff_online,
-    shift_targets,
-    shifts_to,
-    zag,
-    zig,
 )
 from .suites import (
     SUITES,

@@ -1,28 +1,24 @@
-"""The rank-greedy online bipartite matcher and its declarative mirror.
+"""The rank-greedy online bipartite matcher on an integer index.
 
 One party of the graph (the offline side) is known upfront and carries a
 ranking: a permutation that says which vertex to prefer.  The other party
 arrives one vertex at a time in its own order.  Each arrival is matched to
 its best-ranked still-free neighbor, or left unmatched forever.
 
-``online_match`` is the operational definition, a literal fold of ``step``
-over the arrival order.  ``is_ranking_matching`` is the declarative one: a
-predicate on (graph, matching, orders) that the fold's output satisfies and,
-on any given instance, exactly one matching satisfies.  Having both lets the
-tests drive each against the other.  ``_ranking_holds`` decides it on an
-index, for a partner array, which ``is_ranking_matching`` builds from
-(graph, orders).
-
-Every other caller runs ``_greedy``, the party-swapped greedy (offline
-vertices in ranking order take their earliest-arriving free neighbor), on
-``BipartiteInstance.reach``; ``rank_match`` names its matching for
-``check_rank_move`` and two suites.  Each instance derives ``reach`` once,
-as it validates its edges or as a generator draws it.  The predicate is
-symmetric in the two orders and has exactly one solution, so this is the
-fold's matching.  ``_max_matching`` augments that matching on the same
-index with ``graph._augment``, the package's one augmenting-path search, and
-returns its partner array; ``_max_matching_size`` counts it for callers that
-need only the size of a maximum matching.
+Every caller runs ``_greedy``, the party-swapped greedy (offline vertices in
+ranking order take their earliest-arriving free neighbor), on
+``BipartiteInstance.reach``; ``rank_match`` names its matching.  Each
+instance derives ``reach`` once, as it validates its edges or as a generator
+draws it.  The declarative predicate is symmetric in the two orders and has
+exactly one solution, so this is the matching of the paper's fold.
+``_ranking_holds`` decides that predicate on an index, for a partner array.
+The fold (``online_match`` over ``step``) and the predicate's name form
+(``is_ranking_matching``) are literal test oracles in ``tests/oracles.py``,
+which hold ``rank_match`` and ``_ranking_holds`` to them.  ``_max_matching``
+augments the greedy's matching on the same index with ``graph._augment``,
+the package's one augmenting-path search, and returns its partner array;
+``_max_matching_size`` counts it for callers that need only the size of a
+maximum matching.
 """
 
 from __future__ import annotations
@@ -31,14 +27,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, List, Sequence
 
-from .graph import (
-    Vertex,
-    _augment,
-    _mate_map,
-    is_bipartite,
-    is_matching,
-    vertices,
-)
+from .graph import Vertex, _augment
 
 
 class Permutation:
@@ -69,11 +58,6 @@ class Permutation:
             return self._pos[v]
         except KeyError:
             raise KeyError(f"{v!r} is not a member of this permutation") from None
-
-    def move_to(self, v: Vertex, i: int) -> "Permutation":
-        """A new permutation with v at index i, the rest in order (``_move_id``)."""
-        self.index(v)  # KeyError for a non-member, before any index check
-        return Permutation(_move_id(self._order, v, i))
 
     def __len__(self) -> int:
         return len(self._order)
@@ -175,29 +159,6 @@ class BipartiteInstance:
         return BipartiteInstance._indexed(self.ranking, self.arrival, tuple(reach))
 
 
-def step(g: frozenset, u: Vertex, ranked: Sequence[Vertex], m: frozenset) -> frozenset:
-    """One arrival: u takes the first free ranked neighbor, if any.
-
-    Scans ``ranked`` in order and inserts {u, v} for the first v such that
-    both u and v are uncovered by m and the edge exists in g.  Returns m
-    unchanged when no such v exists.
-    """
-    covered = vertices(m)
-    mm = frozenset(m)
-    for v in ranked:
-        if v not in covered and u not in covered and frozenset((u, v)) in g:
-            return mm | {frozenset((u, v))}
-    return mm
-
-
-def online_match(inst: BipartiteInstance) -> frozenset:
-    """The matching produced by folding ``step`` over the arrival order."""
-    m: frozenset = frozenset()
-    for u in inst.arrival:
-        m = step(inst.graph, u, inst.ranking.order, m)
-    return m
-
-
 def _greedy(reach: Sequence[int], order: Iterable[int], arrivals: int) -> List[int]:
     """The party-swapped greedy on an index: the partner position of each arrival.
 
@@ -252,7 +213,7 @@ def _named(inst: BipartiteInstance, prs: Sequence[int]) -> frozenset:
 
 
 def rank_match(inst: BipartiteInstance) -> frozenset:
-    """The matching of ``online_match``: ``_greedy`` on ``inst.reach`` in rank order."""
+    """The rank-greedy matching as name edges: ``_greedy`` on ``inst.reach`` in rank order."""
     return _named(inst, _greedy(inst.reach, range(len(inst.reach)), len(inst.arrival)))
 
 
@@ -276,7 +237,7 @@ def _inverse(prs: Sequence[int], n: int) -> List[int]:
 
 
 def _ranking_holds(prs: Sequence[int], cols: Sequence[int], rows: Sequence[int]) -> bool:
-    """``is_ranking_matching`` on an index, for the partner array ``prs``.
+    """The ranking-matching predicate on an index, for the partner array ``prs``.
 
     ``prs[j]`` is chooser j's partner position or -1, ``cols[j]`` its neighbour
     mask, and ``rows`` the transpose; the parties are disjoint by construction.
@@ -306,28 +267,3 @@ def _matchings(cols: Sequence[int]) -> List[tuple]:
         out = [(prs + (r,), used | bit) for prs, used in out for r, bit in opts if not used & bit]
     return [prs for prs, _ in out]
 
-
-def is_ranking_matching(
-    g: frozenset, m: frozenset, arrival: Permutation, ranking: Permutation
-) -> bool:
-    """Declarative test that m is the rank-greedy outcome on (g, orders).
-
-    Five conjuncts: m is a matching inside g; g is bipartite between the two
-    disjoint parties; m is maximal in g; no arriving vertex skipped a free
-    better-ranked neighbor; and the same first-choice condition with the
-    parties' roles swapped.  The conjunction is symmetric under exchanging
-    the two orders.  It indexes g, arrivals choosing, for ``_ranking_holds``;
-    an edge of three or more ends that spans both parties needs one end
-    covered.
-    """
-    gset = frozenset(frozenset(e) for e in g)
-    mset = frozenset(frozenset(e) for e in m)
-    parties = not arrival.members & ranking.members
-    parties = parties and is_bipartite(gset, arrival.members, ranking.members)
-    if not (parties and mset <= gset and is_matching(mset)):
-        return False
-    rows = [sum(1 << j for j, u in enumerate(arrival) if {u, v} in gset) for v in ranking]
-    cols = _transpose(rows, len(arrival))
-    mate = _mate_map(mset)  # every edge has two ends
-    prs = [ranking._pos.get(mate.get(u), -1) for u in arrival]
-    return all(e & mate.keys() for e in gset if len(e) > 2) and _ranking_holds(prs, cols, rows)

@@ -13,9 +13,9 @@ on bitmasks.  ``bipartite_max_matching`` runs it in name order, which is
 polynomial, and designates the perfect matching M* of an instance; callers
 that need a maximum matching on the ``reach`` masks (``mc``, the theorem 4
 and 6 checks, the lemma 3 chain's perfectness test) run it through
-``engine._max_matching`` instead, with no edge set built.  The exhaustive general-graph search both are
-held to, and the rest of the name-level set algebra the tests use, are in
-``tests/oracles.py``.
+``engine._max_matching`` instead, with no edge set built.  The exhaustive
+general-graph search both are held to, and the rest of the name-level set
+algebra the tests use, ``is_bipartite`` among it, are in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -40,16 +40,6 @@ def vertices(g: Iterable[Edge]) -> frozenset:
     for e in g:
         out.update(e)
     return frozenset(out)
-
-
-def is_bipartite(g: Iterable[Edge], left: AbstractSet, right: AbstractSet) -> bool:
-    """True iff every endpoint is declared and no edge stays inside one side."""
-    for e in g:
-        if not all(x in left or x in right for x in e):
-            return False
-        if e <= left or e <= right:
-            return False
-    return True
 
 
 def is_matching(m: Iterable[Edge]) -> bool:

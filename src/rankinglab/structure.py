@@ -10,27 +10,20 @@ zeroes one mask and reruns ``_greedy`` (``_cascade``); a rank move moves one
 offline id in the order and reruns it on ``reach`` (``_rank_move``).  The
 suites run these on positions and name a vertex only in a failure's text;
 the ``removal_diff_*`` and ``check_*`` functions translate names to
-positions once and name what they return.  ``zig`` and ``zag`` are the
-literal walk on a ``ZigZagContext``: a zig step goes to the mate, a zag step
-to the one entry of ``shift_targets``, which lists what ``shifts_to``, the
-literal definition of the shift relation, allows.  The tests hold ``_walk``
-and the literal walk to the same paths.
-
-A ``ZigZagContext`` bundles a graph, a matching over it, and the two orders.
-The party roles inside a context are positional: ``ranking`` names the side
-zig starts from, ``arrival`` the side zag starts from.  Swapping the two
-orders is how every mirrored statement is expressed; there is no separate
-code path for it.
+positions once and name what they return.  The literal walk, ``zig`` and
+``zag`` on a ``ZigZagContext`` over the shift relation ``shifts_to``, is a
+test oracle in ``tests/oracles.py``, and the tests hold ``_walk`` to the
+same paths.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import AbstractSet, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import AbstractSet, List, NamedTuple, Optional, Sequence, Tuple
 
-from .engine import BipartiteInstance, Permutation, _greedy, _inverse, _move_id, _transpose
+from .engine import BipartiteInstance, _greedy, _inverse, _move_id, _transpose
 from .engine import rank_match
-from .graph import Vertex, _mate_map, is_matching, partner
+from .graph import Vertex, partner
 from .probability import _validated_perfect
 
 
@@ -42,65 +35,6 @@ class GuardViolation(ValueError):
     """A stability check was invoked on inputs that break its guard."""
 
 
-@dataclass(frozen=True)
-class ZigZagContext:
-    graph: frozenset
-    matching: frozenset
-    arrival: Permutation
-    ranking: Permutation
-    #: vertex -> its partner in ``matching``, derived once from it
-    mate: Dict[Vertex, Vertex] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "graph", frozenset(frozenset(e) for e in self.graph))
-        object.__setattr__(self, "matching", frozenset(frozenset(e) for e in self.matching))
-        if not is_matching(self.matching):
-            raise ValueError("context matching is not a matching")
-        if not self.matching <= self.graph:
-            raise ValueError("context matching must be a subset of the graph")
-        object.__setattr__(self, "mate", _mate_map(self.matching))
-
-    def swapped(self) -> "ZigZagContext":
-        return ZigZagContext(self.graph, self.matching, self.ranking, self.arrival)
-
-
-def shifts_to(
-    ctx: ZigZagContext, u: Vertex, current: Vertex, candidate: Vertex
-) -> bool:
-    """Would u, upon losing ``current``, take ``candidate`` next?
-
-    True iff u is on the arrival side and candidate on the ranking side,
-    candidate is ranked strictly after current, the edge {u, candidate}
-    exists, no arrival earlier than u already holds candidate in the
-    matching, and every ranked vertex strictly between current and candidate
-    is either not a neighbor of u or held by an arrival earlier than u.
-    """
-    r, a = ctx.ranking, ctx.arrival
-    if u not in a or candidate not in r or current not in r:
-        return False
-    lo, hi = r.index(current), r.index(candidate)
-    if not lo < hi:
-        return False
-    if frozenset((u, candidate)) not in ctx.graph:
-        return False
-
-    def held_earlier(v: Vertex) -> bool:
-        w = ctx.mate.get(v)
-        return w is not None and w in a and a.index(w) < a.index(u)
-
-    if held_earlier(candidate):
-        return False
-    for mid in r.order[lo + 1 : hi]:
-        if frozenset((u, mid)) in ctx.graph and not held_earlier(mid):
-            return False
-    return True
-
-
-def shift_targets(ctx: ZigZagContext, u: Vertex, current: Vertex) -> List[Vertex]:
-    """All ranked vertices u would shift to from ``current`` (zero or one)."""
-    return [v for v in ctx.ranking if shifts_to(ctx, u, current, v)]
-
-
 def _walk(x: int, zig_step: bool, adj: Sequence[int], mate_r: list, mate_a: list) -> list:
     """The cascade path from position x, alternating zig steps and zag steps.
 
@@ -108,9 +42,9 @@ def _walk(x: int, zig_step: bool, adj: Sequence[int], mate_r: list, mate_a: list
     and ``mate_r``/``mate_a`` give each ranking-/arrival-side position its
     mate (-1 for none).  A zig step goes to the mate.  A zag step goes from
     j, matched to i, to the lowest set bit of ``adj[j]`` above i whose
-    holder is none or arrives no earlier than j: the unique ``shifts_to``
-    target.  Ranks strictly increase, so the path ends within |ranking| zag
-    steps.
+    holder is none or arrives no earlier than j: the unique target of the
+    shift relation (``shifts_to`` in ``tests/oracles.py``).  Ranks strictly
+    increase, so the path ends within |ranking| zag steps.
     """
     path = [x]
     while True:
@@ -129,36 +63,6 @@ def _walk(x: int, zig_step: bool, adj: Sequence[int], mate_r: list, mate_a: list
             return path
         path.append(x)
         zig_step = not zig_step
-
-
-def _name_walk(ctx: ZigZagContext, x: Vertex, zig_step: bool) -> Tuple[Vertex, ...]:
-    """The walk from x: zig steps go to the mate, zag steps to its shift target."""
-    path = [x]
-    while True:
-        mate = ctx.mate.get(x)
-        x = mate if zig_step else next(iter(shift_targets(ctx, x, mate)), None)
-        if x is None:
-            return tuple(path)
-        path.append(x)
-        zig_step = not zig_step
-
-
-def zig(ctx: ZigZagContext, v: Vertex) -> Tuple[Vertex, ...]:
-    """Cascade path starting at ranking-side vertex v.
-
-    [v] when v is unmatched, otherwise v followed by the zag from its
-    partner.  Ends within |ranking| steps on any context.
-    """
-    return _name_walk(ctx, v, zig_step=True)
-
-
-def zag(ctx: ZigZagContext, u: Vertex) -> Tuple[Vertex, ...]:
-    """Cascade path starting at arrival-side vertex u.
-
-    [u] when u is unmatched or has nowhere to shift, otherwise u followed by
-    the zig from its shift target.  Ends within |ranking| steps, as zig.
-    """
-    return _name_walk(ctx, u, zig_step=False)
 
 
 @dataclass(frozen=True)

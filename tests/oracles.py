@@ -1,5 +1,17 @@
 """Literal oracles of the package's indexed paths, for the tests only.
 
+The paper's definitions, on names: ``online_match`` folds ``step``, one
+arrival taking its best-ranked free neighbour, over the arrival order, and
+``engine.rank_match`` is held to it; ``is_ranking_matching`` is the
+declarative predicate, with ``is_bipartite`` among its conjuncts, that
+``engine._ranking_holds`` decides on an index; ``zig`` and ``zag`` walk a
+``ZigZagContext``, a zig step to the mate and a zag step to the one entry of
+``shift_targets``, which lists what ``shifts_to``, the literal shift
+relation, allows, and ``structure._walk`` is held to the same paths.  A
+context's party roles are positional: ``ranking`` names the side zig starts
+from, ``arrival`` the side zag starts from, and swapping the two orders
+expresses every mirrored statement.
+
 ``all_matchings`` and ``max_card_matching`` (the exhaustive search of
 ``find_augmenting_path``) gate ``bipartite_max_matching``,
 ``engine._max_matching`` and ``engine._ranking_holds``; the name-level path and removal algebra gates
@@ -11,14 +23,170 @@ chain's inequality per t.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations
 from typing import AbstractSet, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from rankinglab.engine import BipartiteInstance, _greedy, _move_id
+from rankinglab.engine import (
+    BipartiteInstance,
+    Permutation,
+    _greedy,
+    _move_id,
+    _ranking_holds,
+    _transpose,
+)
 from rankinglab.fileformat import fingerprint
 from rankinglab.graph import Edge, Vertex, _mate_map, is_matching, vertices
 from rankinglab.probability import DEFAULT_CAP, ExactReport, _check_cap, _validated_perfect, lemma3_chain
+
+
+def is_bipartite(g: Iterable[Edge], left: AbstractSet, right: AbstractSet) -> bool:
+    """True iff every endpoint is declared and no edge stays inside one side."""
+    for e in g:
+        if not all(x in left or x in right for x in e):
+            return False
+        if e <= left or e <= right:
+            return False
+    return True
+
+
+def step(g: frozenset, u: Vertex, ranked: Sequence[Vertex], m: frozenset) -> frozenset:
+    """One arrival: u takes the first free ranked neighbor, if any.
+
+    Scans ``ranked`` in order and inserts {u, v} for the first v such that
+    both u and v are uncovered by m and the edge exists in g.  Returns m
+    unchanged when no such v exists.
+    """
+    covered = vertices(m)
+    mm = frozenset(m)
+    for v in ranked:
+        if v not in covered and u not in covered and frozenset((u, v)) in g:
+            return mm | {frozenset((u, v))}
+    return mm
+
+
+def online_match(inst: BipartiteInstance) -> frozenset:
+    """The matching produced by folding ``step`` over the arrival order."""
+    m: frozenset = frozenset()
+    for u in inst.arrival:
+        m = step(inst.graph, u, inst.ranking.order, m)
+    return m
+
+
+def is_ranking_matching(
+    g: frozenset, m: frozenset, arrival: Permutation, ranking: Permutation
+) -> bool:
+    """Declarative test that m is the rank-greedy outcome on (g, orders).
+
+    Five conjuncts: m is a matching inside g; g is bipartite between the two
+    disjoint parties; m is maximal in g; no arriving vertex skipped a free
+    better-ranked neighbor; and the same first-choice condition with the
+    parties' roles swapped.  The conjunction is symmetric under exchanging
+    the two orders.  It indexes g, arrivals choosing, for ``_ranking_holds``;
+    an edge of three or more ends that spans both parties needs one end
+    covered.
+    """
+    gset = frozenset(frozenset(e) for e in g)
+    mset = frozenset(frozenset(e) for e in m)
+    parties = not arrival.members & ranking.members
+    parties = parties and is_bipartite(gset, arrival.members, ranking.members)
+    if not (parties and mset <= gset and is_matching(mset)):
+        return False
+    rows = [sum(1 << j for j, u in enumerate(arrival) if {u, v} in gset) for v in ranking]
+    cols = _transpose(rows, len(arrival))
+    mate = _mate_map(mset)  # every edge has two ends
+    prs = [ranking._pos.get(mate.get(u), -1) for u in arrival]
+    return all(e & mate.keys() for e in gset if len(e) > 2) and _ranking_holds(prs, cols, rows)
+
+
+@dataclass(frozen=True)
+class ZigZagContext:
+    graph: frozenset
+    matching: frozenset
+    arrival: Permutation
+    ranking: Permutation
+    #: vertex -> its partner in ``matching``, derived once from it
+    mate: Dict[Vertex, Vertex] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "graph", frozenset(frozenset(e) for e in self.graph))
+        object.__setattr__(self, "matching", frozenset(frozenset(e) for e in self.matching))
+        if not is_matching(self.matching):
+            raise ValueError("context matching is not a matching")
+        if not self.matching <= self.graph:
+            raise ValueError("context matching must be a subset of the graph")
+        object.__setattr__(self, "mate", _mate_map(self.matching))
+
+    def swapped(self) -> "ZigZagContext":
+        return ZigZagContext(self.graph, self.matching, self.ranking, self.arrival)
+
+
+def shifts_to(
+    ctx: ZigZagContext, u: Vertex, current: Vertex, candidate: Vertex
+) -> bool:
+    """Would u, upon losing ``current``, take ``candidate`` next?
+
+    True iff u is on the arrival side and candidate on the ranking side,
+    candidate is ranked strictly after current, the edge {u, candidate}
+    exists, no arrival earlier than u already holds candidate in the
+    matching, and every ranked vertex strictly between current and candidate
+    is either not a neighbor of u or held by an arrival earlier than u.
+    """
+    r, a = ctx.ranking, ctx.arrival
+    if u not in a or candidate not in r or current not in r:
+        return False
+    lo, hi = r.index(current), r.index(candidate)
+    if not lo < hi:
+        return False
+    if frozenset((u, candidate)) not in ctx.graph:
+        return False
+
+    def held_earlier(v: Vertex) -> bool:
+        w = ctx.mate.get(v)
+        return w is not None and w in a and a.index(w) < a.index(u)
+
+    if held_earlier(candidate):
+        return False
+    for mid in r.order[lo + 1 : hi]:
+        if frozenset((u, mid)) in ctx.graph and not held_earlier(mid):
+            return False
+    return True
+
+
+def shift_targets(ctx: ZigZagContext, u: Vertex, current: Vertex) -> List[Vertex]:
+    """All ranked vertices u would shift to from ``current`` (zero or one)."""
+    return [v for v in ctx.ranking if shifts_to(ctx, u, current, v)]
+
+
+def _name_walk(ctx: ZigZagContext, x: Vertex, zig_step: bool) -> Tuple[Vertex, ...]:
+    """The walk from x: zig steps go to the mate, zag steps to its shift target."""
+    path = [x]
+    while True:
+        mate = ctx.mate.get(x)
+        x = mate if zig_step else next(iter(shift_targets(ctx, x, mate)), None)
+        if x is None:
+            return tuple(path)
+        path.append(x)
+        zig_step = not zig_step
+
+
+def zig(ctx: ZigZagContext, v: Vertex) -> Tuple[Vertex, ...]:
+    """Cascade path starting at ranking-side vertex v.
+
+    [v] when v is unmatched, otherwise v followed by the zag from its
+    partner.  Ends within |ranking| steps on any context.
+    """
+    return _name_walk(ctx, v, zig_step=True)
+
+
+def zag(ctx: ZigZagContext, u: Vertex) -> Tuple[Vertex, ...]:
+    """Cascade path starting at arrival-side vertex u.
+
+    [u] when u is unmatched or has nowhere to shift, otherwise u followed by
+    the zig from its shift target.  Ends within |ranking| steps, as zig.
+    """
+    return _name_walk(ctx, u, zig_step=False)
 
 
 def neighbors(g: Iterable[Edge], v: Vertex) -> frozenset:

@@ -19,7 +19,6 @@ import pytest
 from rankinglab import (
     BipartiteInstance,
     Permutation,
-    ZigZagContext,
     check_rank_move,
     check_theorem4,
     check_theorem6,
@@ -29,26 +28,27 @@ from rankinglab import (
     exact_expected_size,
     gamma_min_ratio,
     gen_perfect,
-    is_ranking_matching,
     lemma3_chain,
     mc_expected_size,
-    online_match,
     partner,
     removal_diff_offline,
     removal_diff_online,
     vertices,
-    zig,
 )
 from rankinglab.cli import main
 from rankinglab.rng import stream
 
 from .conftest import DATA
 from .oracles import (
+    ZigZagContext,
     all_matchings,
     is_alternating_path,
+    is_ranking_matching,
+    online_match,
     path_edges,
     remove_vertices,
     symmetric_difference,
+    zig,
 )
 
 BASE_SEED = 20260823

@@ -24,12 +24,8 @@ from rankinglab import (
     edge,
     gen_gamma_family,
     gen_random,
-    is_bipartite,
     is_matching,
-    is_ranking_matching,
-    online_match,
     partner,
-    step,
 )
 from rankinglab.engine import (
     _greedy,
@@ -46,7 +42,16 @@ from rankinglab.generators import _gamma_ranking
 from rankinglab.suites import _cleared
 
 from .conftest import instances, make_instance
-from .oracles import all_matchings, is_maximal_matching, max_card_matching, remove_vertices
+from .oracles import (
+    all_matchings,
+    is_bipartite,
+    is_maximal_matching,
+    is_ranking_matching,
+    max_card_matching,
+    online_match,
+    remove_vertices,
+    step,
+)
 
 
 def pairs_of(m):
@@ -164,22 +169,20 @@ class TestPermutation:
 
     def test_move_to_front(self):
         p = Permutation(["a", "b", "c"])
-        assert p.move_to("c", 0).order == ("c", "a", "b")
+        assert _move_id(p, "c", 0) == ("c", "a", "b")
 
     def test_move_to_keeps_relative_order(self):
         p = Permutation(["v1", "v2", "v3", "v4"])
-        assert p.move_to("v3", 0).order == ("v3", "v1", "v2", "v4")
-        assert p.move_to("v3", 3).order == ("v1", "v2", "v4", "v3")
-        assert p.move_to("v3", 2).order == p.order
+        assert _move_id(p, "v3", 0) == ("v3", "v1", "v2", "v4")
+        assert _move_id(p, "v3", 3) == ("v1", "v2", "v4", "v3")
+        assert _move_id(p, "v3", 2) == p.order
 
     def test_move_to_errors(self):
         p = Permutation(["a", "b"])
-        with pytest.raises(KeyError):
-            p.move_to("z", 0)
         with pytest.raises(IndexError):
-            p.move_to("a", 2)
+            _move_id(p, "a", 2)
         with pytest.raises(IndexError):
-            p.move_to("a", -1)
+            _move_id(p, "a", -1)
 
     def test_eq_and_hash(self):
         assert Permutation(["a", "b"]) == Permutation(["a", "b"])
@@ -226,7 +229,7 @@ class TestBipartiteInstance:
             cut = inst.without_vertices({x})
             assert cut.reach == reach_by_definition(cut)
         moved = BipartiteInstance(
-            inst.graph, inst.ranking.move_to(inst.ranking[-1], 0), inst.arrival
+            inst.graph, Permutation(_move_id(inst.ranking, inst.ranking[-1], 0)), inst.arrival
         )
         assert moved.reach == reach_by_definition(moved)
 
@@ -337,7 +340,7 @@ class TestRankMatch:
         n = len(inst.ranking)
         v = data.draw(st.sampled_from(inst.ranking.order))
         i = data.draw(st.integers(0, n - 1))
-        moved = inst.ranking.move_to(v, i)
+        moved = Permutation(_move_id(inst.ranking, v, i))
         order = _move_id(range(n), inst.ranking.index(v), i)
         assert [inst.ranking[r] for r in order] == list(moved)
         prs = _greedy(inst.reach, order, len(inst.arrival))

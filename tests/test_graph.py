@@ -21,7 +21,6 @@ from rankinglab import (
     edge,
     gen_gamma_family,
     gen_perfect,
-    is_bipartite,
     is_matching,
     partner,
     vertices,
@@ -33,6 +32,7 @@ from .oracles import (
     find_augmenting_path,
     is_alternating_path,
     is_augmenting_path,
+    is_bipartite,
     is_maximal_matching,
     make_perfect_matching,
     max_card_matching,

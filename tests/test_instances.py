@@ -31,7 +31,6 @@ from rankinglab import (
     graph,
     is_matching,
     mc_expected_size,
-    online_match,
     parse_instance,
     probability,
     removal_diff_offline,
@@ -42,7 +41,7 @@ from rankinglab import (
 from rankinglab.engine import rank_match
 
 from .conftest import DATA, instances, make_instance
-from .oracles import max_card_matching
+from .oracles import max_card_matching, online_match
 
 
 class TestParse:

@@ -15,6 +15,20 @@ from . import oracles
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
+#: the paper's definitions on names, which ``tests/oracles.py`` alone defines
+LITERAL = (
+    "step",
+    "online_match",
+    "is_ranking_matching",
+    "is_bipartite",
+    "ZigZagContext",
+    "shifts_to",
+    "shift_targets",
+    "_name_walk",
+    "zig",
+    "zag",
+)
+
 
 def _submodules():
     return [
@@ -57,3 +71,10 @@ def test_every_public_name_is_documented_or_called():
     assert [n for n in rankinglab.__all__ if n not in used | documented] == []
     moved = {n for n, v in vars(oracles).items() if getattr(v, "__module__", "") == oracles.__name__}
     assert moved and not moved & set(rankinglab.__all__)
+
+
+def test_literal_definitions_live_in_the_oracles_alone():
+    """No submodule, nor the package, binds a name-level copy of a literal oracle."""
+    for m in [rankinglab, *_submodules()]:
+        assert [n for n in LITERAL if n in vars(m)] == [], m.__name__
+    assert {getattr(oracles, n).__module__ for n in LITERAL} == {oracles.__name__}

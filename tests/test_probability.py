@@ -38,7 +38,6 @@ from rankinglab import (
     gen_random,
     lemma3_chain,
     mc_expected_size,
-    online_match,
     partner,
     perfect_matching_of,
     stream,
@@ -57,6 +56,7 @@ from .oracles import (
     check_lemma3,
     expected_matched_before_count,
     matched_before_prob,
+    online_match,
     rank_matched_prob,
     rank_matched_prob_moved,
 )

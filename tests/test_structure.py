@@ -24,34 +24,35 @@ from rankinglab import (
     Permutation,
     RankMoveVerdict,
     RemovalDiff,
-    ZigZagContext,
     check_rank_move,
     check_removal_stability,
     check_zig_zag_symmetry,
     edge,
     gen_perfect,
-    online_match,
     partner,
     removal_diff_offline,
     removal_diff_online,
     serialize_instance,
-    shift_targets,
-    shifts_to,
     vertices,
-    zag,
-    zig,
 )
 
 from rankinglab import structure
-from rankinglab.engine import rank_match
+from rankinglab.engine import _move_id, rank_match
 
+from . import oracles
 from .conftest import instances, make_instance
 from .oracles import (
+    ZigZagContext,
     all_matchings,
     is_alternating_path,
+    online_match,
     path_edges,
     remove_vertices,
+    shift_targets,
+    shifts_to,
     symmetric_difference,
+    zag,
+    zig,
 )
 
 
@@ -389,7 +390,7 @@ class TestRankMove:
                         if partner(baseline, v) is not None:
                             assert verdict == RankMoveVerdict(True, None, None, None)
                             continue
-                        moved = inst.ranking.move_to(v, i)
+                        moved = Permutation(_move_id(inst.ranking, v, i))
                         rerun = online_match(BipartiteInstance(inst.graph, moved, inst.arrival))
                         w = partner(rerun, u)
                         assert verdict == (
@@ -673,5 +674,5 @@ class TestCoreEqualsNameLevel:
         contexts = [*kept_contexts(example6), *matching_contexts(example6)]
         for clause in ("candidate", "mid"):
             with monkeypatch.context() as m:
-                m.setattr(structure, "shifts_to", shifts_to_without(clause))
+                m.setattr(oracles, "shifts_to", shifts_to_without(clause))
                 assert any(walk_mismatches(ctx) for ctx in contexts), clause

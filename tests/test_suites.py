@@ -22,7 +22,6 @@ from rankinglab import (
     gen_perfect,
     gen_random,
     lemma3_chain,
-    online_match,
     parse_instance,
     perfect_matching_of,
     serialize_instance,
@@ -45,7 +44,7 @@ from rankinglab.cli import main
 from rankinglab.engine import rank_match
 
 from .conftest import DATA, instances, make_instance
-from .oracles import all_matchings, check_lemma3, is_alternating_path
+from .oracles import all_matchings, check_lemma3, is_alternating_path, online_match
 from .test_structure import (
     cascade_oracle,
     every_graph,
