@@ -24,7 +24,6 @@ from .generators import gamma_min_ratio, gen_gamma_family, gen_perfect, gen_rand
 from .graph import (
     Edge,
     Vertex,
-    bipartite_max_matching,
     edge,
     is_matching,
     partner,

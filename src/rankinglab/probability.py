@@ -19,8 +19,10 @@ the lanes' remainders become bytes, which both shuffle paths read.
 
 The per-rank quantities connect into a chain that ``lemma3_chain`` builds
 from that one pass on a perfect instance, designating no perfect matching.
-Its test oracles, per-t functions on a table of the matcher's outcome under
-every ranking, are in ``tests/oracles.py``.
+Where M* is designated (``perfect_matching_of``, rank-move), ``_designated``
+finds it on ``reach`` in name order.  The general-graph search it is held
+to and the chain's test oracles, per-t functions on a table of the
+matcher's outcome under every ranking, are in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -32,11 +34,11 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import AbstractSet, Dict, Iterator, Optional, Tuple
+from typing import AbstractSet, Dict, Iterator, List, Optional, Tuple
 
 from .engine import BipartiteInstance, _max_matching_size
 from .fileformat import fingerprint
-from .graph import bipartite_max_matching, is_matching, vertices
+from .graph import _augment, is_matching, vertices
 from .rng import _GOLDEN, _MASK, stream
 
 DEFAULT_CAP = 8
@@ -194,12 +196,41 @@ def _validated_perfect(inst: BipartiteInstance, m_star: AbstractSet) -> frozense
     return mset
 
 
+def _designated(inst: BipartiteInstance) -> Optional[List[int]]:
+    """M*: each ranked id's partner as an arrival position, or None when a vertex stays uncovered.
+
+    Kuhn's method (1955) in name order: with both parties numbered by name
+    and their neighbour masks read off ``reach``, ``graph._augment`` runs
+    from each vertex still uncovered, in that order, one ``mate`` list
+    serving as both partner arrays.  It makes the augmentations of the
+    exhaustive name-level search in ``tests/oracles.py``, edge for edge.
+    """
+    ranked, arrivals = inst.ranking.order, inst.arrival.order
+    at = {v: i for i, v in enumerate(sorted((*ranked, *arrivals)))}
+    ids = [at[u] for u in arrivals]
+    masks = [0] * len(at)
+    for v, mask in zip(ranked, inst.reach):
+        x = at[v]
+        while mask:
+            low = mask & -mask
+            y = ids[low.bit_length() - 1]
+            masks[x] |= 1 << y
+            masks[y] |= 1 << x
+            mask ^= low
+    mate, seen = [-1] * len(at), 0
+    for s in range(len(at)):
+        if mate[s] < 0:
+            seen = max(0, _augment(s, masks, mate, mate, seen))
+    back = {y: j for j, y in enumerate(ids)}
+    return None if -1 in mate else [back[mate[at[v]]] for v in ranked]
+
+
 def perfect_matching_of(inst: BipartiteInstance) -> Optional[frozenset]:
-    """A perfect matching covering both parties, or None if there is none."""
-    mm = bipartite_max_matching(inst.graph)
-    if vertices(mm) == inst.offline | inst.online:
-        return mm
-    return None
+    """``_designated``'s perfect matching M* as name edges, or None if there is none."""
+    star = _designated(inst)
+    if star is None:
+        return None
+    return frozenset(frozenset((inst.arrival[j], v)) for v, j in zip(inst.ranking, star))
 
 
 _NO_PERFECT = "instance has no perfect matching covering both parties"

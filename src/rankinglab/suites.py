@@ -15,9 +15,11 @@ and a check that returns the failure descriptions of one case; ``_run`` is
 the one loop that counts the cases and attaches each failing instance's
 text, serialized once per failing case and not at all for a passing one.
 The structural suites check on positions, one ``structure._Core`` per
-instance, and name a vertex only in a failure's text.  All randomness flows
-through one SplitMix64 master stream per run, drawn in case order, so a
-(suite, count, seed) triple is fully reproducible.
+instance, and name a vertex only in a failure's text; rank-move's M*, an
+arrival position per ranked id, is a drawn case's planted pairs or
+``probability._designated``'s, found on ``reach`` in name order.  All
+randomness flows through one SplitMix64 master stream per run, drawn in
+case order, so a (suite, count, seed) triple is fully reproducible.
 """
 
 from __future__ import annotations
@@ -28,18 +30,17 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional
 
 from .engine import BipartiteInstance, _greedy, _inverse, _matchings, _named, _ranking_holds
 from .engine import _transpose, rank_match
-from .fileformat import fingerprint, serialize_instance
+from .fileformat import fingerprint, oriented_edge, serialize_instance
 from .generators import gen_perfect, gen_random
-from .graph import _mate_map, vertices
 from .probability import (
     DEFAULT_CAP,
     _NO_PERFECT,
     _chain,
     _check_cap,
+    _designated,
     _require_perfect,
     check_theorem4,
     check_theorem6,
-    perfect_matching_of,
 )
 from .reporting import exact_row
 from .rng import SplitMix64, stream
@@ -105,10 +106,10 @@ def _cases(
 
 
 def _with_perfect(one: BipartiteInstance) -> tuple:
-    m_star = perfect_matching_of(one)
-    if m_star is None:
+    star = _designated(one)
+    if star is None:
         raise ValueError(_NO_PERFECT)
-    return one, m_star
+    return one, star
 
 
 def _rand_instance(g: SplitMix64, max_side: int) -> BipartiteInstance:
@@ -372,13 +373,18 @@ def suite_rank_move(
     g = stream(seed, 0)
     notes = {"pairs": 0, "moved_rank_holds": 0, "original_rank_holds": 0}
 
-    def check(one: BipartiteInstance, m_star: frozenset) -> List[str]:
+    def drawn() -> tuple:  # the planted pairs as ``_designated``'s array
+        one, planted = _rand_planted(g, max_side, 5)
+        mate = {v: u for u, v in (oriented_edge(one, e) for e in planted)}
+        return one, [one.arrival.index(mate[v]) for v in one.ranking]
+
+    def check(one: BipartiteInstance, star: List[int]) -> List[str]:
         problems = []
-        covered, mate = vertices(rank_match(one)), _mate_map(m_star)
+        covered = set(_greedy(one.reach, range(len(one.reach)), len(one.arrival)))
         for bar, v in enumerate(one.ranking):
-            if v in covered:
+            if bar in covered:
                 continue
-            j = one.arrival.index(mate[v])
+            j = star[bar]
             for i in range(len(one.ranking)):
                 verdict = _rank_move(one.reach, len(one.arrival), bar, j, i)
                 notes["pairs"] += 1
@@ -393,7 +399,7 @@ def suite_rank_move(
                     problems.append(f"no rank reading holds for {v!r} moved to {i}")
         return problems
 
-    cases = _cases(count, inst, lambda: _rand_planted(g, max_side, 5), _with_perfect)
+    cases = _cases(count, inst, drawn, _with_perfect)
     result = _run("rank-move", cases, check, notes)
     pairs, moved_ok, original_ok = notes.values()
     if pairs and not (moved_ok == pairs or original_ok == pairs):

@@ -14,7 +14,10 @@ expresses every mirrored statement.
 
 ``all_matchings`` and ``max_card_matching`` (the exhaustive search of
 ``find_augmenting_path``) gate ``bipartite_max_matching``,
-``engine._max_matching`` and ``engine._ranking_holds``; the name-level path and removal algebra gates
+``engine._max_matching`` and ``engine._ranking_holds``, and
+``bipartite_max_matching``, Kuhn's pass on names, gates
+``probability._designated``, which designates M* on an index; the name-level
+path and removal algebra gates
 ``structure``'s cascades and ``suites._alternates``; the per-t functions on
 the ``_ensemble`` table gate the layers of ``probability._layers`` and the
 prefix counts ``lemma3_chain`` reads off them, and ``check_lemma3`` is the
@@ -37,8 +40,13 @@ from rankinglab.engine import (
     _transpose,
 )
 from rankinglab.fileformat import fingerprint
-from rankinglab.graph import Edge, Vertex, _mate_map, is_matching, vertices
+from rankinglab.graph import Edge, Vertex, _augment, is_matching, vertices
 from rankinglab.probability import DEFAULT_CAP, ExactReport, _check_cap, _validated_perfect, lemma3_chain
+
+
+def _mate_map(m: Iterable[Edge]) -> Dict[Vertex, Vertex]:
+    """Each vertex the matching m (of two-vertex edges) covers, mapped to its partner."""
+    return {x: y for a, b in m for x, y in ((a, b), (b, a))}
 
 
 def is_bipartite(g: Iterable[Edge], left: AbstractSet, right: AbstractSet) -> bool:
@@ -321,6 +329,55 @@ def max_card_matching(g: AbstractSet) -> frozenset:
         if p is None:
             return m
         m = symmetric_difference(m, path_edges(p))
+
+
+def _two_colour(adj: Dict[Vertex, List[Vertex]]) -> None:
+    """Raise ValueError unless the graph with adjacency ``adj`` is bipartite."""
+    side: Dict[Vertex, bool] = {}
+    for root in adj:
+        if root in side:
+            continue
+        side[root] = False
+        todo = [root]
+        while todo:
+            a = todo.pop()
+            for b in adj[a]:
+                if b not in side:
+                    side[b] = not side[a]
+                    todo.append(b)
+                elif side[b] == side[a]:
+                    raise ValueError(f"graph is not bipartite: odd cycle through {b!r}")
+
+
+def bipartite_max_matching(g: AbstractSet) -> frozenset:
+    """``max_card_matching(g)`` on a bipartite graph, in polynomial time.
+
+    Kuhn's method (1955) in name order: with the vertices numbered by name,
+    ``_augment`` runs from each one still uncovered, in that order, on their
+    neighbour masks, one ``mate`` list serving as both partner arrays.  Its
+    searches visit neighbours in name order, and a failed search's marks, on
+    the side opposite its start, hold until the next augmentation.  On a
+    bipartite graph that prunes only subtrees in which the exhaustive search
+    finds no path either, and a vertex with no augmenting path never gains
+    one later (Berge), so the pass makes the exhaustive loop's augmentations
+    in the same order and returns the same matching, edge for edge.
+
+    Raises ValueError when g has an odd cycle.
+    """
+    adj: Dict[Vertex, List[Vertex]] = {}
+    for e in g:
+        a, b = e
+        adj.setdefault(a, []).append(b)
+        adj.setdefault(b, []).append(a)
+    _two_colour(adj)
+    names = sorted(adj)
+    pos = {v: i for i, v in enumerate(names)}
+    masks = [sum(1 << pos[w] for w in adj[v]) for v in names]
+    mate, seen = [-1] * len(names), 0
+    for s in range(len(names)):
+        if mate[s] < 0:
+            seen = max(0, _augment(s, masks, mate, mate, seen))
+    return frozenset(frozenset((names[i], names[j])) for i, j in enumerate(mate) if i < j)
 
 
 def make_perfect_matching(g: AbstractSet, m: AbstractSet) -> frozenset:

@@ -9,7 +9,6 @@ import pytest
 
 from rankinglab import (
     CapExceeded,
-    bipartite_max_matching,
     cli,
     fileformat,
     gen_random,
@@ -25,6 +24,7 @@ from rankinglab.cli import main
 from rankinglab.reporting import CSV_HEADER, fmt_cell
 
 from .conftest import DATA
+from .oracles import bipartite_max_matching
 
 EXAMPLE = str(DATA / "example6.obm")
 

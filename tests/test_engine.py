@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 from rankinglab import (
     BipartiteInstance,
     Permutation,
-    bipartite_max_matching,
     edge,
     gen_gamma_family,
     gen_random,
@@ -44,6 +43,7 @@ from rankinglab.suites import _cleared
 from .conftest import instances, make_instance
 from .oracles import (
     all_matchings,
+    bipartite_max_matching,
     is_bipartite,
     is_maximal_matching,
     is_ranking_matching,

@@ -4,7 +4,8 @@ The brute-force oracle here is ``all_matchings``: a matching is maximum iff
 no matching in the full enumeration is larger, so augmenting-path search and
 ``max_card_matching`` are checked against that, including on graphs with odd
 cycles.  ``max_card_matching`` is in turn the oracle of the polynomial
-``bipartite_max_matching``, which must return the very same matching.
+``bipartite_max_matching``, which must return the very same matching, and
+that is the oracle of ``perfect_matching_of``, the same pass on an index.
 """
 
 from __future__ import annotations
@@ -17,18 +18,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rankinglab import (
-    bipartite_max_matching,
+    BipartiteInstance,
+    Permutation,
     edge,
     gen_gamma_family,
     gen_perfect,
     is_matching,
     partner,
+    perfect_matching_of,
     vertices,
 )
 
 from .conftest import instances
 from .oracles import (
     all_matchings,
+    bipartite_max_matching,
     find_augmenting_path,
     is_alternating_path,
     is_augmenting_path,
@@ -312,8 +316,15 @@ def bipartite_graphs(draw, max_side: int = 13) -> FrozenSet:
     return frozenset(edge(a, b) for a in left for b in right if keep.random() < p)
 
 
+def assert_designates_the_oracle(inst) -> None:
+    """``perfect_matching_of`` is the name-level pass's matching when that one is perfect."""
+    m = bipartite_max_matching(inst.graph)
+    assert perfect_matching_of(inst) == (m if vertices(m) == inst.offline | inst.online else None)
+
+
 class TestBipartiteMaxMatching:
-    """Kuhn's name-ordered pass against the exhaustive oracle, edge for edge."""
+    """Kuhn's name-ordered pass against the exhaustive oracle, edge for edge, and
+    ``perfect_matching_of``, the same pass on an index, against it."""
 
     @settings(max_examples=80, deadline=None)
     @given(bipartite_graphs())
@@ -324,6 +335,7 @@ class TestBipartiteMaxMatching:
     @given(instances(max_side=6))
     def test_equals_oracle_on_instances(self, inst):
         assert bipartite_max_matching(inst.graph) == max_card_matching(inst.graph)
+        assert_designates_the_oracle(inst)
 
     def test_equals_oracle_on_the_gamma_family(self):
         graphs = [g for g, _ in gen_gamma_family(2)]
@@ -334,8 +346,10 @@ class TestBipartiteMaxMatching:
     def test_equals_oracle_on_planted_instances(self):
         for n in range(15):
             for s in range(3):
-                g = gen_perfect(n, 0.3, s)[0].graph
+                inst = gen_perfect(n, 0.3, s)[0]
+                g = inst.graph
                 assert bipartite_max_matching(g) == max_card_matching(g)
+                assert_designates_the_oracle(inst)
 
     def test_equals_oracle_on_every_graph_up_to_three_by_three_interleaved(self):
         # offline a c e, online b d f: name order alternates the sides, so
@@ -345,6 +359,9 @@ class TestBipartiteMaxMatching:
             for keep in range(1 << len(pairs)):
                 g = frozenset(edge(*e) for k, e in enumerate(pairs) if keep >> k & 1)
                 assert bipartite_max_matching(g) == max_card_matching(g), sorted(map(sorted, g))
+                sides = Permutation("ace"[:a]), Permutation("bdf"[:b])
+                assert_designates_the_oracle(BipartiteInstance(g, *sides))
+                assert_designates_the_oracle(BipartiteInstance(g, *sides[::-1]))
 
     def test_small_cases(self):
         assert bipartite_max_matching(frozenset()) == frozenset()

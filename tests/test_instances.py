@@ -32,6 +32,7 @@ from rankinglab import (
     is_matching,
     mc_expected_size,
     parse_instance,
+    perfect_matching_of,
     probability,
     removal_diff_offline,
     serialize_instance,
@@ -378,6 +379,11 @@ class TestOnePassParse:
         for check in (check_theorem6, check_theorem4):
             assert check(p8).n == 8
             assert "graph" not in vars(p8)
+        assert len(perfect_matching_of(p8)) == 8
+        assert "graph" not in vars(p8)
+        loaded.clear()
+        assert cli.main(["check", str(path), "--suite", "rank-move"]) == 0
+        assert len(loaded) == 1 and "graph" not in vars(loaded[0])
 
     def test_no_column_scan_on_well_formed_input(self, monkeypatch):
         texts = [

@@ -16,8 +16,8 @@ ROWS = [
     "fileformat.parse_instance",
     "engine._greedy",
     "engine._max_matching_size",
-    "graph.bipartite_max_matching small",
-    "graph.bipartite_max_matching large",
+    "probability.perfect_matching_of small",
+    "probability.perfect_matching_of large",
     "probability._size_counts",
     "probability.lemma3_chain",
     "generators.gamma_min_ratio",

@@ -15,7 +15,8 @@ from . import oracles
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
-#: the paper's definitions on names, which ``tests/oracles.py`` alone defines
+#: the paper's definitions on names, and the name-level matching search that
+#: ``probability._designated`` is held to, which ``tests/oracles.py`` alone defines
 LITERAL = (
     "step",
     "online_match",
@@ -27,6 +28,9 @@ LITERAL = (
     "_name_walk",
     "zig",
     "zag",
+    "bipartite_max_matching",
+    "_two_colour",
+    "_mate_map",
 )
 
 

@@ -173,7 +173,7 @@ class TestFileMode:
         def banned(*args):
             raise AssertionError("a perfect matching was designated by name")
 
-        monkeypatch.setattr(probability, "bipartite_max_matching", banned)
+        monkeypatch.setattr(probability, "_designated", banned)
         assert not hasattr(probability, "_mate_map")
         inst = parse_instance(serialize_instance(gen_perfect(5, 0.4, 2)[0]))
         assert len(lemma3_chain(inst)) == 5
@@ -212,18 +212,23 @@ class TestFileMode:
     def test_rank_move_takes_one_baseline_per_case(self, monkeypatch):
         calls = []
 
-        def counting(inst):
-            calls.append(inst)
-            return rank_match(inst)
+        def counting(real):
+            def wrapped(*args):
+                calls.append(args)
+                return real(*args)
 
-        monkeypatch.setattr(suites, "rank_match", counting)
-        monkeypatch.setattr(structure, "rank_match", counting)
+            return wrapped
+
+        # the baseline is suites' ``_greedy``; a name-level rerun would count too
+        monkeypatch.setattr(suites, "_greedy", counting(suites._greedy))
+        monkeypatch.setattr(suites, "rank_match", counting(rank_match))
+        monkeypatch.setattr(structure, "rank_match", counting(rank_match))
         inst = make_instance(
             "v1 v2 v3 v4", "u1 u2 u3 u4",
             [("u1", "v1"), ("u1", "v3"), ("u2", "v2"), ("u3", "v4"), ("u4", "v1")],
         )
         suite_rank_move(1, 0, inst=inst)
-        assert len(calls) == 1  # one baseline; each pair reruns ``_greedy`` alone
+        assert len(calls) == 1  # one baseline; each pair reruns structure's ``_greedy`` alone
         for seed in range(6):
             calls.clear()
             result = suite_rank_move(25, seed)

@@ -105,7 +105,11 @@ def rows(rl, tmp: Path, quick: bool) -> List[Tuple[str, Callable[[], object]]]:
     mc_small = rl.gen_perfect(n_s, 0.3, 5)[0]  # 11 steps a batch: seeding weighs most
     mc_wide = rl.gen_random(n_w, n_w, 0.05, 1)
     stair = _staircase(rl, size("stair"))
-    kuhn = [rl.gen_perfect(n, 0.1, 1)[0].graph for n in size("kuhn")]  # planted, n a side
+    kuhn = [rl.gen_perfect(n, 0.1, 1)[0] for n in size("kuhn")]  # planted, n a side
+
+    def designate(inst):  # a fresh instance a call, as the CLI parses one
+        index = inst.ranking, inst.arrival, inst.reach
+        return lambda: rl.perfect_matching_of(rl.BipartiteInstance._indexed(*index))
 
     def write(name, inst):
         path = tmp / name
@@ -138,8 +142,8 @@ def rows(rl, tmp: Path, quick: bool) -> List[Tuple[str, Callable[[], object]]]:
         ("fileformat.parse_instance", lambda: rl.parse_instance(big_text)),
         ("engine._greedy", lambda: _greedy(reach, range(len(reach)), arrivals)),
         ("engine._max_matching_size", lambda: _max_matching_size(reach, arrivals)),
-        ("graph.bipartite_max_matching small", lambda: rl.bipartite_max_matching(kuhn[0])),
-        ("graph.bipartite_max_matching large", lambda: rl.bipartite_max_matching(kuhn[1])),
+        ("probability.perfect_matching_of small", designate(kuhn[0])),
+        ("probability.perfect_matching_of large", designate(kuhn[1])),
         ("probability._size_counts", lambda: _size_counts(tally.reach, len(tally.arrival))),
         ("probability.lemma3_chain", lambda: rl.lemma3_chain(*chain)),
         ("generators.gamma_min_ratio", lambda: rl.gamma_min_ratio(size("gamma"))),
