@@ -35,13 +35,7 @@ from functools import cache
 from pathlib import Path
 
 from .engine import BipartiteInstance, _greedy, _max_matching_size
-from .fileformat import (
-    InstanceFormatError,
-    fingerprint,
-    oriented_edge,
-    parse_instance,
-    serialize_instance,
-)
+from .fileformat import InstanceFormatError, fingerprint, parse_instance, serialize_instance
 from .generators import (
     _gamma_ranking,
     gamma_min_ratio,
@@ -54,6 +48,7 @@ from .probability import (
     CapExceeded,
     LIMIT_RATIO,
     _distribution,
+    _star,
     _theorem6,
     competitive_bound,
     competitive_bound_exact,
@@ -202,7 +197,7 @@ def cmd_gen(args) -> int:
         text = serialize_instance(inst)
     elif args.kind == "perfect":
         inst, planted = gen_perfect(args.n, args.extra, args.seed)
-        pairs = sorted(oriented_edge(inst, e) for e in planted)
+        pairs = sorted((inst.arrival[j], v) for v, j in zip(inst.ranking, _star(inst, planted)))
         lines = ["# planted perfect matching:"]
         lines += [f"# pair {u} {v}" for u, v in pairs]
         text = "\n".join(lines) + "\n" + serialize_instance(inst)

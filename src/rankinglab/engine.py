@@ -206,15 +206,11 @@ def _move_id(order: Iterable, x, i: int) -> tuple:
     return tuple(rest)
 
 
-def _named(inst: BipartiteInstance, prs: Sequence[int]) -> frozenset:
-    """The matching of a partner array over ``inst``'s arrivals, as name edges."""
-    ranked = inst.ranking.order
-    return frozenset(frozenset((u, ranked[r])) for u, r in zip(inst.arrival, prs) if r >= 0)
-
-
 def rank_match(inst: BipartiteInstance) -> frozenset:
     """The rank-greedy matching as name edges: ``_greedy`` on ``inst.reach`` in rank order."""
-    return _named(inst, _greedy(inst.reach, range(len(inst.reach)), len(inst.arrival)))
+    ranked = inst.ranking.order
+    prs = _greedy(inst.reach, range(len(ranked)), len(inst.arrival))
+    return frozenset(frozenset((u, ranked[r])) for u, r in zip(inst.arrival, prs) if r >= 0)
 
 
 def _transpose(masks: Sequence[int], n: int) -> List[int]:

@@ -172,12 +172,6 @@ def serialize_instance(inst: BipartiteInstance) -> str:
     return "\n".join(lines) + "\n"
 
 
-def oriented_edge(inst: BipartiteInstance, e) -> Tuple[str, str]:
-    """The edge e as (online endpoint, offline endpoint)."""
-    a, b = e
-    return (a, b) if a in inst.arrival else (b, a)
-
-
 def fingerprint(inst: BipartiteInstance) -> str:
     """Short content hash of the canonical form, for report rows."""
     return hashlib.sha256(serialize_instance(inst).encode()).hexdigest()[:12]

@@ -19,10 +19,10 @@ the lanes' remainders become bytes, which both shuffle paths read.
 
 The per-rank quantities connect into a chain that ``lemma3_chain`` builds
 from that one pass on a perfect instance, designating no perfect matching.
-Where M* is designated (``perfect_matching_of``, rank-move), ``_designated``
-finds it on ``reach`` in name order.  The general-graph search it is held
-to and the chain's test oracles, per-t functions on a table of the
-matcher's outcome under every ranking, are in ``tests/oracles.py``.
+M* has one form, each ranked id's partner as an arrival position, and
+``reach`` alone gives it: ``_designated`` finds one in name order, and
+``_star`` reads a caller's or a planted one.  Their name-level references
+and the chain's test oracles are in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from typing import AbstractSet, Dict, Iterator, List, Optional, Tuple
 
 from .engine import BipartiteInstance, _max_matching_size
 from .fileformat import fingerprint
-from .graph import _augment, is_matching, vertices
+from .graph import _augment
 from .rng import _GOLDEN, _MASK, stream
 
 DEFAULT_CAP = 8
@@ -187,15 +187,6 @@ def _layers(reach, arrivals: int) -> Iterator[Dict[int, int]]:
         yield layer
 
 
-def _validated_perfect(inst: BipartiteInstance, m_star: AbstractSet) -> frozenset:
-    mset = frozenset(frozenset(e) for e in m_star)
-    if not is_matching(mset) or not mset <= inst.graph:
-        raise ValueError("m_star must be a matching inside the instance graph")
-    if vertices(mset) != inst.offline | inst.online:
-        raise ValueError("m_star must cover both parties entirely")
-    return mset
-
-
 def _designated(inst: BipartiteInstance) -> Optional[List[int]]:
     """M*: each ranked id's partner as an arrival position, or None when a vertex stays uncovered.
 
@@ -223,6 +214,25 @@ def _designated(inst: BipartiteInstance) -> Optional[List[int]]:
             seen = max(0, _augment(s, masks, mate, mate, seen))
     back = {y: j for j, y in enumerate(ids)}
     return None if -1 in mate else [back[mate[at[v]]] for v in ranked]
+
+
+def _star(inst: BipartiteInstance, m_star: AbstractSet) -> List[int]:
+    """A caller's perfect matching M* in ``_designated``'s form, checked on ``reach``.
+
+    Each edge, a frozenset so that a repeat counts once, must join a ranked
+    id and an arrival ``reach`` links, both untaken; then all must be covered.
+    """
+    rank, pos = inst.ranking._pos, inst.arrival._pos
+    edges, star, taken = {frozenset(e) for e in m_star}, [-1] * len(rank), 0
+    for e in edges:
+        v, u = sorted(e, key=pos.__contains__) if len(e) == 2 else (None, None)
+        r, j = rank.get(v), pos.get(u)
+        if r is None or j is None or not inst.reach[r] >> j & 1 or star[r] >= 0 or taken >> j & 1:
+            raise ValueError("m_star must be a matching inside the instance graph")
+        star[r], taken = j, taken | 1 << j
+    if not len(edges) == len(rank) == len(pos):
+        raise ValueError("m_star must cover both parties entirely")
+    return star
 
 
 def perfect_matching_of(inst: BipartiteInstance) -> Optional[frozenset]:
@@ -318,7 +328,7 @@ def lemma3_chain(
     if m_star is None:
         _require_perfect(inst)
     else:
-        _validated_perfect(inst, m_star)
+        _star(inst, m_star)
     return _chain(inst)
 
 

@@ -9,11 +9,11 @@ transposed masks once, in both orientations of the parties; a deletion
 zeroes one mask and reruns ``_greedy`` (``_cascade``); a rank move moves one
 offline id in the order and reruns it on ``reach`` (``_rank_move``).  The
 suites run these on positions and name a vertex only in a failure's text;
-the ``removal_diff_*`` and ``check_*`` functions translate names to
-positions once and name what they return.  The literal walk, ``zig`` and
-``zag`` on a ``ZigZagContext`` over the shift relation ``shifts_to``, is a
-test oracle in ``tests/oracles.py``, and the tests hold ``_walk`` to the
-same paths.
+the ``removal_diff_*`` and ``check_*`` functions translate names, and M*
+(``probability._star``), to positions once and name what they return.  The
+literal walk, ``zig`` and ``zag`` on a ``ZigZagContext`` over the shift
+relation ``shifts_to``, is a test oracle in ``tests/oracles.py``, and the
+tests hold ``_walk`` to the same paths.
 """
 
 from __future__ import annotations
@@ -22,9 +22,8 @@ from dataclasses import dataclass
 from typing import AbstractSet, List, NamedTuple, Optional, Sequence, Tuple
 
 from .engine import BipartiteInstance, _greedy, _inverse, _move_id, _transpose
-from .engine import rank_match
-from .graph import Vertex, partner
-from .probability import _validated_perfect
+from .graph import Vertex
+from .probability import _star
 
 
 class DichotomyViolation(RuntimeError):
@@ -278,14 +277,15 @@ def check_rank_move(
     test is that u stays matched after the move, to a vertex ranked no worse
     than v's original rank.  Two readings of "no worse" are evaluated, one in
     the moved order and one in the original order, by ``_rank_move`` on v's
-    rank and u's arrival index: the names are translated once, here.
+    rank and u's arrival index: v and M* (``_star``) are translated once, here.
     """
     if v not in inst.ranking:
         raise KeyError(f"{v!r} is not a ranking-side vertex")
-    j = inst.arrival.index(partner(_validated_perfect(inst, m_star), v))
-    if partner(rank_match(inst), v) is not None:
+    bar = inst.ranking.index(v)
+    j = _star(inst, m_star)[bar]
+    if bar in _greedy(inst.reach, range(len(inst.reach)), len(inst.arrival)):
         return RankMoveVerdict(True, None, None, None)
-    return _rank_move(inst.reach, len(inst.arrival), inst.ranking.index(v), j, i)
+    return _rank_move(inst.reach, len(inst.arrival), bar, j, i)
 
 
 def _rank_move(reach, arrivals: int, bar: int, j: int, i: int) -> RankMoveVerdict:

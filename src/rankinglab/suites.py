@@ -15,11 +15,11 @@ and a check that returns the failure descriptions of one case; ``_run`` is
 the one loop that counts the cases and attaches each failing instance's
 text, serialized once per failing case and not at all for a passing one.
 The structural suites check on positions, one ``structure._Core`` per
-instance, and name a vertex only in a failure's text; rank-move's M*, an
-arrival position per ranked id, is a drawn case's planted pairs or
-``probability._designated``'s, found on ``reach`` in name order.  All
-randomness flows through one SplitMix64 master stream per run, drawn in
-case order, so a (suite, count, seed) triple is fully reproducible.
+instance, and name a vertex only in a failure's text.  Rank-move's M* has
+the package's one form, an arrival position per ranked id: ``probability``'s
+``_star`` of a drawn case's planted pairs, or a given file's ``_designated``.
+All randomness flows through one SplitMix64 master stream per run, drawn
+in case order, so a (suite, count, seed) triple is fully reproducible.
 """
 
 from __future__ import annotations
@@ -28,9 +28,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, Iterator, List, Optional
 
-from .engine import BipartiteInstance, _greedy, _inverse, _matchings, _named, _ranking_holds
-from .engine import _transpose, rank_match
-from .fileformat import fingerprint, oriented_edge, serialize_instance
+from .engine import BipartiteInstance, _greedy, _inverse, _matchings, _ranking_holds, _transpose
+from .fileformat import fingerprint, serialize_instance
 from .generators import gen_perfect, gen_random
 from .probability import (
     DEFAULT_CAP,
@@ -39,6 +38,7 @@ from .probability import (
     _check_cap,
     _designated,
     _require_perfect,
+    _star,
     check_theorem4,
     check_theorem6,
 )
@@ -213,7 +213,7 @@ def suite_ranking_matching(
                     f"{len(hits)} matchings satisfy the characterization, "
                     "expected exactly one"
                 ]
-            if _named(one, hits[0]) != rank_match(one):
+            if hits[0] != tuple(prs):
                 return ["the unique satisfying matching is not the computed one"]
         return []
 
@@ -375,8 +375,7 @@ def suite_rank_move(
 
     def drawn() -> tuple:  # the planted pairs as ``_designated``'s array
         one, planted = _rand_planted(g, max_side, 5)
-        mate = {v: u for u, v in (oriented_edge(one, e) for e in planted)}
-        return one, [one.arrival.index(mate[v]) for v in one.ranking]
+        return one, _star(one, planted)
 
     def check(one: BipartiteInstance, star: List[int]) -> List[str]:
         problems = []

@@ -16,8 +16,10 @@ expresses every mirrored statement.
 ``find_augmenting_path``) gate ``bipartite_max_matching``,
 ``engine._max_matching`` and ``engine._ranking_holds``, and
 ``bipartite_max_matching``, Kuhn's pass on names, gates
-``probability._designated``, which designates M* on an index; the name-level
-path and removal algebra gates
+``probability._designated``, which designates M* on an index;
+``validated_star``, the name-level check of a caller's M* on the edge set
+(``_validated_perfect``) read as an arrival position per ranked vertex,
+gates ``probability._star``; the name-level path and removal algebra gates
 ``structure``'s cascades and ``suites._alternates``; the per-t functions on
 the ``_ensemble`` table gate the layers of ``probability._layers`` and the
 prefix counts ``lemma3_chain`` reads off them, and ``check_lemma3`` is the
@@ -41,7 +43,7 @@ from rankinglab.engine import (
 )
 from rankinglab.fileformat import fingerprint
 from rankinglab.graph import Edge, Vertex, _augment, is_matching, vertices
-from rankinglab.probability import DEFAULT_CAP, ExactReport, _check_cap, _validated_perfect, lemma3_chain
+from rankinglab.probability import DEFAULT_CAP, ExactReport, _check_cap, _star, lemma3_chain
 
 
 def _mate_map(m: Iterable[Edge]) -> Dict[Vertex, Vertex]:
@@ -380,6 +382,22 @@ def bipartite_max_matching(g: AbstractSet) -> frozenset:
     return frozenset(frozenset((names[i], names[j])) for i, j in enumerate(mate) if i < j)
 
 
+def _validated_perfect(inst: BipartiteInstance, m_star: AbstractSet) -> frozenset:
+    mset = frozenset(frozenset(e) for e in m_star)
+    if not is_matching(mset) or not mset <= inst.graph:
+        raise ValueError("m_star must be a matching inside the instance graph")
+    if vertices(mset) != inst.offline | inst.online:
+        raise ValueError("m_star must cover both parties entirely")
+    return mset
+
+
+def validated_star(inst: BipartiteInstance, m_star: AbstractSet) -> List[int]:
+    """``probability._star`` on names: M* checked against ``inst.graph``, then
+    each ranked vertex's partner as an arrival position."""
+    mate = _mate_map(_validated_perfect(inst, m_star))
+    return [inst.arrival.index(mate[v]) for v in inst.ranking]
+
+
 def make_perfect_matching(g: AbstractSet, m: AbstractSet) -> frozenset:
     """The subgraph of g left after deleting every vertex m does not cover.
 
@@ -479,8 +497,7 @@ def matched_before_prob(
     _check_cap(inst, cap)
     n = len(inst.ranking)
     _check_t(t, n)
-    mate = _mate_map(_validated_perfect(inst, m_star))
-    upos = [inst.arrival.index(mate[v]) for v in inst.ranking]
+    upos = _star(inst, m_star)
     runs = _ensemble(inst)
     hits = sum(0 <= prs[j] <= t - 1 for _, prs in runs.values() for j in upos)
     return Fraction(hits, len(runs) * n)

@@ -15,6 +15,7 @@ from rankinglab import (
     BipartiteInstance,
     InstanceFormatError,
     Permutation,
+    check_rank_move,
     check_theorem4,
     check_theorem6,
     cli,
@@ -30,6 +31,7 @@ from rankinglab import (
     gen_random,
     graph,
     is_matching,
+    lemma3_chain,
     mc_expected_size,
     parse_instance,
     perfect_matching_of,
@@ -230,7 +232,7 @@ def oracle_serialize(inst):
     ]
     oriented = []
     for e in inst.graph:
-        u, v = fileformat.oriented_edge(inst, e)
+        u, v = sorted(e, key=inst.ranking.members.__contains__)  # online endpoint first
         oriented.append((inst.arrival.index(u), inst.ranking.index(v), u, v))
     for _, _, u, v in sorted(oriented):
         lines.append(f"edge {u} {v}")
@@ -374,13 +376,19 @@ class TestOnePassParse:
         assert len(loaded) == 1 and "graph" not in vars(loaded[0])
 
         path = tmp_path / "p8.obm"
-        path.write_text(serialize_instance(gen_perfect(8, 0.4, 1)[0]))
+        planted_p8, planted = gen_perfect(8, 0.4, 1)
+        path.write_text(serialize_instance(planted_p8))
         p8 = parse_instance(path.read_text())
         for check in (check_theorem6, check_theorem4):
             assert check(p8).n == 8
             assert "graph" not in vars(p8)
         assert len(perfect_matching_of(p8)) == 8
         assert "graph" not in vars(p8)
+        assert len(lemma3_chain(p8, planted)) == 8  # a caller's M* is checked on ``reach``
+        assert "graph" not in vars(p8)
+        for v in p8.ranking:
+            check_rank_move(p8, planted, v, 0)
+            assert "graph" not in vars(p8)
         loaded.clear()
         assert cli.main(["check", str(path), "--suite", "rank-move"]) == 0
         assert len(loaded) == 1 and "graph" not in vars(loaded[0])

@@ -25,6 +25,7 @@ ROWS = [
     "probability.mc_expected_size bytes small",
     "probability.mc_expected_size wide",
     "structure.removal_diff_offline",
+    "structure.check_rank_move large",
     "cli run",
     "cli exact",
     "cli mc",

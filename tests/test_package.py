@@ -15,8 +15,9 @@ from . import oracles
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
-#: the paper's definitions on names, and the name-level matching search that
-#: ``probability._designated`` is held to, which ``tests/oracles.py`` alone defines
+#: the paper's definitions on names, and the name-level matching search and M*
+#: check that ``probability._designated`` and ``probability._star`` are held to,
+#: which ``tests/oracles.py`` alone defines
 LITERAL = (
     "step",
     "online_match",
@@ -31,6 +32,7 @@ LITERAL = (
     "bipartite_max_matching",
     "_two_colour",
     "_mate_map",
+    "_validated_perfect",
 )
 
 

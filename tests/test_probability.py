@@ -59,6 +59,7 @@ from .oracles import (
     online_match,
     rank_matched_prob,
     rank_matched_prob_moved,
+    validated_star,
 )
 
 SEEDS = (0, 1, -1, -(2**70) + 3, 2**63, 2**64 + 5)
@@ -640,6 +641,64 @@ class TestPerfectMatchingOf:
     def test_worked_example_has_none(self, example6):
         # v6 is isolated, so nothing covers it
         assert perfect_matching_of(example6) is None
+
+
+def _outcome(read, inst, m_star):
+    """What reading m_star gives: the array, or the ValueError's text."""
+    try:
+        return read(inst, m_star)
+    except ValueError as e:
+        return str(e)
+
+
+def _candidates(inst, m_star, g) -> list:
+    """m_star as frozensets and as tuples both ways, then altered: one edge
+    less, a random pair more (it may name an unknown vertex), one edge
+    replaced, a one-name and a three-name "edge" more, one edge repeated reversed."""
+    edges = sorted(tuple(sorted(e)) for e in m_star)
+    names = sorted(inst.offline | inst.online) + ["w0"]
+    pair = lambda: (g.choice(names), g.choice(names))  # noqa: E731
+    out = [m_star, edges, [e[::-1] for e in edges], edges + [pair()]]
+    out += [edges + [(g.choice(names),)], edges + [tuple(names[:3])]]
+    if edges:
+        k = g.below(len(edges))
+        out += [edges[:k] + edges[k + 1:], edges[:k] + [pair()] + edges[k + 1:]]
+        out.append(edges + [edges[k][::-1]])
+    return out
+
+
+class TestStar:
+    """``probability._star`` against its name-level reference, ``oracles.validated_star``."""
+
+    def same(self, inst, m_star, seed: int) -> set:
+        kinds = set()
+        for cand in _candidates(inst, m_star, stream(seed, len(inst.ranking))):
+            got = _outcome(probability._star, inst, cand)
+            assert got == _outcome(validated_star, inst, cand), cand
+            kinds.add(got if isinstance(got, str) else "array")
+        return kinds
+
+    @settings(max_examples=150, deadline=None)
+    @given(instances(max_side=6), st.integers(0, 2**32))
+    def test_equals_the_reference_on_drawn_instances(self, inst, seed):
+        m_star = perfect_matching_of(inst)
+        if m_star is not None:
+            assert probability._star(inst, m_star) == probability._designated(inst)
+        self.same(inst, rank_match(inst) if m_star is None else m_star, seed)
+
+    def test_equals_the_reference_on_planted_instances(self):
+        kinds = set()
+        for n, p, s in product(range(9), (0.0, 0.3, 0.7), range(4)):
+            inst, planted = gen_perfect(n, p, s)
+            star = perfect_matching_of(inst)
+            assert probability._star(inst, star) == probability._designated(inst)
+            for m_star in (planted, star):
+                kinds |= self.same(inst, m_star, s)
+        assert kinds == {
+            "array",
+            "m_star must be a matching inside the instance graph",
+            "m_star must cover both parties entirely",
+        }
 
 
 class TestBounds:

@@ -219,10 +219,9 @@ class TestFileMode:
 
             return wrapped
 
-        # the baseline is suites' ``_greedy``; a name-level rerun would count too
+        # the baseline is suites' ``_greedy``; neither module binds the name-level run
+        assert not hasattr(suites, "rank_match") and not hasattr(structure, "rank_match")
         monkeypatch.setattr(suites, "_greedy", counting(suites._greedy))
-        monkeypatch.setattr(suites, "rank_match", counting(rank_match))
-        monkeypatch.setattr(structure, "rank_match", counting(rank_match))
         inst = make_instance(
             "v1 v2 v3 v4", "u1 u2 u3 u4",
             [("u1", "v1"), ("u1", "v3"), ("u2", "v2"), ("u3", "v4"), ("u4", "v1")],
@@ -234,7 +233,7 @@ class TestFileMode:
             result = suite_rank_move(25, seed)
             assert len(calls) == result.cases
 
-    def test_rank_move_reads_no_names(self, monkeypatch):
+    def test_rank_move_reads_no_names(self):
         inst = make_instance(
             "v1 v2 v3 v4", "u1 u2 u3 u4",
             [("u1", "v1"), ("u1", "v3"), ("u2", "v2"), ("u3", "v4"), ("u4", "v1")],
@@ -242,10 +241,8 @@ class TestFileMode:
         expected = [suite_rank_move(1, 0, inst=inst), suite_rank_move(25, 3)]
         assert all(r.notes["pairs"] > 0 for r in expected)
 
-        def no_names(*args):
-            raise AssertionError("partner() called by the rank-move suite")
-
-        monkeypatch.setattr(structure, "partner", no_names)
+        # structure binds no name-level ``partner`` for the suite to reach
+        assert not hasattr(structure, "partner")
         assert [suite_rank_move(1, 0, inst=inst), suite_rank_move(25, 3)] == expected
 
     def test_lemma3_draws_designate_no_m_star(self, monkeypatch):
@@ -255,7 +252,7 @@ class TestFileMode:
         def no_m_star(*args):
             raise AssertionError("a drawn lemma-3 case passed an M*")
 
-        monkeypatch.setattr(probability, "_validated_perfect", no_m_star)
+        monkeypatch.setattr(probability, "_star", no_m_star)
         assert suite_lemma3(30, 2) == expected
 
     def test_row_suites_are_the_ones_that_write_rows(self):
@@ -461,8 +458,8 @@ class TestFailurePath:
         _replays(result, suite_ranking_matching)
 
     def test_ranking_matching_reports_another_satisfying_matching(self, monkeypatch):
-        real = suites.rank_match  # the same edges as a tuple: same verdicts, unequal
-        monkeypatch.setattr(suites, "rank_match", lambda one: tuple(real(one)))
+        real = suites._matchings  # the same partners as lists: same verdicts, unequal
+        monkeypatch.setattr(suites, "_matchings", lambda cols: [list(m) for m in real(cols)])
         inst = parse_instance(PERFECT_TEXT)
         result = suite_ranking_matching(1, 0, inst=inst)
         assert [(f.description, f.instance_text) for f in result.failures] == [

@@ -106,10 +106,17 @@ def rows(rl, tmp: Path, quick: bool) -> List[Tuple[str, Callable[[], object]]]:
     mc_wide = rl.gen_random(n_w, n_w, 0.05, 1)
     stair = _staircase(rl, size("stair"))
     kuhn = [rl.gen_perfect(n, 0.1, 1)[0] for n in size("kuhn")]  # planted, n a side
+    moved, planted = rl.gen_perfect(side, 0.05, 1)
 
     def designate(inst):  # a fresh instance a call, as the CLI parses one
         index = inst.ranking, inst.arrival, inst.reach
         return lambda: rl.perfect_matching_of(rl.BipartiteInstance._indexed(*index))
+
+    def rank_move(inst, m_star):  # a fresh instance a call; the first unmatched v to rank 0
+        index = inst.ranking, inst.arrival, inst.reach
+        prs = _greedy(inst.reach, range(side), side)
+        v = next(v for r, v in enumerate(inst.ranking) if r not in prs)
+        return lambda: rl.check_rank_move(rl.BipartiteInstance._indexed(*index), m_star, v, 0)
 
     def write(name, inst):
         path = tmp / name
@@ -152,6 +159,7 @@ def rows(rl, tmp: Path, quick: bool) -> List[Tuple[str, Callable[[], object]]]:
          lambda: rl.mc_expected_size(mc_small, k_s, 1)),
         ("probability.mc_expected_size wide", lambda: rl.mc_expected_size(mc_wide, k_w, 1)),
         ("structure.removal_diff_offline", lambda: rl.removal_diff_offline(stair, "v1")),
+        ("structure.check_rank_move large", rank_move(moved, planted)),
         ("cli run", cli("run", big_file)),
         ("cli exact", cli("exact", exact_file)),
         ("cli mc", cli("mc", mc_file, "--samples", str(k_b), "--seed", "1")),
