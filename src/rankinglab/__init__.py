@@ -27,6 +27,7 @@ from .graph import (
     edge,
     is_matching,
     partner,
+    perfect_matching_of,
     vertices,
 )
 from .probability import (
@@ -44,7 +45,6 @@ from .probability import (
     exact_size_distribution,
     lemma3_chain,
     mc_expected_size,
-    perfect_matching_of,
 )
 from .rng import SplitMix64, stream
 from .structure import (

@@ -34,7 +34,7 @@ from fractions import Fraction
 from functools import cache
 from pathlib import Path
 
-from .engine import BipartiteInstance, _greedy, _max_matching_size
+from .engine import BipartiteInstance, _greedy
 from .fileformat import InstanceFormatError, fingerprint, parse_instance, serialize_instance
 from .generators import (
     _gamma_ranking,
@@ -43,12 +43,12 @@ from .generators import (
     gen_perfect,
     gen_random,
 )
+from .graph import _max_matching_size, _star
 from .probability import (
     DEFAULT_CAP,
     CapExceeded,
     LIMIT_RATIO,
     _distribution,
-    _star,
     _theorem6,
     competitive_bound,
     competitive_bound_exact,

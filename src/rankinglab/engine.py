@@ -14,20 +14,18 @@ exactly one solution, so this is the matching of the paper's fold.
 ``_ranking_holds`` decides that predicate on an index, for a partner array.
 The fold (``online_match`` over ``step``) and the predicate's name form
 (``is_ranking_matching``) are literal test oracles in ``tests/oracles.py``,
-which hold ``rank_match`` and ``_ranking_holds`` to them.  ``_max_matching``
-augments the greedy's matching on the same index with ``graph._augment``,
-the package's one augmenting-path search, and returns its partner array;
-``_max_matching_size`` counts it for callers that need only the size of a
-maximum matching.
+which hold ``rank_match`` and ``_ranking_holds`` to them.  The maximum
+matching and M*, on the same index, are in ``graph``, which builds on this
+module; this module imports nothing from it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, List, Sequence
 
-from .graph import Vertex, _augment
+Vertex = str
 
 
 class Permutation:
@@ -92,13 +90,13 @@ class BipartiteInstance:
     of ``reach[r]`` is set when the offline vertex at rank r is adjacent to
     the j-th arrival.  The parser, generators and ``without_vertices`` write
     ``reach`` directly (``_indexed``); ``graph`` is read off it on first read.
-    Equality, hashing and ``repr`` go by (graph, ranking, arrival).
+    Equality and hashing go by (ranking, arrival, reach), which fix the edge
+    set with no edge set built; ``repr`` shows the edge set.
     """
 
-    graph: frozenset  # the cached_property below
     ranking: Permutation
     arrival: Permutation
-    reach: tuple = field(compare=False)
+    reach: tuple
 
     def __init__(self, graph: Iterable, ranking: Permutation, arrival: Permutation):
         graph = frozenset(frozenset(e) for e in graph)
@@ -118,15 +116,15 @@ class BipartiteInstance:
             else:
                 a, b = sorted(e)
                 raise ValueError(f"edge {a} -- {b} does not join the two parties")
-        self._init(ranking, arrival, tuple(reach), graph=graph)
+        self._init(ranking, arrival, tuple(reach))
 
     @classmethod
     def _indexed(cls, ranking, arrival, reach: tuple) -> "BipartiteInstance":
         """The instance of an index its caller has checked against the two orders."""
         return cls.__new__(cls)._init(ranking, arrival, reach)
 
-    def _init(self, ranking, arrival, reach, **cached) -> "BipartiteInstance":
-        vars(self).update(cached, ranking=ranking, arrival=arrival, reach=reach)
+    def _init(self, ranking, arrival, reach) -> "BipartiteInstance":
+        vars(self).update(ranking=ranking, arrival=arrival, reach=reach)
         return self
 
     @cached_property
@@ -175,26 +173,6 @@ def _greedy(reach: Sequence[int], order: Iterable[int], arrivals: int) -> List[i
             free ^= low
             prs[low.bit_length() - 1] = r
     return prs
-
-
-def _max_matching(reach: Sequence[int], arrivals: int) -> List[int]:
-    """A maximum matching of the index, as a partner array like ``_greedy``'s.
-
-    Kuhn's method (1955) from ``_greedy``'s maximal matching: ``graph._augment``
-    from each offline id it leaves free, in id order.  What a failed search
-    reached is skipped until the next augmentation, and an id with no
-    augmenting path never gains one later.
-    """
-    prs = _greedy(reach, range(len(reach)), arrivals)
-    ids, seen = [-1] * len(reach), 0  # the ids' partners, which nothing here reads
-    for s in sorted(set(range(len(reach))).difference(prs)):
-        seen = max(0, _augment(s, reach, prs, ids, seen))
-    return prs
-
-
-def _max_matching_size(reach: Sequence[int], arrivals: int) -> int:
-    """The size of a maximum matching of the index, with no edge set built."""
-    return arrivals - _max_matching(reach, arrivals).count(-1)
 
 
 def _move_id(order: Iterable, x, i: int) -> tuple:

@@ -18,11 +18,9 @@ byte lanes whatever the party size; ``_lane_draws`` is the one place where
 the lanes' remainders become bytes, which both shuffle paths read.
 
 The per-rank quantities connect into a chain that ``lemma3_chain`` builds
-from that one pass on a perfect instance, designating no perfect matching.
-M* has one form, each ranked id's partner as an arrival position, and
-``reach`` alone gives it: ``_designated`` finds one in name order, and
-``_star`` reads a caller's or a planted one.  Their name-level references
-and the chain's test oracles are in ``tests/oracles.py``.
+from that one pass on a perfect instance, designating no perfect matching:
+``graph._require_perfect`` decides perfectness, and ``graph._star`` checks
+a caller's M*.  The chain's test oracles are in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -34,11 +32,11 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import AbstractSet, Dict, Iterator, List, Optional, Tuple
+from typing import AbstractSet, Dict, Iterator, Optional, Tuple
 
-from .engine import BipartiteInstance, _max_matching_size
+from .engine import BipartiteInstance
 from .fileformat import fingerprint
-from .graph import _augment
+from .graph import _max_matching_size, _require_perfect, _star
 from .rng import _GOLDEN, _MASK, stream
 
 DEFAULT_CAP = 8
@@ -185,72 +183,6 @@ def _layers(reach, arrivals: int) -> Iterator[Dict[int, int]]:
                 nxt[after] = nxt.get(after, 0) + ways
         layer = nxt
         yield layer
-
-
-def _designated(inst: BipartiteInstance) -> Optional[List[int]]:
-    """M*: each ranked id's partner as an arrival position, or None when a vertex stays uncovered.
-
-    Kuhn's method (1955) in name order: with both parties numbered by name
-    and their neighbour masks read off ``reach``, ``graph._augment`` runs
-    from each vertex still uncovered, in that order, one ``mate`` list
-    serving as both partner arrays.  It makes the augmentations of the
-    exhaustive name-level search in ``tests/oracles.py``, edge for edge.
-    """
-    ranked, arrivals = inst.ranking.order, inst.arrival.order
-    at = {v: i for i, v in enumerate(sorted((*ranked, *arrivals)))}
-    ids = [at[u] for u in arrivals]
-    masks = [0] * len(at)
-    for v, mask in zip(ranked, inst.reach):
-        x = at[v]
-        while mask:
-            low = mask & -mask
-            y = ids[low.bit_length() - 1]
-            masks[x] |= 1 << y
-            masks[y] |= 1 << x
-            mask ^= low
-    mate, seen = [-1] * len(at), 0
-    for s in range(len(at)):
-        if mate[s] < 0:
-            seen = max(0, _augment(s, masks, mate, mate, seen))
-    back = {y: j for j, y in enumerate(ids)}
-    return None if -1 in mate else [back[mate[at[v]]] for v in ranked]
-
-
-def _star(inst: BipartiteInstance, m_star: AbstractSet) -> List[int]:
-    """A caller's perfect matching M* in ``_designated``'s form, checked on ``reach``.
-
-    Each edge, a frozenset so that a repeat counts once, must join a ranked
-    id and an arrival ``reach`` links, both untaken; then all must be covered.
-    """
-    rank, pos = inst.ranking._pos, inst.arrival._pos
-    edges, star, taken = {frozenset(e) for e in m_star}, [-1] * len(rank), 0
-    for e in edges:
-        v, u = sorted(e, key=pos.__contains__) if len(e) == 2 else (None, None)
-        r, j = rank.get(v), pos.get(u)
-        if r is None or j is None or not inst.reach[r] >> j & 1 or star[r] >= 0 or taken >> j & 1:
-            raise ValueError("m_star must be a matching inside the instance graph")
-        star[r], taken = j, taken | 1 << j
-    if not len(edges) == len(rank) == len(pos):
-        raise ValueError("m_star must cover both parties entirely")
-    return star
-
-
-def perfect_matching_of(inst: BipartiteInstance) -> Optional[frozenset]:
-    """``_designated``'s perfect matching M* as name edges, or None if there is none."""
-    star = _designated(inst)
-    if star is None:
-        return None
-    return frozenset(frozenset((inst.arrival[j], v)) for v, j in zip(inst.ranking, star))
-
-
-_NO_PERFECT = "instance has no perfect matching covering both parties"
-
-
-def _require_perfect(inst: BipartiteInstance) -> None:
-    """ValueError unless a perfect matching covers both parties, on ``reach``."""
-    a = len(inst.arrival)
-    if not _max_matching_size(inst.reach, a) == a == len(inst.ranking):
-        raise ValueError(_NO_PERFECT)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ zeroes one mask and reruns ``_greedy`` (``_cascade``); a rank move moves one
 offline id in the order and reruns it on ``reach`` (``_rank_move``).  The
 suites run these on positions and name a vertex only in a failure's text;
 the ``removal_diff_*`` and ``check_*`` functions translate names, and M*
-(``probability._star``), to positions once and name what they return.  The
+(``graph._star``), to positions once and name what they return.  The
 literal walk, ``zig`` and ``zag`` on a ``ZigZagContext`` over the shift
 relation ``shifts_to``, is a test oracle in ``tests/oracles.py``, and the
 tests hold ``_walk`` to the same paths.
@@ -22,8 +22,7 @@ from dataclasses import dataclass
 from typing import AbstractSet, List, NamedTuple, Optional, Sequence, Tuple
 
 from .engine import BipartiteInstance, _greedy, _inverse, _move_id, _transpose
-from .graph import Vertex
-from .probability import _star
+from .graph import Vertex, _star
 
 
 class DichotomyViolation(RuntimeError):

@@ -16,7 +16,7 @@ the one loop that counts the cases and attaches each failing instance's
 text, serialized once per failing case and not at all for a passing one.
 The structural suites check on positions, one ``structure._Core`` per
 instance, and name a vertex only in a failure's text.  Rank-move's M* has
-the package's one form, an arrival position per ranked id: ``probability``'s
+the package's one form, an arrival position per ranked id: ``graph``'s
 ``_star`` of a drawn case's planted pairs, or a given file's ``_designated``.
 All randomness flows through one SplitMix64 master stream per run, drawn
 in case order, so a (suite, count, seed) triple is fully reproducible.
@@ -31,17 +31,8 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional
 from .engine import BipartiteInstance, _greedy, _inverse, _matchings, _ranking_holds, _transpose
 from .fileformat import fingerprint, serialize_instance
 from .generators import gen_perfect, gen_random
-from .probability import (
-    DEFAULT_CAP,
-    _NO_PERFECT,
-    _chain,
-    _check_cap,
-    _designated,
-    _require_perfect,
-    _star,
-    check_theorem4,
-    check_theorem6,
-)
+from .graph import _NO_PERFECT, _designated, _require_perfect, _star
+from .probability import DEFAULT_CAP, _chain, _check_cap, check_theorem4, check_theorem6
 from .reporting import exact_row
 from .rng import SplitMix64, stream
 from .structure import (

@@ -14,16 +14,17 @@ expresses every mirrored statement.
 
 ``all_matchings`` and ``max_card_matching`` (the exhaustive search of
 ``find_augmenting_path``) gate ``bipartite_max_matching``,
-``engine._max_matching`` and ``engine._ranking_holds``, and
+``graph._max_matching`` and ``engine._ranking_holds``, and
 ``bipartite_max_matching``, Kuhn's pass on names, gates
-``probability._designated``, which designates M* on an index;
-``validated_star``, the name-level check of a caller's M* on the edge set
-(``_validated_perfect``) read as an arrival position per ranked vertex,
-gates ``probability._star``; the name-level path and removal algebra gates
-``structure``'s cascades and ``suites._alternates``; the per-t functions on
-the ``_ensemble`` table gate the layers of ``probability._layers`` and the
-prefix counts ``lemma3_chain`` reads off them, and ``check_lemma3`` is the
-chain's inequality per t.
+``graph._designated``, which designates M* on an index; both run
+``graph._kuhn``, the package's one search.  ``validated_star``, the
+name-level check of a caller's M* on the edge set (``_validated_perfect``)
+read as an arrival position per ranked vertex, gates ``graph._star``; the
+name-level path and removal algebra gates ``structure``'s cascades and
+``suites._alternates``; the per-t functions on the ``_ensemble`` table gate
+the layers of ``probability._layers`` and the prefix counts
+``lemma3_chain`` reads off them, and ``check_lemma3`` is the chain's
+inequality per t.
 """
 
 from __future__ import annotations
@@ -42,8 +43,8 @@ from rankinglab.engine import (
     _transpose,
 )
 from rankinglab.fileformat import fingerprint
-from rankinglab.graph import Edge, Vertex, _augment, is_matching, vertices
-from rankinglab.probability import DEFAULT_CAP, ExactReport, _check_cap, _star, lemma3_chain
+from rankinglab.graph import Edge, Vertex, _kuhn, _star, is_matching, vertices
+from rankinglab.probability import DEFAULT_CAP, ExactReport, _check_cap, lemma3_chain
 
 
 def _mate_map(m: Iterable[Edge]) -> Dict[Vertex, Vertex]:
@@ -355,7 +356,7 @@ def bipartite_max_matching(g: AbstractSet) -> frozenset:
     """``max_card_matching(g)`` on a bipartite graph, in polynomial time.
 
     Kuhn's method (1955) in name order: with the vertices numbered by name,
-    ``_augment`` runs from each one still uncovered, in that order, on their
+    ``_kuhn`` runs from each one still uncovered, in that order, on their
     neighbour masks, one ``mate`` list serving as both partner arrays.  Its
     searches visit neighbours in name order, and a failed search's marks, on
     the side opposite its start, hold until the next augmentation.  On a
@@ -375,10 +376,8 @@ def bipartite_max_matching(g: AbstractSet) -> frozenset:
     names = sorted(adj)
     pos = {v: i for i, v in enumerate(names)}
     masks = [sum(1 << pos[w] for w in adj[v]) for v in names]
-    mate, seen = [-1] * len(names), 0
-    for s in range(len(names)):
-        if mate[s] < 0:
-            seen = max(0, _augment(s, masks, mate, mate, seen))
+    mate = [-1] * len(names)
+    _kuhn(masks, mate, mate, range(len(names)))
     return frozenset(frozenset((names[i], names[j])) for i, j in enumerate(mate) if i < j)
 
 
@@ -392,7 +391,7 @@ def _validated_perfect(inst: BipartiteInstance, m_star: AbstractSet) -> frozense
 
 
 def validated_star(inst: BipartiteInstance, m_star: AbstractSet) -> List[int]:
-    """``probability._star`` on names: M* checked against ``inst.graph``, then
+    """``graph._star`` on names: M* checked against ``inst.graph``, then
     each ranked vertex's partner as an arrival position."""
     mate = _mate_map(_validated_perfect(inst, m_star))
     return [inst.arrival.index(mate[v]) for v in inst.ranking]

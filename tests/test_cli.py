@@ -19,7 +19,7 @@ from rankinglab import (
     serialize_instance,
     suites,
 )
-from rankinglab import probability
+from rankinglab import graph, probability
 from rankinglab.cli import main
 from rankinglab.reporting import CSV_HEADER, fmt_cell
 
@@ -406,10 +406,8 @@ class TestCheck:
     def test_lemma3_decides_perfectness_once_per_file(self, tmp_path, monkeypatch, capsys):
         # a perfect file, one with no perfect matching, and a perfect one above the cap
         searches = []
-        real = probability._max_matching_size
-        monkeypatch.setattr(
-            probability, "_max_matching_size", lambda *a: searches.append(a) or real(*a)
-        )
+        real = graph._max_matching_size
+        monkeypatch.setattr(graph, "_max_matching_size", lambda *a: searches.append(a) or real(*a))
         files = []
         for n in (6, 9):
             files.append(str(tmp_path / f"p{n}.obm"))

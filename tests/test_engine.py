@@ -30,14 +30,13 @@ from rankinglab.engine import (
     _greedy,
     _inverse,
     _matchings,
-    _max_matching,
-    _max_matching_size,
     _move_id,
     _ranking_holds,
     _transpose,
     rank_match,
 )
 from rankinglab.generators import _gamma_ranking
+from rankinglab.graph import _max_matching, _max_matching_size
 from rankinglab.suites import _cleared
 
 from .conftest import instances, make_instance
@@ -233,12 +232,14 @@ class TestBipartiteInstance:
         )
         assert moved.reach == reach_by_definition(moved)
 
-    def test_reach_is_derived_not_compared(self, example6):
+    def test_instances_compare_by_their_index(self, example6):
         twin = BipartiteInstance(example6.graph, example6.ranking, example6.arrival)
-        text = repr(twin)
-        object.__setattr__(twin, "reach", ())
         assert twin == example6 and hash(twin) == hash(example6)
-        assert repr(twin) == text and "reach" not in text
+        assert "graph" not in vars(twin)  # compared and hashed with no edge set built
+        text = repr(twin)
+        assert text == repr(example6) and "reach" not in text
+        object.__setattr__(twin, "reach", (0, *example6.reach[1:]))  # v1's edges gone
+        assert twin != example6 and repr(twin) == text  # the edge set read before stays
         with pytest.raises(TypeError):
             BipartiteInstance(example6.graph, example6.ranking, example6.arrival, ())
 
@@ -377,7 +378,7 @@ def kuhn_size(inst) -> int:
 class TestMaxMatchingSize:
     """Kuhn on the masks from the greedy's matching, gated by the name-ordered Kuhn.
 
-    Both run ``graph._augment``, so the exhaustive oracle ``max_card_matching``
+    Both run ``graph._kuhn``, so the exhaustive oracle ``max_card_matching``
     gates ``_max_matching``'s partner array on its own as well.
     """
 

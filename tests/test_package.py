@@ -16,8 +16,8 @@ from . import oracles
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 #: the paper's definitions on names, and the name-level matching search and M*
-#: check that ``probability._designated`` and ``probability._star`` are held to,
-#: which ``tests/oracles.py`` alone defines
+#: check that ``graph._designated`` and ``graph._star`` are held to, which
+#: ``tests/oracles.py`` alone defines
 LITERAL = (
     "step",
     "online_match",
@@ -33,6 +33,17 @@ LITERAL = (
     "_two_colour",
     "_mate_map",
     "_validated_perfect",
+)
+
+#: the matching code on the index, which ``graph`` alone defines
+MATCHING = (
+    "_kuhn",
+    "_max_matching",
+    "_max_matching_size",
+    "_designated",
+    "_star",
+    "perfect_matching_of",
+    "_require_perfect",
 )
 
 
@@ -84,3 +95,26 @@ def test_literal_definitions_live_in_the_oracles_alone():
     for m in [rankinglab, *_submodules()]:
         assert [n for n in LITERAL if n in vars(m)] == [], m.__name__
     assert {getattr(oracles, n).__module__ for n in LITERAL} == {oracles.__name__}
+
+
+def _imported_from(module: ModuleType) -> set:
+    """The sibling modules ``module`` imports names from, by their short names."""
+    tree = ast.parse(Path(module.__file__).read_text())
+    return {n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) and n.level == 1}
+
+
+def test_matchings_live_in_graph_alone():
+    """One search, ``graph._kuhn``, and every maximum matching, M* and perfectness
+    test beside it; ``engine`` sits below ``graph``, and ``structure`` reads M*
+    from ``graph``, not from the distribution module."""
+    graph, engine, structure = (
+        importlib.import_module(f"rankinglab.{m}") for m in ("graph", "engine", "structure")
+    )
+    modules = [rankinglab, oracles, *_submodules()]
+    for name in MATCHING:
+        fn = vars(graph)[name]
+        assert fn.__module__ == graph.__name__, name
+        assert [m.__name__ for m in modules if vars(m).get(name, fn) is not fn] == [], name
+    assert [m.__name__ for m in modules if "_augment" in vars(m)] == []
+    assert "graph" not in _imported_from(engine)
+    assert "probability" not in _imported_from(structure)

@@ -43,7 +43,7 @@ from rankinglab import (
     stream,
     vertices,
 )
-from rankinglab import probability
+from rankinglab import graph, probability
 from rankinglab.cli import main
 from rankinglab.engine import _greedy, rank_match
 from rankinglab.rng import _GOLDEN, _MASK, _mix
@@ -668,12 +668,12 @@ def _candidates(inst, m_star, g) -> list:
 
 
 class TestStar:
-    """``probability._star`` against its name-level reference, ``oracles.validated_star``."""
+    """``graph._star`` against its name-level reference, ``oracles.validated_star``."""
 
     def same(self, inst, m_star, seed: int) -> set:
         kinds = set()
         for cand in _candidates(inst, m_star, stream(seed, len(inst.ranking))):
-            got = _outcome(probability._star, inst, cand)
+            got = _outcome(graph._star, inst, cand)
             assert got == _outcome(validated_star, inst, cand), cand
             kinds.add(got if isinstance(got, str) else "array")
         return kinds
@@ -683,7 +683,7 @@ class TestStar:
     def test_equals_the_reference_on_drawn_instances(self, inst, seed):
         m_star = perfect_matching_of(inst)
         if m_star is not None:
-            assert probability._star(inst, m_star) == probability._designated(inst)
+            assert graph._star(inst, m_star) == graph._designated(inst)
         self.same(inst, rank_match(inst) if m_star is None else m_star, seed)
 
     def test_equals_the_reference_on_planted_instances(self):
@@ -691,7 +691,7 @@ class TestStar:
         for n, p, s in product(range(9), (0.0, 0.3, 0.7), range(4)):
             inst, planted = gen_perfect(n, p, s)
             star = perfect_matching_of(inst)
-            assert probability._star(inst, star) == probability._designated(inst)
+            assert graph._star(inst, star) == graph._designated(inst)
             for m_star in (planted, star):
                 kinds |= self.same(inst, m_star, s)
         assert kinds == {

@@ -39,7 +39,7 @@ from rankinglab import (
     vertices,
 )
 
-from rankinglab import probability, structure, suites
+from rankinglab import graph, probability, structure, suites
 from rankinglab.cli import main
 from rankinglab.engine import rank_match
 
@@ -173,7 +173,7 @@ class TestFileMode:
         def banned(*args):
             raise AssertionError("a perfect matching was designated by name")
 
-        monkeypatch.setattr(probability, "_designated", banned)
+        monkeypatch.setattr(graph, "_designated", banned)
         assert not hasattr(probability, "_mate_map")
         inst = parse_instance(serialize_instance(gen_perfect(5, 0.4, 2)[0]))
         assert len(lemma3_chain(inst)) == 5

@@ -88,8 +88,12 @@ def _staircase(rl, n: int):
 
 def rows(rl, tmp: Path, quick: bool) -> List[Tuple[str, Callable[[], object]]]:
     """(name, callable) for every row, with its inputs made up front."""
-    from rankinglab.engine import _greedy, _max_matching_size
+    from rankinglab import engine, graph
+    from rankinglab.engine import _greedy
     from rankinglab.probability import _size_counts
+
+    # graph defines the maximum matching; older checkouts define it in engine
+    _max_matching_size = getattr(graph, "_max_matching_size", None) or engine._max_matching_size
 
     def size(key):
         return SIZES[key][quick]
