@@ -20,7 +20,7 @@ from .fileformat import (
     parse_instance,
     serialize_instance,
 )
-from .generators import gamma_min_ratio, gen_gamma_family, gen_perfect, gen_random
+from .generators import gamma_min_ratio, gen_perfect, gen_random
 from .graph import (
     Edge,
     Vertex,

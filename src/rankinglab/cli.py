@@ -10,7 +10,8 @@ Subcommands:
 * ``check [FILE]`` runs a named property suite, randomized or on the file.
 * ``bound`` prints the guaranteed ratio at a given size.
 * ``gamma`` prints the exact worst ratio of the hard family at size n.
-* ``gen`` writes generated instance files.
+* ``gen`` writes generated instance files; ``gen gamma`` writes each hard-family
+  graph from its slot masks, o_k with an edge ranked and i_l arriving by slot.
 
 An instance file is read as bytes once and decoded as strict UTF-8, with
 CRLF and a lone CR read as LF: the text, and every error, that
@@ -34,15 +35,9 @@ from fractions import Fraction
 from functools import cache
 from pathlib import Path
 
-from .engine import BipartiteInstance, _greedy
+from .engine import BipartiteInstance, Permutation, _greedy
 from .fileformat import InstanceFormatError, fingerprint, parse_instance, serialize_instance
-from .generators import (
-    _gamma_ranking,
-    gamma_min_ratio,
-    gen_gamma_family,
-    gen_perfect,
-    gen_random,
-)
+from .generators import _gamma_masks, gamma_min_ratio, gen_perfect, gen_random
 from .graph import _max_matching_size, _star
 from .probability import (
     DEFAULT_CAP,
@@ -202,11 +197,14 @@ def cmd_gen(args) -> int:
         lines += [f"# pair {u} {v}" for u, v in pairs]
         text = "\n".join(lines) + "\n" + serialize_instance(inst)
     else:
-        family = list(gen_gamma_family(args.n))  # a rejected n leaves no directory
+        family = list(_gamma_masks(args.n))  # a rejected n leaves no directory
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        for idx, (g, arrivals) in enumerate(family):
-            inst = BipartiteInstance(g, _gamma_ranking(g), arrivals[0])
+        for idx, (rows, active) in enumerate(family):
+            ranking = Permutation(f"o{k}" for k, m in enumerate(rows) if m)
+            reach = (sum(1 << p for p, l in enumerate(active) if m >> l & 1) for m in rows if m)
+            arrival = Permutation(f"i{l}" for l in active)
+            inst = BipartiteInstance._indexed(ranking, arrival, tuple(reach))
             (out_dir / f"g{idx:04d}.obm").write_text(
                 serialize_instance(inst), encoding="utf-8"
             )

@@ -86,9 +86,10 @@ class BipartiteInstance:
     ``ranking`` orders the offline party (best-preferred first) and
     ``arrival`` orders the online party.  Every edge must join the two
     parties; a declared vertex without edges is fine.  The loop that checks
-    this also builds ``reach``, the integer index every matcher reads: bit j
-    of ``reach[r]`` is set when the offline vertex at rank r is adjacent to
-    the j-th arrival.  The parser, generators and ``without_vertices`` write
+    this, in the caller's order, names the first bad edge and builds
+    ``reach``, the integer index every matcher reads: bit j of ``reach[r]``
+    is set when the offline vertex at rank r is adjacent to the j-th
+    arrival.  The parser, generators and ``without_vertices`` write
     ``reach`` directly (``_indexed``); ``graph`` is read off it on first read.
     Equality and hashing go by (ranking, arrival, reach), which fix the edge
     set with no edge set built; ``repr`` shows the edge set.
@@ -99,13 +100,12 @@ class BipartiteInstance:
     reach: tuple
 
     def __init__(self, graph: Iterable, ranking: Permutation, arrival: Permutation):
-        graph = frozenset(frozenset(e) for e in graph)
         rank, pos = ranking._pos, arrival._pos
         overlap = ranking.members & arrival.members
         if overlap:
             raise ValueError(f"vertices declared in both parties: {sorted(overlap)}")
         reach = [0] * len(rank)
-        for e in graph:
+        for e in map(frozenset, graph):  # a repeated edge ORs the same bit
             if len(e) != 2:
                 raise ValueError(f"not a two-vertex edge: {sorted(e)}")
             a, b = e

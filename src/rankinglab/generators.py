@@ -1,9 +1,10 @@
-"""Seeded instance generators and the hard-family enumerator.
+"""Seeded instance generators and the hard family's slot masks.
 
 All generators are deterministic functions of their arguments; the seed
 selects a stream from :mod:`rankinglab.rng`.  Offline vertices are named
-v1, v2, ... and online vertices u1, u2, ... except in the hard family,
-which uses its own o/i grid naming.
+v1, v2, ... and online vertices u1, u2, ...  The hard family is kept as
+slot masks (``_gamma_masks``), which ``gamma_min_ratio`` and ``cli gen gamma``
+read; the named family, edge sets o_k - i_l, is an oracle in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from itertools import permutations
 from typing import Iterator, Tuple
 
 from .engine import BipartiteInstance, Permutation
-from .graph import edge, vertices
+from .graph import edge
 from .probability import _mean_size
 from .rng import SplitMix64, stream
 
@@ -107,21 +108,6 @@ def _gamma_masks(n: int) -> Iterator[Tuple[list, list]]:
     for bits in sorted(family):
         reach = [table[bits >> at & mask] for at, mask, table in fields]
         yield reach, [l for l in slots if any(m >> l & 1 for m in reach)]
-
-
-def gen_gamma_family(n: int) -> Iterator[Tuple[frozenset, Tuple[Permutation, ...]]]:
-    """The hard family at size n, named: each graph of ``_gamma_masks(n)`` as
-    edges o_k - i_l, with every arrival order of its active online vertices."""
-    for rows, active in _gamma_masks(n):
-        pairs = [(k, l) for k, m in enumerate(rows) for l in active if m >> l & 1]
-        g = frozenset(edge(f"o{k}", f"i{l}") for k, l in pairs)
-        yield g, tuple(Permutation(p) for p in permutations(f"i{l}" for l in active))
-
-
-def _gamma_ranking(g: frozenset) -> Permutation:
-    """The offline vertices o* of a hard-family graph, by integer suffix."""
-    offline = (v for v in vertices(g) if v.startswith("o"))
-    return Permutation(sorted(offline, key=lambda s: int(s[1:])))
 
 
 def _arrival_key(rows: list, order) -> tuple:

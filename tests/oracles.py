@@ -24,7 +24,10 @@ name-level path and removal algebra gates ``structure``'s cascades and
 ``suites._alternates``; the per-t functions on the ``_ensemble`` table gate
 the layers of ``probability._layers`` and the prefix counts
 ``lemma3_chain`` reads off them, and ``check_lemma3`` is the chain's
-inequality per t.
+inequality per t.  ``gen_gamma_family`` names the hard family's slot masks
+as edge sets with every arrival order, and ``_gamma_ranking`` ranks a
+graph's o-vertices by slot: through the validating constructor they are the
+files that ``cli gen gamma`` writes straight from ``generators._gamma_masks``.
 """
 
 from __future__ import annotations
@@ -43,7 +46,8 @@ from rankinglab.engine import (
     _transpose,
 )
 from rankinglab.fileformat import fingerprint
-from rankinglab.graph import Edge, Vertex, _kuhn, _star, is_matching, vertices
+from rankinglab.generators import _gamma_masks
+from rankinglab.graph import Edge, Vertex, _kuhn, _star, edge, is_matching, vertices
 from rankinglab.probability import DEFAULT_CAP, ExactReport, _check_cap, lemma3_chain
 
 
@@ -529,3 +533,18 @@ def check_lemma3(inst: BipartiteInstance, cap: int = DEFAULT_CAP) -> Dict[int, b
     instance to admit a perfect matching.  A view of ``lemma3_chain``.
     """
     return {link.t: link.inequality for link in lemma3_chain(inst, cap=cap)}
+
+
+def gen_gamma_family(n: int) -> Iterator[Tuple[frozenset, Tuple[Permutation, ...]]]:
+    """The hard family at size n, named: each graph of ``_gamma_masks(n)`` as
+    edges o_k - i_l, with every arrival order of its active online vertices."""
+    for rows, active in _gamma_masks(n):
+        pairs = [(k, l) for k, m in enumerate(rows) for l in active if m >> l & 1]
+        g = frozenset(edge(f"o{k}", f"i{l}") for k, l in pairs)
+        yield g, tuple(Permutation(p) for p in permutations(f"i{l}" for l in active))
+
+
+def _gamma_ranking(g: frozenset) -> Permutation:
+    """The offline vertices o* of a hard-family graph, by integer suffix."""
+    offline = (v for v in vertices(g) if v.startswith("o"))
+    return Permutation(sorted(offline, key=lambda s: int(s[1:])))

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from rankinglab import (
+    BipartiteInstance,
     CapExceeded,
     cli,
     fileformat,
@@ -24,7 +25,7 @@ from rankinglab.cli import main
 from rankinglab.reporting import CSV_HEADER, fmt_cell
 
 from .conftest import DATA
-from .oracles import bipartite_max_matching
+from .oracles import _gamma_ranking, bipartite_max_matching, gen_gamma_family
 
 EXAMPLE = str(DATA / "example6.obm")
 
@@ -657,6 +658,18 @@ class TestGen:
         assert [f.name for f in files] == ["g0000.obm", "g0001.obm", "g0002.obm"]
         for f in files:
             parse_instance(f.read_text())
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_gamma_files_are_the_named_family(self, tmp_path, capsys, n):
+        # the named graphs through the validating constructor, first arrival order
+        assert main(["gen", "gamma", "--n", str(n), "--out-dir", str(tmp_path)]) == 0
+        named = [
+            serialize_instance(BipartiteInstance(g, _gamma_ranking(g), arrivals[0]))
+            for g, arrivals in gen_gamma_family(n)
+        ]
+        files = sorted(tmp_path.iterdir())
+        assert [f.name for f in files] == [f"g{k:04d}.obm" for k in range(len(named))]
+        assert [f.read_text(encoding="utf-8") for f in files] == named
 
     @pytest.mark.parametrize("n", ["0", "3"])
     def test_gamma_rejected_size_leaves_no_directory(self, tmp_path, capsys, n):

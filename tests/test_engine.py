@@ -10,18 +10,22 @@ compared against it.
 
 from __future__ import annotations
 
+import os
 import re
+import subprocess
+import sys
 from itertools import permutations, product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rankinglab
 from rankinglab import (
     BipartiteInstance,
     Permutation,
     edge,
-    gen_gamma_family,
     gen_random,
     is_matching,
     partner,
@@ -35,14 +39,15 @@ from rankinglab.engine import (
     _transpose,
     rank_match,
 )
-from rankinglab.generators import _gamma_ranking
 from rankinglab.graph import _max_matching, _max_matching_size
 from rankinglab.suites import _cleared
 
 from .conftest import instances, make_instance
 from .oracles import (
+    _gamma_ranking,
     all_matchings,
     bipartite_max_matching,
+    gen_gamma_family,
     is_bipartite,
     is_maximal_matching,
     is_ranking_matching,
@@ -219,6 +224,30 @@ class TestBipartiteInstance:
         # the parties are checked before any edge
         with pytest.raises(ValueError, match="both parties"):
             BipartiteInstance(loop, Permutation(["v1"]), Permutation(["v1"]))
+
+    def test_first_bad_edge_in_the_callers_order_is_named(self):
+        # each interpreter hashes str by its own seed: the error must not depend on it
+        code = (
+            "from rankinglab import BipartiteInstance as B, Permutation as P\n"
+            "try: B([('u1', 'u2'), ('v1', 'v2'), ('u3', 'v9')], P('v1 v2'.split()), "
+            "P('u1 u2 u3'.split()))\n"
+            "except ValueError as e: print(e)"
+        )
+        src = str(Path(rankinglab.__file__).resolve().parent.parent)
+        for seed in ("0", "1"):
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+            done = subprocess.run([sys.executable, "-B", "-c", code], env=env,
+                                  capture_output=True, text=True, timeout=60)
+            assert done.stdout == "edge u1 -- u2 does not join the two parties\n", done.stderr
+        three, inside = ("u1", "u2", "v1"), ("v1", "v2")
+        orders = Permutation(["v1", "v2"]), Permutation(["u1", "u2"])
+        text = re.escape("not a two-vertex edge: ['u1', 'u2', 'v1']")
+        with pytest.raises(ValueError, match=text):
+            BipartiteInstance([three, inside], *orders)
+        with pytest.raises(ValueError, match="^edge v1 -- v2 does not join the two parties$"):
+            BipartiteInstance([inside, three], *orders)
+        # a repeated edge, in either orientation, sets its bit once
+        assert BipartiteInstance([("u2", "v1"), ("v1", "u2")], *orders).reach == (2, 0)
 
     @settings(max_examples=100)
     @given(instances())

@@ -21,7 +21,6 @@ from rankinglab import (
     BipartiteInstance,
     Permutation,
     edge,
-    gen_gamma_family,
     gen_perfect,
     is_matching,
     partner,
@@ -34,6 +33,7 @@ from .oracles import (
     all_matchings,
     bipartite_max_matching,
     find_augmenting_path,
+    gen_gamma_family,
     is_alternating_path,
     is_augmenting_path,
     is_bipartite,

@@ -24,7 +24,6 @@ from rankinglab import (
     fileformat,
     fingerprint,
     gamma_min_ratio,
-    gen_gamma_family,
     generators,
     gen_perfect,
     gen_random,
@@ -43,7 +42,7 @@ from rankinglab import (
 from rankinglab.engine import rank_match
 
 from .conftest import DATA, instances, make_instance
-from .oracles import max_card_matching, online_match
+from .oracles import _gamma_ranking, gen_gamma_family, max_card_matching, online_match
 
 
 class TestParse:
@@ -897,7 +896,7 @@ class TestGammaFamily:
         pairs = 0
         for g, arrivals in gen_gamma_family(n):
             rows = _gamma_rows(g, n)
-            ranking = generators._gamma_ranking(g)
+            ranking = _gamma_ranking(g)
             for arr in arrivals:
                 key = generators._arrival_key(rows, [int(v[1:]) for v in arr])
                 inst = BipartiteInstance(g, ranking, arr)
@@ -925,6 +924,6 @@ class TestGammaFamily:
 
     def test_unsupported_sizes(self):
         with pytest.raises(ValueError):
-            list(gen_gamma_family(0))
+            list(generators._gamma_masks(0))
         with pytest.raises(ValueError):
-            list(gen_gamma_family(3))
+            list(generators._gamma_masks(3))

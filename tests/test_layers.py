@@ -15,9 +15,9 @@ ROWS = [
     "rng.shuffled",
     "fileformat.parse_instance",
     "engine._greedy",
-    "engine._max_matching_size",
-    "probability.perfect_matching_of small",
-    "probability.perfect_matching_of large",
+    "graph._max_matching_size",
+    "graph.perfect_matching_of small",
+    "graph.perfect_matching_of large",
     "probability._size_counts",
     "probability.lemma3_chain",
     "generators.gamma_min_ratio",
@@ -34,6 +34,7 @@ ROWS = [
     "cli bound",
     "cli gamma",
     "cli gen",
+    "cli gen gamma",
     *(
         f"cli check --suite {s}"
         for s in ("ranking-matching", "lemma5", "lemma6", "lemma7", "lemma8", "lemma9")

@@ -35,6 +35,9 @@ LITERAL = (
     "_validated_perfect",
 )
 
+#: the hard family on names, which ``cli gen gamma`` is held to file for file
+NAMED_FAMILY = ("gen_gamma_family", "_gamma_ranking")
+
 #: the matching code on the index, which ``graph`` alone defines
 MATCHING = (
     "_kuhn",
@@ -95,6 +98,18 @@ def test_literal_definitions_live_in_the_oracles_alone():
     for m in [rankinglab, *_submodules()]:
         assert [n for n in LITERAL if n in vars(m)] == [], m.__name__
     assert {getattr(oracles, n).__module__ for n in LITERAL} == {oracles.__name__}
+
+
+def test_the_named_hard_family_lives_in_the_oracles_alone():
+    """``src/`` keeps the slot masks; the named family and its ranking are oracles."""
+    for m in [rankinglab, *_submodules()]:
+        assert [n for n in NAMED_FAMILY if n in vars(m)] == [], m.__name__
+    assert {getattr(oracles, n).__module__ for n in NAMED_FAMILY} == {oracles.__name__}
+    generators = importlib.import_module("rankinglab.generators")
+    tree = ast.parse(Path(generators.__file__).read_text())
+    imported = {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
+    assert "vertices" not in imported | set(vars(generators))
+    assert "gen_gamma_family" not in rankinglab.__all__
 
 
 def _imported_from(module: ModuleType) -> set:

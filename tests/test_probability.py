@@ -33,7 +33,6 @@ from rankinglab import (
     exact_expected_size,
     exact_size_distribution,
     fingerprint,
-    gen_gamma_family,
     gen_perfect,
     gen_random,
     lemma3_chain,
@@ -55,6 +54,7 @@ from .oracles import (
     all_matchings,
     check_lemma3,
     expected_matched_before_count,
+    gen_gamma_family,
     matched_before_prob,
     online_match,
     rank_matched_prob,

@@ -152,9 +152,9 @@ def rows(rl, tmp: Path, quick: bool) -> List[Tuple[str, Callable[[], object]]]:
         ("rng.shuffled", lambda: rl.stream(7, 0).shuffled(range(size("shuffle")))),
         ("fileformat.parse_instance", lambda: rl.parse_instance(big_text)),
         ("engine._greedy", lambda: _greedy(reach, range(len(reach)), arrivals)),
-        ("engine._max_matching_size", lambda: _max_matching_size(reach, arrivals)),
-        ("probability.perfect_matching_of small", designate(kuhn[0])),
-        ("probability.perfect_matching_of large", designate(kuhn[1])),
+        ("graph._max_matching_size", lambda: _max_matching_size(reach, arrivals)),
+        ("graph.perfect_matching_of small", designate(kuhn[0])),
+        ("graph.perfect_matching_of large", designate(kuhn[1])),
         ("probability._size_counts", lambda: _size_counts(tally.reach, len(tally.arrival))),
         ("probability.lemma3_chain", lambda: rl.lemma3_chain(*chain)),
         ("generators.gamma_min_ratio", lambda: rl.gamma_min_ratio(size("gamma"))),
@@ -173,6 +173,8 @@ def rows(rl, tmp: Path, quick: bool) -> List[Tuple[str, Callable[[], object]]]:
         ("cli gamma", cli("gamma", "--n", "2" if not quick else "1")),
         ("cli gen", cli("gen", "random", "--offline", str(side), "--online", str(side),
                         "--edge-prob", "0.1", "--seed", "1", "--out", str(tmp / "gen.obm"))),
+        ("cli gen gamma", cli("gen", "gamma", "--n", str(size("gamma")),
+                              "--out-dir", str(tmp / "gamma"))),
     ]
     out += [(f"cli check --suite {s}", check(s)) for s in STRUCTURAL]
     out.append(("cli check --suite lemma9 --count 1000",
