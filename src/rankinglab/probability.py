@@ -13,7 +13,7 @@ size distribution and its mean, the expected size, read its last layer;
 per rank.
 Beyond the cap, ``mc_expected_size`` gives a seeded, bit-reproducible Monte
 Carlo estimate, read off a histogram of the sampled sizes.  It draws a batch
-of samples at once on the 128-bit lanes of one int, up to 8,192 a batch on
+of samples at once on the 128-bit lanes of one int, up to 4,096 a batch on
 byte lanes whatever the party size; ``_lane_draws`` is the one place where
 the lanes' remainders become bytes, which both shuffle paths read.
 
@@ -42,8 +42,13 @@ from .rng import _GOLDEN, _MASK, stream
 DEFAULT_CAP = 8
 
 #: up to ``_BYTE_CUT`` offline ids a batch holds at most this many samples,
-#: whatever n is, so every call at one sample count has the same batches
-_LANES = 1 << 13
+#: whatever n is, so every call at one sample count has the same batches.
+#: Each lane int of a batch (state, draw, remainder pack, ``over`` and each
+#: ``_lanes`` constant) takes 16 bytes a sample, so at most 64 KB here: 2^13
+#: held 80 KB ints at 5,000 samples, and the ``mc`` bench's peak RSS read
+#: 24.87 MB against 24.09 at 2^12, at the same speed (medians of 10 pairs).
+#: Raise it only with ``peak_rss_mb`` pairs measured on ``mc``.
+_LANES = 1 << 12
 
 #: the most offline ids ``mc_expected_size`` shuffles on byte lanes (at most
 #: 256); the byte lanes' column swaps grow as n^2 per sample and the

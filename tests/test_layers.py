@@ -71,9 +71,13 @@ def test_one_repeat_lists_every_row(tmp_path):
     assert doc["machine"] and doc["python"]
     assert list(doc["rows"]) == list(doc["calls"]) == ROWS
     assert all(calls >= 1 for calls in doc["calls"].values())
-    for cells in doc["rows"].values():
+    for name, cells in doc["rows"].items():
         assert set(cells) == {"a", "b"}
         assert all(0 <= c["min_ms"] <= c["median_ms"] for c in cells.values())
+        if name.startswith("probability.mc_expected_size"):
+            assert all(c["peak_kb"] > 0 for c in cells.values()), name
+        else:
+            assert not any("peak_kb" in c for c in cells.values()), name
     assert not list(src.rglob("__pycache__"))
 
 

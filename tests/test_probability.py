@@ -10,6 +10,7 @@ from __future__ import annotations
 import gc
 import math
 import struct
+import tracemalloc
 import weakref
 from collections import Counter
 from fractions import Fraction
@@ -1144,13 +1145,25 @@ class TestMcSizeCounts:
             counts = probability._mc_size_counts(inst, samples, 17)
             assert counts == Counter(greedy_sizes(inst, samples, 17)), (n, samples)
 
-    def test_one_batch_and_one_lane_table_per_sample_count(self, monkeypatch):
+    def test_two_equal_batches_and_one_lane_table_per_sample_count(self, monkeypatch):
         batches = record_batches(monkeypatch)
         probability._lanes.cache_clear()
         for n in (12, 24):
             probability._mc_size_counts(gen_perfect(n, 0.3, 5)[0], 5000, 1)
-        assert batches == [(0, 5000), (0, 5000)]
+        assert batches == [(0, 2500), (2500, 2500)] * 2
         assert probability._lanes.cache_info().misses == 1
+
+    def test_one_call_traces_under_a_mebibyte(self):
+        # 5,000 samples in one batch traced 1,468 KB at the peak, in two of 2,500 about 800 KB
+        inst = gen_perfect(24, 0.3, 6)[0]
+        probability._lanes.cache_clear()
+        tracemalloc.start()
+        try:
+            probability._mc_size_counts(inst, 5000, 11)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize("n", [3, probability._BYTE_CUT, probability._BYTE_CUT + 1, 400])
     def test_fewest_batches_a_lane_apart(self, n, monkeypatch):

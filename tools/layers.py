@@ -13,9 +13,12 @@ alternate between the columns.  A row is timed ``--repeats`` times a column
 median, in milliseconds, with the machine and the Python version.  A row
 whose call takes under 1 ms is timed as a loop of calls, as many as make
 each timing last about 5 ms or more in every column, the same count in
-every column; ``calls`` lists each row's count.  Every row's entry point
-exists since the parse and the Monte Carlo lanes took their current form,
-so older checkouts can be timed too.  ``--quick`` shrinks every input to its
+every column; ``calls`` lists each row's count.  After its timings, each
+``probability.mc_expected_size`` row also gives ``peak_kb`` per column, the
+``tracemalloc`` peak of one call in KiB, with the column's caches as the
+timed calls left them.  Every row's entry point exists since the parse and
+the Monte Carlo lanes took their current form, so older checkouts can be
+timed too.  ``--quick`` shrinks every input to its
 smallest size, for a smoke test.
 
 Without ``--quick``, each column's Tier-1 suite then runs once, one column
@@ -42,6 +45,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 from subprocess import PIPE
 from typing import Callable, Dict, List, Tuple
@@ -50,6 +54,8 @@ sys.dont_write_bytecode = True
 
 ROOT = Path(__file__).resolve().parent.parent
 STRUCTURAL = ("ranking-matching", "lemma5", "lemma6", "lemma7", "lemma8", "lemma9", "rank-move")
+#: the name prefix of the rows whose ``tracemalloc`` peak is read as well
+PEAK = "probability.mc_expected_size"
 #: per row family, (full size, --quick size)
 SIZES = {
     "shuffle": (100_000, 1_000),
@@ -186,7 +192,8 @@ def serve(src: Path, quick: bool) -> int:
     """Import ``src``, print the row names, then time each "k calls" read from stdin.
 
     Row k runs ``calls`` times in a row, and the thread CPU time per call
-    is printed, in ms.
+    is printed, in ms.  For "k peak" row k runs once under ``tracemalloc``,
+    and its peak is printed, in KiB.
     """
     rl, out = _program(src), sys.stdout
     quiet = contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO())
@@ -195,8 +202,15 @@ def serve(src: Path, quick: bool) -> int:
         rl.cli.main(["bound", "--n", "1"])  # the CLI builds its parser once
         print(json.dumps([name for name, _ in table]), file=out, flush=True)
         for line in sys.stdin:
-            k, calls = map(int, line.split())
-            call = table[k][1]
+            k, calls = line.split()
+            call = table[int(k)][1]
+            if calls == "peak":
+                tracemalloc.start()
+                call()
+                print(tracemalloc.get_traced_memory()[1] / 1024, file=out, flush=True)
+                tracemalloc.stop()
+                continue
+            calls = int(calls)
             t0 = time.thread_time()
             for _ in range(calls):
                 call()
@@ -204,8 +218,9 @@ def serve(src: Path, quick: bool) -> int:
     return 0
 
 
-def _time(proc: subprocess.Popen, k: int, calls: int) -> float:
-    """Row k's thread CPU ms per call, over ``calls`` calls in the process ``proc``."""
+def _time(proc: subprocess.Popen, k: int, calls) -> float:
+    """Row k's thread CPU ms per call, over ``calls`` calls in the process ``proc``,
+    or with ``calls`` "peak" the ``tracemalloc`` peak of one call in KiB."""
     proc.stdin.write(f"{k} {calls}\n")
     proc.stdin.flush()
     return float(proc.stdout.readline())
@@ -227,7 +242,8 @@ def _calls(procs, k: int) -> int:
 
 def measure(cols: Dict[str, Path], repeats: int, quick: bool) -> Tuple[dict, dict]:
     """Each row's min and median thread CPU time per call per column, in ms,
-    and each row's calls per timing (``_calls``).
+    with ``peak_kb`` on the ``PEAK`` rows, and each row's calls per timing
+    (``_calls``).
 
     One process per column; the timings of a row alternate between them, the
     order flipping every repeat, so that a drift in host speed hits all alike.
@@ -257,6 +273,9 @@ def measure(cols: Dict[str, Path], repeats: int, quick: bool) -> Tuple[dict, dic
                 label: {"min_ms": round(min(ts), 4), "median_ms": round(statistics.median(ts), 4)}
                 for label, ts in times.items()
             }
+            if name.startswith(PEAK):
+                for label, proc in procs.items():
+                    out[name][label]["peak_kb"] = round(_time(proc, k, "peak"), 1)
         return out, counts
     finally:
         for p in procs.values():
