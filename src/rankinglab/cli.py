@@ -31,7 +31,6 @@ import os
 import sys
 import time
 from bisect import bisect_right
-from fractions import Fraction
 from functools import cache
 from pathlib import Path
 
@@ -89,7 +88,7 @@ def cmd_exact(args) -> int:
     print(CSV_HEADER)
     print(row_line(exact_row(fingerprint(inst), verdict, ms)))
     if args.dist:  # by increasing size, from the counts the verdict's mean was read off
-        for size, p in _distribution(counts, len(inst.ranking)).items():
+        for size, p in _distribution(counts).items():
             print(f"dist {size} {p}")
     return 0 if verdict.holds else 1
 
@@ -123,8 +122,8 @@ def cmd_mc(args) -> int:
         )
     )
     if args.dist:  # the histogram the row's mean was read off
-        for size, c in sorted(est.sizes.items()):
-            print(f"dist {size} {Fraction(c, est.samples)}")
+        for size, p in _distribution(est.sizes).items():
+            print(f"dist {size} {p}")
     print(f"# stddev {fmt_cell(est.stddev)} over {est.samples} samples", file=sys.stderr)
     return 0
 

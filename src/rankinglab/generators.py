@@ -15,7 +15,7 @@ from typing import Iterator, Tuple
 
 from .engine import BipartiteInstance, Permutation
 from .graph import edge
-from .probability import _mean_size
+from .probability import _mean, _size_counts
 from .rng import SplitMix64, stream
 
 
@@ -140,4 +140,4 @@ def gamma_min_ratio(n: int) -> Fraction:
                     bit = sum(_arrival_key([1 << l], order))  # 0 if order lacks l
                     table += [m | bit for m in table]
             keys.add(tuple(sorted(tables[order][m] for m in masks)))
-    return min(_mean_size(key, 2 * n) for key in keys) / n
+    return min(_mean(_size_counts(key, 2 * n)) for key in keys) / n

@@ -7,10 +7,9 @@ configurable cap, default 8) every quantity is computed exactly, as a
 ranking is a uniformly random order in which offline vertices take their
 earliest-arriving free neighbor, so a pass over states (offline vertices
 still to come, free arrivals) counts rankings.  It reads an index, not an
-instance: a ``reach`` mask per offline id and the number of arrivals.  The
-size distribution and its mean, the expected size, read its last layer;
-``lemma3_chain`` reads the matched total of every layer, with no count kept
-per rank.
+instance: a ``reach`` mask per offline id and the number of arrivals.  Its
+last layer gives a size histogram, n! in all, that ``_mean`` and
+``_distribution`` read; ``_chain`` reads every layer's matched total.
 Beyond the cap, ``mc_expected_size`` gives a seeded, bit-reproducible Monte
 Carlo estimate, read off a histogram of the sampled sizes.  It draws a batch
 of samples at once on the 128-bit lanes of one int, up to 4,096 a batch on
@@ -108,12 +107,13 @@ def _check_cap(inst: BipartiteInstance, cap: int) -> None:
 def exact_expected_size(inst: BipartiteInstance, cap: int = DEFAULT_CAP) -> ExactReport:
     """Expected matching size over a uniformly random ranking, exactly."""
     _check_cap(inst, cap)
+    counts = _size_counts(inst.reach, len(inst.arrival))
     return ExactReport(
         instance_id=fingerprint(inst),
         quantity="expected_matching_size",
         params=(),
-        value=_mean_size(inst.reach, len(inst.arrival)),
-        sample_space=math.factorial(len(inst.ranking)),
+        value=_mean(counts),
+        sample_space=sum(counts.values()),
     )
 
 
@@ -127,13 +127,13 @@ def exact_size_distribution(
     ``exact_expected_size``.
     """
     _check_cap(inst, cap)
-    return _distribution(_size_counts(inst.reach, len(inst.arrival)), len(inst.ranking))
+    return _distribution(_size_counts(inst.reach, len(inst.arrival)))
 
 
-def _distribution(counts: Counter, n: int) -> Dict[int, Fraction]:
-    """``_size_counts``' counts over the n! orders as probabilities, by increasing size."""
-    rankings = math.factorial(n)
-    return {size: Fraction(counts[size], rankings) for size in sorted(counts)}
+def _distribution(counts: Counter) -> Dict[int, Fraction]:
+    """A size histogram's shares of its total (n! or the sample count), by increasing size."""
+    total = sum(counts.values())
+    return {size: Fraction(counts[size], total) for size in sorted(counts)}
 
 
 def _size_counts(reach, arrivals: int) -> Counter:
@@ -147,15 +147,9 @@ def _size_counts(reach, arrivals: int) -> Counter:
     return counts
 
 
-def _mean_size(reach, arrivals: int) -> Fraction:
-    """Expected matching size over the n! orders of the ``reach`` ids."""
-    return _mean(_size_counts(reach, arrivals), len(reach))
-
-
-def _mean(counts: Counter, n: int) -> Fraction:
-    """The mean size of ``_size_counts``' counts over the n! orders."""
-    matched = sum(size * ways for size, ways in counts.items())
-    return Fraction(matched, math.factorial(n))
+def _mean(counts: Counter) -> Fraction:
+    """A size histogram's mean size, over its total: n! or the sample count."""
+    return Fraction(sum(size * ways for size, ways in counts.items()), sum(counts.values()))
 
 
 def _layers(reach, arrivals: int) -> Iterator[Dict[int, int]]:
@@ -266,14 +260,14 @@ def lemma3_chain(
         _require_perfect(inst)
     else:
         _star(inst, m_star)
-    return _chain(inst)
+    return _chain(inst.reach, len(inst.arrival))
 
 
-def _chain(inst: BipartiteInstance) -> list:
-    """``lemma3_chain`` of an instance known to be perfect and within the cap."""
-    n, arrivals = len(inst.ranking), len(inst.arrival)
+def _chain(reach, arrivals: int) -> list:
+    """``lemma3_chain`` of an index (as ``_layers``') known to be perfect and within the cap."""
+    n = len(reach)
     size = math.factorial(n)
-    layers = _layers(inst.reach, arrivals)
+    layers = _layers(reach, arrivals)
     next(layers)  # layer 0: no id has come
     links, before = [], 0
     for t, layer in enumerate(layers, 1):
@@ -333,7 +327,7 @@ def check_theorem4(inst: BipartiteInstance, cap: int = DEFAULT_CAP) -> RatioVerd
     """Expected size versus the bound, n taken as the (perfect) party size."""
     _check_cap(inst, cap)
     _require_perfect(inst)
-    return _ratio_verdict(_mean_size(inst.reach, len(inst.arrival)), len(inst.arrival))
+    return _ratio_verdict(_mean(_size_counts(inst.reach, len(inst.arrival))), len(inst.arrival))
 
 
 def check_theorem6(inst: BipartiteInstance, cap: int = DEFAULT_CAP) -> RatioVerdict:
@@ -346,7 +340,7 @@ def _theorem6(inst: BipartiteInstance, cap: int) -> Tuple[RatioVerdict, Counter]
     _check_cap(inst, cap)
     n = _max_matching_size(inst.reach, len(inst.arrival))
     counts = _size_counts(inst.reach, len(inst.arrival))
-    return _ratio_verdict(_mean(counts, len(inst.ranking)), n), counts
+    return _ratio_verdict(_mean(counts), n), counts
 
 
 def _mix_lanes(z: int, m: int) -> int:

@@ -218,14 +218,13 @@ def suite_lemma3(
     """Every link of the per-rank chain holds exactly on planted instances."""
     g = stream(seed, 0)
 
-    def check(one: BipartiteInstance, _: None) -> List[str]:
+    def check(one: BipartiteInstance) -> List[str]:
+        _require_perfect(one)  # no case designates M*; perfectness comes before the cap
         _check_cap(one, DEFAULT_CAP)
-        broken = [link.t for link in _chain(one) if not link.holds]
+        broken = [link.t for link in _chain(one.reach, len(one.arrival)) if not link.holds]
         return [f"chain link broken at t={broken[0]}"] if broken else []
 
-    # no case designates M*; each case's perfectness is decided once, before the cap check
-    perfect = lambda one: (one, _require_perfect(one))  # noqa: E731
-    cases = _cases(count, inst, lambda: perfect(_rand_planted(g, max_side, 6)[0]), perfect)
+    cases = _cases(count, inst, lambda: _rand_planted(g, max_side, 6)[:1])
     return _run("lemma3", cases, check)
 
 
@@ -406,7 +405,7 @@ def suite_rank_move(
 def _suite_ratio(name: str, checker: Callable, cases: Iterable[tuple]) -> SuiteResult:
     rows: List[dict] = []
 
-    def check(one: BipartiteInstance, *_) -> List[str]:
+    def check(one: BipartiteInstance) -> List[str]:
         t0 = time.perf_counter()
         verdict = checker(one)
         ms = (time.perf_counter() - t0) * 1000.0
@@ -421,7 +420,7 @@ def suite_theorem4(
 ) -> SuiteResult:
     """Expected ratio meets the bound on instances with a planted perfect matching."""
     g = stream(seed, 0)
-    cases = _cases(count, inst, lambda: _rand_planted(g, max_side, 6))
+    cases = _cases(count, inst, lambda: _rand_planted(g, max_side, 6)[:1])
     return _suite_ratio("theorem4", check_theorem4, cases)
 
 

@@ -900,7 +900,8 @@ class TestGammaFamily:
             for arr in arrivals:
                 key = generators._arrival_key(rows, [int(v[1:]) for v in arr])
                 inst = BipartiteInstance(g, ranking, arr)
-                assert probability._mean_size(key, 2 * n) == exact_expected_size(inst).value
+                mean = probability._mean(probability._size_counts(key, 2 * n))
+                assert mean == exact_expected_size(inst).value
                 pairs += 1
         assert pairs == {1: 4, 2: 1568}[n]
 

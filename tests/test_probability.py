@@ -282,7 +282,26 @@ class TestExpectedSizeEqualsTable:
         # a uniform ranking makes the mean blind to the offline ids' names,
         # the symmetry the hard family's key relies on
         key = tuple(sorted(inst.reach))
-        assert probability._mean_size(key, len(inst.arrival)) == exact_expected_size(inst).value
+        counts = probability._size_counts(key, len(inst.arrival))
+        assert probability._mean(counts) == exact_expected_size(inst).value
+
+    @staticmethod
+    def _sorted_chain(inst):
+        return probability._chain(tuple(sorted(inst.reach)), len(inst.arrival))
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_sorted_index_has_the_same_chain_planted(self, n):
+        # the chain is blind to the offline ids' names as well, so every S_t
+        # can be read off the sorted ``reach`` tuple alone
+        for seed in range(10):
+            inst = gen_perfect(n, 0.06 * seed, 60 + seed)[0]
+            assert self._sorted_chain(inst) == lemma3_chain(inst)
+
+    @settings(max_examples=40, deadline=None)
+    @given(planted(max_n=7))
+    def test_sorted_index_has_the_same_chain(self, case):
+        inst, _ = case
+        assert self._sorted_chain(inst) == lemma3_chain(inst)
 
     @pytest.mark.parametrize("n", [10, 12])
     def test_last_layer_equals_the_per_rank_counts(self, n):
@@ -355,7 +374,7 @@ class TestSizeDistribution:
         counts = probability._size_counts(reach, arrivals)
         *_, last = probability._layers(reach, arrivals)
         assert sum(counts.values()) == sum(last.values()) == math.factorial(6)
-        assert probability._mean_size(reach, arrivals) == Fraction(
+        assert probability._mean(counts) == Fraction(
             sum(size * ways for size, ways in counts.items()), math.factorial(6)
         )
 

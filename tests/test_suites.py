@@ -534,9 +534,9 @@ class TestFailurePath:
     def test_lemma3_reports_the_first_broken_link(self, monkeypatch):
         real = suites._chain
 
-        def broken(one):  # every link from t = 2 on misses its prefix sum
+        def broken(*index):  # every link from t = 2 on misses its prefix sum
             return [
-                replace(link, prefix_sum=link.prefix_sum + (link.t > 1)) for link in real(one)
+                replace(link, prefix_sum=link.prefix_sum + (link.t > 1)) for link in real(*index)
             ]
 
         monkeypatch.setattr(suites, "_chain", broken)

@@ -16,10 +16,9 @@ each timing last about 5 ms or more in every column, the same count in
 every column; ``calls`` lists each row's count.  After its timings, each
 ``probability.mc_expected_size`` row also gives ``peak_kb`` per column, the
 ``tracemalloc`` peak of one call in KiB, with the column's caches as the
-timed calls left them.  Every row's entry point exists since the parse and
-the Monte Carlo lanes took their current form, so older checkouts can be
-timed too.  ``--quick`` shrinks every input to its
-smallest size, for a smoke test.
+timed calls left them.  The rows import the maximum matching from
+``graph``, so a checkout from before ``graph`` held it cannot be timed.
+``--quick`` shrinks every input to its smallest size, for a smoke test.
 
 Without ``--quick``, each column's Tier-1 suite then runs once, one column
 after the other: the ``tests`` beside its ``src``, under pytest with that
@@ -94,12 +93,9 @@ def _staircase(rl, n: int):
 
 def rows(rl, tmp: Path, quick: bool) -> List[Tuple[str, Callable[[], object]]]:
     """(name, callable) for every row, with its inputs made up front."""
-    from rankinglab import engine, graph
     from rankinglab.engine import _greedy
+    from rankinglab.graph import _max_matching_size
     from rankinglab.probability import _size_counts
-
-    # graph defines the maximum matching; older checkouts define it in engine
-    _max_matching_size = getattr(graph, "_max_matching_size", None) or engine._max_matching_size
 
     def size(key):
         return SIZES[key][quick]
