@@ -37,7 +37,7 @@ from pathlib import Path
 from .engine import BipartiteInstance, Permutation, _greedy
 from .fileformat import InstanceFormatError, fingerprint, parse_instance, serialize_instance
 from .generators import _gamma_masks, gamma_min_ratio, gen_perfect, gen_random
-from .graph import _max_matching_size, _star
+from .graph import _max_matching_size
 from .probability import (
     DEFAULT_CAP,
     CapExceeded,
@@ -191,7 +191,7 @@ def cmd_gen(args) -> int:
         text = serialize_instance(inst)
     elif args.kind == "perfect":
         inst, planted = gen_perfect(args.n, args.extra, args.seed)
-        pairs = sorted((inst.arrival[j], v) for v, j in zip(inst.ranking, _star(inst, planted)))
+        pairs = sorted(sorted(e, key=inst.ranking.__contains__) for e in planted)
         lines = ["# planted perfect matching:"]
         lines += [f"# pair {u} {v}" for u, v in pairs]
         text = "\n".join(lines) + "\n" + serialize_instance(inst)

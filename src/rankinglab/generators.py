@@ -14,7 +14,6 @@ from itertools import permutations
 from typing import Iterator, Tuple
 
 from .engine import BipartiteInstance, Permutation
-from .graph import edge
 from .probability import _mean, _size_counts
 from .rng import SplitMix64, stream
 
@@ -59,7 +58,7 @@ def gen_perfect(
         raise ValueError("extra_edge_prob must lie in [0, 1]")
     g = stream(seed, 0)
     inst = _draw(g, n, n, lambda j, k: j == k or g.uniform() < extra_edge_prob)
-    return inst, frozenset(edge(f"u{k}", f"v{k}") for k in range(1, n + 1))
+    return inst, frozenset(frozenset((f"u{k}", f"v{k}")) for k in range(1, n + 1))
 
 
 def _gamma_masks(n: int) -> Iterator[Tuple[list, list]]:

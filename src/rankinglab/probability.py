@@ -350,25 +350,16 @@ def _mix_lanes(z: int, m: int) -> int:
     return z ^ (z >> 31 & m)
 
 
-def _ramp(k: int) -> int:
-    """i in the 128-bit lane at bit 128 * i of one int, for each i < k.
-
-    Built by doubling: the first j lanes, plus j in each, are the next j.
-    """
-    ramp, ones, j = 0, 1, 1
-    while j < k:
-        ramp |= (ramp + j * ones) << 128 * j
-        ones |= ones << 128 * j
-        j *= 2
-    return ramp & ((1 << 128 * k) - 1)
-
-
 @lru_cache(maxsize=2)  # a call's batches hold one or two k, set by the sample count alone
 def _lanes(k: int) -> tuple:
     """The constants of k lanes: ``ones`` (1 in each), its multiples by
-    2^64 - 1, G and 2^32 - 1, and ``_ramp(k) * G``."""
+    2^64 - 1, G and 2^32 - 1, and the ramp (i in lane i) times G."""
     ones = int.from_bytes((b"\x01" + bytes(15)) * k, "little")
-    return ones, ones * _MASK, ones * _GOLDEN, ones * 0xFFFFFFFF, _ramp(k) * _GOLDEN
+    ramp, count = bytearray(16 * k), struct.pack(f"<{k}I", *range(k))
+    for b in range(4):  # byte b of i is byte b of lane i
+        ramp[b::16] = count[b::4]
+    ramp = int.from_bytes(ramp, "little")
+    return ones, ones * _MASK, ones * _GOLDEN, ones * 0xFFFFFFFF, ramp * _GOLDEN
 
 
 def _lane_draws(seed: int, start: int, k: int, n: int, width: int):
@@ -378,8 +369,8 @@ def _lane_draws(seed: int, start: int, k: int, n: int, width: int):
     sits in the 128-bit lane at bit 128 * i of one int.  A lane holds a
     64-bit value, a 64 x 64-bit product fits it, and each shift is masked
     back to 64 bits, so no bit crosses lanes.  The seeds are lane arithmetic
-    too: lane i starts at ((seed + (start + 1) * G) mod 2^64) + i * G, i from
-    ``_ramp``, masked to 64 bits.  Yields ``(bound, planes, over)`` for
+    too: lane i starts at ((seed + (start + 1) * G) mod 2^64) + i * G, i * G
+    from ``_lanes``, masked to 64 bits.  Yields ``(bound, planes, over)`` for
     bound = n..2, the bounds of ``shuffled``'s steps.  ``planes[b]`` holds
     byte b of every lane's draw modulo bound, one byte per lane, for b <
     ``width``; each remainder must fit ``width`` bytes.  ``over`` has bit 64

@@ -7,7 +7,6 @@ cells (for example the ratio of a vacuous instance) stay empty.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Mapping
 
 CSV_COLUMNS = (
@@ -28,8 +27,6 @@ CSV_HEADER = ",".join(CSV_COLUMNS)
 def fmt_cell(x: object) -> str:
     if x is None:
         return ""
-    if isinstance(x, Fraction):
-        return str(x)
     if isinstance(x, float):
         return format(x, ".12g")
     return str(x)

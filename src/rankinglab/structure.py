@@ -4,7 +4,7 @@ The central object is the cascade: when a vertex is deleted, the computed
 matching does not change arbitrarily but along a single alternating path.
 Every cascade is one walk, ``_walk``, on positions: the partner arrays that
 ``engine._greedy`` returns and one adjacency bitmask per arrival-side
-position.  ``_Core`` computes an index's greedy, both mate arrays and the
+position.  ``_frames`` computes an index's greedy, both mate arrays and the
 transposed masks once, in both orientations of the parties; a deletion
 zeroes one mask and reruns ``_greedy`` (``_cascade``); a rank move moves one
 offline id in the order and reruns it on ``reach`` (``_rank_move``).  The
@@ -90,19 +90,16 @@ class _Frame(NamedTuple):
         return adj, _greedy(adj, range(len(adj)), len(self.mate_r))
 
 
-class _Core:
-    """An index's greedy on positions, computed once for every check on it.
-
-    ``frames[True]`` ranks the offline party (masks: ``reach`` transposed),
-    ``frames[False]`` the arrivals (masks: ``reach``); ``_greedy``'s partner
-    array and its inverse are the mates of both.  A frame's vertex ids are
-    its n ranked positions, then n + j for arrival-side position j.
-    """
-
-    def __init__(self, reach: Sequence[int], arrivals: int):
-        prs = _greedy(reach, range(len(reach)), arrivals)
-        ids, cols = _inverse(prs, len(reach)), _transpose(reach, arrivals)
-        self.frames = {True: _Frame(cols, ids, prs), False: _Frame(reach, prs, ids)}
+def _frames(reach: Sequence[int], arrivals: int) -> Tuple[_Frame, _Frame]:
+    """An index's greedy on positions, computed once for every check on it:
+    the frame that ranks the arrivals (masks: ``reach``), then the one that
+    ranks the offline party (masks: ``reach`` transposed), so ``offline``
+    indexes the pair.  ``_greedy``'s partner array and its inverse are the
+    mates of both.  A frame's vertex ids are its n ranked positions, then
+    n + j for arrival-side position j."""
+    prs = _greedy(reach, range(len(reach)), arrivals)
+    ids, cols = _inverse(prs, len(reach)), _transpose(reach, arrivals)
+    return _Frame(reach, prs, ids), _Frame(cols, ids, prs)
 
 
 def _vertex(inst: BipartiteInstance, x: Vertex) -> Tuple[bool, int]:
@@ -124,12 +121,12 @@ def _ids(path: list, n: int) -> List[int]:
     return [q + n if k & 1 else q for k, q in enumerate(path)]
 
 
-def _cascade(core: _Core, offline: bool, p: int, inst: BipartiteInstance) -> tuple:
+def _cascade(core: tuple, offline: bool, p: int, inst: BipartiteInstance) -> tuple:
     """Deleting position p of the party ``offline``: in the frame that ranks it,
     the arrival side's mates before and after and the cascade from p as ids
     (None if nothing changed); DichotomyViolation, named by ``inst``, if more changed."""
-    adj, mate_r, mate_a = core.frames[offline]
-    cut = core.frames[not offline].without(p)[1]
+    adj, mate_r, mate_a = core[offline]
+    cut = core[not offline].without(p)[1]
     if cut == mate_a:
         return mate_a, mate_a, None
     n = len(mate_r)
@@ -148,7 +145,8 @@ def _cascade(core: _Core, offline: bool, p: int, inst: BipartiteInstance) -> tup
 
 def _removal_diff(inst: BipartiteInstance, x: Vertex, offline: bool) -> RemovalDiff:
     names = _names(inst, offline)  # ``_cascade`` named
-    base, cut, path = _cascade(_Core(inst.reach, len(inst.arrival)), offline, names.index(x), inst)
+    core = _frames(inst.reach, len(inst.arrival))
+    base, cut, path = _cascade(core, offline, names.index(x), inst)
     n = len(names) - len(base)
     named = [frozenset(frozenset((names[i], names[j + n])) for j, i in enumerate(m) if i >= 0)
              for m in (base, cut)]
@@ -175,15 +173,15 @@ def removal_diff_offline(inst: BipartiteInstance, v: Vertex) -> RemovalDiff:
     return _removal_diff(inst, v, True)
 
 
-def _zig_zag_symmetric(core: _Core, offline: bool, q: int) -> Optional[bool]:
+def _zig_zag_symmetric(core: tuple, offline: bool, q: int) -> Optional[bool]:
     """Lemma 6 at position q of the party ``offline``; None when q is unmatched."""
-    frame = core.frames[not offline]  # q arrives: the zig's frame
+    frame = core[not offline]  # q arrives: the zig's frame
     mate = frame.mate_a[q]
     if mate < 0:
         return None
     adj, mate_r = frame.without(q)
     zig_path = _walk(mate, True, adj, mate_r, _inverse(mate_r, len(adj)))
-    return zig_path == _walk(mate, False, *core.frames[offline])
+    return zig_path == _walk(mate, False, *core[offline])
 
 
 def check_zig_zag_symmetry(inst: BipartiteInstance, x: Vertex) -> bool:
@@ -193,20 +191,20 @@ def check_zig_zag_symmetry(inst: BipartiteInstance, x: Vertex) -> bool:
     and its recomputed matching; the zag runs over the original pair with
     the party roles swapped relative to the zig.  Requires x matched.
     """
-    verdict = _zig_zag_symmetric(_Core(inst.reach, len(inst.arrival)), *_vertex(inst, x))
+    verdict = _zig_zag_symmetric(_frames(inst.reach, len(inst.arrival)), *_vertex(inst, x))
     if verdict is None:
         raise ValueError(f"removed vertex {x!r} must be matched")
     return verdict
 
 
-def _stability_guard(core: _Core, offline_removed: bool, probe_offline: bool, p: int):
+def _stability_guard(core: tuple, offline_removed: bool, probe_offline: bool, p: int):
     """Frame, walk kind from p, and cutoff: the removed party arrives, and its
     q breaks the guard iff ``0 <= cutoff <= frame.mate_a[q]``."""
-    frame, zig_step = core.frames[not offline_removed], probe_offline != offline_removed
+    frame, zig_step = core[not offline_removed], probe_offline != offline_removed
     return frame, zig_step, p if zig_step else frame.mate_a[p]
 
 
-def _stable(core: _Core, offline_removed: bool, removed: list, probe_offline: bool, p: int):
+def _stable(core: tuple, offline_removed: bool, removed: list, probe_offline: bool, p: int):
     """``check_removal_stability`` on positions, for the probe p of the party
     ``probe_offline``; ``removed`` holds (name, position) pairs by name."""
     frame, zig_step, cutoff = _stability_guard(core, offline_removed, probe_offline, p)
@@ -243,7 +241,7 @@ def check_removal_stability(
     if offline_removed and not xs <= inst.ranking.members:
         raise ValueError("removed vertices must all lie in one party")
     pairs, probe = [(x, _vertex(inst, x)[1]) for x in sorted(xs)], _vertex(inst, probe)
-    return _stable(_Core(inst.reach, len(inst.arrival)), offline_removed, pairs, *probe)
+    return _stable(_frames(inst.reach, len(inst.arrival)), offline_removed, pairs, *probe)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ A suite is a case source, a lazy generator of cases (the instance first),
 and a check that returns the failure descriptions of one case; ``_run`` is
 the one loop that counts the cases and attaches each failing instance's
 text, serialized once per failing case and not at all for a passing one.
-The structural suites check on positions, one ``structure._Core`` per
+The structural suites check on positions, one ``structure._frames`` pair per
 instance, and name a vertex only in a failure's text.  Rank-move's M* has
 the package's one form, an arrival position per ranked id: ``graph``'s
 ``_star`` of a drawn case's planted pairs, or a given file's ``_designated``.
@@ -39,7 +39,7 @@ from .structure import (
     DichotomyViolation,
     GuardViolation,
     _cascade,
-    _Core,
+    _frames,
     _rank_move,
     _stability_guard,
     _stable,
@@ -110,7 +110,7 @@ def _rand_instance(g: SplitMix64, max_side: int) -> BipartiteInstance:
     return gen_random(n_off, n_on, p, g.next_u64())
 
 
-_prepared = lambda one: (one, _Core(one.reach, len(one.arrival)))  # noqa: E731
+_prepared = lambda one: (one, _frames(one.reach, len(one.arrival)))  # noqa: E731
 
 
 def _by_name(one: BipartiteInstance) -> list:
@@ -245,7 +245,7 @@ def suite_lemma5(
                   and not 0 <= cutoff <= frame.mate_a[q] and g.below(2) == 0]
             yield one, core, removed, xs, probe
 
-    def check(one, core: _Core, offline_removed: bool, xs: list, probe: tuple) -> List[str]:
+    def check(one, core: tuple, offline_removed: bool, xs: list, probe: tuple) -> List[str]:
         try:
             if _stable(core, offline_removed, xs, *probe[1:]):
                 return []
@@ -261,12 +261,12 @@ def suite_lemma6(
 ) -> SuiteResult:
     """Reduced-graph zig equals original-graph zag at every matched vertex."""
 
-    def check(one: BipartiteInstance, core: _Core, x: str, offline: bool, q: int) -> List[str]:
+    def check(one: BipartiteInstance, core: tuple, x: str, offline: bool, q: int) -> List[str]:
         return [] if _zig_zag_symmetric(core, offline, q) else [
             f"zig and zag disagree after deleting {x!r}"]
 
-    def matched(one: BipartiteInstance, core: _Core) -> list:  # by name
-        return [v for v in _by_name(one) if core.frames[not v[1]].mate_a[v[2]] >= 0]
+    def matched(one: BipartiteInstance, core: tuple) -> list:  # by name
+        return [v for v in _by_name(one) if core[not v[1]].mate_a[v[2]] >= 0]
 
     return _run("lemma6", _vertex_cases(count, inst, seed, max_side, matched), check)
 
@@ -285,7 +285,7 @@ def _covered(mate_a: List[int], n: int) -> set:
 
 
 def _removal_failures(
-    one: BipartiteInstance, core: _Core, x: str, offline: bool, p: int, paths: bool = True
+    one: BipartiteInstance, core: tuple, x: str, offline: bool, p: int, paths: bool = True
 ) -> List[str]:
     """Deleting x, position p of the party ``offline``: the size drops by 0 or
     1, and (``paths``) along a cascade."""
@@ -340,7 +340,7 @@ def suite_lemma9(
             p = g.below(len(side))
             yield one, core, side[p], side is one.ranking, p
 
-    def check(one, core: _Core, x: str, offline: bool, p: int) -> List[str]:
+    def check(one, core: tuple, x: str, offline: bool, p: int) -> List[str]:
         if inst is None:  # every draw is a fresh instance
             return _removal_failures(one, core, x, offline, p, paths=False)
         if (offline, p) not in verdicts:

@@ -650,6 +650,12 @@ class TestGen:
         assert is_matching(planted) and planted <= inst.graph
         assert vertices(planted) == inst.offline | inst.online
 
+    def test_perfect_pairs_print_arrival_first_in_string_order(self, capsys):
+        # the header lists (arrival, ranked) pairs sorted as strings: u10 before u2
+        assert main(["gen", "perfect", "--n", "12", "--seed", "8"]) == 0
+        lines = [x for x in capsys.readouterr().out.splitlines() if x.startswith("# pair ")]
+        assert lines == [f"# pair u{k} v{k}" for k in sorted(range(1, 13), key=str)]
+
     def test_gamma_writes_family(self, tmp_path, capsys):
         out_dir = tmp_path / "fam"
         assert main(["gen", "gamma", "--n", "1", "--out-dir", str(out_dir)]) == 0

@@ -808,7 +808,7 @@ def _plant(monkeypatch, seams):
 def removal_mismatches(one, oracle_kwargs):
     """The vertices of both parties, each with and without ``paths``, where
     ``_removal_failures`` and its oracle give other failures."""
-    core = structure._Core(one.reach, len(one.arrival))
+    core = structure._frames(one.reach, len(one.arrival))
     bad = []
     for offline, party in ((True, one.ranking), (False, one.arrival)):
         for p, x in enumerate(party):
@@ -918,7 +918,7 @@ class TestPositionsEqualNameLevel:
 def lemma9_reference(inst, count, seed, removal):
     """``check FILE --suite lemma9``'s stdout and its probes, from a loop that
     replays the suite's draws and calls ``removal`` once per probe."""
-    g, core, text = stream(seed, 0), structure._Core(inst.reach, len(inst.arrival)), ""
+    g, core, text = stream(seed, 0), structure._frames(inst.reach, len(inst.arrival)), ""
     probes, lines = [], []
     for k in range(count if inst.offline | inst.online else 0):
         side = (inst.arrival, inst.ranking)[k % 2] or (inst.ranking, inst.arrival)[k % 2]
