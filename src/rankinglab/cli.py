@@ -35,7 +35,7 @@ from functools import cache
 from pathlib import Path
 
 from .engine import BipartiteInstance, Permutation, _greedy
-from .fileformat import InstanceFormatError, fingerprint, parse_instance, serialize_instance
+from .fileformat import fingerprint, parse_instance, serialize_instance
 from .generators import _gamma_masks, gamma_min_ratio, gen_perfect, gen_random
 from .graph import _max_matching_size
 from .probability import (
@@ -308,7 +308,6 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     except (
-        InstanceFormatError,
         CapExceeded,
         ValueError,
         KeyError,

@@ -10,10 +10,11 @@ when it has no vertex.  lemma9 keeps one verdict per vertex of a given
 instance, so a probe that repeats a vertex counts and reports as a case of
 its own but is not checked again.
 
-A suite is a case source, a lazy generator of cases (the instance first),
-and a check that returns the failure descriptions of one case; ``_run`` is
-the one loop that counts the cases and attaches each failing instance's
-text, serialized once per failing case and not at all for a passing one.
+A suite is a case source, ``_cases``: a given instance's list of cases or a
+lazy generator of drawn ones (each case the instance first), and a check
+that returns the failure descriptions of one case; ``_run`` is the one loop
+that counts the cases and attaches each failing instance's text, serialized
+once per failing case and not at all for a passing one.
 The structural suites check on positions, one ``structure._frames`` pair per
 instance, and name a vertex only in a failure's text.  Rank-move's M* has
 the package's one form, an arrival position per ranked id: ``graph``'s
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Iterator, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional
 
 from .engine import BipartiteInstance, _greedy, _inverse, _matchings, _ranking_holds, _transpose
 from .fileformat import fingerprint, serialize_instance
@@ -86,21 +87,16 @@ def _cases(
     count: int,
     inst: Optional[BipartiteInstance],
     draw: Callable[[], tuple],
-    given: Callable[[BipartiteInstance], tuple] = lambda one: (one,),
-) -> Iterator[tuple]:
-    """``given(inst)`` once when an instance is given, else ``count`` drawn cases."""
-    if inst is not None:
-        yield given(inst)
-    else:
-        for _ in range(count):
-            yield draw()
+    given: Callable[[BipartiteInstance], List[tuple]] = lambda one: [(one,)],
+) -> Iterable[tuple]:
+    """``given(inst)``, the given instance's cases, else ``count`` lazy calls of ``draw``."""
+    return given(inst) if inst is not None else (draw() for _ in range(count))
 
 
-def _with_perfect(one: BipartiteInstance) -> tuple:
-    star = _designated(one)
-    if star is None:
+def _with_perfect(one: BipartiteInstance) -> List[tuple]:
+    if (star := _designated(one)) is None:
         raise ValueError(_NO_PERFECT)
-    return one, star
+    return [(one, star)]
 
 
 def _rand_instance(g: SplitMix64, max_side: int) -> BipartiteInstance:
@@ -121,33 +117,33 @@ def _by_name(one: BipartiteInstance) -> list:
 
 def _probes(
     count: int, inst: Optional[BipartiteInstance], g: SplitMix64, max_side: int
-) -> Iterator[tuple]:
-    """``count`` probe instances with their cores: ``inst`` (none if it has no
-    vertex) once, else fresh draws."""
-    given = inst and _prepared(inst)
-    for _ in range(count if inst is None or inst.offline | inst.online else 0):
-        yield given or _prepared(_rand_instance(g, max_side))
+) -> Iterable[tuple]:
+    """``count`` probe instances with their cores: ``inst``'s one shared core
+    (none if it has no vertex), else fresh draws."""
+    given = lambda one: [_prepared(one)] * (count if one.offline | one.online else 0)  # noqa: E731
+    return _cases(count, inst, lambda: _prepared(_rand_instance(g, max_side)), given)
 
 
 def _vertex_cases(
     count: int, inst: Optional[BipartiteInstance], seed: int, max_side: int, side
-) -> Iterator[tuple]:
+) -> Iterable[tuple]:
     """Every vertex ``side`` lists on ``inst``, else ``count`` drawn cases from
     ``seed``: an instance, redrawn while ``side`` lists none, then a vertex.
     ``side`` takes the instance and its core; a vertex is (name, offline, position)."""
-    if inst is not None:
-        made = _prepared(inst)
-        yield from ((*made, *v) for v in side(*made))
-        return
     g = stream(seed, 0)
-    for _ in range(count):
+
+    def draw() -> tuple:
         for _ in range(200):
             made = _prepared(_rand_instance(g, max_side))
             if xs := side(*made):
-                break
-        else:
-            raise RuntimeError("failed to draw an instance with a nonempty matching")
-        yield (*made, *g.choice(xs))
+                return (*made, *g.choice(xs))
+        raise RuntimeError("failed to draw an instance with a nonempty matching")
+
+    def given(one: BipartiteInstance) -> List[tuple]:
+        made = _prepared(one)
+        return [(*made, *v) for v in side(*made)]
+
+    return _cases(count, inst, draw, given)
 
 
 def _rand_planted(g: SplitMix64, max_side: int, cap: int) -> tuple:

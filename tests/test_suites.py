@@ -206,7 +206,7 @@ class TestFileMode:
         assert result.notes["pairs"] == 4  # v3 unmatched, four target indexes
         assert result.notes["moved_rank_holds"] == 4
         assert result.notes["original_rank_holds"] == 4
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="no perfect matching covering both parties"):
             suite_rank_move(1, 0, inst=make_instance("v1 v2", "u1", [("u1", "v1")]))
 
     def test_rank_move_takes_one_baseline_per_case(self, monkeypatch):
