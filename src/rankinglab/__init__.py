@@ -13,7 +13,7 @@ derived from the names it binds.
 
 from types import ModuleType as _Module
 
-from .engine import BipartiteInstance, Permutation, rank_match
+from .engine import BipartiteInstance, Permutation, Vertex, rank_match
 from .fileformat import (
     InstanceFormatError,
     fingerprint,
@@ -21,15 +21,7 @@ from .fileformat import (
     serialize_instance,
 )
 from .generators import gamma_min_ratio, gen_perfect, gen_random
-from .graph import (
-    Edge,
-    Vertex,
-    edge,
-    is_matching,
-    partner,
-    perfect_matching_of,
-    vertices,
-)
+from .graph import perfect_matching_of
 from .probability import (
     CapExceeded,
     ChainLink,

@@ -1,12 +1,4 @@
-"""Graphs and matchings: edge sets on names, and Kuhn's method on an index.
-
-Vertices are opaque string tokens.  An edge is a frozenset of two distinct
-vertices, so undirected equality and set algebra come for free.  A graph (and
-a matching) is simply a set of edges.  Every public function is pure:
-nothing mutates its arguments and every returned collection is immutable.
-
-Vertex names carry a total order (plain string comparison) that is used only
-to make searches deterministic, never to encode meaning.
+"""Matchings on an index: Kuhn's method on ``reach``, and M* in one form.
 
 This is the package's one home for finding and checking a matching, on an
 index with no edge set built.  ``_kuhn`` is its one augmenting-path search
@@ -15,56 +7,23 @@ the greedy's matching (``mc``, the theorem 4 and 6 checks, and
 ``_require_perfect``, the lemma 3 chain's perfectness test); ``_designated``
 runs it in name order to designate the perfect matching M*, and ``_star``
 reads a caller's or a planted M* in the same form, each ranked id's partner
-as an arrival position.  The name-level searches these are held to,
-``bipartite_max_matching`` among them, and the rest of the set algebra the
-tests use are in ``tests/oracles.py``.
+as an arrival position.  Vertex names carry a total order (plain string
+comparison) that is used only to make that designation deterministic,
+never to encode meaning.
+
+A caller passes M* as any set of two-vertex sets of names, the form in
+which ``gen_perfect`` returns its planted pairs and ``perfect_matching_of``
+the designated M*.  The name-level searches these are held to,
+``bipartite_max_matching`` among them, and the set algebra on names the
+tests build and check matchings with (``edge``, ``vertices``,
+``is_matching``, ``partner``) are in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 from typing import AbstractSet, Iterable, List, Optional, Sequence
 
-from .engine import BipartiteInstance, Vertex, _greedy, _inverse
-
-Edge = frozenset
-
-
-def edge(a: Vertex, b: Vertex) -> Edge:
-    """The undirected edge {a, b}; endpoints must be distinct."""
-    if a == b:
-        raise ValueError(f"edge endpoints must be distinct, got {a!r} twice")
-    return frozenset((a, b))
-
-
-def vertices(g: Iterable[Edge]) -> frozenset:
-    """All endpoints of all edges of g."""
-    out: set = set()
-    for e in g:
-        out.update(e)
-    return frozenset(out)
-
-
-def is_matching(m: Iterable[Edge]) -> bool:
-    """True iff m consists of two-vertex edges that are pairwise disjoint."""
-    seen: set = set()
-    for e in m:
-        if len(e) != 2:
-            return False
-        if e & seen:
-            return False
-        seen.update(e)
-    return True
-
-
-def partner(m: Iterable[Edge], v: Vertex) -> Optional[Vertex]:
-    """The vertex matched to v in m, or None.  m must be a matching."""
-    found = None
-    for e in m:
-        if v in e:
-            if found is not None:
-                raise ValueError(f"{v!r} is covered twice; not a matching")
-            (found,) = e - {v}
-    return found
+from .engine import BipartiteInstance, _greedy, _inverse
 
 
 def _kuhn(adj: Sequence[int], mate_to: list, mate_from: list, starts: Iterable[int]) -> None:

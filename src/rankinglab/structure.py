@@ -21,8 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import AbstractSet, List, NamedTuple, Optional, Sequence, Tuple
 
-from .engine import BipartiteInstance, _greedy, _inverse, _move_id, _transpose
-from .graph import Vertex, _star
+from .engine import BipartiteInstance, Vertex, _greedy, _inverse, _move_id, _transpose
+from .graph import _star
 
 
 class DichotomyViolation(RuntimeError):

@@ -276,7 +276,7 @@ def _alternates(path: List[int], mate_a: List[int], n: int) -> bool:
 
 
 def _covered(mate_a: List[int], n: int) -> set:
-    """``graph.vertices`` on a frame's vertex ids: the ones ``mate_a`` matches."""
+    """``vertices`` of ``tests/oracles.py`` on a frame's vertex ids: the ones ``mate_a`` matches."""
     return {i for i in mate_a if i >= 0} | {j + n for j, i in enumerate(mate_a) if i >= 0}
 
 

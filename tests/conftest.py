@@ -6,7 +6,9 @@ from typing import Iterable, Tuple
 import pytest
 from hypothesis import strategies as st
 
-from rankinglab import BipartiteInstance, Permutation, edge, parse_instance
+from rankinglab import BipartiteInstance, Permutation, parse_instance
+
+from .oracles import edge
 
 DATA = Path(__file__).parent / "data"
 

@@ -1,5 +1,11 @@
 """Literal oracles of the package's indexed paths, for the tests only.
 
+Names are opaque string tokens.  An edge is a frozenset of two distinct
+names (``Edge``, built by ``edge``), so undirected equality and set algebra
+come for free, and a graph or a matching is a set of edges; ``vertices``,
+``is_matching`` and ``partner`` read them without changing them.  A
+caller's M* reaches the package in this form.
+
 The paper's definitions, on names: ``online_match`` folds ``step``, one
 arrival taking its best-ranked free neighbour, over the arrival order, and
 ``engine.rank_match`` is held to it; ``is_ranking_matching`` is the
@@ -40,6 +46,7 @@ from typing import AbstractSet, Dict, Iterable, Iterator, List, Optional, Sequen
 from rankinglab.engine import (
     BipartiteInstance,
     Permutation,
+    Vertex,
     _greedy,
     _move_id,
     _ranking_holds,
@@ -47,8 +54,49 @@ from rankinglab.engine import (
 )
 from rankinglab.fileformat import fingerprint
 from rankinglab.generators import _gamma_masks
-from rankinglab.graph import Edge, Vertex, _kuhn, _star, edge, is_matching, vertices
+from rankinglab.graph import _kuhn, _star
 from rankinglab.probability import DEFAULT_CAP, ExactReport, _check_cap, lemma3_chain
+
+
+Edge = frozenset
+
+
+def edge(a: Vertex, b: Vertex) -> Edge:
+    """The undirected edge {a, b}; endpoints must be distinct."""
+    if a == b:
+        raise ValueError(f"edge endpoints must be distinct, got {a!r} twice")
+    return frozenset((a, b))
+
+
+def vertices(g: Iterable[Edge]) -> frozenset:
+    """All endpoints of all edges of g."""
+    out: set = set()
+    for e in g:
+        out.update(e)
+    return frozenset(out)
+
+
+def is_matching(m: Iterable[Edge]) -> bool:
+    """True iff m consists of two-vertex edges that are pairwise disjoint."""
+    seen: set = set()
+    for e in m:
+        if len(e) != 2:
+            return False
+        if e & seen:
+            return False
+        seen.update(e)
+    return True
+
+
+def partner(m: Iterable[Edge], v: Vertex) -> Optional[Vertex]:
+    """The vertex matched to v in m, or None.  m must be a matching."""
+    found = None
+    for e in m:
+        if v in e:
+            if found is not None:
+                raise ValueError(f"{v!r} is covered twice; not a matching")
+            (found,) = e - {v}
+    return found
 
 
 def _mate_map(m: Iterable[Edge]) -> Dict[Vertex, Vertex]:

@@ -24,16 +24,13 @@ from rankinglab import (
     check_theorem6,
     check_zig_zag_symmetry,
     competitive_bound,
-    edge,
     exact_expected_size,
     gamma_min_ratio,
     gen_perfect,
     lemma3_chain,
     mc_expected_size,
-    partner,
     removal_diff_offline,
     removal_diff_online,
-    vertices,
 )
 from rankinglab.cli import main
 from rankinglab.rng import stream
@@ -42,12 +39,15 @@ from .conftest import DATA
 from .oracles import (
     ZigZagContext,
     all_matchings,
+    edge,
     is_alternating_path,
     is_ranking_matching,
     online_match,
+    partner,
     path_edges,
     remove_vertices,
     symmetric_difference,
+    vertices,
     zig,
 )
 

@@ -396,7 +396,7 @@ class TestCheck:
                 "--edge-prob", "0.4", "--seed", "5", "--out", path]
         assert main(argv) == 0
         with pytest.raises(CapExceeded):
-            lemma3_chain(parse_instance(open(path).read()))
+            lemma3_chain(parse_instance(Path(path).read_text()))
         for f in (path, EXAMPLE):  # example6's v6 is isolated
             capsys.readouterr()
             assert main(["check", f, "--suite", "lemma3"]) == 2
@@ -644,7 +644,7 @@ class TestGen:
         ]
         assert len(pairs) == 3
         inst = parse_instance(text)
-        from rankinglab import edge, is_matching, vertices
+        from .oracles import edge, is_matching, vertices
 
         planted = frozenset(edge(u, v) for u, v in pairs)
         assert is_matching(planted) and planted <= inst.graph

@@ -22,14 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rankinglab
-from rankinglab import (
-    BipartiteInstance,
-    Permutation,
-    edge,
-    gen_random,
-    is_matching,
-    partner,
-)
+from rankinglab import BipartiteInstance, Permutation, gen_random
 from rankinglab.engine import (
     _greedy,
     _inverse,
@@ -47,12 +40,15 @@ from .oracles import (
     _gamma_ranking,
     all_matchings,
     bipartite_max_matching,
+    edge,
     gen_gamma_family,
     is_bipartite,
+    is_matching,
     is_maximal_matching,
     is_ranking_matching,
     max_card_matching,
     online_match,
+    partner,
     remove_vertices,
     step,
 )

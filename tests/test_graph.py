@@ -17,33 +17,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rankinglab import (
-    BipartiteInstance,
-    Permutation,
-    edge,
-    gen_perfect,
-    is_matching,
-    partner,
-    perfect_matching_of,
-    vertices,
-)
+from rankinglab import BipartiteInstance, Permutation, gen_perfect, perfect_matching_of
 
 from .conftest import instances
 from .oracles import (
     all_matchings,
     bipartite_max_matching,
+    edge,
     find_augmenting_path,
     gen_gamma_family,
     is_alternating_path,
     is_augmenting_path,
     is_bipartite,
+    is_matching,
     is_maximal_matching,
     make_perfect_matching,
     max_card_matching,
     neighbors,
+    partner,
     path_edges,
     remove_vertices,
     symmetric_difference,
+    vertices,
 )
 
 

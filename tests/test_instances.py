@@ -19,7 +19,6 @@ from rankinglab import (
     check_theorem4,
     check_theorem6,
     cli,
-    edge,
     exact_expected_size,
     fileformat,
     fingerprint,
@@ -28,7 +27,6 @@ from rankinglab import (
     gen_perfect,
     gen_random,
     graph,
-    is_matching,
     lemma3_chain,
     mc_expected_size,
     parse_instance,
@@ -36,13 +34,20 @@ from rankinglab import (
     probability,
     removal_diff_offline,
     serialize_instance,
-    vertices,
 )
 
 from rankinglab.engine import rank_match
 
 from .conftest import DATA, instances, make_instance
-from .oracles import _gamma_ranking, gen_gamma_family, max_card_matching, online_match
+from .oracles import (
+    _gamma_ranking,
+    edge,
+    gen_gamma_family,
+    is_matching,
+    max_card_matching,
+    online_match,
+    vertices,
+)
 
 
 class TestParse:

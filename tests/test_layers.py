@@ -24,6 +24,7 @@ ROWS = [
     "probability.mc_expected_size bytes",
     "probability.mc_expected_size bytes small",
     "probability.mc_expected_size wide",
+    "structure._cascade",
     "structure.removal_diff_offline",
     "structure.check_rank_move large",
     "cli run",

@@ -15,8 +15,9 @@ from . import oracles
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
-#: the paper's definitions on names, and the name-level matching search and M*
-#: check that ``graph._designated`` and ``graph._star`` are held to, which
+#: the paper's definitions on names, the name-level matching search and M*
+#: check that ``graph._designated`` and ``graph._star`` are held to, and the
+#: set algebra on names the tests build and check matchings with, which
 #: ``tests/oracles.py`` alone defines
 LITERAL = (
     "step",
@@ -33,6 +34,10 @@ LITERAL = (
     "_two_colour",
     "_mate_map",
     "_validated_perfect",
+    "edge",
+    "vertices",
+    "is_matching",
+    "partner",
 )
 
 #: the hard family on names, which ``cli gen gamma`` is held to file for file
@@ -97,6 +102,8 @@ def test_literal_definitions_live_in_the_oracles_alone():
     """No submodule, nor the package, binds a name-level copy of a literal oracle."""
     for m in [rankinglab, *_submodules()]:
         assert [n for n in LITERAL if n in vars(m)] == [], m.__name__
+        # ``Edge`` is ``frozenset``, whose module is ``builtins``
+        assert "Edge" not in vars(m), m.__name__
     assert {getattr(oracles, n).__module__ for n in LITERAL} == {oracles.__name__}
 
 

@@ -30,7 +30,6 @@ from rankinglab import (
     check_theorem6,
     competitive_bound,
     competitive_bound_exact,
-    edge,
     exact_expected_size,
     exact_size_distribution,
     fingerprint,
@@ -38,10 +37,8 @@ from rankinglab import (
     gen_random,
     lemma3_chain,
     mc_expected_size,
-    partner,
     perfect_matching_of,
     stream,
-    vertices,
 )
 from rankinglab import graph, probability
 from rankinglab.cli import main
@@ -54,13 +51,16 @@ from .oracles import (
     _ensemble,
     all_matchings,
     check_lemma3,
+    edge,
     expected_matched_before_count,
     gen_gamma_family,
     matched_before_prob,
     online_match,
+    partner,
     rank_matched_prob,
     rank_matched_prob_moved,
     validated_star,
+    vertices,
 )
 
 SEEDS = (0, 1, -1, -(2**70) + 3, 2**63, 2**64 + 5)

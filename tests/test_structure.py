@@ -27,13 +27,10 @@ from rankinglab import (
     check_rank_move,
     check_removal_stability,
     check_zig_zag_symmetry,
-    edge,
     gen_perfect,
-    partner,
     removal_diff_offline,
     removal_diff_online,
     serialize_instance,
-    vertices,
 )
 
 from rankinglab import structure
@@ -44,13 +41,16 @@ from .conftest import instances, make_instance
 from .oracles import (
     ZigZagContext,
     all_matchings,
+    edge,
     is_alternating_path,
     online_match,
+    partner,
     path_edges,
     remove_vertices,
     shift_targets,
     shifts_to,
     symmetric_difference,
+    vertices,
     zag,
     zig,
 )

@@ -18,7 +18,6 @@ from rankinglab import (
     SuiteResult,
     check_rank_move,
     check_theorem4,
-    edge,
     gen_perfect,
     gen_random,
     lemma3_chain,
@@ -36,7 +35,6 @@ from rankinglab import (
     suite_ranking_matching,
     suite_theorem4,
     suite_theorem6,
-    vertices,
 )
 
 from rankinglab import graph, probability, structure, suites
@@ -44,7 +42,7 @@ from rankinglab.cli import main
 from rankinglab.engine import rank_match
 
 from .conftest import DATA, instances, make_instance
-from .oracles import all_matchings, check_lemma3, is_alternating_path, online_match
+from .oracles import all_matchings, check_lemma3, edge, is_alternating_path, online_match, vertices
 from .test_structure import (
     cascade_oracle,
     every_graph,

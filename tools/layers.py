@@ -17,7 +17,8 @@ every column; ``calls`` lists each row's count.  After its timings, each
 ``probability.mc_expected_size`` row also gives ``peak_kb`` per column, the
 ``tracemalloc`` peak of one call in KiB, with the column's caches as the
 timed calls left them.  The rows import the maximum matching from
-``graph``, so a checkout from before ``graph`` held it cannot be timed.
+``graph`` and the cascade on positions (``_frames``, ``_cascade``) from
+``structure``, so a checkout from before both were there cannot be timed.
 ``--quick`` shrinks every input to its smallest size, for a smoke test.
 
 Without ``--quick``, each column's Tier-1 suite then runs once, one column
@@ -96,6 +97,7 @@ def rows(rl, tmp: Path, quick: bool) -> List[Tuple[str, Callable[[], object]]]:
     from rankinglab.engine import _greedy
     from rankinglab.graph import _max_matching_size
     from rankinglab.probability import _size_counts
+    from rankinglab.structure import _cascade, _frames
 
     def size(key):
         return SIZES[key][quick]
@@ -164,6 +166,9 @@ def rows(rl, tmp: Path, quick: bool) -> List[Tuple[str, Callable[[], object]]]:
         ("probability.mc_expected_size bytes small",
          lambda: rl.mc_expected_size(mc_small, k_s, 1)),
         ("probability.mc_expected_size wide", lambda: rl.mc_expected_size(mc_wide, k_w, 1)),
+        # the suites' path on positions, then the same deletion named
+        ("structure._cascade",
+         lambda: _cascade(_frames(stair.reach, len(stair.arrival)), True, 0, stair)),
         ("structure.removal_diff_offline", lambda: rl.removal_diff_offline(stair, "v1")),
         ("structure.check_rank_move large", rank_move(moved, planted)),
         ("cli run", cli("run", big_file)),
