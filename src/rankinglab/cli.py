@@ -40,7 +40,6 @@ from .generators import _gamma_masks, gamma_min_ratio, gen_perfect, gen_random
 from .graph import _max_matching_size
 from .probability import (
     DEFAULT_CAP,
-    CapExceeded,
     LIMIT_RATIO,
     _distribution,
     _theorem6,
@@ -71,6 +70,15 @@ def _load(path: str):
     return parse_instance(text)
 
 
+def _report(rows, sizes=None, file=None) -> None:
+    """The CSV header, a line per row, then a ``dist <size> <p>`` line per size in ``sizes``."""
+    print(CSV_HEADER, file=file)
+    for row in rows:
+        print(row_line(row), file=file)
+    for size, p in _distribution(sizes or {}).items():
+        print(f"dist {size} {p}", file=file)
+
+
 def cmd_run(args) -> int:
     inst = _load(args.file)
     ranked = inst.ranking.order
@@ -85,11 +93,8 @@ def cmd_exact(args) -> int:
     t0 = time.perf_counter()
     verdict, counts = _theorem6(inst, args.cap)
     ms = (time.perf_counter() - t0) * 1000.0
-    print(CSV_HEADER)
-    print(row_line(exact_row(fingerprint(inst), verdict, ms)))
-    if args.dist:  # by increasing size, from the counts the verdict's mean was read off
-        for size, p in _distribution(counts).items():
-            print(f"dist {size} {p}")
+    # under --dist, the counts the verdict's mean was read off
+    _report([exact_row(fingerprint(inst), verdict, ms)], counts if args.dist else None)
     return 0 if verdict.holds else 1
 
 
@@ -105,25 +110,18 @@ def cmd_mc(args) -> int:
     tolerance = 4 * est.stddev / math.sqrt(est.samples)  # criterion 10's 4 standard errors
     if verdict == "fail" and (not tolerance or n * bound - est.mean <= tolerance):
         verdict = "inconclusive"  # within the tolerance, or no spread to estimate it from
-    print(CSV_HEADER)
-    print(
-        row_line(
-            {
-                "instance_id": fingerprint(inst),
-                "n": n,
-                "mode": "mc",
-                "expected_size": est.mean,
-                "ratio": ratio,
-                "bound": bound,
-                "verdict": verdict,
-                "seed": est.seed,
-                "runtime_ms": ms,
-            }
-        )
-    )
-    if args.dist:  # the histogram the row's mean was read off
-        for size, p in _distribution(est.sizes).items():
-            print(f"dist {size} {p}")
+    row = {
+        "instance_id": fingerprint(inst),
+        "n": n,
+        "mode": "mc",
+        "expected_size": est.mean,
+        "ratio": ratio,
+        "bound": bound,
+        "verdict": verdict,
+        "seed": est.seed,
+        "runtime_ms": ms,
+    }
+    _report([row], est.sizes if args.dist else None)  # the histogram the row's mean was read off
     print(f"# stddev {fmt_cell(est.stddev)} over {est.samples} samples", file=sys.stderr)
     return 0
 
@@ -144,9 +142,7 @@ def cmd_check(args) -> int:
     result = SUITES[args.suite](args.count, args.seed, inst=inst, max_side=args.max_side)
     if args.out is not None:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(CSV_HEADER + "\n")
-            for row in result.notes["rows"]:
-                fh.write(row_line(row) + "\n")
+            _report(result.notes["rows"], file=fh)
     print(f"suite {result.name}: {result.cases} cases, {len(result.failures)} failures")
     for key, value in sorted(result.notes.items()):
         if key != "rows":
@@ -307,13 +303,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as e:
         return int(e.code or 0)
-    except (
-        CapExceeded,
-        ValueError,
-        KeyError,
-        IndexError,
-        OSError,
-    ) as e:
+    except (ValueError, KeyError, IndexError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -68,8 +68,8 @@ _POP = bytes(x.bit_count() for x in range(256))
 LIMIT_RATIO = 1.0 - math.exp(-1.0)
 
 
-class CapExceeded(Exception):
-    """Instance too large for exact enumeration under the given cap."""
+class CapExceeded(ValueError):
+    """Instance too large for exact enumeration under the given cap: an argument out of range."""
 
 
 @dataclass(frozen=True)

@@ -172,6 +172,13 @@ class TestExact:
         assert main(["exact", EXAMPLE, "--cap", "3"]) == 2
         assert "exceeds the enumeration cap" in capsys.readouterr().err
 
+    def test_cap_exceeded_is_a_value_error(self, capsys):
+        # an instance above the cap is an argument out of range: main lists ValueError alone
+        assert issubclass(CapExceeded, ValueError)
+        assert main(["exact", EXAMPLE, "--cap", "3"]) == 2
+        assert capsys.readouterr() == ("", "error: 6 ranked vertices exceeds the enumeration "
+                                       "cap 3; use mc_expected_size for instances this large\n")
+
     def test_fingerprints_the_instance_once(self, monkeypatch, capsys):
         real = fileformat.fingerprint
         calls = []
@@ -438,6 +445,17 @@ class TestCheck:
         for line in lines[1:]:
             cells = line.split(",")
             assert cells[2] == "exact" and cells[6] == "pass"
+
+    def test_out_bytes(self, tmp_path, capsys):
+        # the header alone for no rows, and every line ending in a newline, the last one too
+        out = tmp_path / "rows.csv"
+        argv = ["check", "--suite", "theorem4", "--seed", "1", "--out", str(out)]
+        assert main([*argv, "--count", "0"]) == 0
+        assert out.read_bytes() == (CSV_HEADER + "\n").encode()
+        assert main([*argv, "--count", "2"]) == 0
+        lines = out.read_bytes().decode().split("\n")
+        assert lines[0] == CSV_HEADER and len(lines) == 4 and lines[3] == ""
+        assert all(line.count(",") == CSV_HEADER.count(",") for line in lines[1:3])
 
     def test_ratio_suite_row_equals_exact_row(self, tmp_path, capsys):
         out_csv = tmp_path / "rows.csv"

@@ -7,18 +7,20 @@ Run from the repository root, with no bytecode cache under the timed sources:
 Each row times one entry point, or one CLI command run in-process, on
 inputs made from fixed seeds and sizes.  Each column (``--src LABEL=PATH``,
 default ``change`` on this checkout's ``src``) imports ``rankinglab`` from
-the ``src`` directory PATH in a process of its own; the runs of a row
-alternate between the columns.  A row is timed ``--repeats`` times a column
-(default 7), and its thread CPU time per call is reported as the min and the
-median, in milliseconds, with the machine and the Python version.  A row
-whose call takes under 1 ms is timed as a loop of calls, as many as make
-each timing last about 5 ms or more in every column, the same count in
-every column; ``calls`` lists each row's count.  After its timings, each
-``probability.mc_expected_size`` row also gives ``peak_kb`` per column, the
-``tracemalloc`` peak of one call in KiB, with the column's caches as the
-timed calls left them.  The rows import the maximum matching from
-``graph`` and the cascade on positions (``_frames``, ``_cascade``) from
-``structure``, so a checkout from before both were there cannot be timed.
+the ``src`` directory PATH in a process of its own.  Each of ``--repeats``
+rounds (default 7) times every row once per column, the columns alternating
+within a row, so that a row's timings spread over the whole run.  A row's
+thread CPU time per call is reported as the min and the median, in
+milliseconds, with the machine and the Python version.  A row whose call
+takes under 1 ms is timed as a loop of calls, as many as make each timing
+last about 5 ms or more in every column, the same count in every column,
+settled for every row before the first round; ``calls`` lists each row's
+count.  Right after its last timing, each ``probability.mc_expected_size``
+row also gives ``peak_kb`` per column, the ``tracemalloc`` peak of one call
+in KiB, with the column's caches as that row's timed calls left them.  The
+rows import the maximum matching from ``graph`` and the cascade on positions
+(``_frames``, ``_cascade``) from ``structure``, so a checkout from before
+both were there cannot be timed.
 ``--quick`` shrinks every input to its smallest size, for a smoke test.
 
 Without ``--quick``, each column's Tier-1 suite then runs once, one column
@@ -246,8 +248,12 @@ def measure(cols: Dict[str, Path], repeats: int, quick: bool) -> Tuple[dict, dic
     with ``peak_kb`` on the ``PEAK`` rows, and each row's calls per timing
     (``_calls``).
 
-    One process per column; the timings of a row alternate between them, the
-    order flipping every repeat, so that a drift in host speed hits all alike.
+    One process per column.  Every row's ``calls`` is settled first; then each
+    repeat times every row once per column, the row's columns alternating and
+    the one that goes first flipping with the parity of repeat + row.  So each
+    row's timings spread over the whole run, and a host slowdown of a second
+    or two touches a few of a row's timings, not all of one column's.  A
+    ``PEAK`` row's peak is read right after its last timing.
     """
     for src in cols.values():
         caches = sorted(str(p) for p in src.rglob("__pycache__"))
@@ -263,20 +269,27 @@ def measure(cols: Dict[str, Path], repeats: int, quick: bool) -> Tuple[dict, dic
         table = next(iter(names.values()))
         if table is None or any(n != table for n in names.values()):
             sys.exit(f"error: the columns do not list the same rows: {names}")
-        out, counts = {}, {}
-        for k, name in enumerate(table):
-            counts[name] = calls = _calls(procs.values(), k)
-            times: Dict[str, List[float]] = {label: [] for label in procs}
-            for r in range(repeats):
-                for label in list(procs)[:: 1 - 2 * (r % 2)]:
-                    times[label].append(_time(procs[label], k, calls))
-            out[name] = {
+        counts = {name: _calls(procs.values(), k) for k, name in enumerate(table)}
+        times: Dict[str, Dict[str, List[float]]] = {
+            name: {label: [] for label in procs} for name in table
+        }
+        peaks: Dict[str, Dict[str, float]] = {}
+        for r in range(repeats):
+            for k, name in enumerate(table):
+                for label in list(procs)[:: 1 - 2 * ((r + k) % 2)]:
+                    times[name][label].append(_time(procs[label], k, counts[name]))
+                if r == repeats - 1 and name.startswith(PEAK):  # right after its last timing
+                    peaks[name] = {label: _time(proc, k, "peak") for label, proc in procs.items()}
+        out = {
+            name: {
                 label: {"min_ms": round(min(ts), 4), "median_ms": round(statistics.median(ts), 4)}
-                for label, ts in times.items()
+                for label, ts in row.items()
             }
-            if name.startswith(PEAK):
-                for label, proc in procs.items():
-                    out[name][label]["peak_kb"] = round(_time(proc, k, "peak"), 1)
+            for name, row in times.items()
+        }
+        for name, row in peaks.items():
+            for label, kb in row.items():
+                out[name][label]["peak_kb"] = round(kb, 1)
         return out, counts
     finally:
         for p in procs.values():
