@@ -82,7 +82,7 @@ def _report(rows, sizes=None, file=None) -> None:
 def cmd_run(args) -> int:
     inst = _load(args.file)
     ranked = inst.ranking.order
-    prs = _greedy(inst.reach, range(len(ranked)), len(inst.arrival))
+    prs = _greedy(inst.reach, len(inst.arrival))
     matched = [f"matched {u} {ranked[r]}" for u, r in zip(inst.arrival, prs) if r >= 0]
     print(*matched, f"size {len(matched)}", sep="\n")
     return 0

@@ -7,16 +7,16 @@ its best-ranked still-free neighbor, or left unmatched forever.
 
 Every caller runs ``_greedy``, the party-swapped greedy (offline vertices in
 ranking order take their earliest-arriving free neighbor), on
-``BipartiteInstance.reach``; ``rank_match`` names its matching.  Each
-instance derives ``reach`` once, as it validates its edges or as a generator
-draws it.  The declarative predicate is symmetric in the two orders and has
-exactly one solution, so this is the matching of the paper's fold.
-``_ranking_holds`` decides that predicate on an index, for a partner array.
-The fold (``online_match`` over ``step``) and the predicate's name form
-(``is_ranking_matching``) are literal test oracles in ``tests/oracles.py``,
-which hold ``rank_match`` and ``_ranking_holds`` to them.  The maximum
-matching and M*, on the same index, are in ``graph``, which builds on this
-module; this module imports nothing from it.
+``BipartiteInstance.reach``, its masks in rank order; ``rank_match`` names
+its matching.  Each instance derives ``reach`` once, as it validates its
+edges or as a generator draws it.  The declarative predicate is symmetric in
+the two orders and has exactly one solution, so this is the matching of the
+paper's fold.  ``_ranking_holds`` decides that predicate on an index, for a
+partner array.  The fold (``online_match`` over ``step``) and the predicate's
+name form (``is_ranking_matching``) are literal test oracles in
+``tests/oracles.py``, which hold ``rank_match`` and ``_ranking_holds`` to
+them.  The maximum matching and M*, on the same index, are in ``graph``,
+which builds on this module; this module imports nothing from it.
 """
 
 from __future__ import annotations
@@ -157,17 +157,17 @@ class BipartiteInstance:
         return BipartiteInstance._indexed(self.ranking, self.arrival, tuple(reach))
 
 
-def _greedy(reach: Sequence[int], order: Iterable[int], arrivals: int) -> List[int]:
+def _greedy(reach: Sequence[int], arrivals: int) -> List[int]:
     """The party-swapped greedy on an index: the partner position of each arrival.
 
-    Offline ids take, in ``order``, their earliest-arriving free neighbor.
-    Entry j is the position in ``order`` of the j-th arrival's partner, or
-    -1 when that arrival stays unmatched.
+    A ranking is the order of the masks: offline ids take, in ``reach``'s
+    order, their earliest-arriving free neighbor.  Entry j is the position
+    in ``reach`` of the j-th arrival's partner, or -1 when it stays unmatched.
     """
     free = (1 << arrivals) - 1
     prs = [-1] * arrivals
-    for r, x in enumerate(order):
-        a = reach[x] & free
+    for r, mask in enumerate(reach):
+        a = mask & free
         if a:
             low = a & -a
             free ^= low
@@ -187,7 +187,7 @@ def _move_id(order: Iterable, x, i: int) -> tuple:
 def rank_match(inst: BipartiteInstance) -> frozenset:
     """The rank-greedy matching as name edges: ``_greedy`` on ``inst.reach`` in rank order."""
     ranked = inst.ranking.order
-    prs = _greedy(inst.reach, range(len(ranked)), len(inst.arrival))
+    prs = _greedy(inst.reach, len(inst.arrival))
     return frozenset(frozenset((u, ranked[r])) for u, r in zip(inst.arrival, prs) if r >= 0)
 
 

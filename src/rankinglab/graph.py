@@ -21,29 +21,29 @@ tests build and check matchings with (``edge``, ``vertices``,
 
 from __future__ import annotations
 
-from typing import AbstractSet, Iterable, List, Optional, Sequence
+from typing import AbstractSet, List, Optional, Sequence
 
 from .engine import BipartiteInstance, _greedy, _inverse
 
 
-def _kuhn(adj: Sequence[int], mate_to: list, mate_from: list, starts: Iterable[int]) -> None:
-    """Kuhn's method (1955) on masks: an augmenting-path search from each free start.
+def _kuhn(adj: Sequence[int], mate_to: list, mate_from: list) -> None:
+    """Kuhn's method (1955) on masks: an augmenting-path search from each free position.
 
     ``adj[x]`` masks x's neighbours, ``mate_to[j]`` is neighbour j's partner
-    or -1, and ``mate_from[x]`` start x's.  For each start, in order, whose
+    or -1, and ``mate_from[x]`` x's.  From each position x in order whose
     ``mate_from`` entry is still -1, an alternating depth-first search tries
     the lowest bit first and skips what the failed searches since the last
     augmentation reached, none of which leads to a free neighbour until the
     matching changes.  It flips the first augmenting path in both arrays
-    and clears that skip set; a start with no path never gains one later.
+    and clears that skip set; a position with no path never gains one later.
     """
     seen = 0
-    for s in starts:
+    for s, mask in enumerate(adj):
         if mate_from[s] >= 0:
             continue
         # the path alternates s, via[0], mate_to[via[0]], via[1], ...; cands[i]
         # holds the neighbours its i-th position may still try
-        via, cands = [], [adj[s]]
+        via, cands = [], [mask]
         while cands:
             a = cands[-1] & ~seen
             if not a:
@@ -71,8 +71,8 @@ def _max_matching(reach: Sequence[int], arrivals: int) -> List[int]:
     leaves free, in id order.
     """
     n = len(reach)
-    prs = _greedy(reach, range(n), arrivals)
-    _kuhn(reach, prs, _inverse(prs, n), range(n))
+    prs = _greedy(reach, arrivals)
+    _kuhn(reach, prs, _inverse(prs, n))
     return prs
 
 
@@ -103,7 +103,7 @@ def _designated(inst: BipartiteInstance) -> Optional[List[int]]:
             masks[y] |= 1 << x
             mask ^= low
     mate = [-1] * len(at)
-    _kuhn(masks, mate, mate, range(len(at)))
+    _kuhn(masks, mate, mate)
     back = {y: j for j, y in enumerate(ids)}
     return None if -1 in mate else [back[mate[at[v]]] for v in ranked]
 

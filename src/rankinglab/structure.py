@@ -7,7 +7,7 @@ Every cascade is one walk, ``_walk``, on positions: the partner arrays that
 position.  ``_frames`` computes an index's greedy, both mate arrays and the
 transposed masks once, in both orientations of the parties; a deletion
 zeroes one mask and reruns ``_greedy`` (``_cascade``); a rank move moves one
-offline id in the order and reruns it on ``reach`` (``_rank_move``).  The
+offline id's mask and reruns it on the moved masks (``_rank_move``).  The
 suites run these on positions and name a vertex only in a failure's text;
 the ``removal_diff_*`` and ``check_*`` functions translate names, and M*
 (``graph._star``), to positions once and name what they return.  The
@@ -87,7 +87,7 @@ class _Frame(NamedTuple):
         """Arrival-side q deleted: the masks with its own zeroed, ``_greedy`` on them."""
         adj = list(self.adj)
         adj[q] = 0
-        return adj, _greedy(adj, range(len(adj)), len(self.mate_r))
+        return adj, _greedy(adj, len(self.mate_r))
 
 
 def _frames(reach: Sequence[int], arrivals: int) -> Tuple[_Frame, _Frame]:
@@ -97,7 +97,7 @@ def _frames(reach: Sequence[int], arrivals: int) -> Tuple[_Frame, _Frame]:
     indexes the pair.  ``_greedy``'s partner array and its inverse are the
     mates of both.  A frame's vertex ids are its n ranked positions, then
     n + j for arrival-side position j."""
-    prs = _greedy(reach, range(len(reach)), arrivals)
+    prs = _greedy(reach, arrivals)
     ids, cols = _inverse(prs, len(reach)), _transpose(reach, arrivals)
     return _Frame(reach, prs, ids), _Frame(cols, ids, prs)
 
@@ -280,7 +280,7 @@ def check_rank_move(
         raise KeyError(f"{v!r} is not a ranking-side vertex")
     bar = inst.ranking.index(v)
     j = _star(inst, m_star)[bar]
-    if bar in _greedy(inst.reach, range(len(inst.reach)), len(inst.arrival)):
+    if bar in _greedy(inst.reach, len(inst.arrival)):
         return RankMoveVerdict(True, None, None, None)
     return _rank_move(inst.reach, len(inst.arrival), bar, j, i)
 
@@ -288,11 +288,11 @@ def check_rank_move(
 def _rank_move(reach, arrivals: int, bar: int, j: int, i: int) -> RankMoveVerdict:
     """``check_rank_move`` on the index, for an unmatched offline id ``bar``.
 
-    Reranks ``reach`` with ``bar`` moved to index i and reads arrival j's
-    ``_greedy`` entry p: its mate's moved rank, and ``order[p]`` the original.
+    Reruns ``_greedy`` on the masks with ``bar``'s moved to index i and reads
+    arrival j's entry p: its mate's moved rank, and ``order[p]`` the original.
     """
     order = _move_id(range(len(reach)), bar, i)
-    p = _greedy(reach, order, arrivals)[j]
+    p = _greedy([reach[x] for x in order], arrivals)[j]
     if p < 0:
         return RankMoveVerdict(False, False, None, None)
     return RankMoveVerdict(False, True, p <= bar, order[p] <= bar, p)

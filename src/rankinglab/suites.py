@@ -173,7 +173,7 @@ def suite_ranking_matching(
 
     def check(one: BipartiteInstance) -> List[str]:
         rows, arrivals = one.reach, len(one.arrival)
-        prs, cols = _greedy(rows, range(len(rows)), arrivals), _transpose(rows, arrivals)
+        prs, cols = _greedy(rows, arrivals), _transpose(rows, arrivals)
         if not _ranking_holds(prs, cols, rows):
             return ["output fails the declarative characterization"]
         broken = [  # each matched pair's ends deleted: bits cleared, the pair unset
@@ -327,7 +327,7 @@ def suite_lemma9(
 ) -> SuiteResult:
     """Deleting one vertex never shrinks the output by more than one edge."""
     g = stream(seed, 0)
-    verdicts: Dict[tuple, List[str]] = {}  # the given instance's, by (offline, position)
+    verdicts: Dict[tuple, List[str]] = {}  # by (offline, position); a draw's only until the next
 
     def cases():
         # sides alternate, arrival side first; an empty side yields to the other
@@ -337,9 +337,7 @@ def suite_lemma9(
             yield one, core, side[p], side is one.ranking, p
 
     def check(one, core: tuple, x: str, offline: bool, p: int) -> List[str]:
-        if inst is None:  # every draw is a fresh instance
-            return _removal_failures(one, core, x, offline, p, paths=False)
-        if (offline, p) not in verdicts:
+        if inst is None or (offline, p) not in verdicts:  # every draw is a fresh instance
             verdicts[offline, p] = _removal_failures(one, core, x, offline, p, paths=False)
         return verdicts[offline, p]
 
@@ -365,7 +363,7 @@ def suite_rank_move(
 
     def check(one: BipartiteInstance, star: List[int]) -> List[str]:
         problems = []
-        covered = set(_greedy(one.reach, range(len(one.reach)), len(one.arrival)))
+        covered = set(_greedy(one.reach, len(one.arrival)))
         for bar, v in enumerate(one.ranking):
             if bar in covered:
                 continue

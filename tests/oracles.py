@@ -429,7 +429,7 @@ def bipartite_max_matching(g: AbstractSet) -> frozenset:
     pos = {v: i for i, v in enumerate(names)}
     masks = [sum(1 << pos[w] for w in adj[v]) for v in names]
     mate = [-1] * len(names)
-    _kuhn(masks, mate, mate, range(len(names)))
+    _kuhn(masks, mate, mate)
     return frozenset(frozenset((names[i], names[j])) for i, j in enumerate(mate) if i < j)
 
 
@@ -503,7 +503,7 @@ def _ensemble(inst: BipartiteInstance):
     arrivals = len(inst.arrival)
     runs: Dict[tuple, tuple] = {}
     for perm in permutations(range(len(reach))):
-        prs = tuple(_greedy(reach, perm, arrivals))
+        prs = tuple(_greedy([reach[x] for x in perm], arrivals))
         runs[perm] = (frozenset(r for r in prs if r >= 0), prs)
     return runs
 

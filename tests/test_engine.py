@@ -369,10 +369,29 @@ class TestRankMatch:
         moved = Permutation(_move_id(inst.ranking, v, i))
         order = _move_id(range(n), inst.ranking.index(v), i)
         assert [inst.ranking[r] for r in order] == list(moved)
-        prs = _greedy(inst.reach, order, len(inst.arrival))
+        prs = _greedy([inst.reach[x] for x in order], len(inst.arrival))
         assert frozenset(
             edge(u, moved[p]) for u, p in zip(inst.arrival, prs) if p >= 0
         ) == online_match(BipartiteInstance(inst.graph, moved, inst.arrival))
+
+    def test_reranked_masks_equal_fold_on_every_small_graph(self):
+        # a ranking is the order of the masks: on every 1x1, 2x2, 2x3, 3x2 and
+        # 3x3 graph, under every ranking, the run on the reordered masks, named,
+        # is the fold of the re-ranked instance
+        cases = 0
+        for a, b in ((1, 1), (2, 2), (2, 3), (3, 2), (3, 3)):
+            ranking = Permutation(f"v{k}" for k in range(a))
+            arrival = Permutation(f"u{j}" for j in range(b))
+            for reach in product(range(1 << b), repeat=a):
+                graph = BipartiteInstance._indexed(ranking, arrival, reach).graph
+                for perm in permutations(range(a)):
+                    ranked = Permutation(ranking[x] for x in perm)
+                    prs = _greedy([reach[x] for x in perm], b)
+                    got = frozenset(edge(u, ranked[p]) for u, p in zip(arrival, prs) if p >= 0)
+                    want = online_match(BipartiteInstance(graph, ranked, arrival))
+                    assert got == want, (reach, perm)
+                    cases += 1
+        assert cases == 3618
 
     def test_equals_fold_on_gamma_family(self):
         for g, arrivals in gen_gamma_family(2):
@@ -426,7 +445,7 @@ class TestMaxMatchingSize:
         # arrivals the one from 3 needs, so it must not skip them after a flip
         ranking, arrival = Permutation("v0 v1 v2 v3".split()), Permutation("u0 u1 u2 u3".split())
         inst = BipartiteInstance._indexed(ranking, arrival, (15, 11, 3, 1))
-        assert _greedy(inst.reach, range(4), 4).count(-1) == 2
+        assert _greedy(inst.reach, 4).count(-1) == 2
         self.assert_maximum_mates(inst)
         assert _max_matching_size(inst.reach, 4) == 4
 
@@ -448,7 +467,7 @@ class TestMaxMatchingSize:
         # the greedy leaves 10 to 60 augmentations to make on these
         for p, s in product((0.005, 0.01, 0.05), range(2)):
             inst = gen_random(400, 400, p, s)
-            greedy = 400 - _greedy(inst.reach, range(400), 400).count(-1)
+            greedy = 400 - _greedy(inst.reach, 400).count(-1)
             size = _max_matching_size(inst.reach, 400)
             assert size == kuhn_size(inst) and size - greedy >= 2
 
@@ -461,7 +480,7 @@ class TestMaxMatchingSize:
             " ".join(f"u{i}" for i in range(n, 0, -1)),
             [(f"u{i}", f"v{j}") for i in range(1, n + 1) for j in (i - 1, i) if j >= 1],
         )
-        assert _greedy(inst.reach, range(n), n).count(-1) == 1
+        assert _greedy(inst.reach, n).count(-1) == 1
         assert _max_matching_size(inst.reach, n) == n == kuhn_size(inst)
 
 
@@ -629,7 +648,7 @@ class TestRankingHolds:
             for u in inst.arrival
         ]
         assert _transpose(cols, n) == list(inst.reach)
-        prs = _greedy(inst.reach, range(n), a)
+        prs = _greedy(inst.reach, a)
         assert _inverse(_inverse(prs, n), a) == prs
         assert all(prs[j] == r for r, j in enumerate(_inverse(prs, n)) if j >= 0)
 

@@ -96,8 +96,8 @@ def greedy_sizes(inst, samples: int, seed: int) -> list:
     reach = [inst.reach[inst.ranking.index(v)] for v in sorted(inst.ranking)]
     sizes = []
     for i in range(samples):
-        order = stream(seed, i).shuffled(range(len(reach)))
-        sizes.append(sum(r >= 0 for r in _greedy(reach, order, len(inst.arrival))))
+        ranked = stream(seed, i).shuffled(reach)  # the masks in a drawn ranking's order
+        sizes.append(sum(r >= 0 for r in _greedy(ranked, len(inst.arrival))))
     return sizes
 
 

@@ -124,7 +124,7 @@ def rows(rl, tmp: Path, quick: bool) -> List[Tuple[str, Callable[[], object]]]:
 
     def rank_move(inst, m_star):  # a fresh instance a call; the first unmatched v to rank 0
         index = inst.ranking, inst.arrival, inst.reach
-        prs = _greedy(inst.reach, range(side), side)
+        prs = _greedy(inst.reach, side)
         v = next(v for r, v in enumerate(inst.ranking) if r not in prs)
         return lambda: rl.check_rank_move(rl.BipartiteInstance._indexed(*index), m_star, v, 0)
 
@@ -157,7 +157,7 @@ def rows(rl, tmp: Path, quick: bool) -> List[Tuple[str, Callable[[], object]]]:
     out = [
         ("rng.shuffled", lambda: rl.stream(7, 0).shuffled(range(size("shuffle")))),
         ("fileformat.parse_instance", lambda: rl.parse_instance(big_text)),
-        ("engine._greedy", lambda: _greedy(reach, range(len(reach)), arrivals)),
+        ("engine._greedy", lambda: _greedy(reach, arrivals)),
         ("graph._max_matching_size", lambda: _max_matching_size(reach, arrivals)),
         ("graph.perfect_matching_of small", designate(kuhn[0])),
         ("graph.perfect_matching_of large", designate(kuhn[1])),
