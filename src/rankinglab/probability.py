@@ -12,9 +12,9 @@ last layer gives a size histogram, n! in all, that ``_mean`` and
 ``_distribution`` read; ``_chain`` reads every layer's matched total.
 Beyond the cap, ``mc_expected_size`` gives a seeded, bit-reproducible Monte
 Carlo estimate, read off a histogram of the sampled sizes.  It draws a batch
-of samples at once on the 128-bit lanes of one int, up to 4,096 a batch on
-byte lanes whatever the party size; ``_lane_draws`` is the one place where
-the lanes' remainders become bytes, which both shuffle paths read.
+of samples at once on the 128-bit lanes of one int, shuffled on byte lanes
+(up to 4,096 a batch) or by per-sample swaps, the path picked once a call;
+``_lane_draws`` is the one place where their remainders become bytes.
 
 The per-rank quantities connect into a chain that ``lemma3_chain`` builds
 from that one pass on a perfect instance, designating no perfect matching:
@@ -457,12 +457,12 @@ def _id_columns(seed: int, start: int, k: int, n: int) -> list:
     """``stream(seed, i).shuffled(range(n))`` for i in start..start+k-1, by rank.
 
     Column p holds one byte per sample, byte i the id that sample start + i
-    puts at rank p, so n <= 256.  The draws are ``_lane_draws``' one-byte
-    planes, and step j = bound - 1 of Fisher-Yates runs on every lane at
-    once: with r the plane of remainders, one ``translate`` by ``_EQ[p]``
-    marks the lanes where r == p, and three XORs swap columns p and j there.
-    A lane that ``below`` would reject is then overwritten with its
-    ``stream``'s own shuffle.
+    puts at rank p (n <= 256), which ``_mc_size_counts`` translates to cells.
+    The draws are ``_lane_draws``' one-byte planes, and step j = bound - 1 of
+    Fisher-Yates runs on every lane at once: with r the plane of remainders,
+    one ``translate`` by ``_EQ[p]`` marks the lanes where r == p, and three
+    XORs swap columns p and j there.  A lane that ``below`` would reject is
+    then overwritten with its ``stream``'s own shuffle.
     """
     rejected, from_bytes = 0, int.from_bytes
     cols = [from_bytes(bytes([p]) * k, "little") for p in range(n)]
@@ -482,15 +482,6 @@ def _id_columns(seed: int, start: int, k: int, n: int) -> list:
             col[i] = x
         i = flags.find(1, i + 1)
     return cols
-
-
-def _gather(ids, tables) -> bytearray:
-    """The cells of the ids in ``ids``, one per lane: byte w of lane i is ``tables[w][ids[i]]``."""
-    width = len(tables)
-    out = bytearray(len(ids) * width)
-    for w, table in enumerate(tables):
-        out[w::width] = ids.translate(table)
-    return out
 
 
 def _lane_sizes(taken: int, k: int, width: int) -> Counter:
@@ -518,22 +509,29 @@ def _mc_size_counts(inst: BipartiteInstance, samples: int, seed: int) -> Counter
     n, width = len(ranked), arrivals // 8 + 1
     cells = [inst.reach[inst.ranking.index(v)].to_bytes(width, "little") for v in ranked]
     if n <= _BYTE_CUT:
+        cap = _LANES
         # tables[w] maps an id to byte w of its cell
         tables = [bytes(c[w] for c in cells).ljust(256, b"\0") for w in range(width)]
-    cap = _LANES if n <= _BYTE_CUT else max(1, _WIDE_DRAWS // n)
+        def columns(start: int, k: int) -> Iterator[bytearray]:
+            for ids in _id_columns(seed, start, k, n):
+                col = bytearray(k * width)  # byte w of lane i is tables[w][ids[i]]
+                for w, table in enumerate(tables):
+                    col[w::width] = ids.translate(table)
+                yield col
+    else:
+        cap = max(1, _WIDE_DRAWS // n)
+        def columns(start: int, k: int) -> Iterator[bytes]:
+            return map(b"".join, zip(*_shuffle_draws(seed, start, k, cells)))
+
     batches = -(-samples // cap)
     counts: Counter = Counter()
     for b in range(batches):
         start = samples * b // batches
         k = samples * (b + 1) // batches - start
-        if n <= _BYTE_CUT:
-            cols = (_gather(ids, tables) for ids in _id_columns(seed, start, k, n))
-        else:
-            cols = map(b"".join, zip(*_shuffle_draws(seed, start, k, cells)))
         ones = int.from_bytes((b"\x01" + bytes(width - 1)) * k, "little")
         guard, full = ones << arrivals, ones * ((1 << arrivals) - 1)
         free = full
-        for col in cols:
+        for col in columns(start, k):
             a = int.from_bytes(col, "little") & free
             free ^= a ^ (a & ((a | guard) - ones))
         counts.update(_lane_sizes(full ^ free, k, width))
@@ -548,12 +546,12 @@ def mc_expected_size(inst: BipartiteInstance, samples: int, seed: int) -> McEsti
     is bit-identical for identical (instance, samples, seed) regardless of
     batching, and does not depend on the instance's own ranking.
 
-    ``_mc_size_counts`` runs the fewest batches of at most ``_LANES`` samples
-    for n <= ``_BYTE_CUT`` offline vertices, each shuffled by ``_id_columns``,
-    the ids by rank, one byte per sample; above, of at most ``_WIDE_DRAWS //
-    n``, each by ``_shuffle_draws``.  Their sizes differ by at most one sample.
-    The party-swapped greedy of ``engine._greedy`` then runs on the whole
-    batch at once, on lanes.
+    ``_mc_size_counts`` picks its path once: for n <= ``_BYTE_CUT`` offline
+    ids, the fewest batches of at most ``_LANES`` samples, each shuffled by
+    ``_id_columns`` and read by one ``translate`` per cell byte; above, of at
+    most ``_WIDE_DRAWS // n``, each by ``_shuffle_draws``, its cells joined by
+    rank.  Batch sizes differ by at most one.  The party-swapped greedy of
+    ``engine._greedy`` then runs on the whole batch at once, on lanes.
     Each offline id's ``reach`` mask is a little-endian cell of
     ``width = arrivals // 8 + 1`` bytes, so its bit ``arrivals``
     (``guard``) lies above every arrival bit.  Sample i's cells and free

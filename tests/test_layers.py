@@ -24,6 +24,8 @@ ROWS = [
     "probability.mc_expected_size bytes",
     "probability.mc_expected_size bytes small",
     "probability.mc_expected_size wide",
+    "probability.mc_expected_size cut bytes",
+    "probability.mc_expected_size cut wide",
     "structure._cascade",
     "structure.removal_diff_offline",
     "structure.check_rank_move large",

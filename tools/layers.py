@@ -69,6 +69,7 @@ SIZES = {
     "mc_bytes": ((24, 5000), (8, 100)),
     "mc_small": ((12, 5000), (4, 100)),
     "mc_wide": ((400, 200), (50, 10)),
+    "mc_cut": (5000, 100),  # samples at n = 48 and 49, either side of ``probability._BYTE_CUT``
     "stair": (580, 20),
     "files": (8, 2),
 }
@@ -114,6 +115,8 @@ def rows(rl, tmp: Path, quick: bool) -> List[Tuple[str, Callable[[], object]]]:
     mc_bytes = rl.gen_perfect(n_b, 0.3, 5)[0]
     mc_small = rl.gen_perfect(n_s, 0.3, 5)[0]  # 11 steps a batch: seeding weighs most
     mc_wide = rl.gen_random(n_w, n_w, 0.05, 1)
+    k_c = size("mc_cut")
+    cut_bytes, cut_wide = (rl.gen_perfect(n, 0.3, 5)[0] for n in (48, 49))
     stair = _staircase(rl, size("stair"))
     kuhn = [rl.gen_perfect(n, 0.1, 1)[0] for n in size("kuhn")]  # planted, n a side
     moved, planted = rl.gen_perfect(side, 0.05, 1)
@@ -168,6 +171,8 @@ def rows(rl, tmp: Path, quick: bool) -> List[Tuple[str, Callable[[], object]]]:
         ("probability.mc_expected_size bytes small",
          lambda: rl.mc_expected_size(mc_small, k_s, 1)),
         ("probability.mc_expected_size wide", lambda: rl.mc_expected_size(mc_wide, k_w, 1)),
+        ("probability.mc_expected_size cut bytes", lambda: rl.mc_expected_size(cut_bytes, k_c, 1)),
+        ("probability.mc_expected_size cut wide", lambda: rl.mc_expected_size(cut_wide, k_c, 1)),
         # the suites' path on positions, then the same deletion named
         ("structure._cascade",
          lambda: _cascade(_frames(stair.reach, len(stair.arrival)), True, 0, stair)),
