@@ -5,16 +5,16 @@ graph and the arrival order stay fixed.  At desk scale (party size up to a
 configurable cap, default 8) every quantity is computed exactly, as a
 ``fractions.Fraction``, by one rank-order dynamic program: a uniformly random
 ranking is a uniformly random order in which offline vertices take their
-earliest-arriving free neighbor, so a pass over states (offline vertices
-still to come, free arrivals) counts rankings.  It reads an index, not an
-instance: a ``reach`` mask per offline id and the number of arrivals.  Its
-last layer gives a size histogram, n! in all, that ``_mean`` and
-``_distribution`` read; ``_chain`` reads every layer's matched total.
-Beyond the cap, ``mc_expected_size`` gives a seeded, bit-reproducible Monte
-Carlo estimate, read off a histogram of the sampled sizes.  It draws a batch
-of samples at once on the 128-bit lanes of one int, shuffled on byte lanes
-(up to 4,096 a batch) or by per-sample swaps, the path picked once a call;
-``_lane_draws`` is the one place where their remainders become bytes.
+earliest-arriving free neighbor, so a pass over states (offline vertices still
+to come, free arrivals) counts rankings.  It reads an index, not an instance: a
+``reach`` mask per offline id and the number of arrivals.  Its last layer gives
+a size histogram, n! in all, kept as ``RatioVerdict.sizes``; ``_chain`` reads
+every layer's matched total.  Beyond the cap, ``mc_expected_size`` gives a
+seeded, bit-reproducible Monte Carlo estimate, read off a sampled one kept as
+``McEstimate.sizes``; ``_mean`` and ``_distribution`` read both.  The estimate
+draws a batch of samples at once on the 128-bit lanes of one int, shuffled on
+byte lanes (up to 4,096 a batch) or by per-sample swaps, the path picked once a
+call; ``_lane_draws`` is the one place where their remainders become bytes.
 
 The per-rank quantities connect into a chain that ``lemma3_chain`` builds
 from that one pass on a perfect instance, designating no perfect matching:
@@ -304,7 +304,7 @@ def competitive_bound(n: int) -> float:
 
 @dataclass(frozen=True)
 class RatioVerdict:
-    """Exact comparison of an instance's expected ratio against the bound."""
+    """Exact comparison of an instance's expected ratio, read off ``sizes``, against the bound."""
 
     n: int
     expected: Fraction
@@ -312,35 +312,31 @@ class RatioVerdict:
     bound: Optional[Fraction]
     holds: bool
     vacuous: bool
+    #: how many of the n! rankings give each matching size, the histogram ``expected`` is read off
+    sizes: Counter = field(default_factory=Counter, compare=False, repr=False)
 
 
-def _ratio_verdict(expected: Fraction, n: int) -> RatioVerdict:
-    """An exact expected size against the bound at n (vacuous at 0)."""
+def _ratio_verdict(counts: Counter, n: int) -> RatioVerdict:
+    """A size histogram's mean against the bound at n (vacuous at 0), keeping the histogram."""
+    expected = _mean(counts)
     if n == 0:
-        return RatioVerdict(0, expected, None, None, True, True)
-    ratio = expected / n
-    bound = competitive_bound_exact(n)
-    return RatioVerdict(n, expected, ratio, bound, ratio >= bound, False)
+        return RatioVerdict(0, expected, None, None, True, True, counts)
+    ratio, bound = expected / n, competitive_bound_exact(n)
+    return RatioVerdict(n, expected, ratio, bound, ratio >= bound, False, counts)
 
 
 def check_theorem4(inst: BipartiteInstance, cap: int = DEFAULT_CAP) -> RatioVerdict:
     """Expected size versus the bound, n taken as the (perfect) party size."""
     _check_cap(inst, cap)
     _require_perfect(inst)
-    return _ratio_verdict(_mean(_size_counts(inst.reach, len(inst.arrival))), len(inst.arrival))
+    return _ratio_verdict(_size_counts(inst.reach, len(inst.arrival)), len(inst.arrival))
 
 
 def check_theorem6(inst: BipartiteInstance, cap: int = DEFAULT_CAP) -> RatioVerdict:
     """Expected size versus the bound, n taken as the maximum matching size."""
-    return _theorem6(inst, cap)[0]
-
-
-def _theorem6(inst: BipartiteInstance, cap: int) -> Tuple[RatioVerdict, Counter]:
-    """``check_theorem6`` and the ``_size_counts`` its mean is read off, from one pass."""
     _check_cap(inst, cap)
     n = _max_matching_size(inst.reach, len(inst.arrival))
-    counts = _size_counts(inst.reach, len(inst.arrival))
-    return _ratio_verdict(_mean(counts), n), counts
+    return _ratio_verdict(_size_counts(inst.reach, len(inst.arrival)), n)
 
 
 def _mix_lanes(z: int, m: int) -> int:
@@ -562,18 +558,13 @@ def mc_expected_size(inst: BipartiteInstance, samples: int, seed: int) -> McEsti
     the number of arrivals it took, and ``_lane_sizes`` counts them.
 
     The mean and the reported stddev, the sample standard deviation of the
-    per-run size (zero when only one sample was requested), are read off
-    that histogram, which the estimate keeps as ``sizes``.
+    per-run size (zero when only one sample was requested), are read by
+    ``_mean`` off that histogram, kept as ``sizes``, and off its squares.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
     counts = _mc_size_counts(inst, samples, seed)
-    total = sum(size * c for size, c in counts.items())
-    total_sq = sum(size * size * c for size, c in counts.items())
-    mean = total / samples
-    if samples > 1:
-        var = Fraction(samples * total_sq - total * total, samples * (samples - 1))
-        sd = math.sqrt(var)
-    else:
-        sd = 0.0
-    return McEstimate(mean=mean, stddev=sd, samples=samples, seed=seed, sizes=counts)
+    mean = _mean(counts)
+    square = _mean(Counter({s * s: c for s, c in counts.items()}))
+    sd = math.sqrt((square - mean * mean) * samples / (samples - 1)) if samples > 1 else 0.0
+    return McEstimate(mean=float(mean), stddev=sd, samples=samples, seed=seed, sizes=counts)

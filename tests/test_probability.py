@@ -13,11 +13,12 @@ import struct
 import tracemalloc
 import weakref
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rankinglab import (
@@ -824,6 +825,31 @@ class TestRatioVerdicts:
             check(small, cap=1)
         assert calls == [probability.DEFAULT_CAP, 1]
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.one_of(
+            instances(max_side=6),
+            st.builds(gen_perfect, st.integers(1, 6), st.just(0.3), st.integers(0, 99)).map(
+                lambda planted: planted[0]
+            ),
+        )
+    )
+    def test_verdicts_keep_their_histogram(self, example6, drawn):
+        empty = make_instance("", "", [])
+        assert check_theorem4(empty).vacuous and check_theorem6(empty).vacuous
+        for inst in (example6, empty, drawn):
+            counts = probability._size_counts(inst.reach, len(inst.arrival))
+            assert sum(counts.values()) == math.factorial(len(inst.ranking))
+            checks = [check_theorem6]
+            if perfect_matching_of(inst) is not None:
+                checks.append(check_theorem4)
+            for check in checks:
+                v = check(inst)
+                assert v.sizes == counts and v.expected == probability._mean(v.sizes)
+                # the histogram is no part of the verdict's value: ==, hash and repr ignore it
+                other = replace(v, sizes=Counter({len(inst.arrival) + 1: 1}))
+                assert other == v and hash(other) == hash(v) and repr(other) == repr(v)
+
 
 class TestEnsemble:
     @settings(max_examples=30, deadline=None)
@@ -1249,3 +1275,24 @@ class TestMcSizeCounts:
         )
         est = mc_expected_size(make_instance("v1", "u1", []), 4, 9)
         assert est == estimate([2, 2, 2, 5], 9)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.dictionaries(st.integers(0, 10**6), st.integers(1, 10**7), min_size=1, max_size=6))
+    @example({7: 1})
+    @example({0: 1, 10**6: 1})
+    def test_spread_of_histograms_no_instance_reaches(self, counts):
+        # ``estimate``'s integer formula, its sums weighted by the counts; a histogram of
+        # up to 6 * 10^7 samples is too long to list, so the small ones are also listed
+        samples = sum(counts.values())
+        total = sum(size * c for size, c in counts.items())
+        total_sq = sum(size * size * c for size, c in counts.items())
+        sd = 0.0
+        if samples > 1:
+            sd = math.sqrt(Fraction(samples * total_sq - total * total, samples * (samples - 1)))
+        ref = McEstimate(mean=total / samples, stddev=sd, samples=samples, seed=9)
+        if samples <= 1000:
+            assert ref == estimate(list(Counter(counts).elements()), 9)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(probability, "_mc_size_counts", lambda inst, samples, seed: Counter(counts))
+            est = mc_expected_size(make_instance("v1", "u1", []), samples, 9)
+        assert (est.mean, est.stddev) == (ref.mean, ref.stddev) and est.sizes == counts
