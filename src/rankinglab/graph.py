@@ -3,9 +3,9 @@
 This is the package's one home for finding and checking a matching, on an
 index with no edge set built.  ``_kuhn`` is its one augmenting-path search
 (Kuhn's method), on bitmasks.  ``_max_matching`` runs it on ``reach`` from
-the greedy's matching (``mc``, the theorem 4 and 6 checks, and
-``_require_perfect``, the lemma 3 chain's perfectness test); ``_designated``
-runs it in name order to designate the perfect matching M*, and ``_star``
+the greedy's matching (``mc``, the theorem 4 and 6 checks, and the one
+perfectness test, ``_require_perfect``, of lemma 3, theorem 4 and rank-move
+on a file); ``_designated`` runs it in name order to designate M*, and ``_star``
 reads a caller's or a planted M* in the same form, each ranked id's partner
 as an arrival position.  Vertex names carry a total order (plain string
 comparison) that is used only to make that designation deterministic,
@@ -135,11 +135,8 @@ def perfect_matching_of(inst: BipartiteInstance) -> Optional[frozenset]:
     return frozenset(frozenset((inst.arrival[j], v)) for v, j in zip(inst.ranking, star))
 
 
-_NO_PERFECT = "instance has no perfect matching covering both parties"
-
-
 def _require_perfect(inst: BipartiteInstance) -> None:
     """ValueError unless a perfect matching covers both parties, on ``reach``."""
     a = len(inst.arrival)
     if not _max_matching_size(inst.reach, a) == a == len(inst.ranking):
-        raise ValueError(_NO_PERFECT)
+        raise ValueError("instance has no perfect matching covering both parties")

@@ -19,11 +19,11 @@ advances them all, from seeds set by lane arithmetic.  Its shuffles equal
 ``stream(seed, i).shuffled``, each draw reduced modulo its bound on the
 lanes, a power of two by a mask and any other bound by a reciprocal
 multiply, and the remainders of up to 16 steps turned into bytes at once.
-Up to ``probability._BYTE_CUT`` offline vertices every Fisher-Yates step
-runs on byte lanes of id columns; above it the swaps run one sample at a
-time.  Its greedy reads them in lanes too.  ``SplitMix64`` is the reference
-they are tested against, and it shuffles each sample with a draw that the
-rejection step of ``below`` refuses.
+Up to ``probability._BYTE_CUT`` offline vertices (the two paths' crossover
+moves with the sample count) every Fisher-Yates step runs on byte lanes of
+id columns; above it the swaps run one sample at a time.  Its greedy reads
+them in lanes too.  ``SplitMix64``, the reference they are tested against,
+shuffles each sample with a draw that ``below``'s rejection step refuses.
 """
 
 from __future__ import annotations

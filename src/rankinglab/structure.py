@@ -144,9 +144,11 @@ def _cascade(core: tuple, offline: bool, p: int, inst: BipartiteInstance) -> tup
 
 
 def _removal_diff(inst: BipartiteInstance, x: Vertex, offline: bool) -> RemovalDiff:
+    if (p := (inst.arrival, inst.ranking)[offline]._pos.get(x)) is None:
+        raise KeyError(f"{x!r} is not {('an arrival', 'a ranking')[offline]}-side vertex")
     names = _names(inst, offline)  # ``_cascade`` named
     core = _frames(inst.reach, len(inst.arrival))
-    base, cut, path = _cascade(core, offline, names.index(x), inst)
+    base, cut, path = _cascade(core, offline, p, inst)
     n = len(names) - len(base)
     named = [frozenset(frozenset((names[i], names[j + n])) for j, i in enumerate(m) if i >= 0)
              for m in (base, cut)]
@@ -161,15 +163,11 @@ def removal_diff_online(inst: BipartiteInstance, u: Vertex) -> RemovalDiff:
     roles swapped, since u sits on the arrival side).  Any other outcome
     raises DichotomyViolation.
     """
-    if u not in inst.arrival:
-        raise KeyError(f"{u!r} is not an arrival-side vertex")
     return _removal_diff(inst, u, False)
 
 
 def removal_diff_offline(inst: BipartiteInstance, v: Vertex) -> RemovalDiff:
     """Difference report for deleting the ranking-side vertex v."""
-    if v not in inst.ranking:
-        raise KeyError(f"{v!r} is not a ranking-side vertex")
     return _removal_diff(inst, v, True)
 
 

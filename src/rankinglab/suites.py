@@ -16,9 +16,9 @@ that returns the failure descriptions of one case; ``_run`` is the one loop
 that counts the cases and attaches each failing instance's text, serialized
 once per failing case and not at all for a passing one.
 The structural suites check on positions, one ``structure._frames`` pair per
-instance, and name a vertex only in a failure's text.  Rank-move's M* has
-the package's one form, an arrival position per ranked id: ``graph``'s
-``_star`` of a drawn case's planted pairs, or a given file's ``_designated``.
+instance, and name a vertex only in a failure's text.  Rank-move's M* is an
+arrival position per ranked id: ``graph._star`` of a drawn case's planted
+pairs, or a given file's ``_designated`` once ``_require_perfect`` passes.
 All randomness flows through one SplitMix64 master stream per run, drawn
 in case order, so a (suite, count, seed) triple is fully reproducible.
 """
@@ -32,7 +32,7 @@ from typing import Callable, Dict, Iterable, List, Optional
 from .engine import BipartiteInstance, _greedy, _inverse, _matchings, _ranking_holds, _transpose
 from .fileformat import fingerprint, serialize_instance
 from .generators import gen_perfect, gen_random
-from .graph import _NO_PERFECT, _designated, _require_perfect, _star
+from .graph import _designated, _require_perfect, _star
 from .probability import DEFAULT_CAP, _chain, _check_cap, check_theorem4, check_theorem6
 from .reporting import exact_row
 from .rng import SplitMix64, stream
@@ -91,12 +91,6 @@ def _cases(
 ) -> Iterable[tuple]:
     """``given(inst)``, the given instance's cases, else ``count`` lazy calls of ``draw``."""
     return given(inst) if inst is not None else (draw() for _ in range(count))
-
-
-def _with_perfect(one: BipartiteInstance) -> List[tuple]:
-    if (star := _designated(one)) is None:
-        raise ValueError(_NO_PERFECT)
-    return [(one, star)]
 
 
 def _rand_instance(g: SplitMix64, max_side: int) -> BipartiteInstance:
@@ -382,7 +376,11 @@ def suite_rank_move(
                     problems.append(f"no rank reading holds for {v!r} moved to {i}")
         return problems
 
-    cases = _cases(count, inst, drawn, _with_perfect)
+    def given(one: BipartiteInstance) -> List[tuple]:  # refused unless perfect
+        _require_perfect(one)
+        return [(one, _designated(one))]
+
+    cases = _cases(count, inst, drawn, given)
     result = _run("rank-move", cases, check, notes)
     pairs, moved_ok, original_ok = notes.values()
     if pairs and not (moved_ok == pairs or original_ok == pairs):

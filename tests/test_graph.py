@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rankinglab import BipartiteInstance, Permutation, gen_perfect, perfect_matching_of
+from rankinglab import BipartiteInstance, Permutation, gen_perfect, graph, perfect_matching_of
 
 from .conftest import instances
 from .oracles import (
@@ -381,3 +381,29 @@ class TestBipartiteMaxMatching:
         )
         m = bipartite_max_matching(g)
         assert is_matching(m) and m <= g and len(m) == n
+
+
+def test_require_perfect_refuses_exactly_where_designated_finds_no_m_star():
+    """One perfectness decision: every index of 1-4 vertices a side and at most
+    12 cells, zero masks and rectangles included, named v/u and t/v (whose
+    name order interleaves the parties), refused iff ``_designated`` is None."""
+    verdicts = set()
+    for a, b in product(range(1, 5), repeat=2):  # a arrivals, b ranked ids
+        if a * b > 12:
+            continue
+        arrival = Permutation(f"u{k}" for k in range(1, a + 1))
+        for ranking in (
+            Permutation(f"v{k}" for k in range(1, b + 1)),
+            Permutation(f"{'tv'[k > b // 2]}{k}" for k in range(1, b + 1)),
+        ):
+            for reach in product(range(1 << a), repeat=b):
+                inst = BipartiteInstance._indexed(ranking, arrival, reach)
+                perfect = graph._designated(inst) is not None
+                verdicts.add(perfect)
+                if perfect:
+                    graph._require_perfect(inst)
+                    continue
+                with pytest.raises(ValueError) as e:
+                    graph._require_perfect(inst)
+                assert str(e.value) == "instance has no perfect matching covering both parties"
+    assert verdicts == {False, True}

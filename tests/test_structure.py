@@ -217,9 +217,9 @@ class TestRemovalDichotomy:
         assert d.equal and d.baseline == d.reduced
 
     def test_wrong_side_raises(self, example6):
-        with pytest.raises(KeyError):
+        with pytest.raises(KeyError, match="'v1' is not an arrival-side vertex"):
             removal_diff_online(example6, "v1")
-        with pytest.raises(KeyError):
+        with pytest.raises(KeyError, match="'u1' is not a ranking-side vertex"):
             removal_diff_offline(example6, "u1")
 
     @settings(max_examples=40)
